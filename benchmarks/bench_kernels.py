@@ -1,4 +1,5 @@
-"""Compare the numba and numpy twins of the hot kernels.
+"""Compare the numba and numpy twins of the hot kernels, and the closed-form
+Gauss-map inversion against the generic bisection.
 
 Run as:  python benchmarks/bench_kernels.py
 The numba column reads n/a when the jit backend is unavailable (numba not
@@ -8,12 +9,11 @@ import time
 
 import numpy as np
 
-from ebk import kernels
-from ebk.profiles import FAMILY_PNORM
+from ebk import LevelSurface, kernels, pnorm_profile
 
 K_MAX_ENUM = 1500
+K_MAX_INVERT = 1500
 K_MAX_RATIOS = 300
-BISECT_TARGETS = 200_000
 REPEAT = 3
 
 
@@ -31,19 +31,27 @@ def cases():
            lambda force: kernels.primitive_directions(2, K_MAX_ENUM,
                                                       force=force))
 
-    targets = np.linspace(1e-3, np.pi / 2 - 1e-3, BISECT_TARGETS)
-    params = np.array([4.0])
-    yield (f"bisect_family(pnorm s=4, {BISECT_TARGETS:,} targets)",
-           lambda force: kernels.bisect_family(FAMILY_PNORM, params,
-                                               0.0, np.pi / 2, targets,
-                                               force=force))
-
     K = kernels.primitive_directions(2, K_MAX_RATIOS)
     a = np.linalg.norm(K, axis=1)
     W = np.stack(np.meshgrid(np.arange(9.0), np.arange(9.0)),
                  axis=-1).reshape(-1, 2) + 0.5
     yield (f"extremal_ratios({len(K):,} entries x {len(W)} points)",
            lambda force: kernels.extremal_ratios(K, a, W, True, force=force))
+
+
+def inversion_row() -> None:
+    """invert_normal_many on pnorm:4, closed form against bisect_generic on
+    the same curve without its normal map."""
+    closed = LevelSurface.from_profile(pnorm_profile(4.0))
+    bisected = LevelSurface.from_parametrization(
+        closed.point, closed.param_lo, closed.param_hi, normal_fn=closed.normal,
+        orientation=closed.orientation)
+    K = kernels.primitive_directions(2, K_MAX_INVERT)
+    t_closed = best_of(lambda: closed.invert_normal_many(K))
+    t_bisect = best_of(lambda: bisected.invert_normal_many(K))
+    name = f"inversion(pnorm:4, {len(K):,} directions)"
+    print(f"{'':52s} {'closed':>10s} {'bisect':>10s}")
+    print(f"{name:52s} {t_closed:9.4f}s {t_bisect:9.4f}s {t_bisect / t_closed:7.1f}x")
 
 
 def main() -> None:
@@ -57,6 +65,7 @@ def main() -> None:
             print(f"{name:52s} {t_np:9.4f}s {t_nb:9.4f}s {t_np / t_nb:7.1f}x")
         else:
             print(f"{name:52s} {t_np:9.4f}s {'n/a':>10s} {'n/a':>8s}")
+    inversion_row()
 
 
 if __name__ == "__main__":

@@ -206,10 +206,11 @@ def marked_action_spectrum(surface: LevelSurface, k_max: int, shift=None,
     """Enumerate primitive directions with ||k||_inf <= k_max and their actions.
 
     Directions outside the surface's normal cone are skipped silently; on
-    strictly convex/concave surfaces the inversion is a vectorized monotone
-    bisection, on general surfaces a per-direction scan that must produce a
-    single consistent action (flat facets qualify, genuinely multivalued
-    surfaces do not).
+    strictly convex/concave surfaces the inversion is vectorized (closed
+    form for the builtin families, a monotone bisection otherwise), on
+    general surfaces a per-direction scan that must produce a single
+    consistent action (flat facets qualify, genuinely multivalued surfaces
+    do not).
     """
     if k_max < 1:
         raise ConfigError("k_max must be >= 1")
@@ -218,13 +219,14 @@ def marked_action_spectrum(surface: LevelSurface, k_max: int, shift=None,
     K = kernels.primitive_directions(dim, k_max, force=force)
 
     if dim == 2 and surface.orientation in (Orientation.CONVEX, Orientation.CONCAVE):
-        _, pts, res, attained = surface.invert_normal_many(K.astype(float))
-        bad = attained & (res > NORMAL_RESIDUAL_TOL)
+        pts, res, attained = surface.invert_normal_many(K)[1:]
+        bad = attained & ~(res <= NORMAL_RESIDUAL_TOL)
         if np.any(bad):
             raise ConvergenceFailure(
                 f"{int(bad.sum())} directions failed the inversion residual")
-        K = K[attained]
-        pts = pts[attained]
+        if not attained.all():
+            K = K[attained]
+            pts = pts[attained]
     else:
         rows, ppts = [], []
         for row in K:
@@ -247,10 +249,10 @@ def marked_action_spectrum(surface: LevelSurface, k_max: int, shift=None,
         K = np.asarray(rows, dtype=np.int64).reshape(len(rows), dim)
         pts = np.asarray(ppts, dtype=float).reshape(len(rows), dim)
 
-    shifted = pts + mu.as_array()
-    acts = np.einsum("ij,ij->i", shifted, K.astype(float))
-    knorm = np.linalg.norm(K.astype(float), axis=1)
-    keep = np.abs(acts) > ZERO_ACTION_TOL * knorm
+    Kf = K.astype(float)
+    acts = np.einsum("ij,ij->i", pts + mu.as_array(), Kf)
+    keep = np.abs(acts) > ZERO_ACTION_TOL * np.linalg.norm(Kf, axis=1)
+    del Kf
     return ActionSpectrum(K[keep], acts[keep], pts[keep],
                           surface.orientation, k_max, mu)
 

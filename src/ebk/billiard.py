@@ -16,7 +16,7 @@ import numpy as np
 from . import kernels
 from .actions import ActionSpectrum, MaslovShift, as_shift, marked_action_spectrum
 from .errors import ConfigError, ConvergenceFailure, DomainError
-from .profiles import FAMILY_RAMOS, ToricProfile
+from .profiles import ToricProfile
 from .quantize import truncation_estimate
 from .surfaces import DEFAULT_RESOLUTION, LevelSurface, Orientation
 
@@ -140,9 +140,8 @@ class BilliardLevel:
 def boundary_point(alpha):
     """rho(alpha) = (sin a - a cos a, sin a + (pi - a) cos a), a in [0, pi]."""
     a = np.asarray(alpha, dtype=float)
-    pts = np.stack([np.sin(a) - a * np.cos(a),
-                    np.sin(a) + (math.pi - a) * np.cos(a)], axis=-1)
-    return pts
+    s, c = np.sin(a), np.cos(a)
+    return np.stack([s - a * c, s + (math.pi - a) * c], axis=-1)
 
 
 def boundary_tangent(alpha):
@@ -154,15 +153,25 @@ def boundary_tangent(alpha):
 def boundary_normal(alpha):
     """Outward unit normal, proportional to (pi - a, a)."""
     a = np.asarray(alpha, dtype=float)
-    raw = np.stack([math.pi - a, a], axis=-1)
-    return raw / np.linalg.norm(raw, axis=-1, keepdims=True)
+    b = math.pi - a
+    norm = np.sqrt(b * b + a * a)
+    return np.stack([b / norm, a / norm], axis=-1)
 
 
-def direction_parameter(k1: float, k2: float) -> float:
-    """The alpha whose outward normal points along (k1, k2)."""
-    if k1 < 0 or k2 < 0 or k1 + k2 <= 0:
+def direction_parameter(k1, k2):
+    """The alpha whose outward normal points along (k1, k2); elementwise
+    on arrays."""
+    a1 = np.asarray(k1, dtype=float)
+    a2 = np.asarray(k2, dtype=float)
+    if np.any(a1 < 0) or np.any(a2 < 0) or np.any(a1 + a2 <= 0):
         raise ConfigError("direction must be nonzero with k1, k2 >= 0")
-    return math.pi * k2 / (k1 + k2)
+    alpha = math.pi * a2 / (a1 + a2)
+    return alpha if alpha.ndim else float(alpha)
+
+
+def _ramos_normal_map(K):
+    alpha = direction_parameter(K[:, 0], K[:, 1])
+    return alpha, boundary_point(alpha), boundary_normal(alpha)
 
 
 def ramos_action(k1: int, k2: int) -> float:
@@ -233,8 +242,7 @@ def disk_profile() -> ToricProfile:
         return out.reshape(P.shape)
 
     return ToricProfile(name="ramos", dimension=2, degree=1.0,
-                        evaluate_fn=evaluate_fn, gradient_fn=gradient_fn,
-                        jit_family=FAMILY_RAMOS, jit_params=())
+                        evaluate_fn=evaluate_fn, gradient_fn=gradient_fn)
 
 
 class RamosCurve(LevelSurface):
@@ -246,7 +254,7 @@ class RamosCurve(LevelSurface):
                          normal_fn=boundary_normal,
                          orientation=Orientation.CONCAVE,
                          profile=disk_profile(), resolution=resolution,
-                         jit_family=FAMILY_RAMOS, jit_params=())
+                         normal_map=_ramos_normal_map)
 
 
 @dataclass(frozen=True)

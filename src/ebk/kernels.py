@@ -1,26 +1,25 @@
-"""Hot numeric kernels, each with a numba twin and a pure-numpy twin.
+"""Hot numeric kernels.
 
-The two inner loops that dominate every workload are
-  * monotone bisection for the normal-direction inversion, applied to
-    ~1e5..1e6 integer directions at once, and
-  * the sup/inf ratio reduction behind variational spectra.
+  * primitive-direction enumeration and the sup/inf ratio reduction behind
+    variational spectra each have a numba twin and a pure-numpy twin;
+  * bisect_generic is a vectorized monotone bisection, numpy only.
+
+Gauss-map inversion is closed form for the builtin families (pnorm and the
+disk's boundary curve, see LevelSurface.normal_map). bisect_generic inverts
+it only for curves without a closed form (spline and table curves); it also
+evaluates a curve along a ray (LevelSurface.radial_value).
 
 Backend selection: the numba path is used when numba imports cleanly and the
 environment variable EBK_NO_NUMBA is unset (or "0"). Setting EBK_NO_NUMBA=1
-forces the numpy path. Profiles outside the jit-able builtin families always
-take the numpy path regardless of backend. EBK_THREADS, when set, caps the
-numba thread pool; the numpy path is single-threaded either way.
-
-Both twins implement the same arithmetic with the same fixed iteration
-schedule, so results agree to rounding; tests pin the agreement at 1e-12.
+forces the numpy path. EBK_THREADS, when set, caps the numba thread pool;
+the numpy path is single-threaded either way. The twins agree to rounding,
+and the ratio reduction bit for bit.
 """
 from __future__ import annotations
 
 import os
 
 import numpy as np
-
-from .profiles import FAMILY_LINEAR, FAMILY_PNORM, FAMILY_RAMOS
 
 _env_flag = os.environ.get("EBK_NO_NUMBA", "").strip()
 _DISABLED = _env_flag not in ("", "0")
@@ -122,56 +121,6 @@ def primitive_directions(dimension: int, k_max: int, force: str | None = None) -
     return primitive_directions_np(dimension, k_max)
 
 
-# --- normal-angle functions for the jit-able families ---
-#
-# Each family maps a curve parameter t to the polar angle of the outward
-# normal; all three are nondecreasing on their domain, which is what the
-# bisection relies on.
-
-def family_normal_angle_np(family: int, params: np.ndarray, t: np.ndarray) -> np.ndarray:
-    if family == FAMILY_PNORM:
-        s = params[0]
-        return np.arctan2(np.sin(t) ** (s - 1.0), np.cos(t) ** (s - 1.0))
-    if family == FAMILY_RAMOS:
-        return np.arctan2(t, np.pi - t)
-    if family == FAMILY_LINEAR:
-        ang = np.arctan2(params[1], params[0])
-        return np.full_like(np.asarray(t, dtype=float), ang)
-    raise ValueError(f"no jit family {family}")
-
-
-if HAS_NUMBA:
-
-    @nb.njit(cache=True)
-    def _family_angle_nb(family, params, t):
-        if family == FAMILY_PNORM:
-            s = params[0]
-            return np.arctan2(np.sin(t) ** (s - 1.0), np.cos(t) ** (s - 1.0))
-        elif family == FAMILY_RAMOS:
-            return np.arctan2(t, np.pi - t)
-        else:
-            return np.arctan2(params[1], params[0])
-
-    @nb.njit(cache=True, parallel=True)
-    def _bisect_family_nb(family, params, lo, hi, targets, n_iter):
-        n = targets.shape[0]
-        out = np.empty(n, dtype=np.float64)
-        for i in nb.prange(n):
-            tgt = targets[i]
-            a = lo
-            b = hi
-            for _ in range(n_iter):
-                mid = 0.5 * (a + b)
-                if _family_angle_nb(family, params, mid) < tgt:
-                    a = mid
-                else:
-                    b = mid
-                if b - a <= 1e-17 * (hi - lo):
-                    break
-            out[i] = 0.5 * (a + b)
-        return out
-
-
 def _bisect_vectorized(angle_of, lo, hi, targets, n_iter):
     a = np.full(targets.shape, lo, dtype=float)
     b = np.full(targets.shape, hi, dtype=float)
@@ -186,24 +135,12 @@ def _bisect_vectorized(angle_of, lo, hi, targets, n_iter):
     return 0.5 * (a + b)
 
 
-def bisect_family(family: int, params, lo: float, hi: float, targets: np.ndarray,
-                  n_iter: int = BISECT_ITERS, force: str | None = None) -> np.ndarray:
-    """Parameters t with normal_angle(t) = target, assuming a nondecreasing
-    normal angle on [lo, hi]. Targets outside the attained range clamp to the
-    endpoints; the caller is responsible for the residual check."""
-    params = np.asarray(params, dtype=float)
-    targets = np.asarray(targets, dtype=float)
-    n_iter = min(int(n_iter), MAX_BISECT_ITERS)
-    backend = _resolve(force)
-    if backend == "numba":
-        return _bisect_family_nb(family, params, float(lo), float(hi), targets, n_iter)
-    return _bisect_vectorized(lambda t: family_normal_angle_np(family, params, t),
-                              float(lo), float(hi), targets, n_iter)
-
-
 def bisect_generic(angle_fn, lo: float, hi: float, targets: np.ndarray,
                    n_iter: int = BISECT_ITERS, increasing: bool = True) -> np.ndarray:
-    """Numpy-only bisection against an arbitrary vectorized angle callable."""
+    """Parameters t in [lo, hi] with angle_fn(t) = target, for a vectorized
+    angle_fn monotone in the given sense. Targets outside the attained range
+    clamp to the endpoints; the caller is responsible for the residual
+    check."""
     targets = np.asarray(targets, dtype=float)
     n_iter = min(int(n_iter), MAX_BISECT_ITERS)
     if increasing:
@@ -293,7 +230,5 @@ def warmup() -> None:
     if not HAS_NUMBA:
         return
     primitive_directions(2, 3)
-    bisect_family(FAMILY_PNORM, (2.0,), 0.0, np.pi / 2, np.array([0.5]))
-    bisect_family(FAMILY_RAMOS, (), 0.0, np.pi, np.array([0.5]))
     extremal_ratios(np.array([[1.0, 1.0]]), np.array([1.0]),
                     np.array([[1.0, 1.0]]), True)

@@ -9,19 +9,12 @@ axis: points have shape (..., n), values shape (...), gradients (..., n).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigError
-
-# Families with dedicated jit kernels (see kernels.py). Profiles outside
-# these fall back to the generic vectorized-numpy code paths.
-FAMILY_NONE = 0
-FAMILY_PNORM = 1
-FAMILY_LINEAR = 2
-FAMILY_RAMOS = 3
 
 
 def _as_points(p, dimension: int) -> tuple[np.ndarray, bool]:
@@ -41,6 +34,10 @@ class ToricProfile:
 
     gradient_fn may be None, in which case gradients come from central
     finite differences with step h = max(1e-6, 1e-8 * |p|).
+
+    inverse_gauss_fn, when given, is the closed-form inverse of the Gauss
+    map: it sends each nonzero row k >= 0 of an (N, n) array to the point
+    of {f = 1} whose outward normal is parallel to k.
     """
 
     name: str
@@ -48,8 +45,7 @@ class ToricProfile:
     degree: float
     evaluate_fn: Callable[[np.ndarray], np.ndarray]
     gradient_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    jit_family: int = FAMILY_NONE
-    jit_params: tuple[float, ...] = field(default_factory=tuple)
+    inverse_gauss_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -126,8 +122,6 @@ def linear_profile(weights: Sequence[float], name: str | None = None) -> ToricPr
         degree=1.0,
         evaluate_fn=ev,
         gradient_fn=gr,
-        jit_family=FAMILY_LINEAR,
-        jit_params=tuple(w),
     )
 
 
@@ -157,14 +151,23 @@ def pnorm_profile(s: float, dimension: int = 2, degree: float = 1.0,
         # d/dp_i of q^(d/s) = d * q^((d-s)/s) * p_i^(s-1)
         return d * (q ** ((d - s) / s))[..., None] * np.sign(p) * np.abs(p) ** (s - 1.0)
 
+    e = 1.0 / (s - 1.0)
+
+    def inverse_gauss(K):
+        # grad f(p) ~ p^(s-1), so p ~ k^(1/(s-1)) rescaled onto {f = 1};
+        # dividing by the row maximum first keeps k^e finite for large e
+        q = K / K.max(axis=-1, keepdims=True)
+        q **= e
+        q /= ((q ** s).sum(axis=-1, keepdims=True)) ** (1.0 / s)
+        return q
+
     return ToricProfile(
         name=name or f"pnorm:{s:g}" + (f"^({d:g})" if d != 1.0 else ""),
         dimension=dimension,
         degree=d,
         evaluate_fn=ev,
         gradient_fn=gr,
-        jit_family=FAMILY_PNORM,
-        jit_params=(s,),
+        inverse_gauss_fn=inverse_gauss,
     )
 
 

@@ -26,7 +26,7 @@ from .errors import (
     NonGraphical,
     TangentThroughOrigin,
 )
-from .profiles import FAMILY_NONE, ToricProfile
+from .profiles import ToricProfile
 
 GRADIENT_FLOOR = 1e-12        # |grad f| below this: Gauss map undefined
 SUPPORT_FLOOR = 1e-10         # |<p, n>| below this: dual point undefined
@@ -47,6 +47,12 @@ def gauss_map(profile: ToricProfile, p) -> np.ndarray:
     if np.any(norm < GRADIENT_FLOOR):
         raise DegenerateGradient(f"|grad f| < {GRADIENT_FLOOR:g}")
     return g / norm
+
+
+def _normal_residuals(normals: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """|n x k| / (|n| |k|) per row: the sine of the angle between n and k."""
+    cross = np.abs(normals[:, 0] * K[:, 1] - normals[:, 1] * K[:, 0])
+    return cross / (np.hypot(normals[:, 0], normals[:, 1]) * np.hypot(K[:, 0], K[:, 1]))
 
 
 def legendre_point(p, n) -> np.ndarray:
@@ -85,6 +91,10 @@ class LevelSurface:
 
     Treat instances as immutable. Construct via from_profile,
     from_parametrization, or from_points.
+
+    normal_map, when given, is the closed-form inverse of the Gauss map in
+    this parametrization: it sends each nonzero row k >= 0 of an (N, 2)
+    array to (params, points, normals) with the normal parallel to k.
     """
 
     def __init__(self, dimension: int, point_fn: Callable, param_lo, param_hi,
@@ -92,8 +102,7 @@ class LevelSurface:
                  orientation: Orientation | str | None = None,
                  profile: Optional[ToricProfile] = None,
                  resolution: int = DEFAULT_RESOLUTION,
-                 jit_family: int = FAMILY_NONE,
-                 jit_params: tuple = (),
+                 normal_map: Optional[Callable] = None,
                  knots: Optional[np.ndarray] = None):
         if dimension not in (2, 3):
             raise ConfigError("only dimensions 2 and 3 are supported")
@@ -104,8 +113,7 @@ class LevelSurface:
         self._normal_fn = normal_fn
         self.profile = profile
         self.resolution = int(resolution)
-        self.jit_family = jit_family
-        self.jit_params = tuple(jit_params)
+        self.normal_map = normal_map
         self.knots = knots
         if orientation is None:
             self.orientation = self._detect_orientation()
@@ -135,10 +143,18 @@ class LevelSurface:
                                else profile._fd_gradient(u), dtype=float)
                 return g / np.linalg.norm(g, axis=-1, keepdims=True)
 
+            normal_map = None
+            if profile.inverse_gauss_fn is not None:
+
+                def normal_map(K):
+                    # the points come from k directly, so the axis rows
+                    # land exactly on the axis endpoints
+                    p = profile.inverse_gauss_fn(K)
+                    return np.arctan2(p[:, 1], p[:, 0]), p, profile.gradient(p)
+
             return cls(2, point_fn, 0.0, np.pi / 2, normal_fn=normal_fn,
                        orientation=orientation, profile=profile,
-                       resolution=resolution, jit_family=profile.jit_family,
-                       jit_params=profile.jit_params)
+                       resolution=resolution, normal_map=normal_map)
 
         if profile.dimension == 3:
             if profile.gradient_fn is None:
@@ -169,13 +185,10 @@ class LevelSurface:
                              param_hi: float, normal_fn: Optional[Callable] = None,
                              orientation: Orientation | str | None = None,
                              profile: Optional[ToricProfile] = None,
-                             resolution: int = DEFAULT_RESOLUTION,
-                             jit_family: int = FAMILY_NONE,
-                             jit_params: tuple = ()) -> "LevelSurface":
+                             resolution: int = DEFAULT_RESOLUTION) -> "LevelSurface":
         return cls(2, point_fn, float(param_lo), float(param_hi),
                    normal_fn=normal_fn, orientation=orientation, profile=profile,
-                   resolution=resolution, jit_family=jit_family,
-                   jit_params=jit_params)
+                   resolution=resolution)
 
     @classmethod
     def from_points(cls, points: np.ndarray,
@@ -383,39 +396,43 @@ class LevelSurface:
     def invert_normal_many(self, directions: np.ndarray):
         """Vectorized inversion for convex/concave n = 2 surfaces.
 
-        Returns (params, points, residuals, attained_mask); rows outside the
-        normal cone are masked out, not errors.
+        Returns (params, points, residuals, attained_mask). A surface with a
+        closed-form normal_map attains every nonzero k >= 0; otherwise a
+        monotone bisection solves for the normal angle. Rows outside the
+        normal cone are masked out (nan), not errors.
         """
         K = np.asarray(directions, dtype=float)
+        if self.normal_map is None:
+            t, points, normals, attained = self._bisect_normal_many(K)
+        else:
+            attained = ((np.minimum(K[:, 0], K[:, 1]) >= 0)
+                        & (np.maximum(K[:, 0], K[:, 1]) > 0))
+            if not attained.all():
+                K = np.where(attained[:, None], K, np.nan)
+            t, points, normals = self.normal_map(K)
+        return t, points, _normal_residuals(normals, K), attained
+
+    def _bisect_normal_many(self, K: np.ndarray):
         targets = np.arctan2(K[:, 1], K[:, 0])
         lo_a, hi_a, increasing = self._angle_profile
         attained = (targets >= lo_a - 1e-12) & (targets <= hi_a + 1e-12)
         t = np.full(K.shape[0], np.nan)
-        if np.any(attained):
-            tgt = np.clip(targets[attained], lo_a, hi_a)
-            if self.jit_family != FAMILY_NONE:
-                t_hit = kernels.bisect_family(self.jit_family, self.jit_params,
-                                              self.param_lo, self.param_hi, tgt)
-            else:
-                t_hit = kernels.bisect_generic(self.normal_angle, self.param_lo,
-                                               self.param_hi, tgt,
-                                               increasing=increasing)
-            t[attained] = t_hit
         points = np.full((K.shape[0], 2), np.nan)
-        residuals = np.full(K.shape[0], np.nan)
+        normals = np.full((K.shape[0], 2), np.nan)
         if np.any(attained):
-            pts = self.point(t[attained])
-            nrm = self.normal(t[attained])
-            khat = K[attained] / np.linalg.norm(K[attained], axis=1, keepdims=True)
-            res = np.abs(nrm[:, 0] * khat[:, 1] - nrm[:, 1] * khat[:, 0])
-            points[attained] = pts
-            residuals[attained] = res
-        return t, points, residuals, attained
+            t_hit = kernels.bisect_generic(self.normal_angle, self.param_lo,
+                                           self.param_hi,
+                                           np.clip(targets[attained], lo_a, hi_a),
+                                           increasing=increasing)
+            t[attained] = t_hit
+            points[attained] = self.point(t_hit)
+            normals[attained] = self.normal(t_hit)
+        return t, points, normals, attained
 
     def invert_normal(self, k, max_iter: int = 200) -> InversionResult:
         """Inversion for a single integer/real direction.
 
-        Convex and concave surfaces take the monotone bisection; general
+        Convex and concave surfaces take invert_normal_many; general
         surfaces scan the samples for residual sign changes and flat runs.
         """
         k = np.asarray(k, dtype=float)
@@ -425,7 +442,7 @@ class LevelSurface:
             t, pts, res, ok = self.invert_normal_many(k[None, :])
             if not ok[0]:
                 raise DirectionNotAttained(f"direction {k.tolist()} outside normal cone")
-            if res[0] > NORMAL_RESIDUAL_TOL:
+            if not res[0] <= NORMAL_RESIDUAL_TOL:
                 raise ConvergenceFailure(
                     f"inversion residual {res[0]:.3e} > {NORMAL_RESIDUAL_TOL:g}")
             return InversionResult(points=pts[:1], params=t[:1],

@@ -5,8 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from ebk import kernels
-from ebk.profiles import FAMILY_PNORM, FAMILY_RAMOS
+from ebk import LevelSurface, RamosCurve, kernels, pnorm_profile
 
 needs_numba = pytest.mark.skipif(not kernels.HAS_NUMBA,
                                  reason="numba backend unavailable")
@@ -51,36 +50,51 @@ def test_primitive_directions_backend_agreement():
     assert np.array_equal(a, b)
 
 
-@needs_numba
-@pytest.mark.parametrize("family,params,lo,hi", [
-    (FAMILY_PNORM, (3.0,), 0.0, np.pi / 2),
-    (FAMILY_RAMOS, (), 0.0, np.pi),
-])
-def test_bisect_family_backend_agreement(family, params, lo, hi):
-    targets = np.linspace(lo + 0.05, hi - 0.05, 97)
-    a = kernels.bisect_family(family, params, lo, hi, targets, force="numba")
-    b = kernels.bisect_family(family, params, lo, hi, targets, force="numpy")
-    # the backends may round libm calls differently at branch boundaries;
-    # the bisection schedule still pins them to the same root
-    assert np.abs(a - b).max() <= 1e-12
+def _closed_form_surfaces():
+    surfaces = {f"pnorm:{s:g}": LevelSurface.from_profile(pnorm_profile(s))
+                for s in (1.5, 3.0, 4.0, 8.0)}
+    surfaces["ramos"] = RamosCurve()
+    return surfaces
 
 
-def test_bisect_generic_against_family():
-    targets = np.linspace(0.1, 1.4, 33)
-    via_family = kernels.bisect_family(FAMILY_PNORM, (3.0,), 0.0, np.pi / 2,
-                                       targets, force="numpy")
-    via_generic = kernels.bisect_generic(
-        lambda t: kernels.family_normal_angle_np(FAMILY_PNORM, np.array([3.0]), t),
-        0.0, np.pi / 2, targets)
-    assert np.abs(via_family - via_generic).max() <= 1e-15
+def test_closed_form_inversion_residual():
+    K = kernels.primitive_directions(2, 200)
+    for name, surf in _closed_form_surfaces().items():
+        assert surf.normal_map is not None, name
+        t, pts, res, ok = surf.invert_normal_many(K)
+        assert ok.all(), name
+        assert res.max() <= 1e-14, (name, res.max())
 
 
-def test_bisect_solves_to_target():
-    targets = np.linspace(0.05, np.pi / 2 - 0.05, 50)
-    t = kernels.bisect_family(FAMILY_PNORM, (4.0,), 0.0, np.pi / 2, targets,
-                              force="numpy")
-    got = kernels.family_normal_angle_np(FAMILY_PNORM, np.array([4.0]), t)
-    assert np.abs(got - targets).max() <= 1e-12
+def test_closed_form_matches_bisect_generic():
+    K = kernels.primitive_directions(2, 200)
+    K = K[(K > 0).all(axis=1)].astype(float)
+    targets = np.arctan2(K[:, 1], K[:, 0])
+    for name, surf in _closed_form_surfaces().items():
+        t = surf.invert_normal_many(K)[0]
+        via_bisection = kernels.bisect_generic(surf.normal_angle, surf.param_lo,
+                                               surf.param_hi, targets)
+        assert np.abs(t - via_bisection).max() <= 1e-12, name
+
+
+def test_closed_form_exact_axis_points():
+    axes = np.array([[1, 0], [0, 1]])
+    for s in (1.5, 3.0, 4.0, 8.0):
+        surf = LevelSurface.from_profile(pnorm_profile(s))
+        t, pts, res, ok = surf.invert_normal_many(axes)
+        assert np.array_equal(pts, [[1.0, 0.0], [0.0, 1.0]]), s
+        assert np.array_equal(t, [0.0, np.pi / 2]), s
+    t, pts, _, _ = RamosCurve().invert_normal_many(axes)
+    assert np.array_equal(t, [0.0, np.pi])
+    assert np.abs(pts - [[0.0, np.pi], [np.pi, 0.0]]).max() <= 1e-15
+
+
+def test_closed_form_masks_directions_outside_quadrant():
+    K = np.array([[1.0, 2.0], [-1.0, 2.0], [0.0, 0.0]])
+    for name, surf in _closed_form_surfaces().items():
+        t, pts, res, ok = surf.invert_normal_many(K)
+        assert ok.tolist() == [True, False, False], name
+        assert np.isnan(pts[1:]).all() and np.isnan(res[1:]).all(), name
 
 
 def _ratio_case(dim=2, k_max=45, groups=9):
