@@ -1,42 +1,66 @@
-"""Compare the numba and numpy twins of the hot kernels, and the closed-form
-Gauss-map inversion against the generic bisection.
+"""Time the hot kernels: enumeration, the pruned extremal-ratio reduction
+against a full scan, and the closed-form Gauss-map inversion against the
+generic bisection.
 
 Run as:  python benchmarks/bench_kernels.py
-The numba column reads n/a when the jit backend is unavailable (numba not
-installed, or EBK_NO_NUMBA set).
 """
 import time
 
 import numpy as np
 
-from ebk import LevelSurface, kernels, pnorm_profile
+from ebk import LevelSurface, kernels, marked_action_spectrum, pnorm_profile
+from ebk.quantize import ARGEXT_TIE_TOL, lattice_grid
 
 K_MAX_ENUM = 1500
 K_MAX_INVERT = 1500
-K_MAX_RATIOS = 300
+K_MAX_RATIOS = 400   # with M_MAX_RATIOS: the spectrum-variational pnorm:4 run
+M_MAX_RATIOS = 64
 REPEAT = 3
 
 
-def best_of(fn):
+def best_of(fn, repeat=REPEAT):
     times = []
-    for _ in range(REPEAT):
+    for _ in range(repeat):
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
     return min(times)
 
 
-def cases():
-    yield (f"primitive_directions(2, {K_MAX_ENUM})",
-           lambda force: kernels.primitive_directions(2, K_MAX_ENUM,
-                                                      force=force))
+def full_scan(K, a, W, use_max, tie_tol):
+    """Every entry for every weight row: the reduction without pruning."""
+    K = K.astype(float)
+    vals = np.empty(len(W))
+    idxs = np.empty(len(W), dtype=np.int64)
+    for g, w in enumerate(W):
+        num = K[:, 0] * w[0]
+        num += K[:, 1] * w[1]
+        r = num / a
+        best = r.max() if use_max else r.min()
+        tol = tie_tol * max(1.0, abs(best))
+        mask = (r >= best - tol) if use_max else (r <= best + tol)
+        vals[g], idxs[g] = best, int(np.argmax(mask))
+    return vals, idxs
 
-    K = kernels.primitive_directions(2, K_MAX_RATIOS)
-    a = np.linalg.norm(K, axis=1)
-    W = np.stack(np.meshgrid(np.arange(9.0), np.arange(9.0)),
-                 axis=-1).reshape(-1, 2) + 0.5
-    yield (f"extremal_ratios({len(K):,} entries x {len(W)} points)",
-           lambda force: kernels.extremal_ratios(K, a, W, True, force=force))
+
+def enumeration_row() -> None:
+    t = best_of(lambda: kernels.primitive_directions(2, K_MAX_ENUM))
+    print(f"{f'primitive_directions(2, {K_MAX_ENUM})':52s} {t:9.4f}s")
+
+
+def ratios_row() -> None:
+    spec = marked_action_spectrum(LevelSurface.from_profile(pnorm_profile(4.0)),
+                                  K_MAX_RATIOS)
+    W = lattice_grid(2, M_MAX_RATIOS).astype(float)
+    args = (spec.directions, spec.actions, W, True, ARGEXT_TIE_TOL)
+    t_pruned = best_of(lambda: kernels.extremal_ratios(*args))
+    t_full = best_of(lambda: full_scan(*args), repeat=1)
+    same = all(np.array_equal(x, y) for x, y in
+               zip(kernels.extremal_ratios(*args), full_scan(*args)))
+    name = f"extremal_ratios({len(spec):,} entries x {len(W):,} rows)"
+    print(f"{'':52s} {'pruned':>10s} {'full':>10s}")
+    print(f"{name:52s} {t_pruned:9.4f}s {t_full:9.4f}s {t_full / t_pruned:7.1f}x"
+          f"  identical: {same}")
 
 
 def inversion_row() -> None:
@@ -55,16 +79,8 @@ def inversion_row() -> None:
 
 
 def main() -> None:
-    kernels.warmup()
-    print(f"backend: {kernels.active_backend()}")
-    print(f"{'kernel':52s} {'numpy':>10s} {'numba':>10s} {'speedup':>8s}")
-    for name, fn in cases():
-        t_np = best_of(lambda: fn("numpy"))
-        if kernels.HAS_NUMBA:
-            t_nb = best_of(lambda: fn("numba"))
-            print(f"{name:52s} {t_np:9.4f}s {t_nb:9.4f}s {t_np / t_nb:7.1f}x")
-        else:
-            print(f"{name:52s} {t_np:9.4f}s {'n/a':>10s} {'n/a':>8s}")
+    enumeration_row()
+    ratios_row()
     inversion_row()
 
 

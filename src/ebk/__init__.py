@@ -60,7 +60,6 @@ from .errors import (
     TooFewNicePoints,
     UnsupportedSurface,
 )
-from .kernels import active_backend
 from .profiles import (
     ToricProfile,
     euclidean_profile,

@@ -65,13 +65,17 @@ def as_shift(shift, dimension: int) -> MaslovShift:
         if shift.dimension != dimension:
             raise ConfigError(
                 f"shift has dimension {shift.dimension}, expected {dimension}")
-        return shift
-    if np.isscalar(shift):
-        return MaslovShift.uniform(float(shift), dimension)
-    values = tuple(float(v) for v in shift)
-    if len(values) != dimension:
-        raise ConfigError(f"shift needs {dimension} components, got {len(values)}")
-    return MaslovShift(values=values)
+        mu = shift
+    elif np.isscalar(shift):
+        mu = MaslovShift.uniform(float(shift), dimension)
+    else:
+        values = tuple(float(v) for v in shift)
+        if len(values) != dimension:
+            raise ConfigError(f"shift needs {dimension} components, got {len(values)}")
+        mu = MaslovShift(values=values)
+    if not all(math.isfinite(v) for v in mu.values):
+        raise ConfigError("shift must be finite")
+    return mu
 
 
 @dataclass(frozen=True)
@@ -110,6 +114,10 @@ class ActionSpectrum:
         n = self.directions.shape[0]
         if self.actions.shape != (n,) or self.points.shape != self.directions.shape:
             raise ConfigError("inconsistent action-spectrum array shapes")
+        if not (np.isfinite(self.actions).all() and np.isfinite(self.points).all()):
+            raise ConfigError("action entries must be finite")
+        if np.any(self.actions == 0):
+            raise ConfigError("action entries must be nonzero")
 
     def __len__(self) -> int:
         return self.directions.shape[0]
@@ -201,8 +209,8 @@ class ActionSpectrum:
                    MaslovShift(values=tuple(float(v) for v in doc["shift"])))
 
 
-def marked_action_spectrum(surface: LevelSurface, k_max: int, shift=None,
-                           force: str | None = None) -> ActionSpectrum:
+def marked_action_spectrum(surface: LevelSurface, k_max: int,
+                           shift=None) -> ActionSpectrum:
     """Enumerate primitive directions with ||k||_inf <= k_max and their actions.
 
     Directions outside the surface's normal cone are skipped silently; on
@@ -216,7 +224,7 @@ def marked_action_spectrum(surface: LevelSurface, k_max: int, shift=None,
         raise ConfigError("k_max must be >= 1")
     dim = surface.dimension
     mu = as_shift(shift, dim)
-    K = kernels.primitive_directions(dim, k_max, force=force)
+    K = kernels.primitive_directions(dim, k_max)
 
     if dim == 2 and surface.orientation in (Orientation.CONVEX, Orientation.CONCAVE):
         pts, res, attained = surface.invert_normal_many(K)[1:]

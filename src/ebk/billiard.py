@@ -106,8 +106,8 @@ def solve_momentum(m: int, n: float, tol: float = PHASE_SOLVE_TOL,
 def energy_from_momentum(momentum: float, radius: float = 1.0,
                          hbar: float = 1.0) -> float:
     """E = (hbar F)^2 / (2 R^2)."""
-    if radius <= 0 or hbar <= 0:
-        raise ConfigError("radius and hbar must be > 0")
+    if not (0 < radius < math.inf and 0 < hbar < math.inf):
+        raise ConfigError("radius and hbar must be finite and > 0")
     if momentum < 0:
         raise ConfigError("momentum must be >= 0")
     return (hbar * momentum) ** 2 / (2.0 * radius * radius)
@@ -301,8 +301,8 @@ def crosscheck_disk(m1: int, m2: int, k_max: int = 2000, shift=None,
         raise ConfigError("crosscheck expects m2 >= m1")
     if k_max < 10:
         raise ConfigError("k_max must be >= 10")
-    if hbar <= 0:
-        raise ConfigError("hbar must be > 0")
+    if not 0 < hbar < math.inf:
+        raise ConfigError("hbar must be finite and > 0")
     mu = as_shift(shift, 2)
     if mu.values[0] != mu.values[1]:
         raise ConfigError("crosscheck requires a uniform shift")

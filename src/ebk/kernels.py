@@ -1,62 +1,20 @@
-"""Hot numeric kernels.
+"""Hot numeric kernels, numpy only.
 
-  * primitive-direction enumeration and the sup/inf ratio reduction behind
-    variational spectra each have a numba twin and a pure-numpy twin;
-  * bisect_generic is a vectorized monotone bisection, numpy only.
+  * primitive_directions enumerates the gcd-1 integer directions;
+  * extremal_ratios is the sup/inf ratio reduction behind variational
+    spectra. In two dimensions, with many weight rows, it scans for each row
+    only the blocks of entries whose upper bound can reach the extremum;
+    values and indices are bitwise those of a full scan;
+  * bisect_generic is a vectorized monotone bisection.
 
 Gauss-map inversion is closed form for the builtin families (pnorm and the
 disk's boundary curve, see LevelSurface.normal_map). bisect_generic inverts
 it only for curves without a closed form (spline and table curves); it also
 evaluates a curve along a ray (LevelSurface.radial_value).
-
-Backend selection: the numba path is used when numba imports cleanly and the
-environment variable EBK_NO_NUMBA is unset (or "0"). Setting EBK_NO_NUMBA=1
-forces the numpy path. EBK_THREADS, when set, caps the numba thread pool;
-the numpy path is single-threaded either way. The twins agree to rounding,
-and the ratio reduction bit for bit.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_env_flag = os.environ.get("EBK_NO_NUMBA", "").strip()
-_DISABLED = _env_flag not in ("", "0")
-
-try:
-    if _DISABLED:
-        raise ImportError("numba disabled by EBK_NO_NUMBA")
-    import numba as nb
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via subprocess in tests
-    nb = None
-    HAS_NUMBA = False
-
-if HAS_NUMBA:
-    _threads = os.environ.get("EBK_THREADS", "").strip()
-    if _threads:
-        try:
-            cap = max(1, int(_threads))
-            nb.set_num_threads(min(cap, nb.config.NUMBA_NUM_THREADS))
-        except (ValueError, RuntimeError):
-            pass
-
-
-def active_backend() -> str:
-    return "numba" if HAS_NUMBA else "numpy"
-
-
-def _resolve(force: str | None) -> str:
-    if force is None:
-        return active_backend()
-    if force not in ("numba", "numpy"):
-        raise ValueError("force must be 'numba', 'numpy', or None")
-    if force == "numba" and not HAS_NUMBA:
-        raise RuntimeError("numba backend requested but unavailable")
-    return force
-
 
 # Bisection runs a fixed schedule: the parameter interval halves each step,
 # so 80 steps push the interval to ~1e-24 of its span, far below float
@@ -64,12 +22,24 @@ def _resolve(force: str | None) -> str:
 BISECT_ITERS = 80
 MAX_BISECT_ITERS = 200
 
+# Pruned ratio reduction: entries sorted by angle, cut into blocks of
+# RATIO_BLOCK; bounds are evaluated RATIO_CHUNK weight rows at a time, and
+# fewer than RATIO_MIN_ROWS rows are not worth the bounds.
+RATIO_BLOCK = 256
+RATIO_CHUNK = 32
+RATIO_MIN_ROWS = 32
+BOUND_SLACK = 1e-9     # relative to |x|_1 |w|_1; covers rounding of the scan
+BOUND_FLOOR = 1e-290   # absolute; covers underflow
+SCALE_CAP = 1e290      # |K| |w| and |K / a| |w| below this cannot overflow
+
 
 # --- primitive integer directions ---
 
-def primitive_directions_np(dimension: int, k_max: int) -> np.ndarray:
+def primitive_directions(dimension: int, k_max: int) -> np.ndarray:
     """All gcd-1 nonnegative integer vectors with ||k||_inf <= k_max,
     lexicographically sorted. Shape (N, dimension), dtype int64."""
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
     axes = [np.arange(k_max + 1, dtype=np.int64)] * dimension
     grid = np.meshgrid(*axes, indexing="ij")
     K = np.stack([g.ravel() for g in grid], axis=1)
@@ -77,48 +47,6 @@ def primitive_directions_np(dimension: int, k_max: int) -> np.ndarray:
     for j in range(1, dimension):
         g = np.gcd(g, K[:, j])
     return K[g == 1]
-
-
-if HAS_NUMBA:
-
-    @nb.njit(cache=True)
-    def _gcd2(a, b):
-        while b:
-            a, b = b, a % b
-        return a
-
-    @nb.njit(cache=True, parallel=True)
-    def _primitive_directions_2d_nb(k_max):
-        counts = np.zeros(k_max + 1, dtype=np.int64)
-        for i in nb.prange(k_max + 1):
-            c = 0
-            for j in range(k_max + 1):
-                if _gcd2(i, j) == 1:
-                    c += 1
-            counts[i] = c
-        offsets = np.zeros(k_max + 2, dtype=np.int64)
-        for i in range(k_max + 1):
-            offsets[i + 1] = offsets[i] + counts[i]
-        out = np.empty((offsets[k_max + 1], 2), dtype=np.int64)
-        # rows with first component i fill their own segment, so the result
-        # stays lexicographically sorted whatever the thread schedule
-        for i in nb.prange(k_max + 1):
-            pos = offsets[i]
-            for j in range(k_max + 1):
-                if _gcd2(i, j) == 1:
-                    out[pos, 0] = i
-                    out[pos, 1] = j
-                    pos += 1
-        return out
-
-
-def primitive_directions(dimension: int, k_max: int, force: str | None = None) -> np.ndarray:
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    backend = _resolve(force)
-    if backend == "numba" and dimension == 2:
-        return _primitive_directions_2d_nb(k_max)
-    return primitive_directions_np(dimension, k_max)
 
 
 def _bisect_vectorized(angle_of, lo, hi, targets, n_iter):
@@ -149,86 +77,149 @@ def bisect_generic(angle_fn, lo: float, hi: float, targets: np.ndarray,
                               -targets, n_iter)
 
 
-# --- extremal ratio reductions ---
+# --- extremal ratio reduction ---
 
-def _extremal_ratios_np(K, a, W, use_max, tie_tol):
-    G = W.shape[0]
-    dim = K.shape[1]
-    vals = np.empty(G, dtype=float)
-    idxs = np.empty(G, dtype=np.int64)
-    for g in range(G):
-        # column-ordered accumulation, matching the numba twin bit for bit
-        num = K[:, 0] * W[g, 0]
-        for j in range(1, dim):
-            num += K[:, j] * W[g, j]
-        r = num / a
-        best = r.max() if use_max else r.min()
-        tol = tie_tol * max(1.0, abs(best))
-        mask = (r >= best - tol) if use_max else (r <= best + tol)
-        idx = int(np.argmax(mask))  # first hit in lexicographic entry order
-        vals[g] = best
-        idxs[g] = idx
-    return vals, idxs
+def _scan(cols, a, w, use_max, tie_tol, order):
+    """Extremum of (cols . w) / a and the smallest original index within the
+    tie window; order maps scan positions to original indices (None: the
+    scan is in original order)."""
+    num = cols[0] * w[0]
+    for j in range(1, len(cols)):
+        num += cols[j] * w[j]
+    r = num / a
+    best = r.max() if use_max else r.min()
+    tol = tie_tol * max(1.0, abs(best))
+    mask = (r >= best - tol) if use_max else (r <= best + tol)
+    if order is None:
+        return best, int(np.argmax(mask))
+    return best, int(order[mask].min())
 
 
-if HAS_NUMBA:
+def _blocks(K, a, wl1):
+    """Sort the entries by the angle of x = K / a and cut them into blocks.
 
-    @nb.njit(cache=True, parallel=True)
-    def _extremal_ratios_nb(K, a, W, use_max, tie_tol):
-        G = W.shape[0]
-        N = K.shape[0]
-        dim = K.shape[1]
-        vals = np.empty(G, dtype=np.float64)
-        idxs = np.empty(G, dtype=np.int64)
-        for g in nb.prange(G):
-            best = -np.inf if use_max else np.inf
-            for i in range(N):
-                num = 0.0
-                for j in range(dim):
-                    num += K[i, j] * W[g, j]
-                r = num / a[i]
-                if use_max:
-                    if r > best:
-                        best = r
-                else:
-                    if r < best:
-                        best = r
-            tol = tie_tol * max(1.0, abs(best))
-            pick = -1
-            for i in range(N):
-                num = 0.0
-                for j in range(dim):
-                    num += K[i, j] * W[g, j]
-                r = num / a[i]
-                ok = (r >= best - tol) if use_max else (r <= best + tol)
-                if ok:
-                    pick = i
-                    break
-            vals[g] = best
-            idxs[g] = pick
-        return vals, idxs
+    Returns the order (padded to whole blocks), the entries' columns and
+    actions in that order, the block starts, one oriented box per block and
+    one representative entry per block; None when |x| |w| could overflow.
+    """
+    N = len(a)
+    l1 = K[:, 0] / a
+    np.abs(l1, out=l1)
+    key = K[:, 1] / a
+    l1 += np.abs(key)
+    if not float(l1.max()) * wl1 < SCALE_CAP:
+        return None
+    np.divide(key, l1, out=key, where=l1 > 0)   # x2 / |x|_1, monotone in angle
+    del l1
+    order = np.argsort(key, kind="stable")
+    del key
+    B = -(-N // RATIO_BLOCK)
+    order = np.concatenate([order, np.full(B * RATIO_BLOCK - N, order[-1])])
+    cols = [K[order, 0], K[order, 1]]
+    a_sorted = a[order]
+    k0, k1, ab = (c.reshape(B, RATIO_BLOCK) for c in (*cols, a_sorted))
+    # frame: the chord from the first to the last point, and its normal
+    c0 = k0[:, -1] / ab[:, -1] - k0[:, 0] / ab[:, 0]
+    c1 = k1[:, -1] / ab[:, -1] - k1[:, 0] / ab[:, 0]
+    length = np.hypot(c0, c1)
+    flat = length == 0
+    length[flat] = 1.0
+    u0 = np.where(flat, 1.0, c0 / length)[:, None]
+    u1 = np.where(flat, 0.0, c1 / length)[:, None]
+    proj = k0 * u0
+    proj += k1 * u1
+    proj /= ab
+    smin, smax = proj.min(axis=1), proj.max(axis=1)
+    np.multiply(k1, u0, out=proj)
+    proj -= k0 * u1
+    proj /= ab
+    tmin, tmax = proj.min(axis=1), proj.max(axis=1)
+    # |x|_1 <= sqrt(2) |x|_2 <= sqrt(2) (|s| + |t|) in the frame
+    radius = 2.0 * (np.maximum(-smin, smax) + np.maximum(-tmin, tmax)) + BOUND_FLOOR
+    box = (u0[:, 0], u1[:, 0], smin, smax, tmin, tmax, radius)
+    starts = np.minimum(np.arange(B + 1) * RATIO_BLOCK, N)
+    reps = order[(starts[:-1] + starts[1:]) // 2]
+    return order, cols, a_sorted, starts, box, reps
+
+
+def _candidate_ranges(K, a, Wc, sgn, tie_tol, box, reps, floor):
+    """Per weight row, the first and last block whose upper bound on
+    sgn * ratio reaches the best attained representative minus the tie
+    window."""
+    u0, u1, smin, smax, tmin, tmax, radius = box
+    w0 = sgn * Wc[:, :1]
+    w1 = sgn * Wc[:, 1:]
+    wu = w0 * u0 + w1 * u1
+    wv = w1 * u0 - w0 * u1
+    upper = np.maximum(smin * wu, smax * wu)
+    upper += np.maximum(tmin * wv, tmax * wv)
+    upper += BOUND_SLACK * np.abs(Wc).sum(axis=1, keepdims=True) * radius + floor
+    # representatives use the scan's own arithmetic: attained values
+    num = K[reps, 0] * Wc[:, :1]
+    num += K[reps, 1] * Wc[:, 1:]
+    lower = (sgn * (num / a[reps])).max(axis=1)
+    threshold = lower - 2.0 * tie_tol * np.maximum(1.0, np.abs(lower))
+    hit = upper >= threshold[:, None]
+    first = hit.argmax(axis=1)
+    last = hit.shape[1] - 1 - hit[:, ::-1].argmax(axis=1)
+    return first, last + 1
+
+
+def _check_ratio_inputs(K, a, W, tie_tol):
+    if K.ndim != 2 or a.shape != (K.shape[0],) or W.ndim != 2 \
+            or W.shape[1] != K.shape[1]:
+        raise ValueError("extremal_ratios needs K (N, n), a (N,), W (G, n)")
+    if K.shape[0] == 0:
+        raise ValueError("empty entry list")
+    if not (np.isfinite(K).all() and np.isfinite(a).all() and np.isfinite(W).all()):
+        raise ValueError("extremal_ratios needs finite K, a and W")
+    if np.any(a == 0):
+        raise ValueError("extremal_ratios needs nonzero actions")
+    if not 0.0 <= tie_tol < 1.0:
+        raise ValueError("tie_tol must lie in [0, 1)")
 
 
 def extremal_ratios(K: np.ndarray, a: np.ndarray, W: np.ndarray, use_max: bool,
-                    tie_tol: float = 1e-12, force: str | None = None):
+                    tie_tol: float = 1e-12):
     """For each weight row w in W: extremum over entries of (K @ w) / a and
     the first (lexicographically smallest) entry index achieving it within
-    tie_tol relative."""
-    K = np.ascontiguousarray(K, dtype=float)
+    tie_tol relative.
+
+    In two dimensions, with at least RATIO_MIN_ROWS rows and more than one
+    block of entries, each row scans only the blocks whose bound can reach
+    the extremum; otherwise every row scans every entry. Either way the
+    values and indices are bitwise those of the full scan.
+    """
+    K = np.asarray(K)
+    if K.dtype != np.int64:   # int64 directions enter the products exactly
+        K = np.ascontiguousarray(K, dtype=float)
     a = np.ascontiguousarray(a, dtype=float)
     W = np.ascontiguousarray(W, dtype=float)
-    if K.shape[0] == 0:
-        raise ValueError("empty entry list")
-    backend = _resolve(force)
-    if backend == "numba":
-        return _extremal_ratios_nb(K, a, W, use_max, tie_tol)
-    return _extremal_ratios_np(K, a, W, use_max, tie_tol)
+    _check_ratio_inputs(K, a, W, tie_tol)
+    (N, n), G = K.shape, W.shape[0]
+    vals = np.empty(G, dtype=float)
+    idxs = np.empty(G, dtype=np.int64)
+    cols = [K[:, j] for j in range(n)]
+    wl1 = float(np.abs(W).sum(axis=1).max(initial=0.0))
+    plan = None
+    if n == 2 and G >= RATIO_MIN_ROWS and N > RATIO_BLOCK \
+            and max(float(K.max()), -float(K.min())) * wl1 < SCALE_CAP:
+        plan = _blocks(K, a, wl1)
+    if plan is None:
+        for g in range(G):
+            vals[g], idxs[g] = _scan(cols, a, W[g], use_max, tie_tol, None)
+        return vals, idxs
 
-
-def warmup() -> None:
-    """Compile (or load from cache) every numba kernel on tiny inputs."""
-    if not HAS_NUMBA:
-        return
-    primitive_directions(2, 3)
-    extremal_ratios(np.array([[1.0, 1.0]]), np.array([1.0]),
-                    np.array([[1.0, 1.0]]), True)
+    order, sorted_cols, a_sorted, starts, box, reps = plan
+    sgn = 1.0 if use_max else -1.0
+    floor = BOUND_FLOOR / min(1.0, float(np.abs(a).min()))
+    for c0 in range(0, G, RATIO_CHUNK):
+        Wc = W[c0:c0 + RATIO_CHUNK]
+        first, stop = _candidate_ranges(K, a, Wc, sgn, tie_tol, box, reps, floor)
+        for g, lo, hi in zip(range(c0, c0 + len(Wc)), starts[first], starts[stop]):
+            vals[g], idxs[g] = _scan([c[lo:hi] for c in sorted_cols], a_sorted[lo:hi],
+                                     W[g], use_max, tie_tol, order[lo:hi])
+            if vals[g] == 0:
+                # the sign of a zero extremum depends on the scan order
+                vals[g], idxs[g] = _scan(cols, a, W[g], use_max, tie_tol, None)
+    return vals, idxs

@@ -106,8 +106,8 @@ class EbkSpectrum:
 
 
 def _weights(m_grid: np.ndarray, mu: MaslovShift, hbar: float) -> np.ndarray:
-    if hbar <= 0:
-        raise ConfigError("hbar must be > 0")
+    if not 0 < hbar < math.inf:
+        raise ConfigError("hbar must be finite and > 0")
     W = hbar * (m_grid.astype(float) + mu.as_array())
     if np.any(W < 0):
         raise DomainError("hbar (m + mu) leaves the nonnegative orthant")
@@ -159,8 +159,7 @@ def _check_shift_pairing(actions: ActionSpectrum, mu: MaslovShift) -> None:
 
 def variational_spectrum(actions, m_max: int, degree: float = 1.0,
                          hbar: float = 1.0, shift=None, orientation=None,
-                         truncation: bool = True,
-                         force: str | None = None) -> EbkSpectrum:
+                         truncation: bool = True) -> EbkSpectrum:
     """Extremal-ratio spectrum over the stored primitive entries.
 
     Convex containers take the sup of hbar <m + mu, k> / a(k), concave ones
@@ -185,13 +184,11 @@ def variational_spectrum(actions, m_max: int, degree: float = 1.0,
 
     def level_values(sub: ActionSpectrum) -> np.ndarray:
         vals, _ = kernels.extremal_ratios(sub.directions, sub.actions, W,
-                                          use_max, tie_tol=ARGEXT_TIE_TOL,
-                                          force=force)
+                                          use_max, tie_tol=ARGEXT_TIE_TOL)
         return vals ** degree
 
     vals, idx = kernels.extremal_ratios(spec.directions, spec.actions, W,
-                                        use_max, tie_tol=ARGEXT_TIE_TOL,
-                                        force=force)
+                                        use_max, tie_tol=ARGEXT_TIE_TOL)
     energies = vals ** degree
     argext = spec.directions[idx]
 
@@ -283,6 +280,8 @@ def minmax_certificate(actions, energy: float, m: Sequence[int], shift=None,
     certificate is undefined (NoQualifyingDirections). Only meaningful for
     sup-route (convex or single-facet) spectra.
     """
+    if not math.isfinite(energy):
+        raise ConfigError("energy must be finite")
     spec = _coerce_actions(actions, orientation)
     mu = as_shift(shift, spec.dimension)
     _check_shift_pairing(spec, mu)

@@ -1,6 +1,5 @@
 """End-to-end gate: one test per pinned behavior, each with a frozen
-tolerance and a wall-clock budget.  Kernel jit warmup happens once in
-conftest, so the budgets measure the numerics, not compilation.
+tolerance and a wall-clock budget.
 """
 import time
 

@@ -167,6 +167,45 @@ def test_csv_actions_without_orientation(tmp_path, capsys):
     assert "--orientation" in capsys.readouterr().err
 
 
+def _assert_config_error(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_nan_energy_is_a_config_error(capsys):
+    _assert_config_error(["minmax-certify", "--profile", "pnorm:4", "--k-max", "10",
+                          "--energy", "nan", "--m", "1,1"], capsys)
+
+
+def test_infinite_hbar_is_a_config_error(capsys):
+    _assert_config_error(["spectrum-direct", "--profile", "pnorm:4", "--m-max", "2",
+                          "--hbar", "inf"], capsys)
+
+
+def test_nan_hbar_is_a_config_error(capsys):
+    _assert_config_error(["spectrum-variational", "--profile", "pnorm:4",
+                          "--k-max", "10", "--m-max", "2", "--hbar", "nan"], capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["billiard-solve", "--m", "0", "--n", "1", "--hbar", "nan"],
+    ["billiard-crosscheck", "--m1", "0", "--m2", "1", "--k-max", "20", "--hbar", "inf"],
+    ["billiard-crosscheck", "--m1", "0", "--m2", "1", "--k-max", "20", "--shift", "nan"],
+], ids=["solve-hbar", "crosscheck-hbar", "crosscheck-shift"])
+def test_nonfinite_billiard_input_is_a_config_error(capsys, argv):
+    _assert_config_error(argv, capsys)
+
+
+@pytest.mark.parametrize("action", ["nan", "0"])
+def test_nonfinite_or_zero_table_action_is_a_config_error(tmp_path, capsys, action):
+    acts = tmp_path / "acts.csv"
+    acts.write_text("k_1,k_2,action,p_1,p_2\n1,0,1,1,0\n"
+                    f"1,1,{action},0.5,0.5\n")
+    _assert_config_error(["spectrum-variational", "--actions", str(acts),
+                          "--orientation", "convex", "--m-max", "2"], capsys)
+
+
 def test_minmax_on_concave_surface_fails_numerically(capsys):
     rc = main(["minmax-certify", "--profile", "ramos", "--k-max", "10",
                "--energy", "5.0", "--m", "1,1"])

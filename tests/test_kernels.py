@@ -1,14 +1,9 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ebk import LevelSurface, RamosCurve, kernels, pnorm_profile
-
-needs_numba = pytest.mark.skipif(not kernels.HAS_NUMBA,
-                                 reason="numba backend unavailable")
+from ebk import LevelSurface, RamosCurve, kernels, marked_action_spectrum, pnorm_profile
 
 
 def _brute_primitives(dim, k_max):
@@ -25,7 +20,7 @@ def _brute_primitives(dim, k_max):
 
 @pytest.mark.parametrize("dim,k_max", [(2, 1), (2, 7), (2, 40), (3, 5)])
 def test_primitive_directions_match_bruteforce(dim, k_max):
-    got = kernels.primitive_directions(dim, k_max, force="numpy")
+    got = kernels.primitive_directions(dim, k_max)
     assert np.array_equal(got, _brute_primitives(dim, k_max))
 
 
@@ -41,13 +36,6 @@ def test_primitive_directions_sorted_and_primitive():
 def test_primitive_directions_validates():
     with pytest.raises(ValueError):
         kernels.primitive_directions(2, 0)
-
-
-@needs_numba
-def test_primitive_directions_backend_agreement():
-    a = kernels.primitive_directions(2, 25, force="numba")
-    b = kernels.primitive_directions(2, 25, force="numpy")
-    assert np.array_equal(a, b)
 
 
 def _closed_form_surfaces():
@@ -97,8 +85,40 @@ def test_closed_form_masks_directions_outside_quadrant():
         assert np.isnan(pts[1:]).all() and np.isnan(res[1:]).all(), name
 
 
+
+
+def _full_scan(K, a, W, use_max, tie_tol=1e-12):
+    """Oracle: every entry for every weight row, in lexicographic order."""
+    K = np.ascontiguousarray(K, dtype=float)
+    a = np.ascontiguousarray(a, dtype=float)
+    W = np.ascontiguousarray(W, dtype=float)
+    G = W.shape[0]
+    dim = K.shape[1]
+    vals = np.empty(G, dtype=float)
+    idxs = np.empty(G, dtype=np.int64)
+    for g in range(G):
+        num = K[:, 0] * W[g, 0]
+        for j in range(1, dim):
+            num += K[:, j] * W[g, j]
+        r = num / a
+        best = r.max() if use_max else r.min()
+        tol = tie_tol * max(1.0, abs(best))
+        mask = (r >= best - tol) if use_max else (r <= best + tol)
+        vals[g] = best
+        idxs[g] = int(np.argmax(mask))
+    return vals, idxs
+
+
+def _assert_matches_full_scan(K, a, W, use_max, tie_tol=1e-12):
+    vals, idxs = kernels.extremal_ratios(K, a, W, use_max, tie_tol)
+    ref_vals, ref_idxs = _full_scan(K, a, W, use_max, tie_tol)
+    # bitwise, the sign of a zero included
+    assert np.array_equal(vals.view(np.int64), ref_vals.view(np.int64))
+    assert np.array_equal(idxs, ref_idxs)
+
+
 def _ratio_case(dim=2, k_max=45, groups=9):
-    K = kernels.primitive_directions(dim, k_max, force="numpy").astype(float)
+    K = kernels.primitive_directions(dim, k_max).astype(float)
     rng = np.random.default_rng(3)
     a = rng.uniform(0.5, 2.0, len(K))
     W = rng.uniform(0.0, 3.0, (groups, dim))
@@ -107,10 +127,10 @@ def _ratio_case(dim=2, k_max=45, groups=9):
 
 def test_extremal_ratios_against_bruteforce():
     K, a, W = _ratio_case()
-    vals, idxs = kernels.extremal_ratios(K, a, W, True, force="numpy")
+    vals, idxs = kernels.extremal_ratios(K, a, W, True)
     R = (K @ W.T).T / a
     assert np.allclose(vals, R.max(axis=1), rtol=1e-14)
-    vals_min, _ = kernels.extremal_ratios(K, a, W, False, force="numpy")
+    vals_min, _ = kernels.extremal_ratios(K, a, W, False)
     assert np.allclose(vals_min, R.min(axis=1), rtol=1e-14)
 
 
@@ -118,20 +138,9 @@ def test_extremal_ratios_tie_breaks_lexicographically():
     # two entries achieve the same ratio; the earlier row must win
     K = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 1.0]])
     a = np.array([1.0, 2.0, 2.0])
-    vals, idxs = kernels.extremal_ratios(K, a, np.array([[1.0, 1.0]]), True,
-                                         force="numpy")
+    vals, idxs = kernels.extremal_ratios(K, a, np.array([[1.0, 1.0]]), True)
     assert vals[0] == pytest.approx(2.0)
     assert idxs[0] == 0
-
-
-@needs_numba
-def test_extremal_ratios_backend_bitwise():
-    K, a, W = _ratio_case(k_max=60)
-    for use_max in (True, False):
-        v_nb, i_nb = kernels.extremal_ratios(K, a, W, use_max, force="numba")
-        v_np, i_np = kernels.extremal_ratios(K, a, W, use_max, force="numpy")
-        assert np.array_equal(v_nb, v_np)
-        assert np.array_equal(i_nb, i_np)
 
 
 def test_extremal_ratios_rejects_empty():
@@ -140,37 +149,82 @@ def test_extremal_ratios_rejects_empty():
                                 np.array([[1.0, 1.0]]), True)
 
 
-def test_force_argument_validation():
-    K = np.array([[1.0, 1.0]])
+@pytest.mark.parametrize("K,a,W", [
+    ([[1.0, np.nan]], [1.0], [[1.0, 1.0]]),
+    ([[1.0, 1.0]], [np.inf], [[1.0, 1.0]]),
+    ([[1.0, 1.0]], [1.0], [[-np.inf, 1.0]]),
+    ([[1.0, 1.0]], [0.0], [[1.0, 1.0]]),
+])
+def test_extremal_ratios_rejects_nonfinite_and_zero_actions(K, a, W):
     with pytest.raises(ValueError):
-        kernels.extremal_ratios(K, np.array([1.0]), K, True, force="cuda")
+        kernels.extremal_ratios(np.array(K), np.array(a), np.array(W), True)
 
 
-_SUBPROCESS_BODY = """
-import numpy as np
-from ebk import kernels, crosscheck_disk
-assert kernels.active_backend() == "numpy"
-K = kernels.primitive_directions(2, 12)
-assert np.all(np.gcd(K[:, 0], K[:, 1]) == 1)
-rep = crosscheck_disk(1, 2, k_max=60)
-assert abs(rep.difference) < 1e-2, rep.difference
-print("ok")
-"""
+def _cloud(kind, K, rng):
+    """Actions for the directions K, by kind of test cloud."""
+    Kf = K.astype(float)
+    if kind == "convex":   # pnorm-like: a(k) = ||k||_q
+        q = rng.uniform(1.2, 8.0)
+        return (np.abs(Kf) ** q).sum(axis=1) ** (1.0 / q)
+    if kind == "random":
+        return rng.uniform(0.1, 3.0, len(K))
+    if kind == "quantized":   # few distinct values: many exact ties
+        return rng.integers(1, 5, len(K)) / 4.0
+    # mixed signs
+    return rng.uniform(0.2, 2.0, len(K)) * rng.choice([-1.0, 1.0], len(K))
 
 
-def test_numpy_fallback_subprocess():
-    env = dict(os.environ, EBK_NO_NUMBA="1")
-    out = subprocess.run([sys.executable, "-c", _SUBPROCESS_BODY],
-                         capture_output=True, text=True, env=env, timeout=120)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "ok"
+@settings(max_examples=150, deadline=None)
+@given(dim=st.sampled_from([2, 2, 2, 3]),
+       k_max=st.integers(1, 60),
+       groups=st.integers(1, 80),
+       kind=st.sampled_from(["convex", "random", "quantized", "mixed"]),
+       weights=st.sampled_from(["uniform", "integer", "lattice"]),
+       signed_k=st.booleans(),
+       float_k=st.booleans(),
+       tie_tol=st.sampled_from([1e-12, 0.0, 1e-6, 0.3]),
+       seed=st.integers(0, 2**32 - 1))
+def test_extremal_ratios_equal_full_scan(dim, k_max, groups, kind, weights,
+                                         signed_k, float_k, tie_tol, seed):
+    rng = np.random.default_rng(seed)
+    K = kernels.primitive_directions(dim, k_max if dim == 2 else min(k_max, 8))
+    if signed_k:
+        K = K * rng.choice([-1, 1], K.shape)
+    a = _cloud(kind, K, rng)
+    if weights == "uniform":
+        W = rng.uniform(-2.0, 3.0, (groups, dim))
+    elif weights == "integer":
+        W = rng.integers(-3, 6, (groups, dim)).astype(float)
+    else:   # the variational route's hbar (m + mu) rows, m = 0 included
+        W = 0.5 * (rng.integers(0, 12, (groups, dim)) + rng.choice([0.0, 0.25]))
+    W[rng.random(groups) < 0.1] = 0.0
+    if float_k:
+        K = K.astype(float)
+    for use_max in (True, False):
+        _assert_matches_full_scan(K, a, W, use_max, tie_tol)
 
 
-@needs_numba
-def test_thread_cap_subprocess():
-    env = dict(os.environ, EBK_THREADS="1")
-    body = "from ebk import kernels; kernels.warmup(); print(kernels.active_backend())"
-    out = subprocess.run([sys.executable, "-c", body],
-                         capture_output=True, text=True, env=env, timeout=300)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "numba"
+@pytest.mark.parametrize("surface", [LevelSurface.from_profile(pnorm_profile(4.0)),
+                                     RamosCurve()], ids=["pnorm4", "ramos"])
+def test_extremal_ratios_equal_full_scan_on_action_tables(surface):
+    spec = marked_action_spectrum(surface, 120)
+    m = np.indices((20, 20)).reshape(2, -1).T
+    for W in (m.astype(float), m + 0.25):
+        for use_max in (True, False):
+            _assert_matches_full_scan(spec.directions, spec.actions, W, use_max)
+
+
+def test_extremal_ratios_prunes(monkeypatch):
+    spec = marked_action_spectrum(LevelSurface.from_profile(pnorm_profile(4.0)), 120)
+    W = np.indices((20, 20)).reshape(2, -1).T + 0.5
+    scanned = []
+    scan = kernels._scan
+
+    def counting_scan(cols, a, *rest):
+        scanned.append(len(a))
+        return scan(cols, a, *rest)
+
+    monkeypatch.setattr(kernels, "_scan", counting_scan)
+    kernels.extremal_ratios(spec.directions, spec.actions, W, True)
+    assert len(scanned) == len(W)
+    assert sum(scanned) < 0.1 * len(W) * len(spec)
