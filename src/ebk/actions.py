@@ -226,7 +226,7 @@ def marked_action_spectrum(surface: LevelSurface, k_max: int,
     mu = as_shift(shift, dim)
     K = kernels.primitive_directions(dim, k_max)
 
-    if dim == 2 and surface.orientation in (Orientation.CONVEX, Orientation.CONCAVE):
+    if surface.orientation in (Orientation.CONVEX, Orientation.CONCAVE):
         pts, res, attained = surface.invert_normal_many(K)[1:]
         bad = attained & ~(res <= NORMAL_RESIDUAL_TOL)
         if np.any(bad):

@@ -70,7 +70,7 @@ def solve_momentum(m: int, n: float, tol: float = PHASE_SOLVE_TOL,
     m = _check_angular(m)
     if not (np.isfinite(n) and n >= 0):
         raise ConfigError(f"radial quantum number must be >= 0, got {n!r}")
-    if tol <= 0:
+    if not tol > 0:
         raise ConfigError("tol must be > 0")
     if n == 0:
         return float(m)

@@ -8,7 +8,10 @@ Anything else is read as a JSON file:
 
 linear takes params.weights, pnorm/superellipse take params.s, custom-table
 takes params.table as [t, x, y] rows (a sampled curve; no closed-form
-profile, so only surface-based subcommands accept it).
+profile, so only surface-based subcommands accept it). "dimension": 3 needs
+pnorm or superellipse: three-dimensional surfaces are inverted through the
+closed-form Gauss map, which only those kinds have; subcommands that need
+a surface reject linear specs in three dimensions.
 """
 from __future__ import annotations
 

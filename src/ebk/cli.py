@@ -129,6 +129,8 @@ def cmd_actions(args) -> int:
 
 
 def cmd_legendre_dual(args) -> int:
+    if args.samples < 1:
+        raise ConfigError("--samples must be >= 1")
     spec = parse_domain_spec(args.profile)
     surface = spec.make_surface(args.resolution)
     dual = hypersurface_transform(surface, resolution=args.resolution)

@@ -50,8 +50,8 @@ class ToricProfile:
     def __post_init__(self):
         if self.dimension < 1:
             raise ConfigError("profile dimension must be >= 1")
-        if not (self.degree > 0):
-            raise ConfigError("profile degree must be positive")
+        if not 0 < self.degree < np.inf:
+            raise ConfigError("profile degree must be finite and positive")
 
     def evaluate(self, p):
         arr, single = _as_points(p, self.dimension)
@@ -106,8 +106,8 @@ def linear_profile(weights: Sequence[float], name: str | None = None) -> ToricPr
     w = np.asarray(list(weights), dtype=float)
     if w.ndim != 1 or w.size < 1:
         raise ConfigError("weights must be a non-empty 1-d sequence")
-    if not np.all(w > 0):
-        raise ConfigError("weights must be strictly positive")
+    if not np.all((w > 0) & (w < np.inf)):
+        raise ConfigError("weights must be finite and strictly positive")
     wt = w.copy()
 
     def ev(p):
@@ -136,8 +136,9 @@ def pnorm_profile(s: float, dimension: int = 2, degree: float = 1.0,
 
     s > 1 gives a strictly convex level set; s = 2 is the round sphere.
     """
-    if not (s > 1):
-        raise ConfigError("pnorm profile needs s > 1 (use linear_profile for s=1)")
+    if not 1 < s < np.inf:
+        raise ConfigError("pnorm profile needs a finite s > 1 "
+                          "(use linear_profile for s=1)")
     if dimension < 2:
         raise ConfigError("pnorm profile needs dimension >= 2")
     s = float(s)

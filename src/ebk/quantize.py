@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -41,8 +40,8 @@ def lattice_grid(dimension: int, m_max: int) -> np.ndarray:
     """All m in {0..m_max}^dimension, lexicographically ordered."""
     if m_max < 0:
         raise ConfigError("m_max must be >= 0")
-    rows = list(itertools.product(range(m_max + 1), repeat=dimension))
-    return np.asarray(rows, dtype=np.int64)
+    grid = np.indices((m_max + 1,) * dimension, dtype=np.int64)
+    return grid.reshape(dimension, -1).T.copy()
 
 
 @dataclass(frozen=True)
@@ -126,6 +125,11 @@ def direct_spectrum(profile: ToricProfile, m_max: int, hbar: float = 1.0,
                        m_grid=m_grid, energies=energies)
 
 
+def _check_degree(degree: float) -> None:
+    if not 0 < degree < math.inf:
+        raise ConfigError("degree must be finite and > 0")
+
+
 def _coerce_actions(actions, orientation=None) -> ActionSpectrum:
     if isinstance(actions, ActionSpectrum):
         if orientation is not None and Orientation(orientation) is not actions.orientation:
@@ -167,6 +171,7 @@ def variational_spectrum(actions, m_max: int, degree: float = 1.0,
     container records its k_max and truncation is requested, a three-level
     Richardson-style error estimate is attached per level.
     """
+    _check_degree(degree)
     spec = _coerce_actions(actions, orientation)
     if len(spec) == 0:
         raise EmptySpectrum("action spectrum has no entries")
@@ -282,6 +287,10 @@ def minmax_certificate(actions, energy: float, m: Sequence[int], shift=None,
     """
     if not math.isfinite(energy):
         raise ConfigError("energy must be finite")
+    ells = tuple(ells)
+    if not ells or min(ells) < 1:
+        # an empty record list would report sign 1 from no evidence
+        raise ConfigError("certificate needs at least one level, each ell >= 1")
     spec = _coerce_actions(actions, orientation)
     mu = as_shift(shift, spec.dimension)
     _check_shift_pairing(spec, mu)
@@ -306,8 +315,6 @@ def minmax_certificate(actions, energy: float, m: Sequence[int], shift=None,
 
     records = []
     for ell in ells:
-        if ell < 1:
-            raise ConfigError("certificate levels ell must be >= 1")
         mult = -(-ell // kmin)   # ceil(ell / kmin), elementwise
         vals = mult * base
         i = int(np.argmin(vals))
@@ -330,6 +337,7 @@ def reconstruction_spectrum(actions, m_max: int, degree: float = 1.0,
     Entries must be unshifted (the cloud geometry would otherwise bake mu
     into the surface); the quantization shift still applies to the lattice.
     """
+    _check_degree(degree)
     spec = _coerce_actions(actions, orientation)
     if len(spec) == 0:
         raise EmptySpectrum("action spectrum has no entries")

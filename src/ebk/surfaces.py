@@ -1,14 +1,18 @@
 """Level surfaces {f = 1} of homogeneous profiles and their Gauss geometry.
 
-For n = 2 a surface is a parametrized arc in the closed positive quadrant;
-for n = 3 a parametrized patch over a rectangle of sphere angles (analytic
-profiles only). Everything downstream relies on two facts about the in-scope
+For n = 2 a surface is a parametrized arc in the closed positive quadrant.
+For n = 3 it is the level set of a profile with a closed-form Gauss-map
+inverse (pnorm), parametrized by sphere angles; it is inverted and oriented
+through that closed form only, and the sampled, curvature-based methods are
+planar. Everything downstream relies on two facts about the in-scope
 surfaces: they are star-shaped about the origin, and their outward normal
 angle is monotone in the curve parameter when the curvature has one sign.
 """
 from __future__ import annotations
 
 import enum
+import functools
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Sequence
@@ -32,6 +36,7 @@ GRADIENT_FLOOR = 1e-12        # |grad f| below this: Gauss map undefined
 SUPPORT_FLOOR = 1e-10         # |<p, n>| below this: dual point undefined
 NORMAL_RESIDUAL_TOL = 1e-10   # |n x k_hat| accepted by the inversion
 DEFAULT_RESOLUTION = 4096
+MIN_RESOLUTION = 64           # smallest accepted; every builtin curve dualizes at 64
 
 
 class Orientation(str, enum.Enum):
@@ -50,9 +55,14 @@ def gauss_map(profile: ToricProfile, p) -> np.ndarray:
 
 
 def _normal_residuals(normals: np.ndarray, K: np.ndarray) -> np.ndarray:
-    """|n x k| / (|n| |k|) per row: the sine of the angle between n and k."""
-    cross = np.abs(normals[:, 0] * K[:, 1] - normals[:, 1] * K[:, 0])
-    return cross / (np.hypot(normals[:, 0], normals[:, 1]) * np.hypot(K[:, 0], K[:, 1]))
+    """max_{i<j} |n_i k_j - n_j k_i| / (|n| |k|) per row: the sine of the
+    angle between n and k for n = 2, within a factor sqrt(3) of it for n = 3."""
+    n = [normals[:, j] for j in range(normals.shape[1])]
+    k = [K[:, j] for j in range(K.shape[1])]
+    cross = functools.reduce(np.maximum, (
+        np.abs(n[i] * k[j] - n[j] * k[i])
+        for i, j in itertools.combinations(range(len(n)), 2)))
+    return cross / (functools.reduce(np.hypot, n) * functools.reduce(np.hypot, k))
 
 
 def legendre_point(p, n) -> np.ndarray:
@@ -67,10 +77,11 @@ def legendre_point(p, n) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SurfaceSamples:
-    params: np.ndarray     # (R,) for n=2, (R, 2) for n=3
-    points: np.ndarray     # (R, n)
-    normals: np.ndarray    # (R, n), unit
-    curvature: np.ndarray  # (R,) signed (n=2) / det of shape operator (n=3)
+    """Dense samples of a planar (n = 2) arc; n = 3 surfaces have none."""
+    params: np.ndarray     # (R,)
+    points: np.ndarray     # (R, 2)
+    normals: np.ndarray    # (R, 2), unit
+    curvature: np.ndarray  # (R,) signed
 
 
 @dataclass(frozen=True)
@@ -89,16 +100,16 @@ class InversionResult:
 class LevelSurface:
     """Parametrized level set with outward unit normals.
 
-    Treat instances as immutable. Construct via from_profile,
-    from_parametrization, or from_points.
+    Treat instances as immutable. Construct via from_profile or from_points.
 
     normal_map, when given, is the closed-form inverse of the Gauss map in
-    this parametrization: it sends each nonzero row k >= 0 of an (N, 2)
+    this parametrization: it sends each nonzero row k >= 0 of an (N, n)
     array to (params, points, normals) with the normal parallel to k.
+    Surfaces in n = 3 need one.
     """
 
     def __init__(self, dimension: int, point_fn: Callable, param_lo, param_hi,
-                 normal_fn: Optional[Callable] = None,
+                 normal_fn: Callable,
                  orientation: Orientation | str | None = None,
                  profile: Optional[ToricProfile] = None,
                  resolution: int = DEFAULT_RESOLUTION,
@@ -106,6 +117,11 @@ class LevelSurface:
                  knots: Optional[np.ndarray] = None):
         if dimension not in (2, 3):
             raise ConfigError("only dimensions 2 and 3 are supported")
+        if dimension == 3 and normal_map is None:
+            raise ConfigError("n = 3 surfaces need a closed-form Gauss-map "
+                              "inverse (pnorm or superellipse profiles)")
+        if not resolution >= MIN_RESOLUTION:
+            raise ConfigError(f"resolution must be >= {MIN_RESOLUTION}")
         self.dimension = dimension
         self._point_fn = point_fn
         self.param_lo = param_lo
@@ -126,69 +142,45 @@ class LevelSurface:
     def from_profile(cls, profile: ToricProfile,
                      resolution: int = DEFAULT_RESOLUTION,
                      orientation: Orientation | str | None = None) -> "LevelSurface":
-        """Polar/spherical-angle parametrization of {f = 1}."""
-        d = profile.degree
-        if profile.dimension == 2:
+        """Polar (n = 2) or spherical (n = 3) angle parametrization of {f = 1}."""
+        n, d = profile.dimension, profile.degree
 
-            def point_fn(t):
-                t = np.asarray(t, dtype=float)
-                u = np.stack([np.cos(t), np.sin(t)], axis=-1)
-                r = profile.evaluate_fn(u) ** (-1.0 / d)
-                return u * r[..., None]
+        def unit(t):
+            t = np.asarray(t, dtype=float)
+            if n == 2:
+                return np.stack([np.cos(t), np.sin(t)], axis=-1)
+            phi, psi = t[..., 0], t[..., 1]
+            return np.stack([np.sin(psi) * np.cos(phi),
+                             np.sin(psi) * np.sin(phi),
+                             np.cos(psi)], axis=-1)
 
-            def normal_fn(t):
-                t = np.asarray(t, dtype=float)
-                u = np.stack([np.cos(t), np.sin(t)], axis=-1)
-                g = np.asarray(profile.gradient_fn(u) if profile.gradient_fn
-                               else profile._fd_gradient(u), dtype=float)
-                return g / np.linalg.norm(g, axis=-1, keepdims=True)
+        def point_fn(t):
+            u = unit(t)
+            r = profile.evaluate_fn(u) ** (-1.0 / d)
+            return u * r[..., None]
 
-            normal_map = None
-            if profile.inverse_gauss_fn is not None:
+        def normal_fn(t):
+            g = profile.gradient(unit(t))
+            return g / np.linalg.norm(g, axis=-1, keepdims=True)
 
-                def normal_map(K):
-                    # the points come from k directly, so the axis rows
-                    # land exactly on the axis endpoints
-                    p = profile.inverse_gauss_fn(K)
-                    return np.arctan2(p[:, 1], p[:, 0]), p, profile.gradient(p)
+        normal_map = None
+        if profile.inverse_gauss_fn is not None:
 
-            return cls(2, point_fn, 0.0, np.pi / 2, normal_fn=normal_fn,
-                       orientation=orientation, profile=profile,
-                       resolution=resolution, normal_map=normal_map)
+            def normal_map(K):
+                # the points come from k directly, so the axis rows
+                # land exactly on the axis endpoints
+                p = profile.inverse_gauss_fn(K)
+                t = np.arctan2(p[:, 1], p[:, 0])
+                if n == 3:
+                    t = np.stack([t, np.arctan2(np.hypot(p[:, 0], p[:, 1]),
+                                                p[:, 2])], axis=-1)
+                return t, p, profile.gradient(p)
 
-        if profile.dimension == 3:
-            if profile.gradient_fn is None:
-                raise ConfigError("n = 3 surfaces need an analytic gradient")
-
-            def point_fn3(tp):
-                tp = np.asarray(tp, dtype=float)
-                phi, psi = tp[..., 0], tp[..., 1]
-                u = np.stack([np.sin(psi) * np.cos(phi),
-                              np.sin(psi) * np.sin(phi),
-                              np.cos(psi)], axis=-1)
-                r = profile.evaluate_fn(u) ** (-1.0 / d)
-                return u * r[..., None]
-
-            def normal_fn3(tp):
-                p = point_fn3(tp)
-                g = np.asarray(profile.gradient_fn(p), dtype=float)
-                return g / np.linalg.norm(g, axis=-1, keepdims=True)
-
-            return cls(3, point_fn3, np.zeros(2), np.full(2, np.pi / 2),
-                       normal_fn=normal_fn3, orientation=orientation,
-                       profile=profile, resolution=resolution)
-
-        raise ConfigError("from_profile supports dimensions 2 and 3 only")
-
-    @classmethod
-    def from_parametrization(cls, point_fn: Callable, param_lo: float,
-                             param_hi: float, normal_fn: Optional[Callable] = None,
-                             orientation: Orientation | str | None = None,
-                             profile: Optional[ToricProfile] = None,
-                             resolution: int = DEFAULT_RESOLUTION) -> "LevelSurface":
-        return cls(2, point_fn, float(param_lo), float(param_hi),
-                   normal_fn=normal_fn, orientation=orientation, profile=profile,
-                   resolution=resolution)
+        lo, hi = (0.0, np.pi / 2) if n == 2 else (np.zeros(2), np.full(2, np.pi / 2))
+        return cls(n, point_fn, lo, hi,
+                   normal_fn=normal_fn, orientation=orientation,
+                   profile=profile, resolution=resolution,
+                   normal_map=normal_map)
 
     @classmethod
     def from_points(cls, points: np.ndarray,
@@ -260,111 +252,47 @@ class LevelSurface:
         return self._point_fn(np.asarray(t, dtype=float))
 
     def normal(self, t):
-        t = np.asarray(t, dtype=float)
-        if self._normal_fn is not None:
-            return self._normal_fn(t)
-        return self._fd_normal(t)
-
-    def _fd_normal(self, t):
-        if self.dimension != 2:
-            raise ConfigError("finite-difference normals implemented for n = 2")
-        h = self._param_step()
-        tc = np.clip(t, self.param_lo + h, self.param_hi - h)
-        dp = (self.point(tc + h) - self.point(tc - h)) / (2 * h)
-        nx, ny = dp[..., 1], -dp[..., 0]
-        q = self.point(tc)
-        dot = nx * q[..., 0] + ny * q[..., 1]
-        sgn = np.where(dot < 0, -1.0, 1.0)
-        nx, ny = nx * sgn, ny * sgn
-        nrm = np.hypot(nx, ny)
-        if np.any(nrm < GRADIENT_FLOOR):
-            raise DegenerateGradient("tangent vanished in finite-difference normal")
-        return np.stack([nx / nrm, ny / nrm], axis=-1)
+        return self._normal_fn(np.asarray(t, dtype=float))
 
     def normal_angle(self, t):
         n = self.normal(t)
         return np.arctan2(n[..., 1], n[..., 0])
 
-    def _param_step(self) -> float:
-        span = float(np.max(np.asarray(self.param_hi) - np.asarray(self.param_lo)))
-        return max(1e-6 * span, 1e-9)
-
     def curvature(self, t):
-        """Signed curvature (n=2) / det of the shape operator (n=3)."""
-        if self.dimension == 2:
-            t = np.asarray(t, dtype=float)
-            h = self._param_step()
-            tc = np.clip(t, self.param_lo + h, self.param_hi - h)
-            dp = (self.point(tc + h) - self.point(tc - h)) / (2 * h)
-            dn = (self.normal(tc + h) - self.normal(tc - h)) / (2 * h)
-            speed2 = (dp ** 2).sum(axis=-1)
-            if np.any(speed2 < 1e-30):
-                raise InsufficientResolution("parametrization speed vanished")
-            return (dn * dp).sum(axis=-1) / speed2
-        return self._curvature_3d(t)
-
-    def _curvature_3d(self, tp):
-        if self.profile is None or self.profile.gradient_fn is None:
-            raise ConfigError("n = 3 curvature needs an analytic-gradient profile")
-        tp = np.asarray(tp, dtype=float)
-        single = tp.ndim == 1
-        tps = tp[None, :] if single else tp.reshape(-1, 2)
-        out = np.empty(tps.shape[0])
-        for i, one in enumerate(tps):
-            p = self.point(one)
-            g = self.profile.gradient(p)
-            gn = np.linalg.norm(g)
-            if gn < GRADIENT_FLOOR:
-                raise DegenerateGradient("|grad f| ~ 0 on n = 3 surface")
-            n = g / gn
-            H = self._hessian(p)
-            e1 = np.cross(n, [0.0, 0.0, 1.0])
-            if np.linalg.norm(e1) < 1e-8:
-                e1 = np.cross(n, [0.0, 1.0, 0.0])
-            e1 /= np.linalg.norm(e1)
-            e2 = np.cross(n, e1)
-            M = np.array([[e1 @ H @ e1, e1 @ H @ e2],
-                          [e2 @ H @ e1, e2 @ H @ e2]]) / gn
-            out[i] = np.linalg.det(M)
-        return float(out[0]) if single else out.reshape(tp.shape[:-1])
-
-    def _hessian(self, p: np.ndarray) -> np.ndarray:
-        grad = self.profile.gradient
-        h = max(1e-6, 1e-8 * float(np.linalg.norm(p)))
-        H = np.empty((3, 3))
-        for j in range(3):
-            e = np.zeros(3)
-            e[j] = h
-            H[:, j] = (grad(p + e) - grad(p - e)) / (2 * h)
-        return 0.5 * (H + H.T)
+        """Signed curvature of the planar arc."""
+        if self.dimension != 2:
+            raise ConfigError("curvature is n = 2 only")
+        t = np.asarray(t, dtype=float)
+        h = max(1e-6 * float(self.param_hi - self.param_lo), 1e-9)
+        tc = np.clip(t, self.param_lo + h, self.param_hi - h)
+        dp = (self.point(tc + h) - self.point(tc - h)) / (2 * h)
+        dn = (self.normal(tc + h) - self.normal(tc - h)) / (2 * h)
+        speed2 = (dp ** 2).sum(axis=-1)
+        if np.any(speed2 < 1e-30):
+            raise InsufficientResolution("parametrization speed vanished")
+        return (dn * dp).sum(axis=-1) / speed2
 
     # -- cached dense samples --
 
     @cached_property
     def samples(self) -> SurfaceSamples:
-        if self.dimension == 2:
-            params = np.linspace(self.param_lo, self.param_hi, self.resolution)
-            points = self.point(params)
-            normals = self.normal(params)
-            curv = self.curvature(params)
-        else:
-            side = max(9, int(np.sqrt(self.resolution)))
-            u = np.linspace(self.param_lo[0], self.param_hi[0], side)
-            v = np.linspace(self.param_lo[1], self.param_hi[1], side)
-            uu, vv = np.meshgrid(u, v, indexing="ij")
-            params = np.stack([uu.ravel(), vv.ravel()], axis=-1)
-            points = self.point(params)
-            normals = self.normal(params)
-            curv = self._curvature_3d(params).ravel()
-        return SurfaceSamples(params=params, points=points, normals=normals,
-                              curvature=curv)
+        if self.dimension != 2:
+            raise ConfigError("dense samples are n = 2 only")
+        params = np.linspace(self.param_lo, self.param_hi, self.resolution)
+        return SurfaceSamples(params=params, points=self.point(params),
+                              normals=self.normal(params),
+                              curvature=self.curvature(params))
 
     def _detect_orientation(self) -> Orientation:
         if self.dimension == 3:
-            k = self.samples.curvature
-            if np.all(k > 1e-12):
-                return Orientation.CONVEX
-            return Orientation.GENERAL
+            # convex iff every closed-form point p_j lies strictly below the
+            # tangent plane at every other: <p_j - p_i, n_i> < 0 for i != j
+            K = kernels.primitive_directions(3, 3).astype(float)
+            _, P, N = self.normal_map(K)
+            S = N @ P.T
+            gaps = S - np.diag(S)[:, None]
+            np.fill_diagonal(gaps, -1.0)
+            return Orientation.CONVEX if np.all(gaps < 0) else Orientation.GENERAL
         # interior samples only: strictly convex arcs may have K -> 0 at the
         # very endpoints (superellipse s > 2)
         lo, hi = self.param_lo, self.param_hi
@@ -381,8 +309,6 @@ class LevelSurface:
     @cached_property
     def _angle_profile(self) -> tuple[float, float, bool]:
         """(min angle, max angle, increasing?) of the outward normal angle."""
-        if self.dimension != 2:
-            raise ConfigError("normal-angle machinery is n = 2 only")
         t = np.linspace(self.param_lo, self.param_hi, 257)
         ang = self.normal_angle(t)
         d = np.diff(ang)
@@ -394,7 +320,8 @@ class LevelSurface:
                                  "general scanning path")
 
     def invert_normal_many(self, directions: np.ndarray):
-        """Vectorized inversion for convex/concave n = 2 surfaces.
+        """Vectorized inversion for surfaces with a closed-form normal_map
+        and for convex/concave n = 2 arcs.
 
         Returns (params, points, residuals, attained_mask). A surface with a
         closed-form normal_map attains every nonzero k >= 0; otherwise a
@@ -405,8 +332,9 @@ class LevelSurface:
         if self.normal_map is None:
             t, points, normals, attained = self._bisect_normal_many(K)
         else:
-            attained = ((np.minimum(K[:, 0], K[:, 1]) >= 0)
-                        & (np.maximum(K[:, 0], K[:, 1]) > 0))
+            cols = [K[:, j] for j in range(K.shape[1])]
+            attained = ((functools.reduce(np.minimum, cols) >= 0)
+                        & (functools.reduce(np.maximum, cols) > 0))
             if not attained.all():
                 K = np.where(attained[:, None], K, np.nan)
             t, points, normals = self.normal_map(K)
@@ -432,13 +360,12 @@ class LevelSurface:
     def invert_normal(self, k, max_iter: int = 200) -> InversionResult:
         """Inversion for a single integer/real direction.
 
-        Convex and concave surfaces take invert_normal_many; general
-        surfaces scan the samples for residual sign changes and flat runs.
+        Closed-form, convex and concave surfaces take invert_normal_many;
+        general arcs scan the samples for residual sign changes and flat runs.
         """
         k = np.asarray(k, dtype=float)
-        if self.dimension == 3:
-            return self._invert_normal_3d(k, max_iter)
-        if self.orientation in (Orientation.CONVEX, Orientation.CONCAVE):
+        if self.normal_map is not None \
+                or self.orientation in (Orientation.CONVEX, Orientation.CONCAVE):
             t, pts, res, ok = self.invert_normal_many(k[None, :])
             if not ok[0]:
                 raise DirectionNotAttained(f"direction {k.tolist()} outside normal cone")
@@ -500,61 +427,6 @@ class LevelSurface:
             raise ConvergenceFailure("scan refinement missed the residual tolerance")
         return InversionResult(points=pts, params=params_arr, residuals=res,
                                multivalued=bool(multivalued))
-
-    def _invert_normal_3d(self, k: np.ndarray, max_iter: int) -> InversionResult:
-        khat = k / np.linalg.norm(k)
-        if np.any(khat < -1e-12):
-            raise DirectionNotAttained("directions outside the closed positive octant")
-        samp = self.samples
-        dots = samp.normals @ khat
-        i0 = int(np.argmax(dots))
-        x = samp.params[i0].astype(float).copy()
-        # orthonormal basis of the plane normal to khat
-        e1 = np.cross(khat, [0.0, 0.0, 1.0])
-        if np.linalg.norm(e1) < 1e-8:
-            e1 = np.cross(khat, [0.0, 1.0, 0.0])
-        e1 /= np.linalg.norm(e1)
-        e2 = np.cross(khat, e1)
-
-        def resid(xp):
-            n = self.normal(xp)
-            return np.array([n @ e1, n @ e2])
-
-        lo = np.asarray(self.param_lo, dtype=float)
-        hi = np.asarray(self.param_hi, dtype=float)
-        h = 1e-7
-        for _ in range(max_iter):
-            r = resid(x)
-            if np.linalg.norm(r) <= NORMAL_RESIDUAL_TOL * 0.5:
-                break
-            J = np.empty((2, 2))
-            for j in range(2):
-                e = np.zeros(2)
-                e[j] = h
-                J[:, j] = (resid(np.clip(x + e, lo, hi)) - resid(np.clip(x - e, lo, hi))) / (2 * h)
-            try:
-                step = np.linalg.solve(J, -r)
-            except np.linalg.LinAlgError:
-                raise ConvergenceFailure("singular Jacobian in n = 3 inversion")
-            scale = 1.0
-            base = np.linalg.norm(r)
-            for _ in range(40):
-                cand = np.clip(x + scale * step, lo, hi)
-                if np.linalg.norm(resid(cand)) < base:
-                    x = cand
-                    break
-                scale *= 0.5
-            else:
-                raise ConvergenceFailure("n = 3 inversion line search stalled")
-        n = self.normal(x)
-        res = float(np.linalg.norm(np.cross(n, khat)))
-        if res > NORMAL_RESIDUAL_TOL:
-            if np.linalg.norm(np.clip(x, lo + 1e-9, hi - 1e-9) - x) > 0:
-                raise DirectionNotAttained("Newton pushed to the patch boundary")
-            raise ConvergenceFailure(f"n = 3 inversion residual {res:.2e}")
-        p = self.point(x)
-        return InversionResult(points=p[None, :], params=x[None, :],
-                               residuals=np.array([res]), multivalued=False)
 
     # -- star-shaped radial evaluation --
 

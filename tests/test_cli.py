@@ -206,6 +206,71 @@ def test_nonfinite_or_zero_table_action_is_a_config_error(tmp_path, capsys, acti
                           "--orientation", "convex", "--m-max", "2"], capsys)
 
 
+def test_empty_certificate_is_a_config_error(capsys):
+    # no level ell would certify E > E_m from no evidence
+    _assert_config_error(["minmax-certify", "--profile", "harmonic:1,2",
+                          "--k-max", "10", "--energy", "3.5", "--m", "1,1",
+                          "--ell-max", "0"], capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["legendre-dual", "--profile", "pnorm:3", "--resolution", "-5"],
+    ["legendre-dual", "--profile", "pnorm:3", "--samples", "-1"],
+    ["spectrum-variational", "--profile", "pnorm:3", "--k-max", "10",
+     "--m-max", "2", "--resolution", "0"],
+], ids=["dual-resolution", "dual-samples", "variational-resolution"])
+def test_bad_resolution_or_samples_is_a_config_error(capsys, argv):
+    _assert_config_error(argv, capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum-variational", "--profile", "pnorm:4", "--k-max", "10",
+     "--m-max", "2", "--degree", "nan"],
+    ["spectrum-reconstruct", "--profile", "pnorm:4", "--k-max", "30",
+     "--m-max", "2", "--degree", "nan"],
+    ["spectrum-variational", "--profile", "pnorm:4", "--k-max", "10",
+     "--m-max", "2", "--degree", "0"],
+    ["spectrum-reconstruct", "--profile", "pnorm:4", "--k-max", "30",
+     "--m-max", "2", "--degree", "-1"],
+    ["spectrum-direct", "--profile", "harmonic:1,inf", "--m-max", "2"],
+    ["spectrum-direct", "--profile", "power:2,inf", "--m-max", "2"],
+    ["spectrum-direct", "--profile", "pnorm:inf", "--m-max", "2"],
+    ["billiard-solve", "--m", "0", "--n", "1", "--tol", "nan"],
+], ids=["variational-degree-nan", "reconstruct-degree-nan",
+        "variational-degree-zero", "reconstruct-degree-negative",
+        "harmonic-weight-inf", "power-degree-inf", "pnorm-exponent-inf",
+        "solve-tol-nan"])
+def test_nonfinite_or_nonpositive_flag_is_a_config_error(capsys, argv):
+    _assert_config_error(argv, capsys)
+
+
+def test_harmonic_in_three_dimensions_is_a_config_error(capsys):
+    # a facet has no closed-form Gauss-map inverse, and n = 3 needs one
+    _assert_config_error(["actions", "--profile", "harmonic:1,2,3",
+                          "--k-max", "3"], capsys)
+
+
+def _energies(text):
+    return [float(line.split(",")[3]) for line in text.splitlines()[1:]]
+
+
+@pytest.mark.parametrize("s", [1.5, 2.0, 4.0, 8.0])
+def test_variational_in_three_dimensions_stays_below_direct(tmp_path, s):
+    spec = tmp_path / "pnorm3.json"
+    spec.write_text(json.dumps({"kind": "pnorm", "params": {"s": s},
+                                "dimension": 3}))
+    common = ["--profile", str(spec), "--m-max", "3", "--shift", "0.5"]
+    var = _energies(run_to_file(tmp_path, "var.csv", ["spectrum-variational",
+                                                      "--k-max", "20"] + common).decode())
+    direct = _energies(run_to_file(tmp_path, "direct.csv",
+                                   ["spectrum-direct"] + common).decode())
+    assert len(var) == len(direct) == 64
+    for v, d in zip(var, direct):
+        # a sup over finitely many directions: a lower bound up to rounding
+        assert v <= d * (1 + 1e-14)
+        assert v >= d * (1 - 2e-3)
+
+
 def test_minmax_on_concave_surface_fails_numerically(capsys):
     rc = main(["minmax-certify", "--profile", "ramos", "--k-max", "10",
                "--energy", "5.0", "--m", "1,1"])

@@ -52,6 +52,12 @@ def test_closed_form_inversion_residual():
         t, pts, res, ok = surf.invert_normal_many(K)
         assert ok.all(), name
         assert res.max() <= 1e-14, (name, res.max())
+    K = kernels.primitive_directions(3, 30)
+    for s in (1.5, 2.0, 3.0, 4.0, 8.0):
+        surf = LevelSurface.from_profile(pnorm_profile(s, dimension=3))
+        t, pts, res, ok = surf.invert_normal_many(K)
+        assert ok.all(), s
+        assert res.max() <= 1e-14, (s, res.max())
 
 
 def test_closed_form_matches_bisect_generic():
@@ -75,6 +81,11 @@ def test_closed_form_exact_axis_points():
     t, pts, _, _ = RamosCurve().invert_normal_many(axes)
     assert np.array_equal(t, [0.0, np.pi])
     assert np.abs(pts - [[0.0, np.pi], [np.pi, 0.0]]).max() <= 1e-15
+    for s in (1.5, 2.0, 3.0, 4.0, 8.0):
+        surf = LevelSurface.from_profile(pnorm_profile(s, dimension=3))
+        t, pts, res, ok = surf.invert_normal_many(np.eye(3, dtype=np.int64))
+        assert ok.all() and np.array_equal(pts, np.eye(3)), s
+        assert np.array_equal(res, np.zeros(3)), s
 
 
 def test_closed_form_masks_directions_outside_quadrant():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,17 @@ def test_lattice_grid_order():
     grid = lattice_grid(2, 2)
     assert grid.shape == (9, 2)
     assert [tuple(m) for m in grid[:4]] == [(0, 0), (0, 1), (0, 2), (1, 0)]
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+@pytest.mark.parametrize("m_max", [0, 1, 5])
+def test_lattice_grid_matches_itertools_order(dimension, m_max):
+    expected = np.asarray(list(itertools.product(range(m_max + 1),
+                                                 repeat=dimension)),
+                          dtype=np.int64)
+    grid = lattice_grid(dimension, m_max)
+    assert grid.dtype == np.int64
+    assert np.array_equal(grid, expected)
 
 
 # --- direct route ---
