@@ -67,9 +67,8 @@ def inversion_row() -> None:
     """invert_normal_many on pnorm:4, closed form against bisect_generic on
     the same curve without its normal map."""
     closed = LevelSurface.from_profile(pnorm_profile(4.0))
-    bisected = LevelSurface.from_parametrization(
-        closed.point, closed.param_lo, closed.param_hi, normal_fn=closed.normal,
-        orientation=closed.orientation)
+    bisected = LevelSurface(2, closed.point, closed.param_lo, closed.param_hi,
+                            normal_fn=closed.normal, orientation=closed.orientation)
     K = kernels.primitive_directions(2, K_MAX_INVERT)
     t_closed = best_of(lambda: closed.invert_normal_many(K))
     t_bisect = best_of(lambda: bisected.invert_normal_many(K))

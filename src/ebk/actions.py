@@ -22,6 +22,7 @@ from . import kernels
 from .errors import (
     ConfigError,
     ConvergenceFailure,
+    DirectionNotAttained,
     InvalidOrbitClass,
     UnsupportedSurface,
 )
@@ -240,11 +241,8 @@ def marked_action_spectrum(surface: LevelSurface, k_max: int,
         for row in K:
             try:
                 inv = surface.invert_normal(row.astype(float))
-            except Exception as exc:
-                from .errors import DirectionNotAttained
-                if isinstance(exc, DirectionNotAttained):
-                    continue
-                raise
+            except DirectionNotAttained:
+                continue
             if inv.multivalued:
                 acts = inv.points @ row.astype(float)
                 scale = max(1.0, float(np.abs(acts).max()))

@@ -187,62 +187,28 @@ def ramos_action(k1: int, k2: int) -> float:
     return s * math.sin(math.pi * k2 / s)
 
 
-def _polar_angle_of_alpha(a: float) -> float:
-    x, y = boundary_point(a)
-    return math.atan2(y, x)
-
-
-def _alpha_for_polar(phi: float) -> float:
-    # polar angle of rho decreases from pi/2 at alpha=0 to 0 at alpha=pi
-    lo, hi = 0.0, math.pi
-    if not (-1e-12 <= phi <= math.pi / 2 + 1e-12):
-        raise DomainError("direction leaves the closed positive quadrant")
-    phi = min(max(phi, 0.0), math.pi / 2)
-    for _ in range(kernels.BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        if _polar_angle_of_alpha(mid) > phi:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def disk_profile() -> ToricProfile:
     """The 1-homogeneous gauge whose unit level set is the boundary curve.
 
     Evaluated radially: f(p) = |p| / |rho(alpha_p)| with alpha_p matching
-    the polar angle of p. The gradient has the closed form
-    (pi - a, a) / (pi sin a), which blows up toward the axes; callers stay
-    in the open quadrant.
+    the polar angle of p (LevelSurface.ray_parameter on the curve). The
+    gradient has the closed form (pi - a, a) / (pi sin a), which blows up
+    toward the axes; callers stay in the open quadrant.
     """
-
-    def evaluate_fn(P):
-        P = np.asarray(P, dtype=float)
-        flat = P.reshape(-1, 2)
-        out = np.empty(len(flat))
-        for i, p in enumerate(flat):
-            r = math.hypot(p[0], p[1])
-            if r == 0.0:
-                out[i] = 0.0
-                continue
-            a = _alpha_for_polar(math.atan2(p[1], p[0]))
-            out[i] = r / math.hypot(*boundary_point(a))
-        return out.reshape(P.shape[:-1])
+    curve = LevelSurface(2, boundary_point, 0.0, math.pi,
+                         normal_fn=boundary_normal,
+                         orientation=Orientation.CONCAVE,
+                         normal_map=_ramos_normal_map)
 
     def gradient_fn(P):
-        P = np.asarray(P, dtype=float)
-        flat = P.reshape(-1, 2)
-        out = np.empty_like(flat)
-        for i, p in enumerate(flat):
-            a = _alpha_for_polar(math.atan2(p[1], p[0]))
-            s = math.sin(a)
-            if s < 1e-12:
-                raise DomainError("gauge gradient is unbounded on the axes")
-            out[i] = np.array([math.pi - a, a]) / (math.pi * s)
-        return out.reshape(P.shape)
+        a = curve.ray_parameter(P)
+        s = np.sin(a)
+        if np.any(s < 1e-12):
+            raise DomainError("gauge gradient is unbounded on the axes")
+        return np.stack([math.pi - a, a], axis=-1) / (math.pi * s)[..., None]
 
     return ToricProfile(name="ramos", dimension=2, degree=1.0,
-                        evaluate_fn=evaluate_fn, gradient_fn=gradient_fn)
+                        evaluate_fn=curve.radial_value, gradient_fn=gradient_fn)
 
 
 class RamosCurve(LevelSurface):

@@ -9,12 +9,12 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 from scipy.spatial import cKDTree
 
 from .errors import (
     ConfigError,
     ConvergenceFailure,
+    DirectionNotAttained,
     InsufficientCloud,
     NotAttained,
     TooFewNicePoints,
@@ -173,36 +173,32 @@ def conjugate_function(profile: ToricProfile) -> ToricProfile:
                         evaluate_fn=evaluate_fn, gradient_fn=gradient_fn)
 
 
-def support_function(surface: LevelSurface, q, refine: bool = True) -> float:
-    """sup over the surface of <p, q> (inf for concave orientation).
+def support_function(surface: LevelSurface, q) -> float:
+    """sup over the arc of <p, q> (inf for concave orientation).
 
-    Exactly 1-homogeneous in q: the extremum is located for the unit
-    direction and rescaled.
+    An interior extremum has its normal along q or -q, so the extremum is
+    taken over the two arc endpoints and the inversion's points for both,
+    where attained; that is exact on every arc. Exactly 1-homogeneous in
+    q: the extremum is located for the unit direction and rescaled.
     """
+    if surface.dimension != 2:
+        raise ConfigError("support_function is implemented for n = 2")
     q = np.asarray(q, dtype=float).reshape(-1)
-    if q.shape != (surface.dimension,):
-        raise ConfigError(f"q must have {surface.dimension} components")
+    if q.shape != (2,):
+        raise ConfigError("q must have 2 components")
     qnorm = float(np.linalg.norm(q))
     if qnorm == 0.0:
         return 0.0
     u = q / qnorm
+    candidates = [surface.point([surface.param_lo, surface.param_hi])]
+    for direction in (u, -u):
+        try:
+            candidates.append(surface.invert_normal(direction).points)
+        except DirectionNotAttained:
+            pass
+    dots = np.concatenate(candidates) @ u
     use_min = surface.orientation is Orientation.CONCAVE
-    samp = surface.samples
-    dots = samp.points @ u
-    idx = int(np.argmin(dots) if use_min else np.argmax(dots))
-    value = float(dots[idx])
-    if refine and surface.dimension == 2:
-        lo = samp.params[max(idx - 1, 0)]
-        hi = samp.params[min(idx + 1, len(dots) - 1)]
-        if hi > lo:
-            sign = 1.0 if use_min else -1.0
-            res = minimize_scalar(lambda t: sign * float(surface.point(t) @ u),
-                                  bounds=(float(lo), float(hi)),
-                                  method="bounded",
-                                  options={"xatol": 1e-13})
-            refined = sign * float(res.fun)
-            value = min(value, refined) if use_min else max(value, refined)
-    return qnorm * value
+    return qnorm * float(dots.min() if use_min else dots.max())
 
 
 def hypersurface_transform(surface: LevelSurface,

@@ -8,9 +8,11 @@
   * bisect_generic is a vectorized monotone bisection.
 
 Gauss-map inversion is closed form for the builtin families (pnorm and the
-disk's boundary curve, see LevelSurface.normal_map). bisect_generic inverts
-it only for curves without a closed form (spline and table curves); it also
-evaluates a curve along a ray (LevelSurface.radial_value).
+disk's boundary curve, see LevelSurface.normal_map), and curves
+parametrized by polar angle meet each ray at the ray's own angle.
+bisect_generic serves only what has no closed form: the Gauss-map inversion
+of spline and table curves, and the point on a ray of the disk's boundary
+curve and of transform duals (LevelSurface.ray_parameter).
 """
 from __future__ import annotations
 
@@ -20,7 +22,6 @@ import numpy as np
 # so 80 steps push the interval to ~1e-24 of its span, far below float
 # resolution; the residual check happens at the call site.
 BISECT_ITERS = 80
-MAX_BISECT_ITERS = 200
 
 # Pruned ratio reduction: entries sorted by angle, cut into blocks of
 # RATIO_BLOCK; bounds are evaluated RATIO_CHUNK weight rows at a time, and
@@ -49,11 +50,11 @@ def primitive_directions(dimension: int, k_max: int) -> np.ndarray:
     return K[g == 1]
 
 
-def _bisect_vectorized(angle_of, lo, hi, targets, n_iter):
+def _bisect_vectorized(angle_of, lo, hi, targets):
     a = np.full(targets.shape, lo, dtype=float)
     b = np.full(targets.shape, hi, dtype=float)
     span = hi - lo
-    for _ in range(n_iter):
+    for _ in range(BISECT_ITERS):
         mid = 0.5 * (a + b)
         right = angle_of(mid) < targets
         a = np.where(right, mid, a)
@@ -64,17 +65,16 @@ def _bisect_vectorized(angle_of, lo, hi, targets, n_iter):
 
 
 def bisect_generic(angle_fn, lo: float, hi: float, targets: np.ndarray,
-                   n_iter: int = BISECT_ITERS, increasing: bool = True) -> np.ndarray:
+                   increasing: bool = True) -> np.ndarray:
     """Parameters t in [lo, hi] with angle_fn(t) = target, for a vectorized
     angle_fn monotone in the given sense. Targets outside the attained range
     clamp to the endpoints; the caller is responsible for the residual
     check."""
     targets = np.asarray(targets, dtype=float)
-    n_iter = min(int(n_iter), MAX_BISECT_ITERS)
     if increasing:
-        return _bisect_vectorized(angle_fn, float(lo), float(hi), targets, n_iter)
+        return _bisect_vectorized(angle_fn, float(lo), float(hi), targets)
     return _bisect_vectorized(lambda t: -np.asarray(angle_fn(t)), float(lo), float(hi),
-                              -targets, n_iter)
+                              -targets)
 
 
 # --- extremal ratio reduction ---

@@ -37,7 +37,9 @@ class ToricProfile:
 
     inverse_gauss_fn, when given, is the closed-form inverse of the Gauss
     map: it sends each nonzero row k >= 0 of an (N, n) array to the point
-    of {f = 1} whose outward normal is parallel to k.
+    of {f = 1} whose outward normal is parallel to k. Only strictly convex
+    families supply one (pnorm is convex for every s > 1), and
+    LevelSurface.from_profile declares such a surface CONVEX.
     """
 
     name: str

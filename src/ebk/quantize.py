@@ -23,6 +23,7 @@ from .actions import ActionSpectrum, MarkedActionEntry, MaslovShift, as_shift
 from .duality import PointCloud, ReconstructionResult, reconstruct_surface
 from .errors import (
     ConfigError,
+    DirectionNotAttained,
     DomainError,
     EmptySpectrum,
     NoQualifyingDirections,
@@ -348,18 +349,13 @@ def reconstruction_spectrum(actions, m_max: int, degree: float = 1.0,
                                 reference=reference, resolution=resolution)
     m_grid = lattice_grid(spec.dimension, m_max)
     W = _weights(m_grid, mu, hbar)
-    energies = np.empty(len(m_grid))
-    from .errors import DirectionNotAttained
-    for i, w in enumerate(W):
-        if not np.any(w):
-            energies[i] = 0.0
-            continue
-        try:
-            energies[i] = recon.surface.radial_value(w) ** degree
-        except DirectionNotAttained as exc:
-            raise RayMiss(
-                f"ray through hbar(m+mu) for m={m_grid[i].tolist()} misses "
-                f"the reconstructed surface: {exc}") from exc
+    energies = np.zeros(len(m_grid))
+    nonzero = W.any(axis=1)   # a zero weight lies on no ray; its energy is 0
+    try:
+        energies[nonzero] = recon.surface.radial_value(W[nonzero]) ** degree
+    except DirectionNotAttained as exc:
+        raise RayMiss(f"a ray through hbar(m+mu) misses the reconstructed "
+                      f"surface: {exc}") from exc
     spectrum = EbkSpectrum(route="reconstruction", dimension=spec.dimension,
                            degree=degree, hbar=hbar, shift=mu, m_grid=m_grid,
                            energies=energies)

@@ -2,11 +2,16 @@
 
 For n = 2 a surface is a parametrized arc in the closed positive quadrant.
 For n = 3 it is the level set of a profile with a closed-form Gauss-map
-inverse (pnorm), parametrized by sphere angles; it is inverted and oriented
-through that closed form only, and the sampled, curvature-based methods are
-planar. Everything downstream relies on two facts about the in-scope
-surfaces: they are star-shaped about the origin, and their outward normal
-angle is monotone in the curve parameter when the curvature has one sign.
+inverse (pnorm), parametrized by sphere angles; it is inverted through that
+closed form only, and the sampled, curvature-based methods are planar.
+
+Orientation is declared wherever the math fixes it: a profile with a
+closed-form Gauss-map inverse is strictly convex, and the disk's boundary
+curve is concave. Only numeric arcs (spline and table curves, transform
+duals, profiles without a closed form) detect it from sampled curvature.
+Everything downstream relies on two facts about the in-scope surfaces: they
+are star-shaped about the origin, and their outward normal angle is
+monotone in the curve parameter when the curvature has one sign.
 """
 from __future__ import annotations
 
@@ -37,6 +42,7 @@ SUPPORT_FLOOR = 1e-10         # |<p, n>| below this: dual point undefined
 NORMAL_RESIDUAL_TOL = 1e-10   # |n x k_hat| accepted by the inversion
 DEFAULT_RESOLUTION = 4096
 MIN_RESOLUTION = 64           # smallest accepted; every builtin curve dualizes at 64
+SCAN_REFINE_ITERS = 200       # bisection steps per sign change of the scan
 
 
 class Orientation(str, enum.Enum):
@@ -105,7 +111,8 @@ class LevelSurface:
     normal_map, when given, is the closed-form inverse of the Gauss map in
     this parametrization: it sends each nonzero row k >= 0 of an (N, n)
     array to (params, points, normals) with the normal parallel to k.
-    Surfaces in n = 3 need one.
+    Surfaces in n = 3 need one and a declared orientation; planar arcs
+    without an orientation detect it from their sampled curvature.
     """
 
     def __init__(self, dimension: int, point_fn: Callable, param_lo, param_hi,
@@ -117,9 +124,10 @@ class LevelSurface:
                  knots: Optional[np.ndarray] = None):
         if dimension not in (2, 3):
             raise ConfigError("only dimensions 2 and 3 are supported")
-        if dimension == 3 and normal_map is None:
+        if dimension == 3 and (normal_map is None or orientation is None):
             raise ConfigError("n = 3 surfaces need a closed-form Gauss-map "
-                              "inverse (pnorm or superellipse profiles)")
+                              "inverse and a declared orientation (pnorm or "
+                              "superellipse profiles)")
         if not resolution >= MIN_RESOLUTION:
             raise ConfigError(f"resolution must be >= {MIN_RESOLUTION}")
         self.dimension = dimension
@@ -140,9 +148,13 @@ class LevelSurface:
 
     @classmethod
     def from_profile(cls, profile: ToricProfile,
-                     resolution: int = DEFAULT_RESOLUTION,
-                     orientation: Orientation | str | None = None) -> "LevelSurface":
-        """Polar (n = 2) or spherical (n = 3) angle parametrization of {f = 1}."""
+                     resolution: int = DEFAULT_RESOLUTION) -> "LevelSurface":
+        """Polar (n = 2) or spherical (n = 3) angle parametrization of {f = 1}.
+
+        A profile with a closed-form Gauss-map inverse is strictly convex
+        (see ToricProfile.inverse_gauss_fn), so its surface is CONVEX;
+        any other profile has its orientation detected.
+        """
         n, d = profile.dimension, profile.degree
 
         def unit(t):
@@ -163,8 +175,9 @@ class LevelSurface:
             g = profile.gradient(unit(t))
             return g / np.linalg.norm(g, axis=-1, keepdims=True)
 
-        normal_map = None
+        normal_map = orientation = None
         if profile.inverse_gauss_fn is not None:
+            orientation = Orientation.CONVEX
 
             def normal_map(K):
                 # the points come from k directly, so the axis rows
@@ -284,15 +297,6 @@ class LevelSurface:
                               curvature=self.curvature(params))
 
     def _detect_orientation(self) -> Orientation:
-        if self.dimension == 3:
-            # convex iff every closed-form point p_j lies strictly below the
-            # tangent plane at every other: <p_j - p_i, n_i> < 0 for i != j
-            K = kernels.primitive_directions(3, 3).astype(float)
-            _, P, N = self.normal_map(K)
-            S = N @ P.T
-            gaps = S - np.diag(S)[:, None]
-            np.fill_diagonal(gaps, -1.0)
-            return Orientation.CONVEX if np.all(gaps < 0) else Orientation.GENERAL
         # interior samples only: strictly convex arcs may have K -> 0 at the
         # very endpoints (superellipse s > 2)
         lo, hi = self.param_lo, self.param_hi
@@ -357,7 +361,7 @@ class LevelSurface:
             normals[attained] = self.normal(t_hit)
         return t, points, normals, attained
 
-    def invert_normal(self, k, max_iter: int = 200) -> InversionResult:
+    def invert_normal(self, k) -> InversionResult:
         """Inversion for a single integer/real direction.
 
         Closed-form, convex and concave surfaces take invert_normal_many;
@@ -374,9 +378,9 @@ class LevelSurface:
                     f"inversion residual {res[0]:.3e} > {NORMAL_RESIDUAL_TOL:g}")
             return InversionResult(points=pts[:1], params=t[:1],
                                    residuals=res[:1], multivalued=False)
-        return self._invert_normal_scan(k, max_iter)
+        return self._invert_normal_scan(k)
 
-    def _invert_normal_scan(self, k: np.ndarray, max_iter: int) -> InversionResult:
+    def _invert_normal_scan(self, k: np.ndarray) -> InversionResult:
         khat = k / np.linalg.norm(k)
         t = np.linspace(self.param_lo, self.param_hi, self.resolution)
         n = self.normal(t)
@@ -401,7 +405,7 @@ class LevelSurface:
             for i in np.flatnonzero((sign[:-1] * sign[1:] < 0) & (dot[:-1] > 0)):
                 a, b = t[i], t[i + 1]
                 fa = g[i]
-                for _ in range(max_iter):
+                for _ in range(SCAN_REFINE_ITERS):
                     mid = 0.5 * (a + b)
                     nm = self.normal(mid)
                     fm = nm[0] * khat[1] - nm[1] * khat[0]
@@ -430,11 +434,13 @@ class LevelSurface:
 
     # -- star-shaped radial evaluation --
 
+    def _polar_angle(self, t):
+        q = self.point(t)
+        return np.arctan2(q[..., 1], q[..., 0])
+
     @cached_property
     def _polar_profile(self) -> tuple[float, float, bool]:
-        t = np.linspace(self.param_lo, self.param_hi, 257)
-        p = self.point(t)
-        ang = np.arctan2(p[..., 1], p[..., 0])
+        ang = self._polar_angle(np.linspace(self.param_lo, self.param_hi, 257))
         d = np.diff(ang)
         if np.all(d >= -1e-12):
             return float(ang[0]), float(ang[-1]), True
@@ -442,28 +448,44 @@ class LevelSurface:
             return float(ang[-1]), float(ang[0]), False
         raise ConfigError("surface is not star-shaped in polar angle")
 
-    def radial_value(self, p) -> float:
-        """Value of the implied 1-homogeneous function at p: |p| / |N(phi_p)|.
+    def ray_parameter(self, p) -> np.ndarray:
+        """Parameter of the arc point on the ray through each row of p (..., 2).
 
-        Raises DirectionNotAttained when the ray through p misses the arc.
+        On a polar-angle parametrization (from_profile, from_points) that is
+        the ray's own angle phi, accepted wherever point(phi) has polar
+        angle phi to two ulps; the remaining rows bisect the polar angle.
+        Raises DirectionNotAttained when a ray leaves the angular span.
         """
         if self.dimension != 2:
             raise ConfigError("radial evaluation is n = 2 only")
-        p = np.asarray(p, dtype=float)
-        phi = float(np.arctan2(p[1], p[0]))
+        P = np.asarray(p, dtype=float)
+        flat = P.reshape(-1, 2)
+        phi = np.arctan2(flat[:, 1], flat[:, 0])
         lo_a, hi_a, increasing = self._polar_profile
-        if phi < lo_a - 1e-12 or phi > hi_a + 1e-12:
-            raise DirectionNotAttained("ray leaves the curve's angular span")
-        phi = min(max(phi, lo_a), hi_a)
+        out = (phi < lo_a - 1e-12) | (phi > hi_a + 1e-12)
+        if np.any(out):
+            raise DirectionNotAttained(f"ray through {flat[out][0].tolist()} "
+                                       "leaves the curve's angular span")
+        t = np.clip(phi, lo_a, hi_a)
+        inside = (t >= self.param_lo) & (t <= self.param_hi)
+        psi = self._polar_angle(np.where(inside, t, self.param_lo))
+        miss = ~(inside & (np.abs(psi - t) <= 2 * np.spacing(np.abs(t))))
+        if np.any(miss):
+            t[miss] = kernels.bisect_generic(self._polar_angle, self.param_lo,
+                                             self.param_hi, t[miss],
+                                             increasing=increasing)
+        return t.reshape(P.shape[:-1])
 
-        def polar(t):
-            q = self.point(t)
-            return np.arctan2(q[..., 1], q[..., 0])
+    def radial_value(self, p):
+        """Value of the implied 1-homogeneous function at each row of p
+        (..., 2): |p| / |N(phi_p)|; a float for a single point.
 
-        t = kernels.bisect_generic(polar, self.param_lo, self.param_hi,
-                                   np.array([phi]), increasing=increasing)
-        q = self.point(t)[0]
-        return float(np.hypot(p[0], p[1]) / np.hypot(q[0], q[1]))
+        Raises DirectionNotAttained when a ray through p misses the arc.
+        """
+        P = np.asarray(p, dtype=float)
+        q = self.point(self.ray_parameter(P))
+        r = np.hypot(P[..., 0], P[..., 1]) / np.hypot(q[..., 0], q[..., 1])
+        return float(r) if P.ndim == 1 else r
 
 
 def gauss_curvature(surface: LevelSurface, param):

@@ -207,6 +207,31 @@ def test_disk_profile_values():
     assert dp.euler_residual(p) <= 1e-7
 
 
+def _disk_gauge_by_scalar_loop(p):
+    """The per-point 80-step alpha bisection that the vectorized ray
+    evaluation replaced."""
+    phi = min(max(math.atan2(p[1], p[0]), 0.0), math.pi / 2)
+    lo, hi = 0.0, math.pi
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        x, y = boundary_point(mid)
+        if math.atan2(y, x) > phi:
+            lo = mid
+        else:
+            hi = mid
+    return math.hypot(p[0], p[1]) / math.hypot(*boundary_point(0.5 * (lo + hi)))
+
+
+def test_disk_profile_matches_scalar_loop():
+    # the spectrum-direct lattice, unshifted and shifted, and random points
+    m = np.indices((31, 31)).reshape(2, -1).T.astype(float)
+    rng = np.random.default_rng(3)
+    P = np.concatenate([m[1:], m + RADIAL_SHIFT, rng.uniform(0.0, 3.0, (500, 2))])
+    got = disk_profile().evaluate(P)
+    want = np.array([_disk_gauge_by_scalar_loop(p) for p in P])
+    assert np.all(np.abs(got - want) <= 1e-15 * want)
+
+
 # --- the two-route crosscheck ---
 
 def test_crosscheck_diagonal_pair():

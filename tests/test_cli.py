@@ -271,6 +271,21 @@ def test_variational_in_three_dimensions_stays_below_direct(tmp_path, s):
         assert v >= d * (1 - 2e-3)
 
 
+@pytest.mark.parametrize("s", [12, 20, 40])
+def test_variational_on_flat_superellipse_stays_below_direct(tmp_path, s):
+    # pnorm is convex for every s > 1, even where its curvature near the
+    # axes underflows any sampled test
+    common = ["--profile", f"pnorm:{s}", "--m-max", "3", "--shift", "0.5"]
+    var = run_to_file(tmp_path, "var.csv", ["spectrum-variational",
+                                            "--k-max", "40"] + common).decode()
+    direct = run_to_file(tmp_path, "direct.csv", ["spectrum-direct"] + common).decode()
+    var = [float(line.split(",")[2]) for line in var.splitlines()[1:]]
+    direct = [float(line.split(",")[2]) for line in direct.splitlines()[1:]]
+    assert len(var) == len(direct) == 16
+    for v, d in zip(var, direct):
+        assert v <= d * (1 + 1e-14)
+
+
 def test_minmax_on_concave_surface_fails_numerically(capsys):
     rc = main(["minmax-certify", "--profile", "ramos", "--k-max", "10",
                "--energy", "5.0", "--m", "1,1"])

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
 from ebk import (
     ConfigError,
     InsufficientCloud,
     LevelSurface,
     NonGraphical,
+    Orientation,
     PointCloud,
     RamosCurve,
     TooFewNicePoints,
@@ -114,6 +116,57 @@ def test_support_homogeneity():
     base = support_function(circle, q)
     for t in (2.0, 10.0):
         assert abs(support_function(circle, t * q) - t * base) <= 1e-12 * t * base
+
+
+def _support_by_samples(surface, q):
+    """The sample argmax plus bounded minimize_scalar refinement that the
+    endpoint-and-inversion support_function replaced."""
+    qnorm = float(np.linalg.norm(q))
+    u = np.asarray(q, dtype=float) / qnorm
+    use_min = surface.orientation is Orientation.CONCAVE
+    samp = surface.samples
+    dots = samp.points @ u
+    idx = int(np.argmin(dots) if use_min else np.argmax(dots))
+    value = float(dots[idx])
+    lo = samp.params[max(idx - 1, 0)]
+    hi = samp.params[min(idx + 1, len(dots) - 1)]
+    if hi > lo:
+        sign = 1.0 if use_min else -1.0
+        res = minimize_scalar(lambda t: sign * float(surface.point(t) @ u),
+                              bounds=(float(lo), float(hi)), method="bounded",
+                              options={"xatol": 1e-13})
+        refined = sign * float(res.fun)
+        value = min(value, refined) if use_min else max(value, refined)
+    return qnorm * value
+
+
+@pytest.mark.parametrize("name", ["pnorm:1.5", "pnorm:4", "pnorm:12", "circle",
+                                  "ramos", "segment"])
+def test_support_matches_sampled_refinement(name):
+    surface = {"pnorm:1.5": lambda: LevelSurface.from_profile(pnorm_profile(1.5)),
+               "pnorm:4": lambda: LevelSurface.from_profile(pnorm_profile(4.0)),
+               "pnorm:12": lambda: LevelSurface.from_profile(pnorm_profile(12.0)),
+               "circle": lambda: LevelSurface.from_profile(euclidean_profile(2)),
+               "ramos": RamosCurve,
+               "segment": lambda: LevelSurface.from_profile(harmonic_profile((1.0, 2.0))),
+               }[name]()
+    # every quadrant, so the endpoints and the -q inversion are exercised
+    angles = np.linspace(-np.pi, np.pi, 73)
+    for q in 2.5 * np.stack([np.cos(angles), np.sin(angles)], axis=1):
+        want = _support_by_samples(surface, q)
+        assert abs(support_function(surface, q) - want) <= 1e-12 * abs(want)
+
+
+def test_support_sees_a_dent_through_the_opposite_normal():
+    # a general arc dipping toward the origin: the sup of <p, (-1, -1)> sits
+    # inside the dent, where the outward normal points along (1, 1)
+    t = np.linspace(0.0, np.pi / 2, 200)
+    r = 1.0 - 0.3 * np.sin(2 * t) ** 2
+    dent = LevelSurface.from_points(np.stack([r * np.cos(t), r * np.sin(t)], 1))
+    assert dent.orientation is Orientation.GENERAL
+    want = _support_by_samples(dent, (-1.0, -1.0))
+    assert support_function(dent, (-1.0, -1.0)) == pytest.approx(want, rel=1e-9)
+    assert want > -1.0   # above both endpoints
 
 
 # --- hypersurface transform ---

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -239,3 +242,19 @@ def test_extremal_ratios_prunes(monkeypatch):
     kernels.extremal_ratios(spec.directions, spec.actions, W, True)
     assert len(scanned) == len(W)
     assert sum(scanned) < 0.1 * len(W) * len(spec)
+
+
+def test_bench_kernels_rows_run(monkeypatch, capsys):
+    # every row of the kernel benchmark at toy sizes, so a renamed API fails here
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_kernels.py"
+    spec = importlib.util.spec_from_file_location("bench_kernels", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    for name, value in (("K_MAX_ENUM", 20), ("K_MAX_INVERT", 20),
+                        ("K_MAX_RATIOS", 30), ("M_MAX_RATIOS", 8)):
+        monkeypatch.setattr(bench, name, value)
+    bench.main()
+    out = capsys.readouterr().out
+    assert "primitive_directions(2, 20)" in out
+    assert "identical: True" in out
+    assert "inversion(pnorm:4" in out

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ebk import (
+    ConfigError,
     DegenerateGradient,
     DirectionNotAttained,
     LevelSurface,
@@ -16,9 +17,11 @@ from ebk import (
     harmonic_profile,
     invert_gauss_map,
     invert_gauss_map_all,
+    kernels,
     legendre_point,
     pnorm_profile,
 )
+from ebk.catalog import load_domain_file
 
 # analytic curvature of the quartic curve p1^4 + p2^4 = 1 at the diagonal
 # point (2^-1/4, 2^-1/4): kappa = 3 * 2^(-1/4)
@@ -99,6 +102,26 @@ def test_orientation_sign_convention(circle, quartic, segment):
     # convex: K > 0, concave: K < 0, away from the parameter endpoints
     assert gauss_curvature(quartic, 0.9) > 0.0
     assert gauss_curvature(rc, 1.3) < 0.0
+
+
+@pytest.mark.parametrize("s", [1.01, 1.05, 12.0, 20.0, 40.0])
+def test_closed_form_profiles_are_declared_convex(s):
+    # sampled curvature of a flat superellipse underflows near the axes
+    assert LevelSurface.from_profile(pnorm_profile(s)).orientation is Orientation.CONVEX
+
+
+def test_three_dimensional_pnorm_spec_reads_convex(tmp_path):
+    spec = tmp_path / "pnorm3.json"
+    spec.write_text('{"kind": "pnorm", "params": {"s": 1.01}, "dimension": 3}')
+    surface = load_domain_file(str(spec)).make_surface()
+    assert surface.orientation is Orientation.CONVEX
+
+
+def test_three_dimensional_surface_needs_an_orientation():
+    sphere = LevelSurface.from_profile(euclidean_profile(3))
+    with pytest.raises(ConfigError):
+        LevelSurface(3, sphere.point, sphere.param_lo, sphere.param_hi,
+                     normal_fn=sphere.normal, normal_map=sphere.normal_map)
 
 
 # --- legendre_point ---
@@ -192,3 +215,44 @@ def test_radial_value_matches_profile(quartic):
     r = quartic.radial_value(w)
     # the ray through w crosses the level set at w / f(w)
     assert r == pytest.approx(prof.evaluate(w), rel=1e-10)
+
+
+def _radial_by_bisection(surface, p):
+    """The per-point ray bisection that the vectorized radial_value replaced."""
+    phi = float(np.arctan2(p[1], p[0]))
+    lo_a, hi_a, increasing = surface._polar_profile
+    phi = min(max(phi, lo_a), hi_a)
+
+    def polar(t):
+        q = surface.point(t)
+        return np.arctan2(q[..., 1], q[..., 0])
+
+    t = kernels.bisect_generic(polar, surface.param_lo, surface.param_hi,
+                               np.array([phi]), increasing=increasing)
+    q = surface.point(t)[0]
+    return float(np.hypot(p[0], p[1]) / np.hypot(q[0], q[1]))
+
+
+@pytest.mark.parametrize("name", ["fit", "pnorm:4", "ramos"])
+def test_radial_value_matches_per_point_bisection(quartic, name):
+    surface = {"fit": LevelSurface.from_points(quartic.point(np.linspace(0.05, 1.5, 40))),
+               "pnorm:4": quartic, "ramos": RamosCurve()}[name]
+    rng = np.random.default_rng(11)
+    lo_a, hi_a, _ = surface._polar_profile
+    phi = np.concatenate([[lo_a, hi_a], rng.uniform(lo_a, hi_a, 400)])
+    P = rng.uniform(0.1, 5.0, phi.size)[:, None] * np.stack([np.cos(phi), np.sin(phi)], 1)
+    got = surface.radial_value(P)
+    want = np.array([_radial_by_bisection(surface, p) for p in P])
+    assert np.all(np.abs(got - want) <= 1e-15 * want)
+    # any leading shape; a single point gives a float
+    assert surface.radial_value(P.reshape(2, -1, 2)).shape == (2, phi.size // 2)
+    assert surface.radial_value(P[3]) == got[3]
+
+
+def test_radial_value_outside_the_span_is_not_attained(quartic):
+    fit = LevelSurface.from_points(quartic.point(np.linspace(0.05, 1.5, 40)))
+    # the fit spans polar angles [0.05, 1.5]; one ray below fails the batch
+    with pytest.raises(DirectionNotAttained):
+        fit.radial_value(np.array([[1.0, 1.0], [1.0, 0.01]]))
+    with pytest.raises(DirectionNotAttained):
+        quartic.radial_value((1.0, -0.5))
