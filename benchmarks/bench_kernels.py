@@ -1,6 +1,6 @@
 """Time the hot kernels: enumeration, the pruned extremal-ratio reduction
-against a full scan, and the closed-form Gauss-map inversion against the
-generic bisection.
+against a full scan, the closed-form Gauss-map inversion against the
+generic bisection, and the action-table writers and readers.
 
 Run as:  python benchmarks/bench_kernels.py
 """
@@ -8,13 +8,15 @@ import time
 
 import numpy as np
 
-from ebk import LevelSurface, kernels, marked_action_spectrum, pnorm_profile
+from ebk import (ActionSpectrum, LevelSurface, kernels, marked_action_spectrum,
+                 pnorm_profile)
 from ebk.quantize import ARGEXT_TIE_TOL, lattice_grid
 
 K_MAX_ENUM = 1500
 K_MAX_INVERT = 1500
 K_MAX_RATIOS = 400   # with M_MAX_RATIOS: the spectrum-variational pnorm:4 run
 M_MAX_RATIOS = 64
+K_MAX_TABLE = 500    # the table-io workload's pnorm:3 table
 REPEAT = 3
 
 
@@ -77,10 +79,31 @@ def inversion_row() -> None:
     print(f"{name:52s} {t_closed:9.4f}s {t_bisect:9.4f}s {t_bisect / t_closed:7.1f}x")
 
 
+def table_row() -> None:
+    """to_json/to_csv and from_json/from_csv on a pnorm:3 table; the
+    re-read arrays must equal the written ones."""
+    spec = marked_action_spectrum(LevelSurface.from_profile(pnorm_profile(3.0)),
+                                  K_MAX_TABLE)
+    as_json, as_csv = spec.to_json(), spec.to_csv()
+    t_wjson = best_of(spec.to_json)
+    t_wcsv = best_of(spec.to_csv)
+    t_rjson = best_of(lambda: ActionSpectrum.from_json(as_json))
+    t_rcsv = best_of(lambda: ActionSpectrum.from_csv(as_csv, spec.orientation))
+    same = all(np.array_equal(getattr(back, attr), getattr(spec, attr))
+               for back in (ActionSpectrum.from_json(as_json),
+                            ActionSpectrum.from_csv(as_csv, spec.orientation))
+               for attr in ("directions", "actions", "points"))
+    name = f"action table(pnorm:3, {len(spec):,} rows)"
+    print(f"{'':52s} {'json':>10s} {'csv':>10s}")
+    print(f"{name + ' write':52s} {t_wjson:9.4f}s {t_wcsv:9.4f}s")
+    print(f"{name + ' read':52s} {t_rjson:9.4f}s {t_rcsv:9.4f}s  identical: {same}")
+
+
 def main() -> None:
     enumeration_row()
     ratios_row()
     inversion_row()
+    table_row()
 
 
 if __name__ == "__main__":

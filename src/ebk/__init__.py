@@ -53,6 +53,7 @@ from .errors import (
     InsufficientResolution,
     InvalidOrbitClass,
     NoQualifyingDirections,
+    NonFiniteEnergy,
     NonGraphical,
     NotAttained,
     RayMiss,

@@ -8,13 +8,12 @@ demand. Zero-action entries (k orthogonal to an axis endpoint) are dropped.
 """
 from __future__ import annotations
 
-import csv
 import io
 import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -146,68 +145,77 @@ class ActionSpectrum:
                               min(self.k_max, k_max), self.shift)
 
     # -- deterministic file formats --
+    # One %-template per row over Python scalars (.tolist()): %r prints a
+    # float as json.dumps does and %.17g as format(x, ".17g"), so the bytes
+    # are those of the json and csv modules.
 
     def to_csv(self) -> str:
         n = self.dimension
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow([f"k_{j+1}" for j in range(n)] + ["action"]
-                   + [f"p_{j+1}" for j in range(n)])
-        for k, a, p in zip(self.directions, self.actions, self.points):
-            w.writerow([int(x) for x in k] + [format(a, ".17g")]
-                       + [format(x, ".17g") for x in p])
-        return buf.getvalue()
-
-    def to_json_dict(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "orientation": self.orientation.value,
-            "k_max": self.k_max,
-            "shift": list(self.shift.values),
-            "entries": [
-                {"k": [int(x) for x in k], "action": float(a),
-                 "point": [float(x) for x in p]}
-                for k, a, p in zip(self.directions, self.actions, self.points)
-            ],
-        }
+        header = ",".join([f"k_{j+1}" for j in range(n)] + ["action"]
+                          + [f"p_{j+1}" for j in range(n)])
+        row = ",".join(["%d"] * n + ["%.17g"] * (n + 1)) + "\n"
+        return header + "\n" + "".join(
+            row % (*k, a, *p) for k, a, p in zip(self.directions.tolist(),
+                                                  self.actions.tolist(),
+                                                  self.points.tolist()))
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        head = json.dumps({"dimension": self.dimension, "entries": [],
+                           "orientation": self.orientation.value,
+                           "k_max": self.k_max, "shift": list(self.shift.values)},
+                          indent=2, sort_keys=True) + "\n"
+        if len(self) == 0:
+            return head
+        ints = ",\n".join(["        %d"] * self.dimension)
+        floats = ",\n".join(["        %r"] * self.dimension)
+        row = (f'    {{\n      "action": %r,\n      "k": [\n{ints}\n      ],\n'
+               f'      "point": [\n{floats}\n      ]\n    }}')
+        entries = ",\n".join(
+            row % (a, *k, *p) for k, a, p in zip(self.directions.tolist(),
+                                                  self.actions.tolist(),
+                                                  self.points.tolist()))
+        return head.replace('"entries": []', f'"entries": [\n{entries}\n  ]', 1)
 
     @classmethod
     def from_csv(cls, text: str, orientation: Orientation | str,
                  k_max: int = 0, shift: Optional[MaslovShift] = None) -> "ActionSpectrum":
-        rows = list(csv.reader(io.StringIO(text)))
-        if not rows:
-            raise ConfigError("empty actions CSV")
-        header = rows[0]
-        n = sum(1 for h in header if h.startswith("k_"))
-        if n < 1 or header[:n] != [f"k_{j+1}" for j in range(n)] \
-                or header[n] != "action":
+        header, _, body = text.partition("\n")
+        n = header.count("k_")
+        if n < 1 or header.split(",") != ([f"k_{j+1}" for j in range(n)] + ["action"]
+                                          + [f"p_{j+1}" for j in range(n)]):
             raise ConfigError("unrecognized actions CSV header")
-        K, A, P = [], [], []
-        for row in rows[1:]:
-            if not row:
-                continue
-            K.append([int(x) for x in row[:n]])
-            A.append(float(row[n]))
-            P.append([float(x) for x in row[n + 1:2 * n + 1]])
-        K = np.asarray(K, dtype=np.int64).reshape(len(A), n)
-        inferred = int(K.max()) if len(A) else 0
-        return cls(K, np.asarray(A), np.asarray(P).reshape(len(A), n),
-                   orientation, k_max or inferred,
-                   shift or MaslovShift.zero(n))
+        try:
+            table = (np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2, comments=None)
+                     if body.strip() else np.empty((0, 2 * n + 1)))
+        except ValueError as exc:
+            raise ConfigError(f"malformed actions CSV: {exc}") from exc
+        if table.shape[1] != 2 * n + 1:
+            raise ConfigError(f"actions CSV rows need {2 * n + 1} columns")
+        K = _integer_directions(table[:, :n])
+        return cls(K, table[:, n], table[:, n + 1:], orientation,
+                   k_max or (int(K.max()) if len(K) else 0), shift or MaslovShift.zero(n))
 
     @classmethod
     def from_json(cls, text: str) -> "ActionSpectrum":
-        doc = json.loads(text)
-        n = int(doc["dimension"])
-        entries = doc["entries"]
-        K = np.asarray([e["k"] for e in entries], dtype=np.int64).reshape(len(entries), n)
-        A = np.asarray([e["action"] for e in entries], dtype=float)
-        P = np.asarray([e["point"] for e in entries], dtype=float).reshape(len(entries), n)
-        return cls(K, A, P, doc["orientation"], int(doc["k_max"]),
-                   MaslovShift(values=tuple(float(v) for v in doc["shift"])))
+        try:   # json.JSONDecodeError is a ValueError
+            doc = json.loads(text)
+            n, entries = int(doc["dimension"]), doc["entries"]
+            K = np.asarray([e["k"] for e in entries], dtype=float).reshape(len(entries), n)
+            A = np.asarray([e["action"] for e in entries], dtype=float)
+            P = np.asarray([e["point"] for e in entries], dtype=float).reshape(len(entries), n)
+            rest = (Orientation(doc["orientation"]), int(doc["k_max"]),
+                    MaslovShift(values=tuple(float(v) for v in doc["shift"])))
+        except (ValueError, TypeError, KeyError) as exc:
+            raise ConfigError(f"malformed actions JSON: {exc!r}") from exc
+        return cls(_integer_directions(K), A, P, *rest)
+
+
+def _integer_directions(columns: np.ndarray) -> np.ndarray:
+    """k columns read as floats, checked to hold exact integers (below 2**53,
+    where a float still pins one)."""
+    if not np.all((np.abs(columns) <= 2.0 ** 53) & (columns == np.trunc(columns))):
+        raise ConfigError("k columns must be finite integers")
+    return columns.astype(np.int64)
 
 
 def marked_action_spectrum(surface: LevelSurface, k_max: int,

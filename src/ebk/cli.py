@@ -8,8 +8,6 @@ Identical configurations produce byte-identical output files.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from typing import Optional
@@ -28,10 +26,6 @@ from .quantize import (
     variational_spectrum,
 )
 from .surfaces import DEFAULT_RESOLUTION
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _parse_shift(text: Optional[str]):
@@ -137,17 +131,13 @@ def cmd_legendre_dual(args) -> int:
     params = np.linspace(dual.param_lo, dual.param_hi, args.samples)
     points = dual.point(params)
     if args.format == "json":
-        doc = {"profile": spec.name,
-               "params": [float(t) for t in params],
-               "points": [[float(x) for x in row] for row in points]}
+        doc = {"profile": spec.name, "params": params.tolist(),
+               "points": points.tolist()}
         _write(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     else:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["param", "x_1", "x_2"])
-        for t, row in zip(params, points):
-            w.writerow([_fmt(t)] + [_fmt(x) for x in row])
-        _write(args.out, buf.getvalue())
+        rows = np.column_stack([params, points]).tolist()
+        _write(args.out, "param,x_1,x_2\n"
+               + "".join("%.17g,%.17g,%.17g\n" % tuple(row) for row in rows))
     return 0
 
 
@@ -161,12 +151,8 @@ def cmd_billiard_solve(args) -> int:
                "radius": level.radius, "hbar": level.hbar}
         _write(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     else:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["m", "n", "F", "E", "residual"])
-        w.writerow([level.m, _fmt(level.n), _fmt(level.momentum),
-                    _fmt(level.energy), _fmt(level.residual)])
-        _write(args.out, buf.getvalue())
+        _write(args.out, "m,n,F,E,residual\n%d,%.17g,%.17g,%.17g,%.17g\n" % (
+            level.m, level.n, level.momentum, level.energy, level.residual))
     return 0
 
 
@@ -176,19 +162,16 @@ def cmd_billiard_crosscheck(args) -> int:
     doc = report.to_json_dict()
     if args.format == "csv":
         keys = sorted(doc)
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(keys)
 
         def cell(v):
             if isinstance(v, float):
-                return _fmt(v)
+                return "%.17g" % v
             if isinstance(v, (list, tuple)):
                 return ";".join(cell(x) for x in v)
-            return v
+            return str(v)
 
-        w.writerow([cell(doc[k]) for k in keys])
-        _write(args.out, buf.getvalue())
+        _write(args.out, ",".join(keys) + "\n"
+               + ",".join(cell(doc[k]) for k in keys) + "\n")
     else:
         _write(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0
@@ -210,13 +193,9 @@ def cmd_minmax_certify(args) -> int:
                             "multiple": r.multiple} for r in cert.records]}
         _write(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     else:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["ell", "value", "direction", "multiple"])
-        for r in cert.records:
-            w.writerow([r.ell, _fmt(r.value),
-                        ";".join(str(k) for k in r.direction), r.multiple])
-        _write(args.out, buf.getvalue())
+        _write(args.out, "ell,value,direction,multiple\n" + "".join(
+            "%d,%.17g,%s,%d\n" % (r.ell, r.value, ";".join(map(str, r.direction)),
+                                   r.multiple) for r in cert.records))
     return 0
 
 

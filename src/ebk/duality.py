@@ -4,12 +4,10 @@ reconstructing a level surface from the point cloud {k / a(k)}.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import (
     ConfigError,
@@ -48,6 +46,8 @@ class PointCloud:
         if not np.all(np.isfinite(pts)):
             raise ConfigError("point cloud contains non-finite coordinates")
         if len(pts) > 1:
+            from scipy.spatial import cKDTree
+
             tree = cKDTree(pts)
             dupes = tree.query_pairs(CLOUD_DEDUP_TOL, output_type="ndarray")
             if len(dupes):
@@ -217,7 +217,7 @@ def hypersurface_transform(surface: LevelSurface,
         params = np.asarray(at_params, dtype=float)
         pts = surface.point(params)
         nrm = surface.normal(params)
-        curv = np.asarray([surface.curvature(t) for t in params])
+        curv = surface.curvature(params)
     else:
         samp = surface.samples
         params, pts, nrm, curv = samp.params, samp.points, samp.normals, samp.curvature
@@ -331,6 +331,8 @@ def reconstruct_surface(cloud: PointCloud,
 def hausdorff_distance(a: LevelSurface, b: LevelSurface,
                        resolution: int = DEFAULT_RESOLUTION) -> float:
     """Symmetric Hausdorff distance between dense samplings of two surfaces."""
+    from scipy.spatial import cKDTree
+
     pa = a.point(np.linspace(a.param_lo, a.param_hi, resolution))
     pb = b.point(np.linspace(b.param_lo, b.param_hi, resolution))
     d_ab = cKDTree(pb).query(pa)[0].max()

@@ -43,6 +43,10 @@ class UnsupportedSurface(EbkError):
     with disagreeing actions on a non-convex curve)."""
 
 
+class NonFiniteEnergy(EbkError):
+    """A computed energy is inf or nan, as when hbar (m + mu) overflows."""
+
+
 class EmptySpectrum(EbkError):
     """No marked-action entries available to extremize over."""
 

@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import kernels
-from .actions import ActionSpectrum, MarkedActionEntry, MaslovShift, as_shift
+from .actions import ActionSpectrum, MaslovShift, as_shift
 from .duality import PointCloud, ReconstructionResult, reconstruct_surface
 from .errors import (
     ConfigError,
@@ -27,6 +27,7 @@ from .errors import (
     DomainError,
     EmptySpectrum,
     NoQualifyingDirections,
+    NonFiniteEnergy,
     RayMiss,
     UnsupportedSurface,
 )
@@ -59,6 +60,11 @@ class EbkSpectrum:
     argext: Optional[np.ndarray] = None       # (M, n) extremal directions
     truncation: Optional[np.ndarray] = None   # (M,) error estimates, NaN if n/a
 
+    def __post_init__(self):
+        if not np.isfinite(self.energies).all():
+            raise NonFiniteEnergy(f"{self.route} energies are not finite at "
+                                  f"hbar {self.hbar:g}")
+
     def __len__(self) -> int:
         return len(self.energies)
 
@@ -86,7 +92,7 @@ class EbkSpectrum:
                        + [format(float(self.energies[i]), ".17g"), arg, est])
         return buf.getvalue()
 
-    def to_json_dict(self) -> dict:
+    def to_json(self) -> str:
         entries = []
         for i, m in enumerate(self.m_grid):
             row = {"m": [int(x) for x in m], "E": float(self.energies[i])}
@@ -97,18 +103,18 @@ class EbkSpectrum:
                 est = float(self.truncation[i])
             row["truncation_error_estimate"] = est
             entries.append(row)
-        return {"route": self.route, "dimension": self.dimension,
-                "degree": self.degree, "hbar": self.hbar,
-                "shift": list(self.shift.values), "entries": entries}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        doc = {"route": self.route, "dimension": self.dimension,
+               "degree": self.degree, "hbar": self.hbar,
+               "shift": list(self.shift.values), "entries": entries}
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _weights(m_grid: np.ndarray, mu: MaslovShift, hbar: float) -> np.ndarray:
     if not 0 < hbar < math.inf:
         raise ConfigError("hbar must be finite and > 0")
     W = hbar * (m_grid.astype(float) + mu.as_array())
+    if not np.isfinite(W).all():
+        raise NonFiniteEnergy(f"hbar (m + mu) overflows at hbar {hbar:g}")
     if np.any(W < 0):
         raise DomainError("hbar (m + mu) leaves the nonnegative orthant")
     return W

@@ -20,10 +20,9 @@ import functools
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import kernels
 from .errors import (
@@ -197,7 +196,6 @@ class LevelSurface:
 
     @classmethod
     def from_points(cls, points: np.ndarray,
-                    orientation: Orientation | str | None = None,
                     resolution: int = DEFAULT_RESOLUTION) -> "LevelSurface":
         """Interpolating polar cubic fit through scattered curve points.
 
@@ -206,6 +204,8 @@ class LevelSurface:
         attained at an axis point, where the curve meets the axis at a right
         angle, so the clamp reproduces the true boundary behavior.
         """
+        from scipy.interpolate import CubicSpline
+
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise ConfigError("from_points expects an (N, 2) array")
@@ -256,8 +256,8 @@ class LevelSurface:
             return np.stack([nx / nrm, ny / nrm], axis=-1)
 
         return cls(2, point_fn, float(phi[0]), float(phi[-1]),
-                   normal_fn=normal_fn, orientation=orientation,
-                   resolution=resolution, knots=phi.copy())
+                   normal_fn=normal_fn, resolution=resolution,
+                   knots=phi.copy())
 
     # -- evaluation --
 

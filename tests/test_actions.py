@@ -1,3 +1,6 @@
+import csv
+import io
+import json
 import math
 
 import numpy as np
@@ -152,6 +155,137 @@ def test_json_roundtrip(circle_actions):
     assert np.array_equal(back.actions, circle_actions.actions)
     assert back.orientation is circle_actions.orientation
     assert back.shift.values == circle_actions.shift.values
+
+
+
+# --- file formats against the json/csv module writers they replaced ---
+
+def _old_to_csv(spec):
+    n = spec.dimension
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow([f"k_{j+1}" for j in range(n)] + ["action"]
+               + [f"p_{j+1}" for j in range(n)])
+    for k, a, p in zip(spec.directions, spec.actions, spec.points):
+        w.writerow([int(x) for x in k] + [format(a, ".17g")]
+                   + [format(x, ".17g") for x in p])
+    return buf.getvalue()
+
+
+def _old_to_json(spec):
+    doc = {
+        "dimension": spec.dimension,
+        "orientation": spec.orientation.value,
+        "k_max": spec.k_max,
+        "shift": list(spec.shift.values),
+        "entries": [
+            {"k": [int(x) for x in k], "action": float(a),
+             "point": [float(x) for x in p]}
+            for k, a, p in zip(spec.directions, spec.actions, spec.points)
+        ],
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _old_from_csv(text, orientation):
+    rows = list(csv.reader(io.StringIO(text)))
+    n = sum(1 for h in rows[0] if h.startswith("k_"))
+    K, A, P = [], [], []
+    for row in rows[1:]:
+        if not row:
+            continue
+        K.append([int(x) for x in row[:n]])
+        A.append(float(row[n]))
+        P.append([float(x) for x in row[n + 1:2 * n + 1]])
+    K = np.asarray(K, dtype=np.int64).reshape(len(A), n)
+    return ActionSpectrum(K, np.asarray(A), np.asarray(P).reshape(len(A), n),
+                          orientation, int(K.max()) if len(A) else 0,
+                          MaslovShift.zero(n))
+
+
+def _table(name):
+    if name == "pnorm:3":
+        return marked_action_spectrum(LevelSurface.from_profile(pnorm_profile(3.0)), 60)
+    if name == "ramos":
+        return marked_action_spectrum(RamosCurve(), 40)
+    if name == "shifted":
+        return marked_action_spectrum(LevelSurface.from_profile(pnorm_profile(3.0)),
+                                      30, shift=(0.5, 0.25))
+    if name == "pnorm:3-3d":
+        return marked_action_spectrum(
+            LevelSurface.from_profile(pnorm_profile(3.0, dimension=3)), 8)
+    empty = np.zeros((0, 2))
+    return ActionSpectrum(empty.astype(np.int64), np.zeros(0), empty,
+                          Orientation.CONVEX, 5, MaslovShift.zero(2))
+
+
+TABLES = ["pnorm:3", "ramos", "shifted", "pnorm:3-3d", "empty"]
+
+
+@pytest.mark.parametrize("name", TABLES)
+def test_writers_match_json_and_csv_modules(name):
+    spec = _table(name)
+    assert spec.to_json() == _old_to_json(spec)
+    assert spec.to_csv() == _old_to_csv(spec)
+
+
+@pytest.mark.parametrize("name", TABLES)
+def test_csv_reader_matches_row_loop(name):
+    spec = _table(name)
+    text = spec.to_csv()
+    new = ActionSpectrum.from_csv(text, orientation=spec.orientation)
+    old = _old_from_csv(text, spec.orientation)
+    assert new.directions.dtype == old.directions.dtype
+    for attr in ("directions", "actions", "points"):
+        assert np.array_equal(getattr(new, attr), getattr(old, attr))
+    assert new.k_max == old.k_max
+
+
+@pytest.mark.parametrize("name", TABLES)
+def test_json_roundtrip_is_exact(name):
+    spec = _table(name)
+    back = ActionSpectrum.from_json(spec.to_json())
+    for attr in ("directions", "actions", "points"):
+        assert np.array_equal(getattr(back, attr), getattr(spec, attr))
+    assert (back.orientation, back.k_max, back.shift) == \
+        (spec.orientation, spec.k_max, spec.shift)
+
+
+def test_empty_table_json_keeps_an_empty_entry_list():
+    assert '"entries": [],' in _table("empty").to_json()
+
+
+@pytest.mark.parametrize("text", [
+    "k_1,k_2,action,p_1,p_2\n1.5,0,1,1,0\n",
+    "k_1,k_2,action,p_1,p_2\ninf,0,1,1,0\n",
+    "k_1,k_2,action,p_1,p_2\nnan,0,1,1,0\n",
+    "k_1,k_2,action,p_1,p_2\n1,0,1,1,0\n1,1,1\n",
+    "k_1,k_2,action,p_1,p_2\n1,0,1,1\n",
+    "k_1,k_2,action,p_1,p_2\n1,0,x,1,0\n",
+    "k_1,k_2,action,p_1\n1,0,1,1\n",
+    "",
+], ids=["fractional-k", "inf-k", "nan-k", "short-row", "short-rows",
+        "unparsable", "short-header", "empty"])
+def test_malformed_csv_is_a_config_error(text):
+    with pytest.raises(ConfigError):
+        ActionSpectrum.from_csv(text, orientation=Orientation.CONVEX)
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda text: text[:len(text) // 2],
+    lambda text: text.replace('"k_max"', '"kmax"'),
+    lambda text: text.replace('"orientation": "convex"', '"orientation": "round"'),
+    lambda text: text.replace('"k": [\n        1,', '"k": [\n        1.5,', 1),
+    lambda text: text.replace('"k": [\n        1,', '"k": [', 1),
+    lambda text: "[]",
+], ids=["truncated", "missing-key", "bad-orientation", "fractional-k",
+        "short-k", "not-an-object"])
+def test_malformed_json_is_a_config_error(mutate):
+    text = _table("pnorm:3").to_json()
+    bad = mutate(text)
+    assert bad != text
+    with pytest.raises(ConfigError):
+        ActionSpectrum.from_json(bad)
 
 
 # --- Maslov shift plumbing ---

@@ -1,10 +1,16 @@
+import csv
+import io
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ebk
 from ebk.cli import main
 
 
@@ -86,6 +92,27 @@ def test_legendre_dual_sample_count(tmp_path):
     t, x, y = (float(tok) for tok in lines[17].split(","))
     # the round profile is self-dual, so samples sit on the unit circle
     assert math.hypot(x, y) == pytest.approx(1.0, abs=1e-6)
+
+
+
+@pytest.mark.parametrize("argv", [
+    ["billiard-solve", "--m", "2", "--n", "1", "--maslov"],
+    ["billiard-crosscheck", "--m1", "1", "--m2", "2", "--k-max", "100",
+     "--shift", "0.75", "--format", "csv"],
+    ["minmax-certify", "--profile", "pnorm:4", "--k-max", "30", "--energy", "1.2",
+     "--m", "2,1", "--ell-max", "7"],
+    ["legendre-dual", "--profile", "pnorm:3", "--samples", "40"],
+], ids=["solve", "crosscheck", "certify", "dual"])
+def test_cli_csv_is_what_csv_writer_prints(tmp_path, argv):
+    # every cell needs no quoting, and a float cell is its own %.17g
+    text = run_to_file(tmp_path, "out.csv", argv).decode()
+    rows = list(csv.reader(io.StringIO(text)))
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    assert buf.getvalue() == text and len(rows) >= 2
+    for cell in (c for row in rows[1:] for field in row for c in field.split(";")):
+        if not cell.lstrip("-").isdigit():
+            assert format(float(cell), ".17g") == cell
 
 
 def test_reconstruct_writes_report(tmp_path):
@@ -291,6 +318,59 @@ def test_minmax_on_concave_surface_fails_numerically(capsys):
                "--energy", "5.0", "--m", "1,1"])
     assert rc == 3
     assert capsys.readouterr().err.startswith("numerical failure:")
+
+
+
+_TABLE_HEADER = "k_1,k_2,action,p_1,p_2\n1,0,1,1,0\n"
+
+
+@pytest.mark.parametrize("name,text", [
+    ("acts.csv", _TABLE_HEADER + "1.5,1,1,0.5,0.5\n"),
+    ("acts.csv", _TABLE_HEADER + "inf,1,1,0.5,0.5\n"),
+    ("acts.csv", _TABLE_HEADER + "1,1,1,0.5\n"),
+    ("acts.csv", _TABLE_HEADER + "1,1,1,0.5,0.5,7\n"),
+    ("acts.csv", _TABLE_HEADER + "1,1,one,0.5,0.5\n"),
+    ("acts.json", '{"dimension": 2, "entries": [{"k": [1, 0], "act'),
+    ("acts.json", '{"dimension": 2, "orientation": "convex", "k_max": 1, '
+                  '"entries": [{"k": [1, 0], "action": 1.0, "point": [1.0, 0.0]}]}'),
+    ("acts.json", '{"dimension": 2, "orientation": "convex", "k_max": 1, '
+                  '"shift": [0.0, 0.0], '
+                  '"entries": [{"k": [1.5, 0], "action": 1.0, "point": [1.0, 0.0]}]}'),
+], ids=["fractional-k", "infinite-k", "short-row", "long-row", "unparsable",
+        "truncated-json", "missing-key", "fractional-json-k"])
+def test_malformed_action_table_is_a_config_error(tmp_path, capsys, name, text):
+    acts = tmp_path / name
+    acts.write_text(text)
+    _assert_config_error(["spectrum-variational", "--actions", str(acts),
+                          "--orientation", "convex", "--m-max", "2"], capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum-direct", "--m-max", "1"],
+    ["spectrum-variational", "--k-max", "20", "--m-max", "1"],
+    ["spectrum-reconstruct", "--k-max", "40", "--m-max", "2"],
+], ids=["direct", "variational", "reconstruct"])
+def test_overflowing_spectrum_is_a_numerical_failure(capsys, argv):
+    # hbar (m + mu) or the energies leave the float range: no inf in output
+    rc = main(argv + ["--profile", "pnorm:4", "--hbar", "1e308"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.err.startswith("numerical failure:")
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_spectrum_runs_never_load_scipy(tmp_path):
+    # scipy serves only the spline fit and the cloud's nearest neighbours
+    script = ("import sys, ebk.cli\n"
+              "rc = ebk.cli.main(['spectrum-variational', '--profile', 'pnorm:4',\n"
+              "                   '--k-max', '20', '--m-max', '3', '--out', sys.argv[1]])\n"
+              "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(ebk.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "var.csv")],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 []"
+    assert (tmp_path / "var.csv").read_text().startswith("m_1,m_2,E_m")
 
 
 # --- installed entry point ---

@@ -257,3 +257,25 @@ def test_from_points_rejects_nongraphical():
     pts.append((2.0 * np.cos(0.1), 2.0 * np.sin(0.1)))
     with pytest.raises(NonGraphical):
         LevelSurface.from_points(np.array(pts))
+
+
+def test_transform_at_knots_matches_per_knot_curvature(monkeypatch):
+    # the reconstruction's fit on the pnorm:4 cloud at k_max 200 (24k knots);
+    # the reference evaluates the curvature one knot at a time, as the
+    # transform used to
+    acts = marked_action_spectrum(LevelSurface.from_profile(pnorm_profile(4.0)), 200)
+    fit = LevelSurface.from_points(PointCloud.from_actions(acts).points)
+    new = hypersurface_transform(fit, at_params=fit.knots)
+    scalar, per_knot = LevelSurface.curvature, []
+
+    def curvature_loop(params):
+        per_knot.append(np.asarray([scalar(fit, t) for t in params]))
+        return per_knot[-1]
+
+    monkeypatch.setattr(fit, "curvature", curvature_loop)
+    old = hypersurface_transform(fit, at_params=fit.knots)
+    assert np.array_equal(scalar(fit, fit.knots), per_knot[0])
+    assert len(new.knots) > 20000
+    assert np.array_equal(new.knots, old.knots)
+    assert np.array_equal(new.point(new.knots), old.point(old.knots))
+    assert (new.param_lo, new.param_hi) == (old.param_lo, old.param_hi)

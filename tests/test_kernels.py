@@ -251,10 +251,12 @@ def test_bench_kernels_rows_run(monkeypatch, capsys):
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
     for name, value in (("K_MAX_ENUM", 20), ("K_MAX_INVERT", 20),
-                        ("K_MAX_RATIOS", 30), ("M_MAX_RATIOS", 8)):
+                        ("K_MAX_RATIOS", 30), ("M_MAX_RATIOS", 8),
+                        ("K_MAX_TABLE", 20)):
         monkeypatch.setattr(bench, name, value)
     bench.main()
     out = capsys.readouterr().out
     assert "primitive_directions(2, 20)" in out
     assert "identical: True" in out
     assert "inversion(pnorm:4" in out
+    assert "action table(pnorm:3" in out and "identical: False" not in out
