@@ -1,15 +1,19 @@
 """Time the hot kernels: enumeration, the pruned extremal-ratio reduction
 against a full scan, the closed-form Gauss-map inversion against the
-generic bisection, and the action-table writers and readers.
+generic bisection, and the action table's build, writers and readers.
+The enumeration and action-table rows also give the tracemalloc peak of
+one call (Python allocations, numpy buffers included).
 
 Run as:  python benchmarks/bench_kernels.py
 """
+import functools
 import time
+import tracemalloc
 
 import numpy as np
 
-from ebk import (ActionSpectrum, LevelSurface, kernels, marked_action_spectrum,
-                 pnorm_profile)
+from ebk import (ActionSpectrum, LevelSurface, RamosCurve, kernels,
+                 marked_action_spectrum, pnorm_profile)
 from ebk.quantize import ARGEXT_TIE_TOL, lattice_grid
 
 K_MAX_ENUM = 1500
@@ -17,6 +21,7 @@ K_MAX_INVERT = 1500
 K_MAX_RATIOS = 400   # with M_MAX_RATIOS: the spectrum-variational pnorm:4 run
 M_MAX_RATIOS = 64
 K_MAX_TABLE = 500    # the table-io workload's pnorm:3 table
+K_MAX_BUILD = 2000   # the billiard workload's disk table, 2.43M directions
 REPEAT = 3
 
 
@@ -27,6 +32,16 @@ def best_of(fn, repeat=REPEAT):
         fn()
         times.append(time.perf_counter() - t0)
     return min(times)
+
+
+def peak_mb(fn) -> float:
+    """tracemalloc peak of one call, in MB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 def full_scan(K, a, W, use_max, tie_tol):
@@ -46,8 +61,11 @@ def full_scan(K, a, W, use_max, tie_tol):
 
 
 def enumeration_row() -> None:
-    t = best_of(lambda: kernels.primitive_directions(2, K_MAX_ENUM))
-    print(f"{f'primitive_directions(2, {K_MAX_ENUM})':52s} {t:9.4f}s")
+    run = functools.partial(kernels.primitive_directions, 2, K_MAX_ENUM)
+    t = best_of(run)
+    print(f"{'':52s} {'time':>10s} {'peak':>10s}")
+    print(f"{f'primitive_directions(2, {K_MAX_ENUM})':52s} {t:9.4f}s"
+          f" {peak_mb(run):7.1f} MB")
 
 
 def ratios_row() -> None:
@@ -79,6 +97,19 @@ def inversion_row() -> None:
     print(f"{name:52s} {t_closed:9.4f}s {t_bisect:9.4f}s {t_bisect / t_closed:7.1f}x")
 
 
+def build_row() -> None:
+    """marked_action_spectrum on the billiard crosscheck's disk table and on
+    the table-io workload's pnorm:3 table."""
+    print(f"{'':52s} {'time':>10s} {'peak':>10s}")
+    for name, surface, k_max in (
+            ("ramos", RamosCurve(), K_MAX_BUILD),
+            ("pnorm:3", LevelSurface.from_profile(pnorm_profile(3.0)), K_MAX_TABLE)):
+        run = functools.partial(marked_action_spectrum, surface, k_max)
+        t = best_of(run)
+        label = f"action table({name}, {len(run()):,} rows) build"
+        print(f"{label:52s} {t:9.4f}s {peak_mb(run):7.1f} MB")
+
+
 def table_row() -> None:
     """to_json/to_csv and from_json/from_csv on a pnorm:3 table; the
     re-read arrays must equal the written ones."""
@@ -103,6 +134,7 @@ def main() -> None:
     enumeration_row()
     ratios_row()
     inversion_row()
+    build_row()
     table_row()
 
 

@@ -29,6 +29,7 @@ from .surfaces import LevelSurface, Orientation, NORMAL_RESIDUAL_TOL
 
 ZERO_ACTION_TOL = 1e-12   # |a| <= tol * |k| counts as a dropped zero entry
 FLAT_ACTION_TOL = 1e-9    # agreement required across multivalued components
+CHUNK_ROWS = 1 << 16      # directions inverted per step of the action table
 
 
 @dataclass(frozen=True)
@@ -128,7 +129,11 @@ class ActionSpectrum:
 
     @cached_property
     def sup_norms(self) -> np.ndarray:
-        return self.directions.max(axis=1)
+        # columnwise: a row-wise max over few columns is far slower
+        out = self.directions[:, 0].copy()
+        for col in self.directions.T[1:]:
+            np.maximum(out, col, out=out)
+        return out
 
     @cached_property
     def entries(self) -> tuple[MarkedActionEntry, ...]:
@@ -218,16 +223,26 @@ def _integer_directions(columns: np.ndarray) -> np.ndarray:
     return columns.astype(np.int64)
 
 
+def _kept_actions(K: np.ndarray, pts: np.ndarray, mu: MaslovShift):
+    """Actions <p + mu, k> per row and the mask of rows whose action is not
+    a dropped zero (rows with nan points are not kept either)."""
+    Kf = K.astype(float)
+    acts = np.einsum("ij,ij->i", pts + mu.as_array(), Kf)
+    keep = np.abs(acts) > ZERO_ACTION_TOL * np.linalg.norm(Kf, axis=1)
+    return acts, keep
+
+
 def marked_action_spectrum(surface: LevelSurface, k_max: int,
                            shift=None) -> ActionSpectrum:
     """Enumerate primitive directions with ||k||_inf <= k_max and their actions.
 
     Directions outside the surface's normal cone are skipped silently; on
     strictly convex/concave surfaces the inversion is vectorized (closed
-    form for the builtin families, a monotone bisection otherwise), on
-    general surfaces a per-direction scan that must produce a single
-    consistent action (flat facets qualify, genuinely multivalued surfaces
-    do not).
+    form for the builtin families, a monotone bisection otherwise) and runs
+    CHUNK_ROWS directions at a time, the kept rows compacted in place, so
+    the working set beyond the table itself is one chunk; on general
+    surfaces a per-direction scan that must produce a single consistent
+    action (flat facets qualify, genuinely multivalued surfaces do not).
     """
     if k_max < 1:
         raise ConfigError("k_max must be >= 1")
@@ -236,14 +251,24 @@ def marked_action_spectrum(surface: LevelSurface, k_max: int,
     K = kernels.primitive_directions(dim, k_max)
 
     if surface.orientation in (Orientation.CONVEX, Orientation.CONCAVE):
-        pts, res, attained = surface.invert_normal_many(K)[1:]
-        bad = attained & ~(res <= NORMAL_RESIDUAL_TOL)
-        if np.any(bad):
-            raise ConvergenceFailure(
-                f"{int(bad.sum())} directions failed the inversion residual")
-        if not attained.all():
-            K = K[attained]
-            pts = pts[attained]
+        pts = np.empty(K.shape)
+        acts = np.empty(len(K))
+        kept = failed = 0
+        for lo in range(0, len(K), CHUNK_ROWS):
+            Kc = K[lo:lo + CHUNK_ROWS]
+            pc, res, attained = surface.invert_normal_many(Kc)[1:]
+            failed += int(np.count_nonzero(attained & ~(res <= NORMAL_RESIDUAL_TOL)))
+            ac, keep = _kept_actions(Kc, pc, mu)
+            keep &= attained
+            stop = kept + int(np.count_nonzero(keep))
+            # kept <= lo: the rows written were all read already
+            K[kept:stop] = Kc[keep]
+            pts[kept:stop] = pc[keep]
+            acts[kept:stop] = ac[keep]
+            kept = stop
+        if failed:
+            raise ConvergenceFailure(f"{failed} directions failed the inversion residual")
+        K, pts, acts = K[:kept], pts[:kept], acts[:kept]
     else:
         rows, ppts = [], []
         for row in K:
@@ -262,13 +287,10 @@ def marked_action_spectrum(surface: LevelSurface, k_max: int,
             ppts.append(inv.point)
         K = np.asarray(rows, dtype=np.int64).reshape(len(rows), dim)
         pts = np.asarray(ppts, dtype=float).reshape(len(rows), dim)
+        acts, keep = _kept_actions(K, pts, mu)
+        K, pts, acts = K[keep], pts[keep], acts[keep]
 
-    Kf = K.astype(float)
-    acts = np.einsum("ij,ij->i", pts + mu.as_array(), Kf)
-    keep = np.abs(acts) > ZERO_ACTION_TOL * np.linalg.norm(Kf, axis=1)
-    del Kf
-    return ActionSpectrum(K[keep], acts[keep], pts[keep],
-                          surface.orientation, k_max, mu)
+    return ActionSpectrum(K, acts, pts, surface.orientation, k_max, mu)
 
 
 def billiard_orbit_action(energy: float, radius: float, k: int, ell: int) -> float:

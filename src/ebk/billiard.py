@@ -15,9 +15,9 @@ import numpy as np
 
 from . import kernels
 from .actions import ActionSpectrum, MaslovShift, as_shift, marked_action_spectrum
-from .errors import ConfigError, ConvergenceFailure, DomainError
+from .errors import ConfigError, ConvergenceFailure, DomainError, NonFiniteEnergy
 from .profiles import ToricProfile
-from .quantize import truncation_estimate
+from .quantize import lattice_weights, truncation_estimate
 from .surfaces import DEFAULT_RESOLUTION, LevelSurface, Orientation
 
 # Maslov pair for the disk: 0 on the angular loop, 3/4 on the radial one,
@@ -105,12 +105,20 @@ def solve_momentum(m: int, n: float, tol: float = PHASE_SOLVE_TOL,
 
 def energy_from_momentum(momentum: float, radius: float = 1.0,
                          hbar: float = 1.0) -> float:
-    """E = (hbar F)^2 / (2 R^2)."""
+    """E = (hbar F)^2 / (2 R^2); NonFiniteEnergy when it leaves the float
+    range."""
     if not (0 < radius < math.inf and 0 < hbar < math.inf):
         raise ConfigError("radius and hbar must be finite and > 0")
     if momentum < 0:
         raise ConfigError("momentum must be >= 0")
-    return (hbar * momentum) ** 2 / (2.0 * radius * radius)
+    try:
+        energy = (hbar * momentum) ** 2 / (2.0 * radius * radius)
+    except (OverflowError, ZeroDivisionError):
+        energy = math.inf
+    if not math.isfinite(energy):
+        raise NonFiniteEnergy(f"billiard energy is not finite at hbar {hbar:g}, "
+                              f"radius {radius:g}")
+    return energy
 
 
 @dataclass(frozen=True)
@@ -272,6 +280,10 @@ def crosscheck_disk(m1: int, m2: int, k_max: int = 2000, shift=None,
     mu = as_shift(shift, 2)
     if mu.values[0] != mu.values[1]:
         raise ConfigError("crosscheck requires a uniform shift")
+    # the reference first: it rejects m1 + mu < 0 as bad input, which the
+    # weight check would report as a domain error
+    reference = BilliardLevel.solve(m2 - m1, m1 + mu.values[0], hbar=hbar)
+    w = lattice_weights(np.array([[m1, m2]]), mu, hbar)[0]
 
     if actions is None:
         actions = marked_action_spectrum(RamosCurve(), k_max)
@@ -281,8 +293,6 @@ def crosscheck_disk(m1: int, m2: int, k_max: int = 2000, shift=None,
         if not actions.shift.is_zero:
             raise ConfigError("crosscheck needs unshifted action entries")
         k_max = actions.k_max
-
-    w = hbar * (np.array([m1, m2], dtype=float) + mu.as_array())
 
     def inf_value(spec: ActionSpectrum) -> float:
         vals, _ = kernels.extremal_ratios(spec.directions, spec.actions,
@@ -295,7 +305,6 @@ def crosscheck_disk(m1: int, m2: int, k_max: int = 2000, shift=None,
     estimate = float(truncation_estimate(levels[:1], levels[1:2], levels[2:])[0])
 
     momentum_toric = math.pi * energy / hbar
-    reference = BilliardLevel.solve(m2 - m1, m1 + mu.values[0], hbar=hbar)
     return CrosscheckReport(
         m1=m1, m2=m2, shift=mu, hbar=hbar, k_max=k_max, toric_energy=energy,
         momentum_toric=momentum_toric,

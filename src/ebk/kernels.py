@@ -20,7 +20,9 @@ import numpy as np
 
 # Bisection runs a fixed schedule: the parameter interval halves each step,
 # so 80 steps push the interval to ~1e-24 of its span, far below float
-# resolution; the residual check happens at the call site.
+# resolution; the residual check happens at the call site. Every target
+# takes every step, so its result does not depend on the other targets of
+# the call (the action table inverts its directions in chunks).
 BISECT_ITERS = 80
 
 # Pruned ratio reduction: entries sorted by angle, cut into blocks of
@@ -38,29 +40,36 @@ SCALE_CAP = 1e290      # |K| |w| and |K / a| |w| below this cannot overflow
 
 def primitive_directions(dimension: int, k_max: int) -> np.ndarray:
     """All gcd-1 nonnegative integer vectors with ||k||_inf <= k_max,
-    lexicographically sorted. Shape (N, dimension), dtype int64."""
+    lexicographically sorted. Shape (N, dimension), dtype int64,
+    C-contiguous.
+
+    A prime sieve on the (k_max + 1)^dimension cube: a vector is not
+    primitive exactly when some prime p <= k_max divides every component,
+    so clearing the sub-lattice p Z^dimension for each such p (and the
+    origin) leaves the primitive ones, read out in C (= lex) order.
+    """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    axes = [np.arange(k_max + 1, dtype=np.int64)] * dimension
-    grid = np.meshgrid(*axes, indexing="ij")
-    K = np.stack([g.ravel() for g in grid], axis=1)
-    g = K[:, 0]
-    for j in range(1, dimension):
-        g = np.gcd(g, K[:, j])
-    return K[g == 1]
+    composite = np.zeros(k_max + 1, dtype=bool)
+    keep = np.ones((k_max + 1,) * dimension, dtype=bool)
+    for p in range(2, k_max + 1):
+        if not composite[p]:
+            composite[p * p::p] = True
+            keep[(slice(None, None, p),) * dimension] = False
+    keep[(0,) * dimension] = False
+    # stacking the index columns keeps the rows C-contiguous (argwhere
+    # would not), which the row-wise action sums rely on
+    return np.stack(np.nonzero(keep), axis=1)
 
 
 def _bisect_vectorized(angle_of, lo, hi, targets):
     a = np.full(targets.shape, lo, dtype=float)
     b = np.full(targets.shape, hi, dtype=float)
-    span = hi - lo
     for _ in range(BISECT_ITERS):
         mid = 0.5 * (a + b)
         right = angle_of(mid) < targets
         a = np.where(right, mid, a)
         b = np.where(right, b, mid)
-        if float((b - a).max(initial=0.0)) <= 1e-17 * span:
-            break
     return 0.5 * (a + b)
 
 
@@ -179,6 +188,8 @@ def _check_ratio_inputs(K, a, W, tie_tol):
         raise ValueError("tie_tol must lie in [0, 1)")
 
 
+# overflowing products and ratios are left to the caller's finiteness check
+@np.errstate(over="ignore", invalid="ignore")
 def extremal_ratios(K: np.ndarray, a: np.ndarray, W: np.ndarray, use_max: bool,
                     tie_tol: float = 1e-12):
     """For each weight row w in W: extremum over entries of (K @ w) / a and

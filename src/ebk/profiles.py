@@ -81,13 +81,6 @@ class ToricProfile:
 
     # -- invariants, used by tests and by validation entry points --
 
-    def homogeneity_residual(self, p, t: float) -> float:
-        """Relative residual of f(t p) = t^d f(p) at a single point."""
-        arr, _ = _as_points(p, self.dimension)
-        base = self.evaluate(arr)
-        scaled = self.evaluate(t * arr)
-        return abs(scaled - (t ** self.degree) * base) / max(abs(base), 1e-300)
-
     def euler_residual(self, p) -> float:
         """Relative residual of <p, grad f(p)> = d f(p) at a single point."""
         arr, _ = _as_points(p, self.dimension)

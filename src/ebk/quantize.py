@@ -61,9 +61,7 @@ class EbkSpectrum:
     truncation: Optional[np.ndarray] = None   # (M,) error estimates, NaN if n/a
 
     def __post_init__(self):
-        if not np.isfinite(self.energies).all():
-            raise NonFiniteEnergy(f"{self.route} energies are not finite at "
-                                  f"hbar {self.hbar:g}")
+        _check_finite(self.route, self.energies, self.hbar)
 
     def __len__(self) -> int:
         return len(self.energies)
@@ -109,10 +107,22 @@ class EbkSpectrum:
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _weights(m_grid: np.ndarray, mu: MaslovShift, hbar: float) -> np.ndarray:
+def _check_finite(route: str, energies: np.ndarray, hbar: float) -> None:
+    if not np.isfinite(energies).all():
+        raise NonFiniteEnergy(f"{route} energies are not finite at hbar {hbar:g}")
+
+
+# Arithmetic that can leave the float range runs with numpy's overflow and
+# invalid warnings off: a finiteness check after it reports the failure.
+QUIET = dict(over="ignore", invalid="ignore")
+
+
+def lattice_weights(m_grid: np.ndarray, mu: MaslovShift, hbar: float) -> np.ndarray:
+    """hbar (m + mu) per lattice row; NonFiniteEnergy when it overflows."""
     if not 0 < hbar < math.inf:
         raise ConfigError("hbar must be finite and > 0")
-    W = hbar * (m_grid.astype(float) + mu.as_array())
+    with np.errstate(**QUIET):
+        W = hbar * (m_grid.astype(float) + mu.as_array())
     if not np.isfinite(W).all():
         raise NonFiniteEnergy(f"hbar (m + mu) overflows at hbar {hbar:g}")
     if np.any(W < 0):
@@ -125,8 +135,9 @@ def direct_spectrum(profile: ToricProfile, m_max: int, hbar: float = 1.0,
     """E_m = f(hbar (m + mu)) for every m in the {0..m_max}^n block."""
     mu = as_shift(shift, profile.dimension)
     m_grid = lattice_grid(profile.dimension, m_max)
-    W = _weights(m_grid, mu, hbar)
-    energies = np.asarray(profile.evaluate(W), dtype=float).reshape(len(m_grid))
+    W = lattice_weights(m_grid, mu, hbar)
+    with np.errstate(**QUIET):
+        energies = np.asarray(profile.evaluate(W), dtype=float).reshape(len(m_grid))
     return EbkSpectrum(route="direct", dimension=profile.dimension,
                        degree=profile.degree, hbar=hbar, shift=mu,
                        m_grid=m_grid, energies=energies)
@@ -192,16 +203,16 @@ def variational_spectrum(actions, m_max: int, degree: float = 1.0,
         raise UnsupportedSurface(
             "variational route needs a convex or concave orientation")
     m_grid = lattice_grid(spec.dimension, m_max)
-    W = _weights(m_grid, mu, hbar)
+    W = lattice_weights(m_grid, mu, hbar)
 
-    def level_values(sub: ActionSpectrum) -> np.ndarray:
-        vals, _ = kernels.extremal_ratios(sub.directions, sub.actions, W,
-                                          use_max, tie_tol=ARGEXT_TIE_TOL)
-        return vals ** degree
+    def level_values(sub: ActionSpectrum):
+        vals, idx = kernels.extremal_ratios(sub.directions, sub.actions, W,
+                                            use_max, tie_tol=ARGEXT_TIE_TOL)
+        with np.errstate(**QUIET):
+            return vals ** degree, idx
 
-    vals, idx = kernels.extremal_ratios(spec.directions, spec.actions, W,
-                                        use_max, tie_tol=ARGEXT_TIE_TOL)
-    energies = vals ** degree
+    energies, idx = level_values(spec)
+    _check_finite("variational", energies, hbar)
     argext = spec.directions[idx]
 
     est = None
@@ -211,8 +222,8 @@ def variational_spectrum(actions, m_max: int, degree: float = 1.0,
         # single-direction containers can lose every entry at a coarser
         # level; the three-level estimate is undefined then
         if len(quarter) > 0 and len(half) > 0:
-            est = truncation_estimate(level_values(quarter),
-                                      level_values(half), energies)
+            est = truncation_estimate(level_values(quarter)[0],
+                                      level_values(half)[0], energies)
 
     return EbkSpectrum(route="variational", dimension=spec.dimension,
                        degree=degree, hbar=hbar, shift=mu, m_grid=m_grid,
@@ -308,7 +319,7 @@ def minmax_certificate(actions, energy: float, m: Sequence[int], shift=None,
     m = np.asarray(m, dtype=np.int64).reshape(-1)
     if m.shape != (spec.dimension,):
         raise ConfigError(f"m must have {spec.dimension} components")
-    w = _weights(m[None, :], mu, hbar)[0]
+    w = lattice_weights(m[None, :], mu, hbar)[0]
 
     interior = spec.directions.min(axis=1) >= 1
     if not np.any(interior):
@@ -354,11 +365,12 @@ def reconstruction_spectrum(actions, m_max: int, degree: float = 1.0,
     recon = reconstruct_surface(PointCloud.from_actions(spec),
                                 reference=reference, resolution=resolution)
     m_grid = lattice_grid(spec.dimension, m_max)
-    W = _weights(m_grid, mu, hbar)
+    W = lattice_weights(m_grid, mu, hbar)
     energies = np.zeros(len(m_grid))
     nonzero = W.any(axis=1)   # a zero weight lies on no ray; its energy is 0
     try:
-        energies[nonzero] = recon.surface.radial_value(W[nonzero]) ** degree
+        with np.errstate(**QUIET):
+            energies[nonzero] = recon.surface.radial_value(W[nonzero]) ** degree
     except DirectionNotAttained as exc:
         raise RayMiss(f"a ray through hbar(m+mu) misses the reconstructed "
                       f"surface: {exc}") from exc

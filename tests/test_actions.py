@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from ebk import (
     ActionSpectrum,
     ConfigError,
+    ConvergenceFailure,
     InvalidOrbitClass,
     LevelSurface,
     Orientation,
@@ -19,9 +20,11 @@ from ebk import (
     euclidean_profile,
     harmonic_profile,
     invert_gauss_map,
+    kernels,
     marked_action_spectrum,
     pnorm_profile,
 )
+from ebk import actions as actions_module
 from ebk.actions import MaslovShift, as_shift
 
 
@@ -126,6 +129,63 @@ def test_kmax_validation():
     surf = LevelSurface.from_profile(euclidean_profile(2))
     with pytest.raises(ConfigError):
         marked_action_spectrum(surf, 0)
+
+
+def _spline_arc():
+    # a polar spline through part of the pnorm:1.5 arc, inverted by
+    # bisection; directions near the axes leave its normal cone, and its
+    # parameters near 0 are where a bisection that stopped once every
+    # target of a call had converged gave chunk-dependent results
+    t = np.linspace(0.01, 1.2, 40)
+    u = np.stack([np.cos(t), np.sin(t)], axis=1)
+    return LevelSurface.from_points(u / ((u ** 1.5).sum(axis=1) ** (1 / 1.5))[:, None])
+
+
+# name: (surface factory, k_max, shift, whether rows are dropped)
+STREAMED = {
+    "pnorm:1.5-shifted": (lambda: LevelSurface.from_profile(pnorm_profile(1.5)),
+                          40, (0.5, 0.25), False),
+    "pnorm:4-shifted": (lambda: LevelSurface.from_profile(pnorm_profile(4.0)),
+                        40, (0.5, 0.25), False),
+    "ramos": (RamosCurve, 40, None, True),
+    "pnorm:3-3d": (lambda: LevelSurface.from_profile(pnorm_profile(3.0, dimension=3)),
+                   8, None, False),
+    "spline": (_spline_arc, 40, None, True),
+}
+
+
+@pytest.mark.parametrize("name", STREAMED)
+def test_streamed_table_matches_one_chunk(monkeypatch, name):
+    # chunk edges fall mid-table, between dropped rows and kept ones
+    make, k_max, shift, drops = STREAMED[name]
+    surface = make()
+    assert surface.orientation is not Orientation.GENERAL
+    whole = marked_action_spectrum(surface, k_max, shift=shift)
+    assert len(whole) < actions_module.CHUNK_ROWS
+    monkeypatch.setattr(actions_module, "CHUNK_ROWS", 7)
+    streamed = marked_action_spectrum(surface, k_max, shift=shift)
+    total = len(kernels.primitive_directions(surface.dimension, k_max))
+    assert (len(streamed) < total) == drops and len(streamed) > 10 * 7
+    for attr in ("directions", "actions", "points"):
+        got = getattr(streamed, attr)
+        assert np.array_equal(got, getattr(whole, attr)), attr
+        assert got.flags.c_contiguous, attr
+    assert np.array_equal(streamed.sup_norms, streamed.directions.max(axis=1))
+
+
+def test_streamed_residual_failures_are_counted_over_chunks(monkeypatch):
+    surface = LevelSurface.from_profile(pnorm_profile(3.0))
+    invert = surface.invert_normal_many
+
+    def spoiled(K):
+        t, p, res, ok = invert(K)
+        return t, p, np.where(K[:, 1] == 1, 1.0, res), ok
+
+    # the k_max + 1 directions (j, 1) spread over the whole table
+    monkeypatch.setattr(surface, "invert_normal_many", spoiled)
+    monkeypatch.setattr(actions_module, "CHUNK_ROWS", 7)
+    with pytest.raises(ConvergenceFailure, match="^21 directions failed"):
+        marked_action_spectrum(surface, 20)
 
 
 def test_restrict(circle_actions):

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -345,6 +346,18 @@ def test_malformed_action_table_is_a_config_error(tmp_path, capsys, name, text):
                           "--orientation", "convex", "--m-max", "2"], capsys)
 
 
+def _assert_one_numerical_failure_line(argv, capsys):
+    # numpy warnings raise here, so a warning printed before the message
+    # would show up as an exception, not as exit 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.err.startswith("numerical failure:")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
 @pytest.mark.parametrize("argv", [
     ["spectrum-direct", "--m-max", "1"],
     ["spectrum-variational", "--k-max", "20", "--m-max", "1"],
@@ -352,11 +365,21 @@ def test_malformed_action_table_is_a_config_error(tmp_path, capsys, name, text):
 ], ids=["direct", "variational", "reconstruct"])
 def test_overflowing_spectrum_is_a_numerical_failure(capsys, argv):
     # hbar (m + mu) or the energies leave the float range: no inf in output
-    rc = main(argv + ["--profile", "pnorm:4", "--hbar", "1e308"])
-    captured = capsys.readouterr()
-    assert rc == 3
-    assert captured.err.startswith("numerical failure:")
-    assert "Traceback" not in captured.err and captured.out == ""
+    _assert_one_numerical_failure_line(
+        argv + ["--profile", "pnorm:4", "--hbar", "1e308"], capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["billiard-crosscheck", "--k-max", "20", "--m1", "0", "--m2", "4", "--hbar", "1e308"],
+    ["billiard-crosscheck", "--k-max", "20", "--m1", "1", "--m2", "3", "--hbar", "1e307"],
+    ["billiard-solve", "--m", "1", "--n", "3", "--hbar", "1e307"],
+    ["billiard-solve", "--m", "1", "--n", "3", "--radius", "1e-200"],
+    ["spectrum-reconstruct", "--profile", "pnorm:4", "--k-max", "40", "--m-max", "2",
+     "--hbar", "1e300", "--degree", "2"],
+], ids=["crosscheck-1e308", "crosscheck-1e307", "solve-hbar", "solve-radius",
+        "reconstruct-degree"])
+def test_overflowing_billiard_and_degree_are_numerical_failures(capsys, argv):
+    _assert_one_numerical_failure_line(argv, capsys)
 
 
 def test_spectrum_runs_never_load_scipy(tmp_path):

@@ -21,10 +21,12 @@ def _brute_primitives(dim, k_max):
     return np.array(out, dtype=np.int64)
 
 
-@pytest.mark.parametrize("dim,k_max", [(2, 1), (2, 7), (2, 40), (3, 5)])
+@pytest.mark.parametrize("dim,k_max", [(2, 1), (2, 7), (2, 13), (2, 40), (3, 5),
+                                       (3, 12)])
 def test_primitive_directions_match_bruteforce(dim, k_max):
     got = kernels.primitive_directions(dim, k_max)
     assert np.array_equal(got, _brute_primitives(dim, k_max))
+    assert got.dtype == np.int64 and got.flags.c_contiguous
 
 
 def test_primitive_directions_sorted_and_primitive():
@@ -252,7 +254,7 @@ def test_bench_kernels_rows_run(monkeypatch, capsys):
     spec.loader.exec_module(bench)
     for name, value in (("K_MAX_ENUM", 20), ("K_MAX_INVERT", 20),
                         ("K_MAX_RATIOS", 30), ("M_MAX_RATIOS", 8),
-                        ("K_MAX_TABLE", 20)):
+                        ("K_MAX_TABLE", 20), ("K_MAX_BUILD", 20)):
         monkeypatch.setattr(bench, name, value)
     bench.main()
     out = capsys.readouterr().out
@@ -260,3 +262,4 @@ def test_bench_kernels_rows_run(monkeypatch, capsys):
     assert "identical: True" in out
     assert "inversion(pnorm:4" in out
     assert "action table(pnorm:3" in out and "identical: False" not in out
+    assert "action table(ramos" in out and out.count(" MB") == 3
