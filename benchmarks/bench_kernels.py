@@ -1,8 +1,9 @@
 """Time the hot kernels: enumeration, the pruned extremal-ratio reduction
 against a full scan, the closed-form Gauss-map inversion against the
-generic bisection, and the action table's build, writers and readers.
-The enumeration and action-table rows also give the tracemalloc peak of
-one call (Python allocations, numpy buffers included).
+generic bisection, the action table's build, writers and readers, and the
+reconstruction's spline fits and Hausdorff distance. The enumeration,
+action-table and reconstruction rows also give the tracemalloc peak of one
+call (Python allocations, numpy buffers included).
 
 Run as:  python benchmarks/bench_kernels.py
 """
@@ -12,7 +13,8 @@ import tracemalloc
 
 import numpy as np
 
-from ebk import (ActionSpectrum, LevelSurface, RamosCurve, kernels,
+from ebk import (ActionSpectrum, LevelSurface, PointCloud, RamosCurve,
+                 hausdorff_distance, hypersurface_transform, kernels,
                  marked_action_spectrum, pnorm_profile)
 from ebk.quantize import ARGEXT_TIE_TOL, lattice_grid
 
@@ -22,6 +24,7 @@ K_MAX_RATIOS = 400   # with M_MAX_RATIOS: the spectrum-variational pnorm:4 run
 M_MAX_RATIOS = 64
 K_MAX_TABLE = 500    # the table-io workload's pnorm:3 table
 K_MAX_BUILD = 2000   # the billiard workload's disk table, 2.43M directions
+K_MAX_RECONSTRUCT = 200   # the reconstruct workload's pnorm:4 cloud
 REPEAT = 3
 
 
@@ -130,12 +133,34 @@ def table_row() -> None:
     print(f"{name + ' read':52s} {t_rjson:9.4f}s {t_rcsv:9.4f}s  identical: {same}")
 
 
+def reconstruction_row() -> None:
+    """The reconstruction's two spline fits on the pnorm:4 cloud (the cloud,
+    then the dual's knot images) and the Hausdorff distance from the result
+    to the reference surface at the default 4096 samples per curve."""
+    reference = LevelSurface.from_profile(pnorm_profile(4.0))
+    cloud = PointCloud.from_actions(marked_action_spectrum(reference, K_MAX_RECONSTRUCT))
+    fit = LevelSurface.from_points(cloud.points)
+    dual = hypersurface_transform(fit, at_params=fit.knots)
+    images = dual.point(dual.knots)
+    surface = LevelSurface.from_points(images)
+    print(f"{'':52s} {'time':>10s} {'peak':>10s}")
+    for label, run in (
+            (f"spline fit({len(cloud):,} cloud points)",
+             functools.partial(LevelSurface.from_points, cloud.points)),
+            (f"spline refit({len(images):,} dual images)",
+             functools.partial(LevelSurface.from_points, images)),
+            ("hausdorff_distance(4096 x 4096 samples)",
+             functools.partial(hausdorff_distance, surface, reference))):
+        print(f"{label:52s} {best_of(run):9.4f}s {peak_mb(run):7.1f} MB")
+
+
 def main() -> None:
     enumeration_row()
     ratios_row()
     inversion_row()
     build_row()
     table_row()
+    reconstruction_row()
 
 
 if __name__ == "__main__":

@@ -29,6 +29,8 @@ CURVATURE_FLOOR = 1e-8      # |K| below this marks a non-nice (flat) sample
 NICE_FRACTION_MIN = 0.5     # required share of nice samples for the transform
 INJECTIVITY_RATIO = 0.1     # post/pre spacing ratio below this drops a sample
 CLOUD_DEDUP_TOL = 1e-12
+HAUSDORFF_CHUNK = 1 << 16   # pairs per chunk: 512 kB temporaries stay in cache
+HAUSDORFF_WINDOW = 2        # neighbours on each side that bound a nearest distance
 MIN_CLOUD_POINTS = 20
 MIN_NICE_POINTS = 10
 
@@ -45,16 +47,22 @@ class PointCloud:
             raise ConfigError("point cloud must have shape (N, 2)")
         if not np.all(np.isfinite(pts)):
             raise ConfigError("point cloud contains non-finite coordinates")
-        if len(pts) > 1:
-            from scipy.spatial import cKDTree
-
-            tree = cKDTree(pts)
-            dupes = tree.query_pairs(CLOUD_DEDUP_TOL, output_type="ndarray")
-            if len(dupes):
-                drop = np.zeros(len(pts), dtype=bool)
-                drop[dupes[:, 1]] = True
-                pts = pts[~drop]
-        object.__setattr__(self, "points", pts)
+        # every pair within CLOUD_DEDUP_TOL loses its larger index; a close
+        # pair is at most that far apart in x, so after sorting on x only
+        # offsets whose x-gaps reach down to the tolerance are searched
+        order = np.argsort(pts[:, 0], kind="stable")
+        xy = pts[order]
+        tol2 = CLOUD_DEDUP_TOL * CLOUD_DEDUP_TOL
+        drop = np.zeros(len(pts), dtype=bool)
+        for d in range(1, len(pts)):
+            gap = xy[d:, 0] - xy[:-d, 0]
+            near = np.flatnonzero(gap * gap <= tol2)
+            if not len(near):
+                break
+            diff = xy[near + d] - xy[near]
+            close = near[(diff * diff).sum(axis=1) <= tol2]
+            drop[np.maximum(order[close], order[close + d])] = True
+        object.__setattr__(self, "points", pts[~drop])
 
     def __len__(self) -> int:
         return len(self.points)
@@ -328,13 +336,53 @@ def reconstruct_surface(cloud: PointCloud,
     return ReconstructionResult(surface=surface, fit_surface=fit, report=report)
 
 
+def _squared_distances(p_cols, q_cols):
+    """Broadcast |p - q|^2 from coordinate columns, summed in order."""
+    d2 = None
+    for u, v in zip(p_cols, q_cols):
+        diff = u - v
+        diff *= diff
+        if d2 is None:
+            d2 = diff
+        else:
+            d2 += diff
+    return d2
+
+
+def _directed_hausdorff_squared(pa: np.ndarray, pb: np.ndarray) -> float:
+    """max over pa of the squared distance to the nearest point of pb.
+
+    The few points of pb at the same relative index bound each point's
+    nearest distance from above. Points are then scanned exactly against
+    all of pb, in chunks of HAUSDORFF_CHUNK pairs and largest bound first,
+    until the largest exact distance found reaches every remaining bound;
+    the result is that of the full scan, bit for bit.
+    """
+    n, m = len(pa), len(pb)
+    cols_a, cols_b = pa.T, np.ascontiguousarray(pb.T)   # strided rows broadcast slowly
+    near = np.rint(np.arange(n) * ((m - 1) / max(n - 1, 1))).astype(np.int64)
+    window = np.clip(near[:, None] + np.arange(-HAUSDORFF_WINDOW, HAUSDORFF_WINDOW + 1),
+                     0, m - 1)
+    bound = _squared_distances([c[:, None] for c in cols_a],
+                               [c[window] for c in cols_b]).min(axis=1)
+    order = np.argsort(bound, kind="stable")[::-1]
+    rows = max(1, HAUSDORFF_CHUNK // m)
+    best = 0.0
+    for lo in range(0, n, rows):
+        idx = order[lo:lo + rows]
+        if bound[idx[0]] <= best:
+            break
+        d2 = _squared_distances([c[idx, None] for c in cols_a], cols_b)
+        best = max(best, float(d2.min(axis=1).max()))
+    return best
+
+
 def hausdorff_distance(a: LevelSurface, b: LevelSurface,
                        resolution: int = DEFAULT_RESOLUTION) -> float:
-    """Symmetric Hausdorff distance between dense samplings of two surfaces."""
-    from scipy.spatial import cKDTree
-
+    """Symmetric Hausdorff distance between dense samplings of two surfaces:
+    the exact nearest-point maximum of a full scan over squared distances,
+    with one square root at the end."""
     pa = a.point(np.linspace(a.param_lo, a.param_hi, resolution))
     pb = b.point(np.linspace(b.param_lo, b.param_hi, resolution))
-    d_ab = cKDTree(pb).query(pa)[0].max()
-    d_ba = cKDTree(pa).query(pb)[0].max()
-    return float(max(d_ab, d_ba))
+    return float(np.sqrt(max(_directed_hausdorff_squared(pa, pb),
+                             _directed_hausdorff_squared(pb, pa))))

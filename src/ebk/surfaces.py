@@ -70,6 +70,78 @@ def _normal_residuals(normals: np.ndarray, K: np.ndarray) -> np.ndarray:
     return cross / (functools.reduce(np.hypot, n) * functools.reduce(np.hypot, k))
 
 
+def _cubic_spline(x: np.ndarray, y: np.ndarray, clamp_lo: bool,
+                  clamp_hi: bool) -> tuple[Callable, Callable]:
+    """C2 cubic interpolant through (x, y) and its derivative.
+
+    x is strictly increasing with at least 4 knots; each end is clamped
+    (zero slope) or not-a-knot. The knot slopes s solve the tridiagonal
+    system of de Boor, *A Practical Guide to Splines*, ch. IV, with
+    h = diff(x) and m = diff(y) / h:
+    h_i s_{i-1} + 2 (h_{i-1} + h_i) s_i + h_{i-1} s_{i+1}
+    = 3 (h_i m_{i-1} + h_{i-1} m_i) inside. One forward sweep without row
+    exchanges solves it, since every pivot is positive. Each interval holds
+    a Hermite cubic, evaluated by Horner's rule; the end pieces extrapolate.
+    """
+    n = len(x)
+    h = np.diff(x)
+    m = np.diff(y) / h
+    # row i: sub[i] s[i-1] + diag[i] s[i] + sup[i] s[i+1] = rhs[i]
+    sub, diag, sup, rhs = np.zeros((4, n))
+    sub[1:-1] = h[1:]
+    diag[1:-1] = 2 * (h[:-1] + h[1:])
+    sup[1:-1] = h[:-1]
+    rhs[1:-1] = 3 * (h[1:] * m[:-1] + h[:-1] * m[1:])
+    if clamp_lo:
+        diag[0] = 1.0
+    else:
+        d = x[2] - x[0]
+        diag[0], sup[0] = h[1], d
+        rhs[0] = ((h[0] + 2 * d) * h[1] * m[0] + h[0] ** 2 * m[1]) / d
+    if clamp_hi:
+        diag[-1] = 1.0
+    else:
+        d = x[-1] - x[-3]
+        sub[-1], diag[-1] = d, h[-2]
+        rhs[-1] = (h[-1] ** 2 * m[-2] + (2 * d + h[-1]) * h[-2] * m[-1]) / d
+    sub, diag, sup, rhs = sub.tolist(), diag.tolist(), sup.tolist(), rhs.tolist()
+    for i in range(1, n):
+        ratio = sub[i] * (1.0 / diag[i - 1])
+        diag[i] -= ratio * sup[i - 1]
+        rhs[i] -= ratio * rhs[i - 1]
+    s = rhs   # back substitution overwrites the swept right-hand side
+    s[-1] /= diag[-1]
+    for i in range(n - 2, -1, -1):
+        s[i] = (s[i] - sup[i] * s[i + 1]) / diag[i]
+    s = np.asarray(s)
+
+    t = (s[:-1] + s[1:] - 2 * m) / h
+    c3, c2, c1 = t / h, (m - s[:-1]) / h - t, s[:-1]
+    value_coef = np.stack([c3, c2, c1, y[:-1]], axis=-1)
+    slope_coef = np.stack([3 * c3, 2 * c2, c1], axis=-1)
+
+    def horner(coef, u):
+        out = coef[..., 0]
+        for j in range(1, coef.shape[-1]):
+            out = out * u + coef[..., j]
+        return out
+
+    def locate(u):
+        u = np.asarray(u, dtype=float)
+        i = np.clip(np.searchsorted(x, u, side="right") - 1, 0, n - 2)
+        return i, u - x[i]
+
+    def spline(u):
+        i, du = locate(u)
+        return horner(value_coef[i], du)
+
+    def derivative(u):
+        i, du = locate(u)
+        return horner(slope_coef[i], du)
+
+    return spline, derivative
+
+
 def legendre_point(p, n) -> np.ndarray:
     """Pointwise dual map q = n / <p, n> for a point p with unit normal n."""
     p = np.asarray(p, dtype=float)
@@ -204,8 +276,6 @@ class LevelSurface:
         attained at an axis point, where the curve meets the axis at a right
         angle, so the clamp reproduces the true boundary behavior.
         """
-        from scipy.interpolate import CubicSpline
-
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise ConfigError("from_points expects an (N, 2) array")
@@ -230,10 +300,8 @@ class LevelSurface:
             raise InsufficientResolution("fewer than 4 distinct angles")
 
         scale = float(np.max(r))
-        bc_lo = (1, 0.0) if min(abs(pts[0, 0]), abs(pts[0, 1])) <= 1e-12 * scale else "not-a-knot"
-        bc_hi = (1, 0.0) if min(abs(pts[-1, 0]), abs(pts[-1, 1])) <= 1e-12 * scale else "not-a-knot"
-        spline = CubicSpline(phi, r, bc_type=(bc_lo, bc_hi))
-        dspline = spline.derivative()
+        on_axis = np.min(np.abs(pts[[0, -1]]), axis=1) <= 1e-12 * scale
+        spline, dspline = _cubic_spline(phi, r, *on_axis.tolist())
 
         def point_fn(t):
             t = np.asarray(t, dtype=float)

@@ -396,6 +396,37 @@ def test_spectrum_runs_never_load_scipy(tmp_path):
     assert (tmp_path / "var.csv").read_text().startswith("m_1,m_2,E_m")
 
 
+def test_no_subcommand_loads_scipy(tmp_path):
+    # the spline fit, the cloud dedup and the Hausdorff distance are numpy
+    # code: reconstruction with a report, and a custom-table curve through
+    # legendre-dual and actions, leave no scipy module loaded
+    angles = [i * math.pi / 112 for i in range(57)]
+    table = [[t, math.cos(t), math.sin(t)] for t in angles]
+    for row in table:   # the pnorm:4 curve
+        r = (row[1] ** 4 + row[2] ** 4) ** -0.25
+        row[1:] = [r * row[1], r * row[2]]
+    table[0][2] = table[-1][1] = 0.0   # both ends on the axes: clamped
+    spec = tmp_path / "quadrant.json"
+    spec.write_text(json.dumps({"kind": "custom-table", "params": {"table": table}}))
+    runs = [["spectrum-reconstruct", "--profile", str(spec), "--k-max", "40", "--m-max", "3",
+             "--report", str(tmp_path / "report.json"), "--out", str(tmp_path / "rec.csv")],
+            ["legendre-dual", "--profile", str(spec), "--out", str(tmp_path / "dual.csv")],
+            ["actions", "--profile", str(spec), "--k-max", "40",
+             "--out", str(tmp_path / "actions.csv")]]
+    script = ("import json, sys, ebk.cli\n"
+              "codes = [ebk.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+              "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(ebk.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0, 0] []"
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert 0.0 < report["hausdorff_vs_reference"] < 1e-3
+    assert (tmp_path / "dual.csv").read_text().startswith("param,x_1,x_2")
+    assert (tmp_path / "actions.csv").read_text().startswith("k_1,k_2,action")
+
+
 # --- installed entry point ---
 
 @pytest.mark.skipif(shutil.which("ebk") is None,

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import minimize_scalar
 
 from ebk import (
     ConfigError,
@@ -26,6 +25,7 @@ from ebk import (
     reconstruct_surface,
     support_function,
 )
+from ebk.duality import CLOUD_DEDUP_TOL, _directed_hausdorff_squared
 
 
 def quadratic_bowl():
@@ -121,6 +121,7 @@ def test_support_homogeneity():
 def _support_by_samples(surface, q):
     """The sample argmax plus bounded minimize_scalar refinement that the
     endpoint-and-inversion support_function replaced."""
+    minimize_scalar = pytest.importorskip("scipy.optimize").minimize_scalar
     qnorm = float(np.linalg.norm(q))
     u = np.asarray(q, dtype=float) / qnorm
     use_min = surface.orientation is Orientation.CONCAVE
@@ -229,6 +230,118 @@ def test_point_cloud_from_actions_dedup():
     dists = np.linalg.norm(cloud.points[:, None] - cloud.points[None], axis=-1)
     np.fill_diagonal(dists, 1.0)
     assert dists.min() > 1e-12
+
+
+def _query_pairs_dedup(pts):
+    """The cKDTree.query_pairs dedup that the sort on x replaced: each pair
+    within CLOUD_DEDUP_TOL drops its larger index."""
+    spatial = pytest.importorskip("scipy.spatial")
+    pairs = spatial.cKDTree(pts).query_pairs(CLOUD_DEDUP_TOL, output_type="ndarray")
+    drop = np.zeros(len(pts), dtype=bool)
+    drop[pairs[:, 1]] = True
+    return pts[~drop]
+
+
+def _planted_cloud(seed, n, offsets):
+    """n random points plus a near copy of some of them at each offset,
+    shuffled, with a few points sharing one x coordinate."""
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(0.2, 1.5, (n, 2))
+    pts[: n // 10, 0] = pts[0, 0]
+    copies = []
+    for offset in offsets:
+        src = pts[rng.choice(n, size=max(1, n // 5), replace=False)]
+        angle = rng.uniform(0.0, 2 * np.pi, (len(src), 1))
+        copies.append(src + offset * np.hstack([np.cos(angle), np.sin(angle)]))
+    pts = np.concatenate([pts, *copies])
+    return pts[rng.permutation(len(pts))]
+
+
+@pytest.mark.parametrize("offsets", [(0.0,), (0.5e-12,), (2e-12,), (0.0, 0.5e-12, 2e-12)],
+                         ids=["exact", "inside", "outside", "mixed"])
+@pytest.mark.parametrize("seed", range(4))
+def test_point_cloud_dedup_matches_query_pairs(seed, offsets):
+    pts = _planted_cloud(seed, 200, offsets)
+    assert np.array_equal(PointCloud(pts).points, _query_pairs_dedup(pts))
+
+
+def test_point_cloud_dedup_of_a_chain_matches_query_pairs():
+    # a~b and b~c but not a~c: each pair drops its larger index, so in the
+    # order a, b, c both b and c go; c's index decides what survives
+    step = 0.8e-12
+    chain = np.array([[1.0, 1.0], [1.0 + step, 1.0], [1.0 + 2 * step, 1.0]])
+    for order, kept in (([0, 1, 2], 3), ([2, 0, 1], 4), ([1, 2, 0], 3)):
+        pts = np.vstack([[0.5, 0.5], chain[order], [0.7, 0.2]])
+        want = _query_pairs_dedup(pts)
+        assert len(want) == kept
+        assert np.array_equal(PointCloud(pts).points, want)
+
+
+def test_point_cloud_dedup_of_the_action_cloud_matches_query_pairs():
+    acts = marked_action_spectrum(LevelSurface.from_profile(pnorm_profile(4.0)), 60)
+    K = acts.directions.astype(float)
+    pts = np.vstack([K / acts.actions[:, None]] * 2)   # every point twice
+    cloud = PointCloud(pts)
+    assert len(cloud) == len(acts)
+    assert np.array_equal(cloud.points, _query_pairs_dedup(pts))
+
+
+def _ckdtree_hausdorff(a, b, resolution=4096):
+    """The two cKDTree nearest-neighbour queries that the bounded exact scan
+    replaced."""
+    spatial = pytest.importorskip("scipy.spatial")
+    pa = a.point(np.linspace(a.param_lo, a.param_hi, resolution))
+    pb = b.point(np.linspace(b.param_lo, b.param_hi, resolution))
+    return float(max(spatial.cKDTree(pb).query(pa)[0].max(),
+                     spatial.cKDTree(pa).query(pb)[0].max()))
+
+
+def _hausdorff_pair(name):
+    quartic = LevelSurface.from_profile(pnorm_profile(4.0))
+    if name == "reconstruction":
+        acts = marked_action_spectrum(quartic, 40)
+        return reconstruct_surface(PointCloud.from_actions(acts)).surface, quartic
+    if name == "pnorm:3-4":
+        return LevelSurface.from_profile(pnorm_profile(3.0)), quartic
+    if name == "partial-arc":
+        # a fit over part of the quadrant: same-index neighbours are far apart
+        return LevelSurface.from_points(quartic.point(np.linspace(0.3, 1.2, 50))), quartic
+    return LevelSurface.from_profile(euclidean_profile(2)), RamosCurve()
+
+
+HAUSDORFF_PAIRS = ["reconstruction", "pnorm:3-4", "partial-arc", "circle-ramos"]
+
+
+@pytest.mark.parametrize("pair", HAUSDORFF_PAIRS)
+@pytest.mark.parametrize("resolution", [64, 1000, 4096])
+def test_hausdorff_matches_ckdtree(pair, resolution):
+    a, b = _hausdorff_pair(pair)
+    got = hausdorff_distance(a, b, resolution=resolution)
+    assert abs(got - _ckdtree_hausdorff(a, b, resolution)) <= 1e-14
+    assert got == hausdorff_distance(b, a, resolution=resolution)
+
+
+@pytest.mark.parametrize("pair", HAUSDORFF_PAIRS)
+@pytest.mark.parametrize("resolution", [2, 64, 1000])
+def test_hausdorff_equals_full_scan(pair, resolution):
+    # the bounded scan stops early but must return the full scan's value
+    a, b = _hausdorff_pair(pair)
+    pa = a.point(np.linspace(a.param_lo, a.param_hi, resolution))
+    pb = b.point(np.linspace(b.param_lo, b.param_hi, resolution))
+    d2 = ((pa[:, None, :] - pb[None, :, :]) ** 2).sum(axis=-1)
+    want = np.sqrt(max(d2.min(axis=1).max(), d2.min(axis=0).max()))
+    assert hausdorff_distance(a, b, resolution=resolution) == want
+
+
+@pytest.mark.parametrize("n, m", [(600, 900), (900, 600), (1, 7), (7, 1), (3000, 40)])
+@pytest.mark.parametrize("seed", range(3))
+def test_directed_hausdorff_equals_full_scan_on_scattered_points(n, m, seed):
+    # unordered points, so the same-index bounds are loose and the largest
+    # bounds need not belong to the farthest point
+    rng = np.random.default_rng(seed)
+    pa, pb = rng.uniform(-1.0, 1.0, (n, 2)), rng.uniform(-1.0, 1.0, (m, 2))
+    d2 = ((pa[:, None, :] - pb[None, :, :]) ** 2).sum(axis=-1)
+    assert _directed_hausdorff_squared(pa, pb) == d2.min(axis=1).max()
 
 
 def test_point_cloud_validation():

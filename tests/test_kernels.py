@@ -254,7 +254,8 @@ def test_bench_kernels_rows_run(monkeypatch, capsys):
     spec.loader.exec_module(bench)
     for name, value in (("K_MAX_ENUM", 20), ("K_MAX_INVERT", 20),
                         ("K_MAX_RATIOS", 30), ("M_MAX_RATIOS", 8),
-                        ("K_MAX_TABLE", 20), ("K_MAX_BUILD", 20)):
+                        ("K_MAX_TABLE", 20), ("K_MAX_BUILD", 20),
+                        ("K_MAX_RECONSTRUCT", 20)):
         monkeypatch.setattr(bench, name, value)
     bench.main()
     out = capsys.readouterr().out
@@ -262,4 +263,6 @@ def test_bench_kernels_rows_run(monkeypatch, capsys):
     assert "identical: True" in out
     assert "inversion(pnorm:4" in out
     assert "action table(pnorm:3" in out and "identical: False" not in out
-    assert "action table(ramos" in out and out.count(" MB") == 3
+    assert "action table(ramos" in out
+    assert "spline fit(" in out and "spline refit(" in out
+    assert "hausdorff_distance(4096 x 4096" in out and out.count(" MB") == 6

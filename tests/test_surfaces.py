@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ebk import (
     ConfigError,
@@ -22,6 +24,7 @@ from ebk import (
     pnorm_profile,
 )
 from ebk.catalog import load_domain_file
+from ebk.surfaces import _cubic_spline
 
 # analytic curvature of the quartic curve p1^4 + p2^4 = 1 at the diagonal
 # point (2^-1/4, 2^-1/4): kappa = 3 * 2^(-1/4)
@@ -207,6 +210,48 @@ def test_from_points_rebuilds_circle(circle):
     probe = np.linspace(rebuilt.param_lo, rebuilt.param_hi, 101)
     radii = np.linalg.norm(rebuilt.point(probe), axis=1)
     assert np.abs(radii - 1.0).max() <= 1e-9
+
+
+@st.composite
+def _spline_data(draw):
+    """4-200 knots with gaps within a factor 5 of each other, at scales
+    from 1e-4 to 0.3 per gap, and values from 1e-3 to 1e3 in size."""
+    n = draw(st.integers(4, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gaps = rng.uniform(0.2, 1.0, n - 1)
+    x = draw(st.floats(-2.0, 2.0)) + 10.0 ** draw(st.floats(-4.0, -0.5)) * np.concatenate(
+        [[0.0], np.cumsum(gaps)])
+    y = 10.0 ** draw(st.floats(-3.0, 3.0)) * rng.uniform(-1.0, 1.0, n)
+    if draw(st.booleans()):   # a smooth arc instead of noise
+        y = 1.0 + y * np.sin(3.0 * x)
+    return x, y
+
+
+@pytest.mark.parametrize("clamp_lo", [False, True], ids=["lo-not-a-knot", "lo-clamped"])
+@pytest.mark.parametrize("clamp_hi", [False, True], ids=["hi-not-a-knot", "hi-clamped"])
+@given(data=_spline_data())
+@settings(max_examples=60, deadline=None)
+def test_cubic_spline_matches_scipy(clamp_lo, clamp_hi, data):
+    # scipy's CubicSpline as the oracle: values and derivatives at the knots,
+    # the midpoints and up to one end interval outside the range
+    interpolate = pytest.importorskip("scipy.interpolate")
+    x, y = data
+    assert np.all(np.diff(x) > 0)
+    bc = tuple((1, 0.0) if clamp else "not-a-knot" for clamp in (clamp_lo, clamp_hi))
+    want = interpolate.CubicSpline(x, y, bc_type=bc)
+    spline, derivative = _cubic_spline(x, y, clamp_lo, clamp_hi)
+    h0, h1 = x[1] - x[0], x[-1] - x[-2]
+    u = np.concatenate([x, (x[:-1] + x[1:]) / 2,
+                        [x[0] - h0, x[0] - h0 / 3, x[-1] + h1 / 2, x[-1] + h1]])
+    scale = np.abs(y).max()
+    slope_scale = scale / np.diff(x).min()
+    assert np.abs(spline(u) - want(u)).max() <= 1e-12 * scale
+    assert np.abs(derivative(u) - want(u, 1)).max() <= 1e-12 * slope_scale
+    # interpolation, the clamped ends and a scalar argument
+    assert np.abs(spline(x) - y).max() <= 1e-12 * scale
+    ends = np.array([derivative(x[0]), derivative(x[-1])])
+    assert np.all(np.abs(ends[[clamp_lo, clamp_hi]]) <= 1e-12 * slope_scale)
+    assert np.ndim(spline(x[0])) == 0 and spline(x[0]) == y[0]
 
 
 def test_radial_value_matches_profile(quartic):
