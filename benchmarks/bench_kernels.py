@@ -14,8 +14,8 @@ import tracemalloc
 import numpy as np
 
 from ebk import (ActionSpectrum, LevelSurface, PointCloud, RamosCurve,
-                 hausdorff_distance, hypersurface_transform, kernels,
-                 marked_action_spectrum, pnorm_profile)
+                 harmonic_profile, hausdorff_distance, hypersurface_transform,
+                 kernels, marked_action_spectrum, pnorm_profile)
 from ebk.quantize import ARGEXT_TIE_TOL, lattice_grid
 
 K_MAX_ENUM = 1500
@@ -101,11 +101,14 @@ def inversion_row() -> None:
 
 
 def build_row() -> None:
-    """marked_action_spectrum on the billiard crosscheck's disk table and on
-    the table-io workload's pnorm:3 table."""
+    """marked_action_spectrum on the billiard crosscheck's disk table, on a
+    harmonic facet over as many directions (one row: the closed form maps
+    the rest to nan) and on the table-io workload's pnorm:3 table."""
     print(f"{'':52s} {'time':>10s} {'peak':>10s}")
     for name, surface, k_max in (
             ("ramos", RamosCurve(), K_MAX_BUILD),
+            ("harmonic:1,2", LevelSurface.from_profile(harmonic_profile((1, 2))),
+             K_MAX_BUILD),
             ("pnorm:3", LevelSurface.from_profile(pnorm_profile(3.0)), K_MAX_TABLE)):
         run = functools.partial(marked_action_spectrum, surface, k_max)
         t = best_of(run)

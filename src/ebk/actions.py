@@ -18,17 +18,10 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .errors import (
-    ConfigError,
-    ConvergenceFailure,
-    DirectionNotAttained,
-    InvalidOrbitClass,
-    UnsupportedSurface,
-)
+from .errors import ConfigError, ConvergenceFailure, InvalidOrbitClass
 from .surfaces import LevelSurface, Orientation, NORMAL_RESIDUAL_TOL
 
 ZERO_ACTION_TOL = 1e-12   # |a| <= tol * |k| counts as a dropped zero entry
-FLAT_ACTION_TOL = 1e-9    # agreement required across multivalued components
 CHUNK_ROWS = 1 << 16      # directions inverted per step of the action table
 
 
@@ -236,60 +229,37 @@ def marked_action_spectrum(surface: LevelSurface, k_max: int,
                            shift=None) -> ActionSpectrum:
     """Enumerate primitive directions with ||k||_inf <= k_max and their actions.
 
-    Directions outside the surface's normal cone are skipped silently; on
-    strictly convex/concave surfaces the inversion is vectorized (closed
-    form for the builtin families, a monotone bisection otherwise) and runs
-    CHUNK_ROWS directions at a time, the kept rows compacted in place, so
-    the working set beyond the table itself is one chunk; on general
-    surfaces a per-direction scan that must produce a single consistent
-    action (flat facets qualify, genuinely multivalued surfaces do not).
+    Directions outside the surface's normal cone are skipped silently. The
+    inversion is vectorized (closed form where the family has one, a
+    monotone bisection of the normal angle otherwise) and runs CHUNK_ROWS
+    directions at a time, the kept rows compacted in place, so the working
+    set beyond the table itself is one chunk. Where the normal angle is
+    monotone the points with a given normal form one connected run, along
+    which <p, k> is constant, so one point per direction fixes its action;
+    an arc whose normal turns back has no action table (UnsupportedSurface).
     """
     if k_max < 1:
         raise ConfigError("k_max must be >= 1")
-    dim = surface.dimension
-    mu = as_shift(shift, dim)
-    K = kernels.primitive_directions(dim, k_max)
-
-    if surface.orientation in (Orientation.CONVEX, Orientation.CONCAVE):
-        pts = np.empty(K.shape)
-        acts = np.empty(len(K))
-        kept = failed = 0
-        for lo in range(0, len(K), CHUNK_ROWS):
-            Kc = K[lo:lo + CHUNK_ROWS]
-            pc, res, attained = surface.invert_normal_many(Kc)[1:]
-            failed += int(np.count_nonzero(attained & ~(res <= NORMAL_RESIDUAL_TOL)))
-            ac, keep = _kept_actions(Kc, pc, mu)
-            keep &= attained
-            stop = kept + int(np.count_nonzero(keep))
-            # kept <= lo: the rows written were all read already
-            K[kept:stop] = Kc[keep]
-            pts[kept:stop] = pc[keep]
-            acts[kept:stop] = ac[keep]
-            kept = stop
-        if failed:
-            raise ConvergenceFailure(f"{failed} directions failed the inversion residual")
-        K, pts, acts = K[:kept], pts[:kept], acts[:kept]
-    else:
-        rows, ppts = [], []
-        for row in K:
-            try:
-                inv = surface.invert_normal(row.astype(float))
-            except DirectionNotAttained:
-                continue
-            if inv.multivalued:
-                acts = inv.points @ row.astype(float)
-                scale = max(1.0, float(np.abs(acts).max()))
-                if np.ptp(acts) > FLAT_ACTION_TOL * scale:
-                    raise UnsupportedSurface(
-                        f"direction {row.tolist()} has multivalued inversion "
-                        "with disagreeing actions")
-            rows.append(row)
-            ppts.append(inv.point)
-        K = np.asarray(rows, dtype=np.int64).reshape(len(rows), dim)
-        pts = np.asarray(ppts, dtype=float).reshape(len(rows), dim)
-        acts, keep = _kept_actions(K, pts, mu)
-        K, pts, acts = K[keep], pts[keep], acts[keep]
-
+    mu = as_shift(shift, surface.dimension)
+    K = kernels.primitive_directions(surface.dimension, k_max)
+    pts = np.empty(K.shape)
+    acts = np.empty(len(K))
+    kept = failed = 0
+    for lo in range(0, len(K), CHUNK_ROWS):
+        Kc = K[lo:lo + CHUNK_ROWS]
+        pc, res, attained = surface.invert_normal_many(Kc)[1:]
+        failed += int(np.count_nonzero(attained & ~(res <= NORMAL_RESIDUAL_TOL)))
+        ac, keep = _kept_actions(Kc, pc, mu)
+        keep &= attained
+        stop = kept + int(np.count_nonzero(keep))
+        # kept <= lo: the rows written were all read already
+        K[kept:stop] = Kc[keep]
+        pts[kept:stop] = pc[keep]
+        acts[kept:stop] = ac[keep]
+        kept = stop
+    if failed:
+        raise ConvergenceFailure(f"{failed} directions failed the inversion residual")
+    K, pts, acts = K[:kept], pts[:kept], acts[:kept]
     return ActionSpectrum(K, acts, pts, surface.orientation, k_max, mu)
 
 

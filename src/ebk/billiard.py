@@ -203,10 +203,7 @@ def disk_profile() -> ToricProfile:
     gradient has the closed form (pi - a, a) / (pi sin a), which blows up
     toward the axes; callers stay in the open quadrant.
     """
-    curve = LevelSurface(2, boundary_point, 0.0, math.pi,
-                         normal_fn=boundary_normal,
-                         orientation=Orientation.CONCAVE,
-                         normal_map=_ramos_normal_map)
+    curve = RamosCurve()
 
     def gradient_fn(P):
         a = curve.ray_parameter(P)
@@ -227,8 +224,7 @@ class RamosCurve(LevelSurface):
                          param_lo=0.0, param_hi=math.pi,
                          normal_fn=boundary_normal,
                          orientation=Orientation.CONCAVE,
-                         profile=disk_profile(), resolution=resolution,
-                         normal_map=_ramos_normal_map)
+                         resolution=resolution, normal_map=_ramos_normal_map)
 
 
 @dataclass(frozen=True)

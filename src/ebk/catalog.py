@@ -8,10 +8,12 @@ Anything else is read as a JSON file:
 
 linear takes params.weights, pnorm/superellipse take params.s, custom-table
 takes params.table as [t, x, y] rows (a sampled curve; no closed-form
-profile, so only surface-based subcommands accept it). "dimension": 3 needs
-pnorm or superellipse: three-dimensional surfaces are inverted through the
-closed-form Gauss map, which only those kinds have; subcommands that need
-a surface reject linear specs in three dimensions.
+profile, so only surface-based subcommands accept it). Every other kind
+inverts its Gauss map in closed form and declares its orientation (linear
+general, ramos concave, the others convex). "dimension": 3 needs pnorm or
+superellipse: a three-dimensional surface must be convex or concave, so
+subcommands that need a surface reject linear specs in three dimensions.
+A spec entry of the wrong type is a ConfigError.
 """
 from __future__ import annotations
 
@@ -64,6 +66,13 @@ def _parse_floats(text: str, what: str) -> list[float]:
         raise ConfigError(f"could not parse {what} from {text!r}") from exc
 
 
+def _spec_number(value, what: str, cast=float):
+    try:
+        return cast(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what} must be a number, got {value!r}") from exc
+
+
 def parse_domain_spec(spec: str) -> DomainSpec:
     """Resolve a --profile argument to a DomainSpec."""
     if not spec:
@@ -88,8 +97,7 @@ def parse_domain_spec(spec: str) -> DomainSpec:
         return _spec_from_profile("circle", pnorm_profile(2.0))
     if spec == "ramos":
         return DomainSpec(name="ramos", profile=disk_profile(),
-                          surface_factory=lambda resolution: RamosCurve(
-                              resolution=resolution))
+                          surface_factory=RamosCurve)
     if os.path.exists(spec) or spec.endswith(".json"):
         return load_domain_file(spec)
     raise ConfigError(
@@ -109,32 +117,37 @@ def load_domain_file(path: str) -> DomainSpec:
         raise ConfigError(f"{path!r} must be an object with a 'kind' field")
     kind = doc["kind"]
     params = doc.get("params", {})
-    degree = float(doc.get("degree", 1.0))
-    dimension = int(doc.get("dimension", 2))
+    if not isinstance(params, dict):
+        raise ConfigError("params must be an object")
+    degree = _spec_number(doc.get("degree", 1.0), "degree")
+    dimension = _spec_number(doc.get("dimension", 2), "dimension", int)
     name = f"{kind}@{os.path.basename(path)}"
 
     if kind == "linear":
         weights = params.get("weights")
-        if not weights:
-            raise ConfigError("linear spec needs params.weights")
+        if not weights or not isinstance(weights, list):
+            raise ConfigError("linear spec needs params.weights as a list")
         if len(weights) != dimension:
             raise ConfigError("params.weights length must match dimension")
-        return _spec_from_profile(name, linear_profile([float(w) for w in weights]))
+        return _spec_from_profile(name, linear_profile(
+            [_spec_number(w, "params.weights entries") for w in weights]))
     if kind in ("pnorm", "superellipse"):
         if "s" not in params:
             raise ConfigError(f"{kind} spec needs params.s")
-        profile = pnorm_profile(float(params["s"]), dimension=dimension,
-                                degree=degree)
+        profile = pnorm_profile(_spec_number(params["s"], "params.s"),
+                                dimension=dimension, degree=degree)
         return _spec_from_profile(name, profile)
     if kind == "ramos":
         return DomainSpec(name=name, profile=disk_profile(),
-                          surface_factory=lambda resolution: RamosCurve(
-                              resolution=resolution))
+                          surface_factory=RamosCurve)
     if kind == "custom-table":
         table = params.get("table")
         if not table:
             raise ConfigError("custom-table spec needs params.table rows [t, x, y]")
-        rows = np.asarray(table, dtype=float)
+        try:
+            rows = np.asarray(table, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"params.table cells must be numbers: {exc}") from exc
         if rows.ndim != 2 or rows.shape[1] != 3:
             raise ConfigError("params.table rows must be [t, x, y]")
         pts = rows[np.argsort(rows[:, 0], kind="stable"), 1:]

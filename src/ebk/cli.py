@@ -31,7 +31,10 @@ from .surfaces import DEFAULT_RESOLUTION
 def _parse_shift(text: Optional[str]):
     if text is None:
         return None
-    vals = [float(tok) for tok in text.split(",") if tok != ""]
+    try:
+        vals = [float(tok) for tok in text.split(",") if tok != ""]
+    except ValueError as exc:
+        raise ConfigError(f"--shift expects comma separated numbers, got {text!r}") from exc
     if not vals:
         raise ConfigError("--shift needs comma separated numbers")
     return vals[0] if len(vals) == 1 else tuple(vals)
@@ -48,14 +51,20 @@ def _write(out: Optional[str], text: str) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
     else:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out!r}: {exc.strerror or exc}") from exc
 
 
 def _load_actions(args) -> ActionSpectrum:
     if getattr(args, "actions", None):
-        with open(args.actions) as fh:
-            text = fh.read()
+        try:
+            with open(args.actions) as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read actions file {args.actions!r}: {exc}") from exc
         if args.actions.endswith(".json"):
             return ActionSpectrum.from_json(text)
         orientation = getattr(args, "orientation", None)
@@ -127,7 +136,7 @@ def cmd_legendre_dual(args) -> int:
         raise ConfigError("--samples must be >= 1")
     spec = parse_domain_spec(args.profile)
     surface = spec.make_surface(args.resolution)
-    dual = hypersurface_transform(surface, resolution=args.resolution)
+    dual = hypersurface_transform(surface)
     params = np.linspace(dual.param_lo, dual.param_hi, args.samples)
     points = dual.point(params)
     if args.format == "json":

@@ -18,12 +18,7 @@ from .errors import (
     TooFewNicePoints,
 )
 from .profiles import ToricProfile
-from .surfaces import (
-    DEFAULT_RESOLUTION,
-    LevelSurface,
-    Orientation,
-    SUPPORT_FLOOR,
-)
+from .surfaces import DEFAULT_RESOLUTION, LevelSurface, Orientation, SUPPORT_FLOOR
 
 CURVATURE_FLOOR = 1e-8      # |K| below this marks a non-nice (flat) sample
 NICE_FRACTION_MIN = 0.5     # required share of nice samples for the transform
@@ -211,13 +206,14 @@ def support_function(surface: LevelSurface, q) -> float:
 
 def hypersurface_transform(surface: LevelSurface,
                            curvature_floor: float = CURVATURE_FLOOR,
-                           at_params: Optional[np.ndarray] = None,
-                           resolution: int = DEFAULT_RESOLUTION) -> LevelSurface:
+                           at_params: Optional[np.ndarray] = None) -> LevelSurface:
     """Dual surface through L(p) = n(p) / <p, n(p)> over the nice samples.
 
     Nice means |K| above the curvature floor, support value away from zero,
-    and locally injective images. The result is parametrized by the original
-    parameter, with closed-form normals p(t)/|p(t)|.
+    and locally injective images. The samples are the surface's own dense
+    ones, or the given parameters. The result is parametrized by the
+    original parameter, with closed-form normals p(t)/|p(t)|, inherits the
+    surface's resolution, and keeps the surviving parameters as its knots.
     """
     if surface.dimension != 2:
         raise ConfigError("hypersurface_transform is implemented for n = 2")
@@ -279,11 +275,10 @@ def hypersurface_transform(surface: LevelSurface,
     # left to detection on the output's own samples
     orientation = (Orientation.CONVEX
                    if surface.orientation is Orientation.CONVEX else None)
-    dual = LevelSurface(dimension=2, point_fn=point_fn, param_lo=lo,
+    return LevelSurface(dimension=2, point_fn=point_fn, param_lo=lo,
                         param_hi=hi, normal_fn=normal_fn,
-                        orientation=orientation, resolution=resolution)
-    dual.knots = params[survivors]
-    return dual
+                        orientation=orientation, resolution=surface.resolution,
+                        knots=params[survivors])
 
 
 @dataclass(frozen=True)
@@ -310,24 +305,25 @@ class ReconstructionResult:
 
 
 def reconstruct_surface(cloud: PointCloud,
-                        reference: Optional[LevelSurface] = None,
-                        resolution: int = DEFAULT_RESOLUTION) -> ReconstructionResult:
+                        reference: Optional[LevelSurface] = None) -> ReconstructionResult:
     """Recover the level surface N from the cloud {k / a(k)}.
 
     Pipeline: spline-fit the cloud as a polar graph M', then push M' through
     the hypersurface transform; the transform of the fitted dual is N itself.
+    No curve is sampled densely: the transform runs at the fit's knots and
+    the result is read off by rays; only the Hausdorff distance to the
+    reference samples, at its own resolution.
     """
     if len(cloud) < MIN_CLOUD_POINTS:
         raise InsufficientCloud(
             f"need at least {MIN_CLOUD_POINTS} points, got {len(cloud)}")
-    fit = LevelSurface.from_points(cloud.points, resolution=resolution)
-    dual = hypersurface_transform(fit, at_params=fit.knots,
-                                  resolution=resolution)
+    fit = LevelSurface.from_points(cloud.points)
+    dual = hypersurface_transform(fit, at_params=fit.knots)
     # keep only the knot images: there the fit interpolates the cloud exactly
     # and only its normal error enters; refitting through them avoids the
     # between-knot error of pushing the whole spline through L
     images = dual.point(dual.knots)
-    surface = LevelSurface.from_points(images, resolution=resolution)
+    surface = LevelSurface.from_points(images)
     hd = hausdorff_distance(surface, reference) if reference is not None else None
     report = ReconstructionReport(cloud_size=len(cloud),
                                   fit_knots=len(fit.knots),

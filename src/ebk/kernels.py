@@ -7,9 +7,9 @@
     values and indices are bitwise those of a full scan;
   * bisect_generic is a vectorized monotone bisection.
 
-Gauss-map inversion is closed form for the builtin families (pnorm and the
-disk's boundary curve, see LevelSurface.normal_map), and curves
-parametrized by polar angle meet each ray at the ray's own angle.
+Gauss-map inversion is closed form for the builtin families (pnorm, the
+harmonic facet and the disk's boundary curve, see LevelSurface.normal_map),
+and curves parametrized by polar angle meet each ray at the ray's own angle.
 bisect_generic serves only what has no closed form: the Gauss-map inversion
 of spline and table curves, and the point on a ray of the disk's boundary
 curve and of transform duals (LevelSurface.ray_parameter).
@@ -62,28 +62,23 @@ def primitive_directions(dimension: int, k_max: int) -> np.ndarray:
     return np.stack(np.nonzero(keep), axis=1)
 
 
-def _bisect_vectorized(angle_of, lo, hi, targets):
-    a = np.full(targets.shape, lo, dtype=float)
-    b = np.full(targets.shape, hi, dtype=float)
-    for _ in range(BISECT_ITERS):
-        mid = 0.5 * (a + b)
-        right = angle_of(mid) < targets
-        a = np.where(right, mid, a)
-        b = np.where(right, b, mid)
-    return 0.5 * (a + b)
-
-
 def bisect_generic(angle_fn, lo: float, hi: float, targets: np.ndarray,
                    increasing: bool = True) -> np.ndarray:
     """Parameters t in [lo, hi] with angle_fn(t) = target, for a vectorized
     angle_fn monotone in the given sense. Targets outside the attained range
     clamp to the endpoints; the caller is responsible for the residual
-    check."""
-    targets = np.asarray(targets, dtype=float)
-    if increasing:
-        return _bisect_vectorized(angle_fn, float(lo), float(hi), targets)
-    return _bisect_vectorized(lambda t: -np.asarray(angle_fn(t)), float(lo), float(hi),
-                              -targets)
+    check. A decreasing angle_fn is bisected as the increasing -angle_fn
+    against -targets (negation is exact)."""
+    sign = 1.0 if increasing else -1.0
+    targets = sign * np.asarray(targets, dtype=float)
+    a = np.full(targets.shape, float(lo))
+    b = np.full(targets.shape, float(hi))
+    for _ in range(BISECT_ITERS):
+        mid = 0.5 * (a + b)
+        right = sign * angle_fn(mid) < targets
+        a = np.where(right, mid, a)
+        b = np.where(right, b, mid)
+    return 0.5 * (a + b)
 
 
 # --- extremal ratio reduction ---

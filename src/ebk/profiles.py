@@ -9,12 +9,21 @@ axis: points have shape (..., n), values shape (...), gradients (..., n).
 """
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigError
+
+FLAT_TOL = 1e-12   # |k x w| <= tol |k| |w|: k is the facet's normal
+
+
+class Orientation(str, enum.Enum):
+    CONVEX = "convex"
+    CONCAVE = "concave"
+    GENERAL = "general"
 
 
 def _as_points(p, dimension: int) -> tuple[np.ndarray, bool]:
@@ -37,9 +46,9 @@ class ToricProfile:
 
     inverse_gauss_fn, when given, is the closed-form inverse of the Gauss
     map: it sends each nonzero row k >= 0 of an (N, n) array to the point
-    of {f = 1} whose outward normal is parallel to k. Only strictly convex
-    families supply one (pnorm is convex for every s > 1), and
-    LevelSurface.from_profile declares such a surface CONVEX.
+    of {f = 1} whose outward normal is parallel to k (nan where there is
+    none). orientation is the family's declared one (pnorm CONVEX, linear
+    GENERAL); None leaves it to detection from sampled curvature.
     """
 
     name: str
@@ -48,6 +57,7 @@ class ToricProfile:
     evaluate_fn: Callable[[np.ndarray], np.ndarray]
     gradient_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     inverse_gauss_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    orientation: Optional[Orientation] = None
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -96,7 +106,9 @@ def linear_profile(weights: Sequence[float], name: str | None = None) -> ToricPr
     """f(p) = <w, p> with positive weights; degree 1.
 
     This is the harmonic-oscillator profile: the level set is a simplex
-    facet and the whole surface shares one normal direction.
+    facet and the whole surface shares one normal direction w. The inverse
+    Gauss map sends k parallel to w to the diagonal point (1, ..., 1) /
+    sum(w), and any other k to nan.
     """
     w = np.asarray(list(weights), dtype=float)
     if w.ndim != 1 or w.size < 1:
@@ -111,12 +123,23 @@ def linear_profile(weights: Sequence[float], name: str | None = None) -> ToricPr
     def gr(p):
         return np.broadcast_to(wt, p.shape).copy()
 
+    u = wt / np.linalg.norm(wt)
+    diagonal = np.full(wt.size, 1.0 / wt.sum())
+
+    def inverse_gauss(K):
+        # |k - <k, u> u| = |k x u| for the unit normal u of the facet
+        off = np.linalg.norm(K - (K @ u)[:, None] * u, axis=1)
+        flat = off <= FLAT_TOL * np.linalg.norm(K, axis=1)
+        return np.where(flat[:, None], diagonal, np.nan)
+
     return ToricProfile(
         name=name or ("harmonic:" + ",".join(format(x, "g") for x in w)),
         dimension=w.size,
         degree=1.0,
         evaluate_fn=ev,
         gradient_fn=gr,
+        inverse_gauss_fn=inverse_gauss,
+        orientation=Orientation.GENERAL,
     )
 
 
@@ -164,6 +187,7 @@ def pnorm_profile(s: float, dimension: int = 2, degree: float = 1.0,
         evaluate_fn=ev,
         gradient_fn=gr,
         inverse_gauss_fn=inverse_gauss,
+        orientation=Orientation.CONVEX,
     )
 
 

@@ -347,8 +347,7 @@ def minmax_certificate(actions, energy: float, m: Sequence[int], shift=None,
 
 def reconstruction_spectrum(actions, m_max: int, degree: float = 1.0,
                             hbar: float = 1.0, shift=None, orientation=None,
-                            reference=None,
-                            resolution: int = 4096
+                            reference=None
                             ) -> tuple[EbkSpectrum, ReconstructionResult]:
     """Rebuild the level surface from {k / a(k)} and read energies off it.
 
@@ -362,8 +361,7 @@ def reconstruction_spectrum(actions, m_max: int, degree: float = 1.0,
     if not spec.shift.is_zero:
         raise ConfigError("reconstruction needs unshifted action entries")
     mu = as_shift(shift, spec.dimension)
-    recon = reconstruct_surface(PointCloud.from_actions(spec),
-                                reference=reference, resolution=resolution)
+    recon = reconstruct_surface(PointCloud.from_actions(spec), reference=reference)
     m_grid = lattice_grid(spec.dimension, m_max)
     W = lattice_weights(m_grid, mu, hbar)
     energies = np.zeros(len(m_grid))

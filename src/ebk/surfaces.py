@@ -1,21 +1,21 @@
 """Level surfaces {f = 1} of homogeneous profiles and their Gauss geometry.
 
 For n = 2 a surface is a parametrized arc in the closed positive quadrant.
-For n = 3 it is the level set of a profile with a closed-form Gauss-map
-inverse (pnorm), parametrized by sphere angles; it is inverted through that
-closed form only, and the sampled, curvature-based methods are planar.
+For n = 3 it is the level set of a convex profile with a closed-form
+Gauss-map inverse (pnorm), parametrized by sphere angles; it is inverted
+through that closed form only, and the sampled methods are planar.
 
-Orientation is declared wherever the math fixes it: a profile with a
-closed-form Gauss-map inverse is strictly convex, and the disk's boundary
-curve is concave. Only numeric arcs (spline and table curves, transform
-duals, profiles without a closed form) detect it from sampled curvature.
-Everything downstream relies on two facts about the in-scope surfaces: they
-are star-shaped about the origin, and their outward normal angle is
-monotone in the curve parameter when the curvature has one sign.
+Orientation is declared wherever the math fixes it: by each builtin profile
+family (pnorm convex, the harmonic facet general) and by the disk's concave
+boundary curve. Only numeric arcs (spline and table curves, transform duals,
+custom profiles) detect it from sampled curvature. Everything downstream
+relies on two facts about the in-scope surfaces: they are star-shaped about
+the origin, and their outward normal angle is monotone along the arc, so
+invert_normal_many finds a direction's points in closed form or by
+bisection (UnsupportedSurface where the normal turns back).
 """
 from __future__ import annotations
 
-import enum
 import functools
 import itertools
 from dataclasses import dataclass
@@ -33,8 +33,9 @@ from .errors import (
     InsufficientResolution,
     NonGraphical,
     TangentThroughOrigin,
+    UnsupportedSurface,
 )
-from .profiles import ToricProfile
+from .profiles import Orientation, ToricProfile
 
 GRADIENT_FLOOR = 1e-12        # |grad f| below this: Gauss map undefined
 SUPPORT_FLOOR = 1e-10         # |<p, n>| below this: dual point undefined
@@ -42,12 +43,6 @@ NORMAL_RESIDUAL_TOL = 1e-10   # |n x k_hat| accepted by the inversion
 DEFAULT_RESOLUTION = 4096
 MIN_RESOLUTION = 64           # smallest accepted; every builtin curve dualizes at 64
 SCAN_REFINE_ITERS = 200       # bisection steps per sign change of the scan
-
-
-class Orientation(str, enum.Enum):
-    CONVEX = "convex"
-    CONCAVE = "concave"
-    GENERAL = "general"
 
 
 def gauss_map(profile: ToricProfile, p) -> np.ndarray:
@@ -181,21 +176,22 @@ class LevelSurface:
 
     normal_map, when given, is the closed-form inverse of the Gauss map in
     this parametrization: it sends each nonzero row k >= 0 of an (N, n)
-    array to (params, points, normals) with the normal parallel to k.
-    Surfaces in n = 3 need one and a declared orientation; planar arcs
-    without an orientation detect it from their sampled curvature.
+    array to (params, points, normals) with the normal parallel to k, and
+    a row that no point has its normal along to nan. Surfaces in n = 3 need
+    one and a declared convex or concave orientation; planar arcs without
+    an orientation detect it from their sampled curvature.
     """
 
     def __init__(self, dimension: int, point_fn: Callable, param_lo, param_hi,
                  normal_fn: Callable,
                  orientation: Orientation | str | None = None,
-                 profile: Optional[ToricProfile] = None,
                  resolution: int = DEFAULT_RESOLUTION,
                  normal_map: Optional[Callable] = None,
                  knots: Optional[np.ndarray] = None):
         if dimension not in (2, 3):
             raise ConfigError("only dimensions 2 and 3 are supported")
-        if dimension == 3 and (normal_map is None or orientation is None):
+        if dimension == 3 and (normal_map is None or orientation not in (
+                Orientation.CONVEX, Orientation.CONCAVE)):
             raise ConfigError("n = 3 surfaces need a closed-form Gauss-map "
                               "inverse and a declared orientation (pnorm or "
                               "superellipse profiles)")
@@ -206,7 +202,6 @@ class LevelSurface:
         self.param_lo = param_lo
         self.param_hi = param_hi
         self._normal_fn = normal_fn
-        self.profile = profile
         self.resolution = int(resolution)
         self.normal_map = normal_map
         self.knots = knots
@@ -222,9 +217,9 @@ class LevelSurface:
                      resolution: int = DEFAULT_RESOLUTION) -> "LevelSurface":
         """Polar (n = 2) or spherical (n = 3) angle parametrization of {f = 1}.
 
-        A profile with a closed-form Gauss-map inverse is strictly convex
-        (see ToricProfile.inverse_gauss_fn), so its surface is CONVEX;
-        any other profile has its orientation detected.
+        The profile's closed-form Gauss-map inverse, if any, becomes the
+        normal map, and its declared orientation the surface's; a profile
+        without one has its orientation detected.
         """
         n, d = profile.dimension, profile.degree
 
@@ -246,10 +241,8 @@ class LevelSurface:
             g = profile.gradient(unit(t))
             return g / np.linalg.norm(g, axis=-1, keepdims=True)
 
-        normal_map = orientation = None
+        normal_map = None
         if profile.inverse_gauss_fn is not None:
-            orientation = Orientation.CONVEX
-
             def normal_map(K):
                 # the points come from k directly, so the axis rows
                 # land exactly on the axis endpoints
@@ -262,9 +255,8 @@ class LevelSurface:
 
         lo, hi = (0.0, np.pi / 2) if n == 2 else (np.zeros(2), np.full(2, np.pi / 2))
         return cls(n, point_fn, lo, hi,
-                   normal_fn=normal_fn, orientation=orientation,
-                   profile=profile, resolution=resolution,
-                   normal_map=normal_map)
+                   normal_fn=normal_fn, orientation=profile.orientation,
+                   resolution=resolution, normal_map=normal_map)
 
     @classmethod
     def from_points(cls, points: np.ndarray,
@@ -376,29 +368,42 @@ class LevelSurface:
             return Orientation.CONCAVE
         return Orientation.GENERAL
 
-    # -- normal-direction inversion --
+    # -- monotone angles: the normal's and the polar one --
 
-    @cached_property
-    def _angle_profile(self) -> tuple[float, float, bool]:
-        """(min angle, max angle, increasing?) of the outward normal angle."""
-        t = np.linspace(self.param_lo, self.param_hi, 257)
-        ang = self.normal_angle(t)
+    def _monotone_span(self, angle_fn, error, what: str) -> tuple[float, float, bool]:
+        """(min angle, max angle, increasing?) of angle_fn over the arc;
+        raises error when the angle is not monotone."""
+        ang = angle_fn(np.linspace(self.param_lo, self.param_hi, 257))
         d = np.diff(ang)
         if np.all(d >= -1e-12):
             return float(ang[0]), float(ang[-1]), True
         if np.all(d <= 1e-12):
             return float(ang[-1]), float(ang[0]), False
-        raise ConvergenceFailure("normal angle is not monotone; use the "
-                                 "general scanning path")
+        raise error(f"{what} angle is not monotone along the arc")
+
+    def _bisect_angle(self, angle_fn, span, targets) -> np.ndarray:
+        """Parameters where the monotone angle_fn meets the targets, each
+        clipped into the angle's span."""
+        lo_a, hi_a, increasing = span
+        return kernels.bisect_generic(angle_fn, self.param_lo, self.param_hi,
+                                      np.clip(targets, lo_a, hi_a),
+                                      increasing=increasing)
+
+    # -- normal-direction inversion --
+
+    @cached_property
+    def _angle_profile(self) -> tuple[float, float, bool]:
+        # a normal that turns back meets a direction at points of unequal action
+        return self._monotone_span(self.normal_angle, UnsupportedSurface, "normal")
 
     def invert_normal_many(self, directions: np.ndarray):
-        """Vectorized inversion for surfaces with a closed-form normal_map
-        and for convex/concave n = 2 arcs.
+        """Vectorized inversion: the closed-form normal_map where there is
+        one, else a bisection of the monotone normal angle.
 
-        Returns (params, points, residuals, attained_mask). A surface with a
-        closed-form normal_map attains every nonzero k >= 0; otherwise a
-        monotone bisection solves for the normal angle. Rows outside the
-        normal cone are masked out (nan), not errors.
+        Returns (params, points, residuals, attained_mask). A closed-form
+        normal_map attains the nonzero rows k >= 0 that it maps to finite
+        points. Rows outside the normal cone are masked out (nan), not
+        errors; a normal angle that is not monotone is UnsupportedSurface.
         """
         K = np.asarray(directions, dtype=float)
         if self.normal_map is None:
@@ -410,20 +415,19 @@ class LevelSurface:
             if not attained.all():
                 K = np.where(attained[:, None], K, np.nan)
             t, points, normals = self.normal_map(K)
+            # columnwise: a row-wise all() over few columns is far slower
+            attained &= functools.reduce(np.logical_and, map(np.isfinite, points.T))
         return t, points, _normal_residuals(normals, K), attained
 
     def _bisect_normal_many(self, K: np.ndarray):
         targets = np.arctan2(K[:, 1], K[:, 0])
-        lo_a, hi_a, increasing = self._angle_profile
-        attained = (targets >= lo_a - 1e-12) & (targets <= hi_a + 1e-12)
+        span = self._angle_profile
+        attained = (targets >= span[0] - 1e-12) & (targets <= span[1] + 1e-12)
         t = np.full(K.shape[0], np.nan)
         points = np.full((K.shape[0], 2), np.nan)
         normals = np.full((K.shape[0], 2), np.nan)
         if np.any(attained):
-            t_hit = kernels.bisect_generic(self.normal_angle, self.param_lo,
-                                           self.param_hi,
-                                           np.clip(targets[attained], lo_a, hi_a),
-                                           increasing=increasing)
+            t_hit = self._bisect_angle(self.normal_angle, span, targets[attained])
             t[attained] = t_hit
             points[attained] = self.point(t_hit)
             normals[attained] = self.normal(t_hit)
@@ -432,12 +436,12 @@ class LevelSurface:
     def invert_normal(self, k) -> InversionResult:
         """Inversion for a single integer/real direction.
 
-        Closed-form, convex and concave surfaces take invert_normal_many;
-        general arcs scan the samples for residual sign changes and flat runs.
+        Convex and concave surfaces take invert_normal_many; general arcs
+        scan the samples for residual sign changes and flat runs, and so
+        report every solution component.
         """
         k = np.asarray(k, dtype=float)
-        if self.normal_map is not None \
-                or self.orientation in (Orientation.CONVEX, Orientation.CONCAVE):
+        if self.orientation in (Orientation.CONVEX, Orientation.CONCAVE):
             t, pts, res, ok = self.invert_normal_many(k[None, :])
             if not ok[0]:
                 raise DirectionNotAttained(f"direction {k.tolist()} outside normal cone")
@@ -508,13 +512,8 @@ class LevelSurface:
 
     @cached_property
     def _polar_profile(self) -> tuple[float, float, bool]:
-        ang = self._polar_angle(np.linspace(self.param_lo, self.param_hi, 257))
-        d = np.diff(ang)
-        if np.all(d >= -1e-12):
-            return float(ang[0]), float(ang[-1]), True
-        if np.all(d <= 1e-12):
-            return float(ang[-1]), float(ang[0]), False
-        raise ConfigError("surface is not star-shaped in polar angle")
+        # not star-shaped: a ray meets the arc more than once
+        return self._monotone_span(self._polar_angle, ConfigError, "polar")
 
     def ray_parameter(self, p) -> np.ndarray:
         """Parameter of the arc point on the ray through each row of p (..., 2).
@@ -529,7 +528,8 @@ class LevelSurface:
         P = np.asarray(p, dtype=float)
         flat = P.reshape(-1, 2)
         phi = np.arctan2(flat[:, 1], flat[:, 0])
-        lo_a, hi_a, increasing = self._polar_profile
+        span = self._polar_profile
+        lo_a, hi_a, _ = span
         out = (phi < lo_a - 1e-12) | (phi > hi_a + 1e-12)
         if np.any(out):
             raise DirectionNotAttained(f"ray through {flat[out][0].tolist()} "
@@ -539,9 +539,7 @@ class LevelSurface:
         psi = self._polar_angle(np.where(inside, t, self.param_lo))
         miss = ~(inside & (np.abs(psi - t) <= 2 * np.spacing(np.abs(t))))
         if np.any(miss):
-            t[miss] = kernels.bisect_generic(self._polar_angle, self.param_lo,
-                                             self.param_hi, t[miss],
-                                             increasing=increasing)
+            t[miss] = self._bisect_angle(self._polar_angle, span, t[miss])
         return t.reshape(P.shape[:-1])
 
     def radial_value(self, p):

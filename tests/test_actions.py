@@ -16,6 +16,7 @@ from ebk import (
     LevelSurface,
     Orientation,
     RamosCurve,
+    UnsupportedSurface,
     billiard_orbit_action,
     euclidean_profile,
     harmonic_profile,
@@ -61,6 +62,30 @@ def test_segment_spectrum_single_direction():
     e = acts.entries[0]
     assert e.action == pytest.approx(1.0, abs=1e-12)
     assert float(np.dot(e.point, [1.0, 2.0])) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_segment_table_never_scans(monkeypatch):
+    # the facet inverts in closed form; the per-direction scan stays unused
+    def scan(self, k):
+        raise AssertionError("scanned a direction")
+
+    monkeypatch.setattr(LevelSurface, "_invert_normal_scan", scan)
+    surf = LevelSurface.from_profile(harmonic_profile((1.0, 2.0)))
+    acts = marked_action_spectrum(surf, 40)
+    assert acts.directions.tolist() == [[1, 2]]
+    assert acts.points.tolist() == [[1.0 / 3.0, 1.0 / 3.0]]
+
+
+@pytest.mark.parametrize("k_max", [1, 2, 3, 5])
+def test_dented_arc_has_no_action_table(k_max):
+    # the outward normal turns back inside the dent, so (1, 1) is normal at
+    # several points with different actions
+    t = np.linspace(0.0, np.pi / 2, 200)
+    r = 1.0 - 0.3 * np.sin(2 * t) ** 2
+    dent = LevelSurface.from_points(np.stack([r * np.cos(t), r * np.sin(t)], 1))
+    assert dent.orientation is Orientation.GENERAL
+    with pytest.raises(UnsupportedSurface):
+        marked_action_spectrum(dent, k_max)
 
 
 def test_ramos_entries_drop_axis_classes():

@@ -264,12 +264,46 @@ def test_bad_resolution_or_samples_is_a_config_error(capsys, argv):
     ["spectrum-direct", "--profile", "power:2,inf", "--m-max", "2"],
     ["spectrum-direct", "--profile", "pnorm:inf", "--m-max", "2"],
     ["billiard-solve", "--m", "0", "--n", "1", "--tol", "nan"],
+    ["spectrum-direct", "--profile", "pnorm:4", "--m-max", "2", "--shift", "abc"],
 ], ids=["variational-degree-nan", "reconstruct-degree-nan",
         "variational-degree-zero", "reconstruct-degree-negative",
         "harmonic-weight-inf", "power-degree-inf", "pnorm-exponent-inf",
-        "solve-tol-nan"])
+        "solve-tol-nan", "shift-not-a-number"])
 def test_nonfinite_or_nonpositive_flag_is_a_config_error(capsys, argv):
     _assert_config_error(argv, capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum-variational", "--actions", "missing.csv", "--orientation", "convex",
+     "--m-max", "2"],
+    ["spectrum-direct", "--profile", "pnorm:4", "--m-max", "2",
+     "--out", "missing/out.csv"],
+    ["spectrum-reconstruct", "--profile", "pnorm:4", "--k-max", "30", "--m-max", "2",
+     "--report", "missing/report.json"],
+], ids=["missing-actions", "unwritable-out", "unwritable-report"])
+def test_unreadable_or_unwritable_path_is_a_config_error(tmp_path, monkeypatch, capsys,
+                                                         argv):
+    monkeypatch.chdir(tmp_path)   # neither missing.csv nor missing/ exists here
+    _assert_config_error(argv, capsys)
+
+
+_QUADRANT_TABLE = [[0, 1, 0], [1, 0.9, 0.6], [2, 0.6, 0.9], [3, 0, 1]]
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "pnorm", "params": {"s": "abc"}},
+    {"kind": "pnorm", "params": {"s": 3}, "degree": "abc"},
+    {"kind": "pnorm", "params": {"s": 3}, "dimension": "abc"},
+    {"kind": "linear", "params": {"weights": [1, "abc"]}},
+    {"kind": "linear", "params": {"weights": 3}},
+    {"kind": "custom-table", "params": {"table": _QUADRANT_TABLE[:2] + [[2, "abc", 0.9]]
+                                        + _QUADRANT_TABLE[3:]}},
+], ids=["spec-s", "spec-degree", "spec-dimension", "spec-weight", "spec-weights-scalar",
+        "spec-table-cell"])
+def test_non_numeric_spec_entry_is_a_config_error(tmp_path, capsys, doc):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    _assert_config_error(["actions", "--profile", str(spec), "--k-max", "3"], capsys)
 
 
 def test_harmonic_in_three_dimensions_is_a_config_error(capsys):

@@ -263,6 +263,6 @@ def test_bench_kernels_rows_run(monkeypatch, capsys):
     assert "identical: True" in out
     assert "inversion(pnorm:4" in out
     assert "action table(pnorm:3" in out and "identical: False" not in out
-    assert "action table(ramos" in out
+    assert "action table(ramos" in out and "action table(harmonic:1,2, 1 rows)" in out
     assert "spline fit(" in out and "spline refit(" in out
-    assert "hausdorff_distance(4096 x 4096" in out and out.count(" MB") == 6
+    assert "hausdorff_distance(4096 x 4096" in out and out.count(" MB") == 7

@@ -175,6 +175,29 @@ def test_invert_segment_flat_run_is_multivalued(segment):
         assert abs(f.evaluate(p) - 1.0) <= 1e-9
 
 
+@pytest.mark.parametrize("weights", [(1.0, 2.0), (3.0, 5.0), (2.0, 2.0), (2.0, 3.0),
+                                     (1.0, np.sqrt(2.0))],
+                         ids=["1,2", "3,5", "2,2", "2,3", "1,sqrt2"])
+def test_facet_closed_form_matches_scan(weights):
+    # the closed form attains exactly the directions the scan finds normal
+    # somewhere on the facet, at points of {f = 1}
+    f = harmonic_profile(weights)
+    facet = LevelSurface.from_profile(f)
+    assert facet.orientation is Orientation.GENERAL
+    K = kernels.primitive_directions(2, 40)
+    _, pts, res, ok = facet.invert_normal_many(K)
+    scanned = []
+    for k in K:
+        try:
+            scanned.append(invert_gauss_map_all(facet, k).multivalued)
+        except DirectionNotAttained:
+            scanned.append(False)
+    assert np.array_equal(ok, scanned)
+    assert np.all(res[ok] <= 1e-12)
+    assert np.all(np.abs(f.evaluate(pts[ok]) - 1.0) <= 1e-15)
+    assert np.isnan(pts[~ok]).all()
+
+
 def test_invert_roundtrip_convex(circle, quartic):
     rng = np.random.default_rng(7)
     K = rng.uniform(0.02, 1.0, size=(1000, 2))
