@@ -69,7 +69,7 @@ def _parse_floats(text: str, what: str) -> list[float]:
 def _spec_number(value, what: str, cast=float):
     try:
         return cast(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{what} must be a number, got {value!r}") from exc
 
 
@@ -120,7 +120,10 @@ def load_domain_file(path: str) -> DomainSpec:
     if not isinstance(params, dict):
         raise ConfigError("params must be an object")
     degree = _spec_number(doc.get("degree", 1.0), "degree")
-    dimension = _spec_number(doc.get("dimension", 2), "dimension", int)
+    dimension = _spec_number(doc.get("dimension", 2), "dimension")
+    if not dimension.is_integer():
+        raise ConfigError(f"dimension must be an integer, got {dimension!r}")
+    dimension = int(dimension)
     name = f"{kind}@{os.path.basename(path)}"
 
     if kind == "linear":

@@ -5,13 +5,12 @@ reconstructing a level surface from the point cloud {k / a(k)}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import (
     ConfigError,
-    ConvergenceFailure,
     DirectionNotAttained,
     InsufficientCloud,
     NotAttained,
@@ -69,111 +68,97 @@ class PointCloud:
         return cls(points=K / actions.actions[:, None])
 
 
-def convex_conjugate(profile: ToricProfile, q, tol: float = 1e-10,
-                     max_iter: int = 80, box: float = 1e8) -> tuple[float, np.ndarray]:
-    """sup_p (<p, q> - f(p)) via damped Newton on grad f(p) = q.
+def _support_point_map(profile: ToricProfile) -> Callable[[np.ndarray], np.ndarray]:
+    """Map from the nonzero rows q >= 0 of an (N, n) array to the points x(q)
+    of N = {f = 1} maximizing <x, q>: the closed-form Gauss-map inverse of a
+    declared convex profile, else the bisection of a planar arc detected
+    convex (its better endpoint outside the normal cone). ConfigError when
+    f is not convex with a strictly convex level set."""
+    n, d = profile.dimension, profile.degree
+    if d < 1.0:
+        raise ConfigError(f"{profile.name} has degree {d:g} < 1 and is not convex")
+    if n == 1:
+        x = profile.evaluate_fn(np.ones(1)) ** (-1.0 / d)
+        return lambda Q: np.full(Q.shape, x)
+    if profile.orientation is Orientation.CONVEX and profile.inverse_gauss_fn is not None:
+        return profile.inverse_gauss_fn
+    if n != 2:
+        raise ConfigError(f"the conjugate of {profile.name} in n = {n} needs a "
+                          "closed-form Gauss-map inverse and a convex orientation")
+    surface = LevelSurface.from_profile(profile)
+    if surface.orientation is not Orientation.CONVEX:
+        raise ConfigError(f"the level set of {profile.name} is not strictly convex")
+    ends = surface.point([surface.param_lo, surface.param_hi])
 
-    Returns (value, argmax). Raises NotAttained when the objective grows
-    without bound along the ray through q (degree-1 profiles outside the
-    dual unit ball), ConvergenceFailure when no stationary point is found.
-    """
+    def support_point(Q):
+        _, x, _, attained = surface.invert_normal_many(Q)
+        return np.where(attained[:, None], x, ends[np.argmax(Q @ ends.T, axis=1)])
+
+    return support_point
+
+
+def _conjugate_rows(profile: ToricProfile, support_point, Q: np.ndarray):
+    """(values, argmaxes) of f* over the rows of Q. With the support value
+    h = <x(q), q> and t = (h/d)^(1/(d-1)), the argmax is t x(q) and
+    f*(q) = (d - 1) t^d (Rockafellar, Convex Analysis, sections 13 and 15);
+    for d = 1, f* is 0 at p = 0 on the polar body h <= 1, +inf beyond."""
+    if not np.all(Q >= 0):
+        raise ConfigError("q must lie in the closed positive orthant")
+    zero = ~Q.any(axis=1)
+    # a zero row may take any x: its support value is 0 all the same
+    x = support_point(np.where(zero[:, None], 1.0, Q))
+    h = np.einsum("ij,ij->i", x, Q)
+    d = profile.degree
+    if d == 1.0:
+        if np.any(h > 1.0):
+            raise NotAttained("q lies outside the polar body, where the "
+                              "conjugate of a 1-homogeneous profile is +inf")
+        return np.zeros(len(Q)), np.zeros_like(Q)
+    t = (h / d) ** (1.0 / (d - 1.0))
+    return (d - 1.0) * t ** d, t[:, None] * x
+
+
+def convex_conjugate(profile: ToricProfile, q) -> tuple[float, np.ndarray]:
+    """(sup_{p >= 0} <p, q> - f(p), argmax) for q >= 0, in closed form."""
     q = np.asarray(q, dtype=float).reshape(-1)
     n = profile.dimension
     if q.shape != (n,):
         raise ConfigError(f"q must have {n} components")
-    qnorm = float(np.linalg.norm(q))
-    if qnorm == 0.0:
-        return 0.0, np.zeros(n)
-
-    def objective(p):
-        return float(p @ q) - float(profile.evaluate(p))
-
-    def residual(p):
-        return profile.gradient(p) - q
-
-    seeds = [q, 0.5 * q, 2.0 * q, np.full(n, qnorm / np.sqrt(n))]
-    for seed in seeds:
-        p = np.array(seed, dtype=float)
-        ok = True
-        for _ in range(max_iter):
-            r = residual(p)
-            rn = float(np.linalg.norm(r))
-            if rn <= tol * max(1.0, qnorm):
-                break
-            J = _gradient_jacobian(profile, p)
-            try:
-                step = np.linalg.solve(J, -r)
-            except np.linalg.LinAlgError:
-                ok = False
-                break
-            # backtrack until the gradient residual improves
-            lam = 1.0
-            for _ in range(40):
-                cand = p + lam * step
-                if np.linalg.norm(residual(cand)) < rn:
-                    p = cand
-                    break
-                lam *= 0.5
-            else:
-                ok = False
-                break
-            if np.linalg.norm(p) > box:
-                ok = False
-                break
-        if ok and np.linalg.norm(residual(p)) <= tol * max(1.0, qnorm):
-            # strict convexity makes the stationary point unique, so the
-            # first converged seed already is the argmax
-            return objective(p), p
-
-    # No stationary point: decide unbounded vs plain failure by probing the
-    # objective along the ray through q.
-    probes = [objective(t * q / qnorm) for t in (1e2, 1e4, 1e6)]
-    if probes[2] > probes[1] > probes[0] and probes[2] > 0:
-        raise NotAttained("conjugate objective is unbounded along q")
-    raise ConvergenceFailure("Newton failed to locate the conjugate argmax")
-
-
-def _gradient_jacobian(profile: ToricProfile, p: np.ndarray) -> np.ndarray:
-    n = p.size
-    J = np.empty((n, n))
-    for j in range(n):
-        h = max(1e-7, 1e-9 * abs(p[j]))
-        e = np.zeros(n)
-        e[j] = h
-        J[:, j] = (profile.gradient(p + e) - profile.gradient(p - e)) / (2 * h)
-    return 0.5 * (J + J.T)
+    values, argmax = _conjugate_rows(profile, _support_point_map(profile), q[None])
+    return float(values[0]), argmax[0]
 
 
 def conjugate_function(profile: ToricProfile) -> ToricProfile:
     """The conjugate as a profile; for degree d > 1 the result is homogeneous
-    of degree d' with 1/d + 1/d' = 1."""
-    if profile.degree <= 1.0:
+    of degree d' with 1/d + 1/d' = 1. Its gradient is the argmax, and its
+    Gauss-map inverse sends k to c grad f(x) / <x, grad f(x)>, with
+    x = k / f(k)^(1/d) on N and c = d (d - 1)^(-(d-1)/d), so that the
+    conjugate of the conjugate is closed form as well."""
+    d = profile.degree
+    if d <= 1.0:
         raise ConfigError(
             "conjugate_function needs degree > 1; the conjugate of a "
             "1-homogeneous profile is an indicator, not a toric profile")
-    dual_degree = profile.degree / (profile.degree - 1.0)
+    support_point = _support_point_map(profile)
+    scale = d * (d - 1.0) ** (-(d - 1.0) / d)
 
-    def evaluate_fn(Q):
+    def conjugate(Q):
         Q = np.asarray(Q, dtype=float)
-        out = np.empty(Q.shape[:-1])
-        flat = Q.reshape(-1, Q.shape[-1])
-        vals = out.reshape(-1)
-        for i, q in enumerate(flat):
-            vals[i], _ = convex_conjugate(profile, q)
-        return out
+        values, argmax = _conjugate_rows(profile, support_point,
+                                         Q.reshape(-1, Q.shape[-1]))
+        return values.reshape(Q.shape[:-1]), argmax.reshape(Q.shape)
 
-    def gradient_fn(Q):
-        Q = np.asarray(Q, dtype=float)
-        out = np.empty_like(Q)
-        flat = Q.reshape(-1, Q.shape[-1])
-        grads = out.reshape(-1, Q.shape[-1])
-        for i, q in enumerate(flat):
-            _, grads[i] = convex_conjugate(profile, q)
-        return out
+    def inverse_gauss(K):
+        X = K / profile.evaluate_fn(K)[:, None] ** (1.0 / d)
+        G = profile.gradient(X)
+        return scale * G / np.einsum("ij,ij->i", X, G)[:, None]
 
     return ToricProfile(name=f"conjugate({profile.name})",
-                        dimension=profile.dimension, degree=dual_degree,
-                        evaluate_fn=evaluate_fn, gradient_fn=gradient_fn)
+                        dimension=profile.dimension, degree=d / (d - 1.0),
+                        evaluate_fn=lambda Q: conjugate(Q)[0],
+                        gradient_fn=lambda Q: conjugate(Q)[1],
+                        inverse_gauss_fn=inverse_gauss,
+                        orientation=Orientation.CONVEX)
 
 
 def support_function(surface: LevelSurface, q) -> float:

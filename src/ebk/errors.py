@@ -70,7 +70,8 @@ class RayMiss(EbkError):
 # --- duality / reconstruction ---
 
 class NotAttained(EbkError):
-    """Convex conjugate sup is +inf on the search box."""
+    """Convex conjugate sup is +inf: q lies outside the polar body of a
+    1-homogeneous profile."""
 
 
 class TooFewNicePoints(EbkError):

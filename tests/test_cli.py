@@ -306,6 +306,16 @@ def test_non_numeric_spec_entry_is_a_config_error(tmp_path, capsys, doc):
     _assert_config_error(["actions", "--profile", str(spec), "--k-max", "3"], capsys)
 
 
+@pytest.mark.parametrize("dimension", [2.7, math.inf, 10 ** 400],
+                         ids=["fraction", "infinite", "beyond-float"])
+def test_non_integral_spec_dimension_is_a_config_error(tmp_path, capsys, dimension):
+    # truncating 2.7 to an int would run a two-dimensional surface and exit 0
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"kind": "pnorm", "dimension": dimension,
+                                "params": {"s": 3}}))
+    _assert_config_error(["actions", "--profile", str(spec), "--k-max", "3"], capsys)
+
+
 def test_harmonic_in_three_dimensions_is_a_config_error(capsys):
     # a facet has no closed-form Gauss-map inverse, and n = 3 needs one
     _assert_config_error(["actions", "--profile", "harmonic:1,2,3",

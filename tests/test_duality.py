@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ebk import (
@@ -8,6 +8,7 @@ from ebk import (
     InsufficientCloud,
     LevelSurface,
     NonGraphical,
+    NotAttained,
     Orientation,
     PointCloud,
     RamosCurve,
@@ -15,6 +16,7 @@ from ebk import (
     ToricProfile,
     conjugate_function,
     convex_conjugate,
+    disk_profile,
     euclidean_profile,
     harmonic_profile,
     hausdorff_distance,
@@ -89,6 +91,65 @@ def test_fenchel_young_inequality(p1, p2, q1, q2):
     f = quadratic_bowl()
     value, _ = convex_conjugate(f, (q1, q2))
     assert p1 * q1 + p2 * q2 <= f.evaluate((p1, p2)) + value + 1e-8
+
+
+def test_conjugate_of_degree_one_is_zero_on_the_polar_body():
+    # no stationary point exists: the sup is attained at p = 0
+    value, argmax = convex_conjugate(pnorm_profile(2.0), (0.3, 0.4))
+    assert value == 0.0
+    assert np.array_equal(argmax, [0.0, 0.0])
+
+
+def test_conjugate_of_degree_one_is_not_attained_off_the_polar_body():
+    with pytest.raises(NotAttained):
+        convex_conjugate(pnorm_profile(2.0), (3.0, 4.0))
+
+
+def test_conjugate_rejects_q_outside_the_orthant():
+    with pytest.raises(ConfigError):
+        convex_conjugate(quadratic_bowl(), (1.0, -0.5))
+
+
+@pytest.mark.parametrize("profile, q", [
+    (harmonic_profile((1.0, 2.0)), (0.3, 0.4)),
+    (disk_profile(), (0.3, 0.4)),
+    (ToricProfile(name="cubic3", dimension=3, degree=3.0,
+                  evaluate_fn=lambda p: (p ** 3).sum(axis=-1) / 3.0), (1.0, 1.0, 1.0)),
+    (pnorm_profile(2.0, degree=0.5), (0.3, 0.4)),
+], ids=["harmonic-facet", "concave-disk", "custom-3d", "degree-below-one"])
+def test_conjugate_outside_the_closed_form_is_a_config_error(profile, q):
+    with pytest.raises(ConfigError):
+        convex_conjugate(profile, q)
+
+
+def test_conjugate_takes_the_endpoint_outside_the_normal_cone():
+    # the ellipse p1^2 + p1 p2 + p2^2 = 1 meets the axes obliquely, so q = (1, 0)
+    # is no normal of the arc; over p >= 0 the sup is max_t t - t^2 = 1/4
+    f = ToricProfile(name="oblique", dimension=2, degree=2.0,
+                     evaluate_fn=lambda p: p[..., 0] ** 2 + p[..., 0] * p[..., 1]
+                     + p[..., 1] ** 2)
+    value, argmax = convex_conjugate(f, (1.0, 0.0))
+    assert value == pytest.approx(0.25, rel=1e-12)
+    assert np.allclose(argmax, [0.5, 0.0], rtol=0, atol=1e-12)
+
+
+_component = st.one_of(st.just(0.0), st.floats(0.01, 10.0))
+
+
+@given(st.floats(1.05, 40.0), st.floats(1.5, 6.0),
+       st.lists(_component, min_size=3, max_size=3), st.sampled_from([2, 3]),
+       st.lists(_component, min_size=3, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_fenchel_young_equality_at_the_argmax(s, degree, q, n, p):
+    assume(any(q[:n]) and any(p[:n]))
+    f = pnorm_profile(s, dimension=n, degree=degree)
+    q, p = np.array(q[:n]), np.array(p[:n])
+    value, argmax = convex_conjugate(f, q)
+    assert abs(argmax @ q - f.evaluate(argmax) - value) <= 1e-12 * value
+    assert np.linalg.norm(f.gradient(argmax) - q) <= 1e-12 * np.linalg.norm(q)
+    assert conjugate_function(f).evaluate(q) == pytest.approx(value, rel=1e-12)
+    double = conjugate_function(conjugate_function(f))
+    assert abs(double.evaluate(p) - f.evaluate(p)) <= 1e-12 * f.evaluate(p)
 
 
 # --- support function ---
