@@ -1,5 +1,6 @@
 """Time the hot kernels: enumeration, the pruned extremal-ratio reduction
-against a full scan, the closed-form Gauss-map inversion against the
+against a full scan, the lattice extremum's descent against the action
+table plus that reduction, the closed-form Gauss-map inversion against the
 generic bisection, the action table's build, writers and readers, and the
 reconstruction's spline fits and Hausdorff distance. The enumeration,
 action-table and reconstruction rows also give the tracemalloc peak of one
@@ -13,7 +14,7 @@ import tracemalloc
 
 import numpy as np
 
-from ebk import (ActionSpectrum, LevelSurface, PointCloud, RamosCurve,
+from ebk import (ActionSpectrum, LevelSurface, PointCloud, RamosCurve, SurfaceActions,
                  harmonic_profile, hausdorff_distance, hypersurface_transform,
                  kernels, marked_action_spectrum, pnorm_profile)
 from ebk.quantize import ARGEXT_TIE_TOL, lattice_grid
@@ -84,6 +85,34 @@ def ratios_row() -> None:
     print(f"{'':52s} {'pruned':>10s} {'full':>10s}")
     print(f"{name:52s} {t_pruned:9.4f}s {t_full:9.4f}s {t_full / t_pruned:7.1f}x"
           f"  identical: {same}")
+
+
+def lattice_row() -> None:
+    """lattice_extremum on pnorm:4 at the spectrum-variational sizes and on
+    the disk's one crosscheck row, against building the action table and
+    reducing it; both must give the same values and directions."""
+    print(f"{'':52s} {'descent':>10s} {'table':>10s}")
+    for name, surface, k_max, W, use_max in (
+            ("pnorm:4", LevelSurface.from_profile(pnorm_profile(4.0)), K_MAX_RATIOS,
+             lattice_grid(2, M_MAX_RATIOS).astype(float), True),
+            ("ramos", RamosCurve(), K_MAX_BUILD, np.array([[0.0, 2.0]]), False)):
+        invert = SurfaceActions(surface, k_max).invert
+
+        def descent():
+            return kernels.lattice_extremum(invert, W, k_max, use_max, ARGEXT_TIE_TOL)
+
+        def table():
+            spec = marked_action_spectrum(surface, k_max)
+            vals, idx = kernels.extremal_ratios(spec.directions, spec.actions, W,
+                                                use_max, ARGEXT_TIE_TOL)
+            return vals, spec.directions[idx]
+
+        t_descent = best_of(descent)
+        t_table = best_of(table, repeat=1)
+        same = all(np.array_equal(x, y) for x, y in zip(descent(), table()))
+        label = f"lattice extremum({name}, {len(W):,} rows, k_max {k_max})"
+        print(f"{label:52s} {t_descent:9.4f}s {t_table:9.4f}s {t_table / t_descent:7.1f}x"
+              f"  identical: {same}")
 
 
 def inversion_row() -> None:
@@ -160,6 +189,7 @@ def reconstruction_row() -> None:
 def main() -> None:
     enumeration_row()
     ratios_row()
+    lattice_row()
     inversion_row()
     build_row()
     table_row()

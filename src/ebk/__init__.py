@@ -8,6 +8,7 @@ from .actions import (
     ActionSpectrum,
     MarkedActionEntry,
     MaslovShift,
+    SurfaceActions,
     as_shift,
     billiard_orbit_action,
     marked_action_spectrum,

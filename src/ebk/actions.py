@@ -9,6 +9,7 @@ demand. Zero-action entries (k orthogonal to an axis endpoint) are dropped.
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -198,9 +199,15 @@ class ActionSpectrum:
         try:   # json.JSONDecodeError is a ValueError
             doc = json.loads(text)
             n, entries = int(doc["dimension"]), doc["entries"]
-            K = np.asarray([e["k"] for e in entries], dtype=float).reshape(len(entries), n)
-            A = np.asarray([e["action"] for e in entries], dtype=float)
-            P = np.asarray([e["point"] for e in entries], dtype=float).reshape(len(entries), n)
+            K, P = ([e[key] for e in entries] for key in ("k", "point"))
+            if set(map(len, itertools.chain(K, P))) - {n}:
+                raise ValueError(f"k and point need {n} components")
+            # one flat iterator per array: cheaper than asarray over nested lists
+            K, P = (np.fromiter(itertools.chain.from_iterable(rows), dtype=float,
+                                count=len(rows) * n).reshape(len(rows), n)
+                    for rows in (K, P))
+            A = np.fromiter((e["action"] for e in entries), dtype=float,
+                            count=len(entries))
             rest = (Orientation(doc["orientation"]), int(doc["k_max"]),
                     MaslovShift(values=tuple(float(v) for v in doc["shift"])))
         except (ValueError, TypeError, KeyError) as exc:
@@ -225,6 +232,17 @@ def _kept_actions(K: np.ndarray, pts: np.ndarray, mu: MaslovShift):
     return acts, keep
 
 
+def _table_rows(surface: LevelSurface, K: np.ndarray, mu: MaslovShift):
+    """Points, actions and kept mask of the directions K, and how many
+    attained rows fail the inversion residual: the action table's own
+    arithmetic, for any set of directions."""
+    pts, res, attained = surface.invert_normal_many(K)[1:]
+    failed = int(np.count_nonzero(attained & ~(res <= NORMAL_RESIDUAL_TOL)))
+    acts, keep = _kept_actions(K, pts, mu)
+    keep &= attained
+    return pts, acts, keep, failed
+
+
 def marked_action_spectrum(surface: LevelSurface, k_max: int,
                            shift=None) -> ActionSpectrum:
     """Enumerate primitive directions with ||k||_inf <= k_max and their actions.
@@ -247,10 +265,8 @@ def marked_action_spectrum(surface: LevelSurface, k_max: int,
     kept = failed = 0
     for lo in range(0, len(K), CHUNK_ROWS):
         Kc = K[lo:lo + CHUNK_ROWS]
-        pc, res, attained = surface.invert_normal_many(Kc)[1:]
-        failed += int(np.count_nonzero(attained & ~(res <= NORMAL_RESIDUAL_TOL)))
-        ac, keep = _kept_actions(Kc, pc, mu)
-        keep &= attained
+        pc, ac, keep, bad = _table_rows(surface, Kc, mu)
+        failed += bad
         stop = kept + int(np.count_nonzero(keep))
         # kept <= lo: the rows written were all read already
         K[kept:stop] = Kc[keep]
@@ -261,6 +277,43 @@ def marked_action_spectrum(surface: LevelSurface, k_max: int,
         raise ConvergenceFailure(f"{failed} directions failed the inversion residual")
     K, pts, acts = K[:kept], pts[:kept], acts[:kept]
     return ActionSpectrum(K, acts, pts, surface.orientation, k_max, mu)
+
+
+@dataclass(frozen=True)
+class SurfaceActions:
+    """The unshifted marked action spectrum of a surface up to k_max, not
+    yet tabulated.
+
+    The variational route searches it directly where it can (searchable);
+    everything else reads table().
+    """
+
+    surface: LevelSurface
+    k_max: int
+
+    def __post_init__(self):
+        if self.k_max < 1:
+            raise ConfigError("k_max must be >= 1")
+
+    def table(self) -> ActionSpectrum:
+        return marked_action_spectrum(self.surface, self.k_max)
+
+    def searchable(self, orientation=None) -> bool:
+        """Whether kernels.lattice_extremum applies: a planar curve with a
+        closed-form Gauss-map inverse whose declared orientation is convex
+        or concave and is not overridden."""
+        s = self.surface
+        return (s.dimension == 2 and s.normal_map is not None and s.orientation_declared
+                and s.orientation in (Orientation.CONVEX, Orientation.CONCAVE)
+                and (orientation is None or Orientation(orientation) is s.orientation))
+
+    def invert(self, K: np.ndarray):
+        """(points, actions, keep) of the directions K, as the table has
+        them; ConvergenceFailure where the table would fail."""
+        pts, acts, keep, failed = _table_rows(self.surface, K, MaslovShift.zero(2))
+        if failed:
+            raise ConvergenceFailure(f"{failed} directions failed the inversion residual")
+        return pts, acts, keep
 
 
 def billiard_orbit_action(energy: float, radius: float, k: int, ell: int) -> float:

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .actions import ActionSpectrum, marked_action_spectrum
+from .actions import ActionSpectrum, SurfaceActions, marked_action_spectrum
 from .billiard import RADIAL_SHIFT, BilliardLevel, crosscheck_disk
 from .catalog import parse_domain_spec
 from .duality import hypersurface_transform
@@ -58,7 +58,7 @@ def _write(out: Optional[str], text: str) -> None:
             raise ConfigError(f"cannot write {out!r}: {exc.strerror or exc}") from exc
 
 
-def _load_actions(args) -> ActionSpectrum:
+def _load_actions(args) -> ActionSpectrum | SurfaceActions:
     if getattr(args, "actions", None):
         try:
             with open(args.actions) as fh:
@@ -75,7 +75,7 @@ def _load_actions(args) -> ActionSpectrum:
     surface = spec.make_surface(args.resolution)
     # entries stay unshifted here; --shift enters these routes through the
     # lattice numerator, not the stored actions
-    return marked_action_spectrum(surface, args.k_max)
+    return SurfaceActions(surface, args.k_max)
 
 
 def _spectrum_text(spectrum, fmt: str) -> str:

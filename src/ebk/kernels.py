@@ -5,6 +5,11 @@
     spectra. In two dimensions, with many weight rows, it scans for each row
     only the blocks of entries whose upper bound can reach the extremum;
     values and indices are bitwise those of a full scan;
+  * lattice_extremum gives extremal_ratios' result on the action table of a
+    strictly convex or concave planar curve without building the table: a
+    batched Stern-Brocot descent on the sign of p(k) x w finds the Farey
+    neighbours of each row's peak, and a walk over consecutive Farey terms
+    covers the tie window;
   * bisect_generic is a vectorized monotone bisection.
 
 Gauss-map inversion is closed form for the builtin families (pnorm, the
@@ -229,3 +234,253 @@ def extremal_ratios(K: np.ndarray, a: np.ndarray, W: np.ndarray, use_max: bool,
                 # the sign of a zero extremum depends on the scan order
                 vals[g], idxs[g] = _scan(cols, a, W[g], use_max, tie_tol, None)
     return vals, idxs
+
+
+# --- the 2-D lattice extremum without the table ---
+
+FAREY_WALK_CAP = 256   # Farey terms walked per side before a row takes the table
+DESCENT_ROUNDS = 200   # runs per row; a continued fraction below 2**63 has < 95
+COARSE_BOX = 64        # the descent starts from this box's Farey terms
+
+
+def _ratios(K, a, W):
+    """(k . w) / a row by row, in the arithmetic of _scan."""
+    num = K[:, 0] * W[:, 0]
+    num += K[:, 1] * W[:, 1]
+    return num / a
+
+
+def _run_length(A, B, k_max):
+    """Per row, the largest t >= 0 with A + t B in the box [0, k_max]^2,
+    for A in the box and B >= 0 nonzero."""
+    return np.where(B > 0, (k_max - A) // np.maximum(B, 1), k_max).min(axis=1)
+
+
+def _farey_next(near, far, k_max):
+    """For consecutive Farey terms far, near of the box (|far x near| = 1),
+    the term beyond near: t near - far with the largest t in the box, and
+    whether there is one (near is not the last term of its side)."""
+    t = np.where(near > 0, (k_max + far) // np.maximum(near, 1), 2 * k_max + 2)
+    x = t.min(axis=1, keepdims=True) * near - far
+    return x, (x >= 0).all(axis=1)
+
+
+def _lex_first_kept(invert, k_max):
+    """The lexicographically first kept direction of the box and its
+    action, or None when the box keeps none; scans the box in lex order,
+    in blocks of first components of doubling width."""
+    lo, width = 0, 1
+    while lo <= k_max:
+        hi = min(lo + width, k_max + 1)
+        k0, k1 = np.divmod(np.arange(lo * (k_max + 1), hi * (k_max + 1)), k_max + 1)
+        K = np.stack([k0, k1], axis=1)[np.gcd(k0, k1) == 1]
+        _, a, keep = invert(K)
+        if keep.any():
+            i = int(np.argmax(keep))
+            return K[i], a[i]
+        lo, width = hi, 2 * width
+    return None
+
+
+def _kept_table(invert, k_max, chunk=1 << 16):
+    """Every kept direction of the box, in lex order, and its action."""
+    K = primitive_directions(2, k_max)
+    a = np.empty(len(K))
+    kept = 0
+    for lo in range(0, len(K), chunk):
+        Kc = K[lo:lo + chunk]
+        _, ac, keep = invert(Kc)
+        stop = kept + int(np.count_nonzero(keep))
+        K[kept:stop] = Kc[keep]   # kept <= lo: these rows were read already
+        a[kept:stop] = ac[keep]
+        kept = stop
+    return K[:kept], a[:kept]
+
+
+def _cross(p, W, sgn):
+    """sgn * (p x w) row by row: positive where the peak lies beyond k."""
+    return sgn * (p[:, 0] * W[:, 1] - p[:, 1] * W[:, 0])
+
+
+def _bracket(invert, W, k_max, sgn):
+    """Starting pairs for the descent: per row, the consecutive terms of
+    the coarse box [0, COARSE_BOX]^2 between which the sign of sgn * (p x w)
+    turns, located by the polar angle of p and confirmed by the sign
+    itself. Rows it does not confirm start from the whole quadrant,
+    L = (1, 0) and R = (0, 1)."""
+    G = len(W)
+    L = np.tile(np.array([1, 0], dtype=np.int64), (G, 1))
+    R = np.tile(np.array([0, 1], dtype=np.int64), (G, 1))
+    K = primitive_directions(2, min(k_max, COARSE_BOX))
+    K = K[np.argsort(np.arctan2(K[:, 1], K[:, 0]))]    # (1, 0) first, (0, 1) last
+    p = invert(K)[0]
+    key = sgn * np.arctan2(p[:, 1], p[:, 0])   # the curve's angle runs with sgn
+    if not (np.isfinite(key).all() and (np.diff(key) >= 0).all()):
+        return L, R
+    j = np.clip(np.searchsorted(key, sgn * np.arctan2(W[:, 1], W[:, 0])), 1, len(K) - 1)
+    ok = (j == 1) | (_cross(p[j - 1], W, sgn) > 0)
+    ok &= (j == len(K) - 1) | ~(_cross(p[j], W, sgn) > 0)
+    L[ok], R[ok] = K[j[ok] - 1], K[j[ok]]
+    return L, R
+
+
+def _descend(invert, W, L, R, k_max, sgn):
+    """Batched Stern-Brocot descent from consecutive Farey terms L < R
+    around the peak, where sgn * (p(k) x w) turns from positive to not, to
+    the consecutive terms of the box around it; also the rows that met an
+    unattained direction (no sign to follow). L and R move in place.
+
+    A round moves one end by a whole run, end + t * other, t the largest
+    step whose direction stays on that end's side: probed at 1, 2, 4, ...
+    then bisected, all rows in lockstep (most runs are short). The ends
+    alternate, so after the first round the mediant is known to lie on the
+    moving end's side, and a row is done when the mediant leaves the box.
+    """
+    lost = np.zeros(len(W), dtype=bool)
+    live = np.arange(len(W))
+    for rnd in range(DESCENT_ROUNDS):
+        move_left = rnd % 2 == 0
+        end, other = (L, R) if move_left else (R, L)
+        tmax = _run_length(end[live], other[live], k_max)
+        live, tmax = live[tmax >= 1], tmax[tmax >= 1]
+        if not live.size:
+            break
+        lo = np.full_like(tmax, min(rnd, 1))   # a step known to stay on the side
+        hi = tmax + 1                            # one known not to, or out of the box
+        gallop = np.ones(live.size, dtype=bool)
+        while True:
+            sel = np.flatnonzero(hi - lo > 1)
+            if not sel.size:
+                break
+            lo_s, hi_s = lo[sel], hi[sel]
+            t = np.where(gallop[sel], np.minimum(np.maximum(2 * lo_s, 1), hi_s - 1),
+                         (lo_s + hi_s) // 2)
+            g = live[sel]
+            cross = _cross(invert(end[g] + t[:, None] * other[g])[0], W[g], sgn)
+            lost[g] |= np.isnan(cross)
+            ahead = (cross > 0) == move_left
+            lo[sel] = np.where(ahead, t, lo_s)
+            hi[sel] = np.where(ahead, hi_s, t)
+            gallop[sel] &= ahead
+        end[live] += lo[:, None] * other[live]
+        live = live[~lost[live]]
+    else:
+        lost[live] = True
+    return lost
+
+
+def _walk(invert, W, L, R, k_max, sgn, tie_tol):
+    """Visit L and R, then the Farey terms beyond them outward, skipping
+    dropped directions, until each side meets a kept entry below the tie
+    window twice over (or runs out of terms).
+
+    Returns the best sgn * ratio per row; the rows, directions and ratios
+    of the kept entries visited; and the rows still walking after
+    FAREY_WALK_CAP terms on a side, or once the walk has visited as many
+    directions as the box has lattice points (the table is cheaper then:
+    a window wider than the walk happens when |ratio| << 1, where the tie
+    window is absolute).
+    """
+    budget = (k_max + 1) ** 2
+    near, far = [L, R], [R.copy(), L.copy()]   # side 0 walks left, side 1 right
+    walking = [np.arange(len(W)), np.arange(len(W))]
+    best = np.full(len(W), -np.inf)
+    rows = [np.empty(0, dtype=np.int64)]
+    dirs = [np.empty((0, 2), dtype=np.int64)]
+    ratios = [np.empty(0)]
+    for step in range(FAREY_WALK_CAP + 1):
+        if step:   # step 0 visits L and R themselves
+            for side in (0, 1):
+                g = walking[side]
+                nxt, has = _farey_next(near[side][g], far[side][g], k_max)
+                g = walking[side] = g[has]
+                far[side][g] = near[side][g]
+                near[side][g] = nxt[has]
+        g = np.concatenate(walking)
+        if not g.size or budget < 0:
+            break
+        budget -= g.size
+        K = np.concatenate([near[0][walking[0]], near[1][walking[1]]])
+        _, a, keep = invert(K)
+        g, K = g[keep], K[keep]
+        r = _ratios(K, a[keep], W[g])
+        np.maximum.at(best, g, sgn * r)
+        rows.append(g)
+        dirs.append(K)
+        ratios.append(r)
+        below = np.zeros(len(keep), dtype=bool)
+        below[keep] = sgn * r < best[g] - 2.0 * tie_tol * np.maximum(1.0, np.abs(best[g]))
+        n0 = len(walking[0])
+        walking = [walking[0][~below[:n0]], walking[1][~below[n0:]]]
+    return best, *map(np.concatenate, (rows, dirs, ratios)), np.concatenate(walking)
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def lattice_extremum(invert, W: np.ndarray, k_max: int, use_max: bool,
+                     tie_tol: float = 1e-12):
+    """extremal_ratios over the action table of a strictly convex (sup) or
+    concave (inf) planar curve, without building the table.
+
+    invert(K) maps an (M, 2) int64 array of primitive directions k >= 0 to
+    (points, actions, keep) in the table's own arithmetic: the curve point
+    whose normal is along k (nan where none is), the action <p, k> > 0, and
+    whether the table keeps the row; it raises where the table would. The
+    rows of W are nonnegative. Returns, per row, the extremum and the
+    direction achieving it, shape (G, 2): bitwise what extremal_ratios
+    gives on the lex-ordered table of every kept primitive k with
+    ||k||_inf <= k_max. Returns None when that table would be empty.
+
+    The ratio is unimodal in the angle of k, and the sign of p(k) x w tells
+    on which side of the peak k lies, so a Stern-Brocot descent finds the
+    consecutive Farey terms of the box around the peak. A walk outward from
+    them visits every entry of the tie window; it stops a side at a kept
+    entry below the window twice over, past which the ratio only falls.
+    Rows with w = 0 take the first kept direction, as the scan does. Rows
+    whose products could overflow, that meet an unattained direction in the
+    descent, are still walking after FAREY_WALK_CAP terms on a side or once
+    the walk has visited as many directions as the box has lattice points,
+    or find no kept entry, take extremal_ratios on a table built once for
+    the call.
+    """
+    W = np.ascontiguousarray(W, dtype=float)
+    if W.ndim != 2 or W.shape[1] != 2 or not (np.isfinite(W).all() and (W >= 0).all()):
+        raise ValueError("lattice_extremum needs finite nonnegative W (G, 2)")
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
+    if not 0.0 < tie_tol < 1.0:
+        raise ValueError("tie_tol must lie in (0, 1)")
+    first = _lex_first_kept(invert, k_max)
+    if first is None:
+        return None
+    sgn = 1.0 if use_max else -1.0
+    vals = np.empty(len(W))
+    args = np.empty((len(W), 2), dtype=np.int64)
+    done = ~W.any(axis=1)
+    vals[done] = _ratios(first[0][None, :], first[1], W[done])
+    args[done] = first[0]
+    # below SCALE_CAP no product overflows, nor its ratio to a kept action
+    rows = np.flatnonzero(~done & (k_max * W.sum(axis=1) < SCALE_CAP))
+
+    Wr = W[rows]
+    L, R = _bracket(invert, Wr, k_max, sgn)
+    found = ~_descend(invert, Wr, L, R, k_max, sgn)
+    rows, L, R = rows[found], L[found], R[found]
+    best, seen, K, r, capped = _walk(invert, W[rows], L, R, k_max, sgn, tie_tol)
+    best *= sgn
+    tol = tie_tol * np.maximum(1.0, np.abs(best))
+    window = (r >= (best - tol)[seen]) if use_max else (r <= (best + tol)[seen])
+    seen, K = seen[window], K[window]
+    order = np.lexsort((K[:, 1], K[:, 0], seen))
+    hit, first_of_row = np.unique(seen[order], return_index=True)
+    whole = ~np.isin(hit, capped)      # a capped walk may have missed entries
+    hit, first_of_row = hit[whole], first_of_row[whole]
+    vals[rows[hit]] = best[hit]
+    args[rows[hit]] = K[order[first_of_row]]
+    done[rows[hit]] = True
+
+    rest = np.flatnonzero(~done)
+    if rest.size:
+        Kt, at = _kept_table(invert, k_max)
+        vals[rest], idx = extremal_ratios(Kt, at, W[rest], use_max, tie_tol)
+        args[rest] = Kt[idx]
+    return vals, args

@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import kernels
-from .actions import ActionSpectrum, MaslovShift, as_shift
+from .actions import ActionSpectrum, MaslovShift, SurfaceActions, as_shift
 from .duality import PointCloud, ReconstructionResult, reconstruct_surface
 from .errors import (
     ConfigError,
@@ -149,6 +149,8 @@ def _check_degree(degree: float) -> None:
 
 
 def _coerce_actions(actions, orientation=None) -> ActionSpectrum:
+    if isinstance(actions, SurfaceActions):
+        actions = actions.table()
     if isinstance(actions, ActionSpectrum):
         if orientation is not None and Orientation(orientation) is not actions.orientation:
             # explicit override: single-facet (general) containers have no
@@ -170,10 +172,10 @@ def _coerce_actions(actions, orientation=None) -> ActionSpectrum:
                           MaslovShift.zero(n))
 
 
-def _check_shift_pairing(actions: ActionSpectrum, mu: MaslovShift) -> None:
+def _check_shift_pairing(stored: MaslovShift, mu: MaslovShift) -> None:
     # The variational numerator shift belongs with unshifted entries; pairing
     # a shifted container with a second nonzero shift double-counts mu.
-    if not actions.shift.is_zero and not mu.is_zero:
+    if not stored.is_zero and not mu.is_zero:
         raise ConfigError(
             "action entries already carry a shift; pass shift=None or "
             "rebuild the entries unshifted")
@@ -182,50 +184,73 @@ def _check_shift_pairing(actions: ActionSpectrum, mu: MaslovShift) -> None:
 def variational_spectrum(actions, m_max: int, degree: float = 1.0,
                          hbar: float = 1.0, shift=None, orientation=None,
                          truncation: bool = True) -> EbkSpectrum:
-    """Extremal-ratio spectrum over the stored primitive entries.
+    """Extremal-ratio spectrum over the primitive entries.
 
     Convex containers take the sup of hbar <m + mu, k> / a(k), concave ones
     the inf; the result is raised to the homogeneity degree. When the
     container records its k_max and truncation is requested, a three-level
     Richardson-style error estimate is attached per level.
+
+    actions is an ActionSpectrum, a list of entries, or SurfaceActions. A
+    searchable SurfaceActions is never tabulated: kernels.lattice_extremum
+    finds each level's extremum from the curve, bitwise as the table would.
     """
     _check_degree(degree)
-    spec = _coerce_actions(actions, orientation)
-    if len(spec) == 0:
-        raise EmptySpectrum("action spectrum has no entries")
-    mu = as_shift(shift, spec.dimension)
-    _check_shift_pairing(spec, mu)
-    if spec.orientation is Orientation.CONVEX:
+    searched = isinstance(actions, SurfaceActions) and actions.searchable(orientation)
+    if searched:
+        dimension, stored, k_max = 2, MaslovShift.zero(2), actions.k_max
+        oriented = actions.surface.orientation
+    else:
+        spec = _coerce_actions(actions, orientation)
+        if len(spec) == 0:
+            raise EmptySpectrum("action spectrum has no entries")
+        dimension, stored, k_max = spec.dimension, spec.shift, spec.k_max
+        oriented = spec.orientation
+    mu = as_shift(shift, dimension)
+    _check_shift_pairing(stored, mu)
+    if oriented is Orientation.CONVEX:
         use_max = True
-    elif spec.orientation is Orientation.CONCAVE:
+    elif oriented is Orientation.CONCAVE:
         use_max = False
     else:
         raise UnsupportedSurface(
             "variational route needs a convex or concave orientation")
-    m_grid = lattice_grid(spec.dimension, m_max)
+    m_grid = lattice_grid(dimension, m_max)
     W = lattice_weights(m_grid, mu, hbar)
 
-    def level_values(sub: ActionSpectrum):
-        vals, idx = kernels.extremal_ratios(sub.directions, sub.actions, W,
-                                            use_max, tie_tol=ARGEXT_TIE_TOL)
+    def level(k: int):
+        """Energies and extremal directions with ||k||_inf <= k; None when
+        no entry is that short."""
+        if searched:
+            found = kernels.lattice_extremum(actions.invert, W, k, use_max,
+                                             tie_tol=ARGEXT_TIE_TOL)
+        else:
+            sub = spec if k == k_max else spec.restrict(k)
+            found = None
+            if len(sub) > 0:
+                vals, idx = kernels.extremal_ratios(sub.directions, sub.actions, W,
+                                                    use_max, tie_tol=ARGEXT_TIE_TOL)
+                found = vals, sub.directions[idx]
+        if found is None:
+            return None
         with np.errstate(**QUIET):
-            return vals ** degree, idx
+            return found[0] ** degree, found[1]
 
-    energies, idx = level_values(spec)
+    top = level(k_max)
+    if top is None:
+        raise EmptySpectrum("action spectrum has no entries")
+    energies, argext = top
     _check_finite("variational", energies, hbar)
-    argext = spec.directions[idx]
 
     est = None
-    if truncation and spec.k_max >= TRUNCATION_MIN_KMAX:
-        quarter = spec.restrict(spec.k_max // 4)
-        half = spec.restrict(spec.k_max // 2)
+    if truncation and k_max >= TRUNCATION_MIN_KMAX:
+        quarter, half = level(k_max // 4), level(k_max // 2)
         # single-direction containers can lose every entry at a coarser
         # level; the three-level estimate is undefined then
-        if len(quarter) > 0 and len(half) > 0:
-            est = truncation_estimate(level_values(quarter)[0],
-                                      level_values(half)[0], energies)
+        if quarter is not None and half is not None:
+            est = truncation_estimate(quarter[0], half[0], energies)
 
-    return EbkSpectrum(route="variational", dimension=spec.dimension,
+    return EbkSpectrum(route="variational", dimension=dimension,
                        degree=degree, hbar=hbar, shift=mu, m_grid=m_grid,
                        energies=energies, argext=argext, truncation=est)
 
@@ -236,16 +261,17 @@ def truncation_estimate(coarse: np.ndarray, mid: np.ndarray,
 
     With D1 = mid - coarse and D2 = fine - mid, a contraction ratio
     r = D1/D2 > 1 gives the geometric tail bound |D2| / (r - 1); otherwise
-    fall back to |D2| itself. Converged levels report zero.
+    fall back to |D2| itself. Converged levels report zero; an estimate
+    that leaves the float range is inf.
     """
-    d1 = np.atleast_1d(np.asarray(mid, dtype=float)
-                       - np.asarray(coarse, dtype=float))
-    d2 = np.atleast_1d(np.asarray(fine, dtype=float)
-                       - np.asarray(mid, dtype=float))
-    out = np.abs(d2)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", **QUIET):
+        d1 = np.atleast_1d(np.asarray(mid, dtype=float)
+                           - np.asarray(coarse, dtype=float))
+        d2 = np.atleast_1d(np.asarray(fine, dtype=float)
+                           - np.asarray(mid, dtype=float))
         r = np.where(d2 != 0, d1 / np.where(d2 != 0, d2, 1.0), np.inf)
-    geom = np.abs(d2) / np.maximum(r - 1.0, 1e-300)
+        geom = np.abs(d2) / np.maximum(r - 1.0, 1e-300)
+    out = np.abs(d2)
     better = (r > 1.0) & (d2 != 0)
     out[better] = geom[better]
     out[d2 == 0] = 0.0
@@ -311,7 +337,7 @@ def minmax_certificate(actions, energy: float, m: Sequence[int], shift=None,
         raise ConfigError("certificate needs at least one level, each ell >= 1")
     spec = _coerce_actions(actions, orientation)
     mu = as_shift(shift, spec.dimension)
-    _check_shift_pairing(spec, mu)
+    _check_shift_pairing(spec.shift, mu)
     if spec.orientation is Orientation.CONCAVE:
         raise UnsupportedSurface(
             "minmax certificate is defined for the sup route; concave "

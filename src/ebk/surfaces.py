@@ -179,7 +179,8 @@ class LevelSurface:
     array to (params, points, normals) with the normal parallel to k, and
     a row that no point has its normal along to nan. Surfaces in n = 3 need
     one and a declared convex or concave orientation; planar arcs without
-    an orientation detect it from their sampled curvature.
+    an orientation detect it from their sampled curvature
+    (orientation_declared tells which).
     """
 
     def __init__(self, dimension: int, point_fn: Callable, param_lo, param_hi,
@@ -205,6 +206,7 @@ class LevelSurface:
         self.resolution = int(resolution)
         self.normal_map = normal_map
         self.knots = knots
+        self.orientation_declared = orientation is not None
         if orientation is None:
             self.orientation = self._detect_orientation()
         else:

@@ -390,6 +390,27 @@ def test_malformed_action_table_is_a_config_error(tmp_path, capsys, name, text):
                           "--orientation", "convex", "--m-max", "2"], capsys)
 
 
+def test_ragged_json_k_is_a_config_error(tmp_path, capsys):
+    acts = tmp_path / "acts.json"
+    acts.write_text('{"dimension": 2, "orientation": "convex", "k_max": 2, '
+                    '"shift": [0.0, 0.0], "entries": ['
+                    '{"k": [1, 0], "action": 1.0, "point": [1.0, 0.0]}, '
+                    '{"k": [1, 1, 1], "action": 1.0, "point": [0.5, 0.5]}]}')
+    _assert_config_error(["minmax-certify", "--actions", str(acts), "--energy", "1.0",
+                          "--m", "1,1"], capsys)
+
+
+def test_huge_hbar_spectrum_prints_no_warning(capsys):
+    # finite energies whose truncation estimate overflows: exit 0, no stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["spectrum-variational", "--profile", "pnorm:4", "--hbar", "1e300",
+                   "--m-max", "64", "--k-max", "400"])
+    captured = capsys.readouterr()
+    assert rc == 0 and captured.err == ""
+    assert len(captured.out.splitlines()) == 1 + 65 * 65
+
+
 def _assert_one_numerical_failure_line(argv, capsys):
     # numpy warnings raise here, so a warning printed before the message
     # would show up as an exception, not as exit 3

@@ -1,4 +1,5 @@
 import importlib.util
+import time
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ebk import LevelSurface, RamosCurve, kernels, marked_action_spectrum, pnorm_profile
+from ebk import (ConvergenceFailure, LevelSurface, RamosCurve, SurfaceActions, kernels,
+                 marked_action_spectrum, pnorm_profile)
+from ebk.quantize import ARGEXT_TIE_TOL, lattice_grid
 
 
 def _brute_primitives(dim, k_max):
@@ -246,6 +249,130 @@ def test_extremal_ratios_prunes(monkeypatch):
     assert sum(scanned) < 0.1 * len(W) * len(spec)
 
 
+# --- the lattice extremum without the table ---
+
+def _assert_matches_table(surface, k_max, W, use_max):
+    """lattice_extremum against extremal_ratios on the action table:
+    values bitwise, the sign of a zero included, and argmax directions."""
+    got = kernels.lattice_extremum(SurfaceActions(surface, k_max).invert, W, k_max,
+                                   use_max, ARGEXT_TIE_TOL)
+    spec = marked_action_spectrum(surface, k_max)
+    vals, idx = kernels.extremal_ratios(spec.directions, spec.actions, W, use_max,
+                                        ARGEXT_TIE_TOL)
+    assert np.array_equal(got[0].view(np.int64), vals.view(np.int64))
+    assert np.array_equal(got[1], spec.directions[idx])
+    return got
+
+
+@settings(max_examples=30, deadline=None)
+@given(s=st.one_of(st.floats(1.05, 40.0), st.just("disk")),
+       shift=st.tuples(*[st.sampled_from([0.0, 0.25, 0.5, 0.75])] * 2),
+       k_max=st.integers(4, 3000),
+       m_max=st.integers(0, 64),
+       rows=st.integers(1, 48),
+       zero_rows=st.integers(0, 2),
+       seed=st.integers(0, 2**32 - 1))
+def test_lattice_extremum_equals_the_table_scan(s, shift, k_max, m_max, rows,
+                                                zero_rows, seed):
+    rng = np.random.default_rng(seed)
+    grid = lattice_grid(2, m_max)
+    W = grid[rng.choice(len(grid), size=min(rows, len(grid)), replace=False)] + shift
+    W = np.concatenate([W, np.zeros((zero_rows, 2))])[rng.permutation(len(W) + zero_rows)]
+    if s == "disk":
+        _assert_matches_table(RamosCurve(), k_max, W, use_max=False)
+    else:
+        _assert_matches_table(LevelSurface.from_profile(pnorm_profile(s)), k_max, W,
+                              use_max=True)
+
+
+def test_lattice_extremum_disk_axis_rays_take_the_edge_term():
+    # the dropped axis direction (1, 0) sits beside the inf on these rays
+    vals, args = _assert_matches_table(RamosCurve(), 2000, np.array([[0.0, 2.0],
+                                                                      [0.0, 4.0]]),
+                                       use_max=False)
+    assert args.tolist() == [[2000, 1], [2000, 1]]
+
+
+@pytest.mark.parametrize("surface,use_max,first", [
+    (LevelSurface.from_profile(pnorm_profile(4.0)), True, [0, 1]),
+    (RamosCurve(), False, [1, 1]),
+], ids=["pnorm4", "disk"])
+def test_lattice_extremum_zero_row_takes_the_first_kept_direction(surface, use_max, first):
+    W = np.array([[0.0, 0.0], [1.0, 2.0], [0.0, 0.0]])
+    vals, args = _assert_matches_table(surface, 50, W, use_max)
+    assert vals[0] == 0.0 and not np.signbit(vals[0])
+    assert args[0].tolist() == first and args[2].tolist() == first
+
+
+def test_lattice_extremum_tied_axis_side_falls_back_to_the_table(monkeypatch):
+    # pnorm:1.05 is nearly flat beside the axis: every direction (j, k_max)
+    # with small j ties the ratio at m = (0, 1), past the walk's bound
+    calls = []
+    scan = kernels.extremal_ratios
+
+    def counting(K, a, W, *rest):
+        calls.append(len(W))
+        return scan(K, a, W, *rest)
+
+    monkeypatch.setattr(kernels, "extremal_ratios", counting)
+    surface = LevelSurface.from_profile(pnorm_profile(1.05))
+    W = np.array([[0.0, 1.0], [1.0, 1.0]])
+    t0 = time.perf_counter()
+    got = kernels.lattice_extremum(SurfaceActions(surface, 2000).invert, W, 2000,
+                                   True, ARGEXT_TIE_TOL)
+    assert time.perf_counter() - t0 < 30.0
+    assert calls == [1]   # only the tied row scans a table
+    monkeypatch.setattr(kernels, "extremal_ratios", scan)
+    spec = marked_action_spectrum(surface, 2000)
+    vals, idx = scan(spec.directions, spec.actions, W, True, ARGEXT_TIE_TOL)
+    assert np.array_equal(got[0].view(np.int64), vals.view(np.int64))
+    assert np.array_equal(got[1], spec.directions[idx])
+
+
+def test_lattice_extremum_wide_tie_window_takes_the_table(monkeypatch):
+    # below 1 the tie window is absolute, so at hbar 1e-9 it spans most of
+    # the box: the walk stops once it has cost as much as the table
+    calls = []
+    scan = kernels.extremal_ratios
+
+    def counting(K, a, W, *rest):
+        calls.append(len(W))
+        return scan(K, a, W, *rest)
+
+    monkeypatch.setattr(kernels, "extremal_ratios", counting)
+    W = 1e-9 * (lattice_grid(2, 12) + 0.5)
+    _assert_matches_table(LevelSurface.from_profile(pnorm_profile(4.0)), 200, W, True)
+    assert calls[0] > 0   # the rows still walking scanned the table
+
+
+def test_lattice_extremum_raises_where_the_table_does():
+    # pnorm:1.01 underflows k^100 beside the axis, and the descent of the
+    # axis rows meets those directions
+    invert = SurfaceActions(LevelSurface.from_profile(pnorm_profile(1.01)), 2000).invert
+    with pytest.raises(ConvergenceFailure):
+        kernels.lattice_extremum(invert, lattice_grid(2, 2).astype(float), 2000, True)
+
+
+def test_lattice_extremum_without_kept_directions_is_none():
+    def nothing(K):
+        return np.full(K.shape, np.nan), np.full(len(K), np.nan), np.zeros(len(K), bool)
+
+    assert kernels.lattice_extremum(nothing, np.ones((3, 2)), 20, True) is None
+
+
+@pytest.mark.parametrize("W,k_max,tie_tol", [
+    (np.array([[-1.0, 1.0]]), 10, 1e-12),
+    (np.array([[np.nan, 1.0]]), 10, 1e-12),
+    (np.ones((2, 3)), 10, 1e-12),
+    (np.ones((2, 2)), 0, 1e-12),
+    (np.ones((2, 2)), 10, 0.0),
+])
+def test_lattice_extremum_validates(W, k_max, tie_tol):
+    invert = SurfaceActions(RamosCurve(), 10).invert
+    with pytest.raises(ValueError):
+        kernels.lattice_extremum(invert, W, k_max, False, tie_tol)
+
+
 def test_bench_kernels_rows_run(monkeypatch, capsys):
     # every row of the kernel benchmark at toy sizes, so a renamed API fails here
     path = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_kernels.py"
@@ -261,6 +388,9 @@ def test_bench_kernels_rows_run(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "primitive_directions(2, 20)" in out
     assert "identical: True" in out
+    assert "lattice extremum(pnorm:4, 81 rows, k_max 30)" in out
+    assert "lattice extremum(ramos, 1 rows, k_max 20)" in out
+    assert out.count("identical: True") == 4
     assert "inversion(pnorm:4" in out
     assert "action table(pnorm:3" in out and "identical: False" not in out
     assert "action table(ramos" in out and "action table(harmonic:1,2, 1 rows)" in out

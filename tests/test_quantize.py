@@ -11,6 +11,7 @@ from ebk import (
     NoQualifyingDirections,
     Orientation,
     RamosCurve,
+    SurfaceActions,
     TooFewNicePoints,
     UnsupportedSurface,
     direct_spectrum,
@@ -25,7 +26,8 @@ from ebk import (
     truncation_estimate,
     variational_spectrum,
 )
-from ebk.actions import MarkedActionEntry
+from ebk import actions as actions_module
+from ebk.actions import ActionSpectrum, MarkedActionEntry
 
 
 @pytest.fixture(scope="module")
@@ -186,6 +188,54 @@ def test_double_shift_is_rejected(circle_surface):
     from ebk import ConfigError
     with pytest.raises(ConfigError):
         variational_spectrum(shifted_actions, 2, shift=0.5)
+
+
+# --- the searched route: a surface without its action table ---
+
+@pytest.mark.parametrize("name", ["pnorm:3", "pnorm:4", "pnorm:6", "ramos"])
+@pytest.mark.parametrize("shift", [0.0, 0.5])
+def test_searched_route_equals_the_table_route(name, shift):
+    from ebk.catalog import parse_domain_spec
+    surface = parse_domain_spec(name).make_surface()
+    source = SurfaceActions(surface, 400)
+    assert source.searchable()
+    searched = variational_spectrum(source, 64, shift=shift)
+    tabled = variational_spectrum(marked_action_spectrum(surface, 400), 64, shift=shift)
+    assert searched.to_csv() == tabled.to_csv()
+
+
+def test_searched_route_builds_no_table(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the searched route built a table")
+
+    monkeypatch.setattr(actions_module, "marked_action_spectrum", refuse)
+    monkeypatch.setattr(ActionSpectrum, "restrict", refuse)
+    surface = LevelSurface.from_profile(pnorm_profile(4.0))
+    spec = variational_spectrum(SurfaceActions(surface, 40), 3, shift=0.5)
+    assert spec.truncation is not None and len(spec) == 16
+
+
+def test_only_declared_convex_or_concave_curves_are_searched():
+    quartic = LevelSurface.from_profile(pnorm_profile(4.0))
+    assert SurfaceActions(quartic, 10).searchable(Orientation.CONVEX)
+    assert not SurfaceActions(quartic, 10).searchable(Orientation.CONCAVE)
+    assert SurfaceActions(RamosCurve(), 10).searchable()
+    fitted = LevelSurface.from_points(quartic.point(np.linspace(0, np.pi / 2, 50)))
+    undeclared = LevelSurface(2, quartic.point, quartic.param_lo, quartic.param_hi,
+                              normal_fn=quartic.normal, normal_map=quartic.normal_map)
+    assert undeclared.orientation is Orientation.CONVEX
+    for surface in (LevelSurface.from_profile(harmonic_profile((1, 2))), fitted,
+                    undeclared, LevelSurface.from_profile(pnorm_profile(4.0, dimension=3))):
+        assert not SurfaceActions(surface, 10).searchable()
+
+
+def test_overridden_orientation_takes_the_table():
+    quartic = LevelSurface.from_profile(pnorm_profile(4.0))
+    got = variational_spectrum(SurfaceActions(quartic, 30), 4,
+                               orientation=Orientation.CONCAVE)
+    want = variational_spectrum(marked_action_spectrum(quartic, 30), 4,
+                                orientation=Orientation.CONCAVE)
+    assert got.to_csv() == want.to_csv()
 
 
 # --- truncation estimate ---
