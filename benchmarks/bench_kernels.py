@@ -1,10 +1,12 @@
-"""Time the hot kernels: enumeration, the pruned extremal-ratio reduction
-against a full scan, the lattice extremum's descent against the action
-table plus that reduction, the closed-form Gauss-map inversion against the
-generic bisection, the action table's build, writers and readers, and the
-reconstruction's spline fits and Hausdorff distance. The enumeration,
-action-table and reconstruction rows also give the tracemalloc peak of one
-call (Python allocations, numpy buffers included).
+"""Time the hot kernels: enumeration whole and chunked, the pruned
+extremal-ratio reduction against a full scan, the lattice extremum's
+descent against the action table plus that reduction, the closed-form
+Gauss-map inversion against the generic bisection, the action table's
+build, the disk crosscheck's streamed minima against the table and three
+scans, the table's writers and readers, and the reconstruction's spline
+fits and Hausdorff distance. The enumeration, action-table, crosscheck and
+reconstruction rows also give the tracemalloc peak of one call (Python
+allocations, numpy buffers included).
 
 Run as:  python benchmarks/bench_kernels.py
 """
@@ -15,9 +17,10 @@ import tracemalloc
 import numpy as np
 
 from ebk import (ActionSpectrum, LevelSurface, PointCloud, RamosCurve, SurfaceActions,
-                 harmonic_profile, hausdorff_distance, hypersurface_transform,
-                 kernels, marked_action_spectrum, pnorm_profile)
-from ebk.quantize import ARGEXT_TIE_TOL, lattice_grid
+                 crosscheck_disk, harmonic_profile, hausdorff_distance,
+                 hypersurface_transform, kernels, marked_action_spectrum, pnorm_profile)
+from ebk.actions import CHUNK_ROWS
+from ebk.quantize import ARGEXT_TIE_TOL, lattice_grid, truncation_estimate
 
 K_MAX_ENUM = 1500
 K_MAX_INVERT = 1500
@@ -65,11 +68,22 @@ def full_scan(K, a, W, use_max, tie_tol):
 
 
 def enumeration_row() -> None:
-    run = functools.partial(kernels.primitive_directions, 2, K_MAX_ENUM)
-    t = best_of(run)
+    """The whole enumeration against its chunked readout, each chunk
+    dropped once read (the chunks must concatenate to the whole)."""
+    def chunked():
+        return [len(c) for c in
+                kernels.primitive_direction_chunks(2, K_MAX_ENUM, CHUNK_ROWS)]
+
     print(f"{'':52s} {'time':>10s} {'peak':>10s}")
-    print(f"{f'primitive_directions(2, {K_MAX_ENUM})':52s} {t:9.4f}s"
-          f" {peak_mb(run):7.1f} MB")
+    for name, run in (
+            (f"primitive_directions(2, {K_MAX_ENUM})",
+             functools.partial(kernels.primitive_directions, 2, K_MAX_ENUM)),
+            (f"primitive_direction_chunks(2, {K_MAX_ENUM}, {CHUNK_ROWS})", chunked)):
+        print(f"{name:52s} {best_of(run):9.4f}s {peak_mb(run):7.1f} MB")
+    whole = kernels.primitive_directions(2, K_MAX_ENUM)
+    same = np.array_equal(np.concatenate(list(
+        kernels.primitive_direction_chunks(2, K_MAX_ENUM, CHUNK_ROWS))), whole)
+    print(f"{'chunks concatenated':52s} {len(whole):,} directions  identical: {same}")
 
 
 def ratios_row() -> None:
@@ -145,6 +159,31 @@ def build_row() -> None:
         print(f"{label:52s} {t:9.4f}s {peak_mb(run):7.1f} MB")
 
 
+def crosscheck_row() -> None:
+    """The disk crosscheck's three truncation minima for one weight row:
+    the action table, two restrict() copies and three scans, against
+    crosscheck_disk's streamed reduction (the same minima, no table)."""
+    k_max, w = K_MAX_BUILD, np.array([[0.0, 2.0]])
+
+    def table():
+        spec = marked_action_spectrum(RamosCurve(), k_max)
+        return [float(kernels.extremal_ratios(sub.directions, sub.actions, w, False)[0][0])
+                for sub in (spec.restrict(k_max // 4), spec.restrict(k_max // 2), spec)]
+
+    def streamed():
+        rep = crosscheck_disk(0, 2, k_max=k_max)
+        return rep.toric_energy, rep.truncation_error_estimate
+
+    t_table, t_stream = best_of(table, repeat=1), best_of(streamed)
+    levels = table()
+    same = streamed() == (levels[2], truncation_estimate(*levels))
+    name = f"crosscheck(ramos, k_max {k_max})"
+    print(f"{'':52s} {'table':>10s} {'streamed':>10s}")
+    print(f"{name + ' time':52s} {t_table:9.4f}s {t_stream:9.4f}s {t_table / t_stream:7.1f}x"
+          f"  identical: {same}")
+    print(f"{name + ' peak':52s} {peak_mb(table):7.1f} MB {peak_mb(streamed):7.1f} MB")
+
+
 def table_row() -> None:
     """to_json/to_csv and from_json/from_csv on a pnorm:3 table; the
     re-read arrays must equal the written ones."""
@@ -192,6 +231,7 @@ def main() -> None:
     lattice_row()
     inversion_row()
     build_row()
+    crosscheck_row()
     table_row()
     reconstruction_row()
 

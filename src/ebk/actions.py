@@ -249,26 +249,27 @@ def marked_action_spectrum(surface: LevelSurface, k_max: int,
 
     Directions outside the surface's normal cone are skipped silently. The
     inversion is vectorized (closed form where the family has one, a
-    monotone bisection of the normal angle otherwise) and runs CHUNK_ROWS
-    directions at a time, the kept rows compacted in place, so the working
-    set beyond the table itself is one chunk. Where the normal angle is
-    monotone the points with a given normal form one connected run, along
-    which <p, k> is constant, so one point per direction fixes its action;
-    an arc whose normal turns back has no action table (UnsupportedSurface).
+    monotone bisection of the normal angle otherwise) and reads the
+    directions as a stream of lex-ordered chunks of about CHUNK_ROWS, the
+    kept rows compacted in place into arrays sized by the sieve's count, so
+    the working set beyond the table and the sieve is one chunk. Where the
+    normal angle is monotone the points with a given normal form one
+    connected run, along which <p, k> is constant, so one point per
+    direction fixes its action; an arc whose normal turns back has no
+    action table (UnsupportedSurface).
     """
     if k_max < 1:
         raise ConfigError("k_max must be >= 1")
     mu = as_shift(shift, surface.dimension)
-    K = kernels.primitive_directions(surface.dimension, k_max)
+    mask = kernels._sieve(surface.dimension, k_max)
+    K = np.empty((int(np.count_nonzero(mask)), surface.dimension), dtype=np.int64)
     pts = np.empty(K.shape)
     acts = np.empty(len(K))
     kept = failed = 0
-    for lo in range(0, len(K), CHUNK_ROWS):
-        Kc = K[lo:lo + CHUNK_ROWS]
+    for Kc in kernels._slabs(mask, CHUNK_ROWS):
         pc, ac, keep, bad = _table_rows(surface, Kc, mu)
         failed += bad
         stop = kept + int(np.count_nonzero(keep))
-        # kept <= lo: the rows written were all read already
         K[kept:stop] = Kc[keep]
         pts[kept:stop] = pc[keep]
         acts[kept:stop] = ac[keep]

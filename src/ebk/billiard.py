@@ -4,6 +4,9 @@ The reference route solves the monotone radial phase equation
 sqrt(F^2 - m^2) - m arccos(m/F) = n pi for F and converts to energy.
 The toric route runs the concave inf-variational formula over the marked
 actions of the boundary curve rho(alpha); crosscheck_disk compares both.
+It holds no action table: the primitive directions arrive as a stream of
+lex-ordered chunks, each inverted as the table would invert it and folded
+into one running minimum per truncation level.
 """
 from __future__ import annotations
 
@@ -14,8 +17,9 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .actions import ActionSpectrum, MaslovShift, as_shift, marked_action_spectrum
-from .errors import ConfigError, ConvergenceFailure, DomainError, NonFiniteEnergy
+from .actions import CHUNK_ROWS, ActionSpectrum, MaslovShift, _table_rows, as_shift
+from .errors import (ConfigError, ConvergenceFailure, DomainError, EmptySpectrum,
+                     NonFiniteEnergy)
 from .profiles import ToricProfile
 from .quantize import lattice_weights, truncation_estimate
 from .surfaces import DEFAULT_RESOLUTION, LevelSurface, Orientation
@@ -254,16 +258,53 @@ class CrosscheckReport:
         }
 
 
+# as in extremal_ratios, products of huge weights may overflow to inf
+@np.errstate(over="ignore", invalid="ignore")
+def _fold_minima(lows, K, a, keep, w, bounds):
+    """Fold into lows[i] the minimum of (k . w) / a over the kept rows with
+    ||k||_inf <= bounds[i], in the arithmetic of kernels._scan. Dropped rows
+    read +inf; the minimum is exact in any order, and every ratio is
+    >= +0.0, so the folded value is bitwise the table scan's."""
+    num = K[:, 0] * w[0]
+    num += K[:, 1] * w[1]
+    r = np.divide(num, a, out=np.full(len(a), np.inf), where=keep)
+    sup = np.maximum(K[:, 0], K[:, 1])
+    for i, k in enumerate(bounds):
+        lows[i] = min(lows[i], r.min(where=sup <= k, initial=np.inf))
+
+
+def _disk_minima(w, bounds):
+    """The minimum of (k . w) / a(k) over the disk's action table up to each
+    of the ascending bounds, without the table: the directions stream in
+    chunks through the table's inversion, residual check and kept mask, and
+    the table's failures are raised after the stream."""
+    curve, mu = RamosCurve(), MaslovShift.zero(2)
+    lows = np.full(len(bounds), np.inf)
+    failed, finite = 0, True
+    for K in kernels.primitive_direction_chunks(2, bounds[-1], CHUNK_ROWS):
+        _, acts, keep, bad = _table_rows(curve, K, mu)
+        failed += bad
+        finite = finite and bool(np.isfinite(acts[keep]).all())
+        _fold_minima(lows, K, acts, keep, w, bounds)
+    if failed:
+        raise ConvergenceFailure(f"{failed} directions failed the inversion residual")
+    if not finite:
+        raise ConfigError("action entries must be finite")
+    return lows
+
+
 def crosscheck_disk(m1: int, m2: int, k_max: int = 2000, shift=None,
                     hbar: float = 1.0,
                     actions: Optional[ActionSpectrum] = None) -> CrosscheckReport:
     """Compare the toric inf-route momentum against the phase-equation root.
 
     The toric route evaluates the concave variational formula at (m1, m2)
-    over unshifted boundary-curve actions (the shift enters the numerator);
+    over unshifted boundary-curve actions (the shift enters the numerator),
+    at k_max and at k_max // 4 and k_max // 2 for the truncation estimate;
     the reference solves the phase equation at angular m2 - m1 and radial
     m1 + mu. Uniform shifts only: the identification pairs one mu with both
-    loops of the reference route.
+    loops of the reference route. Without actions the disk's table is
+    streamed, never held.
     """
     m1 = _check_angular(m1)
     m2 = _check_angular(m2)
@@ -282,22 +323,19 @@ def crosscheck_disk(m1: int, m2: int, k_max: int = 2000, shift=None,
     w = lattice_weights(np.array([[m1, m2]]), mu, hbar)[0]
 
     if actions is None:
-        actions = marked_action_spectrum(RamosCurve(), k_max)
+        levels = _disk_minima(w, (k_max // 4, k_max // 2, k_max))
     else:
         if actions.orientation is not Orientation.CONCAVE:
             raise ConfigError("crosscheck needs concave-orientation actions")
         if not actions.shift.is_zero:
             raise ConfigError("crosscheck needs unshifted action entries")
         k_max = actions.k_max
-
-    def inf_value(spec: ActionSpectrum) -> float:
-        vals, _ = kernels.extremal_ratios(spec.directions, spec.actions,
-                                          w[None, :], use_max=False)
-        return float(vals[0])
-
-    energy = inf_value(actions)
-    levels = np.array([inf_value(actions.restrict(k_max // 4)),
-                       inf_value(actions.restrict(k_max // 2)), energy])
+        if not np.any(actions.sup_norms <= k_max // 4):
+            raise EmptySpectrum(f"no action entry with ||k||_inf <= {k_max // 4}")
+        levels = np.full(3, np.inf)
+        _fold_minima(levels, actions.directions, actions.actions, True, w,
+                     (k_max // 4, k_max // 2, k_max))
+    energy = float(levels[2])
     estimate = float(truncation_estimate(levels[:1], levels[1:2], levels[2:])[0])
 
     momentum_toric = math.pi * energy / hbar

@@ -1,15 +1,16 @@
 """Hot numeric kernels, numpy only.
 
-  * primitive_directions enumerates the gcd-1 integer directions;
+  * primitive_directions enumerates the gcd-1 integer directions, and
+    primitive_direction_chunks streams them in lex-ordered chunks;
   * extremal_ratios is the sup/inf ratio reduction behind variational
     spectra. In two dimensions, with many weight rows, it scans for each row
     only the blocks of entries whose upper bound can reach the extremum;
     values and indices are bitwise those of a full scan;
   * lattice_extremum gives extremal_ratios' result on the action table of a
-    strictly convex or concave planar curve without building the table: a
-    batched Stern-Brocot descent on the sign of p(k) x w finds the Farey
-    neighbours of each row's peak, and a walk over consecutive Farey terms
-    covers the tie window;
+    strictly convex or concave planar curve; its lattice_search settles most
+    rows without building the table: a batched Stern-Brocot descent on the
+    sign of p(k) x w finds the Farey neighbours of each row's peak, and a
+    walk over consecutive Farey terms covers the tie window;
   * bisect_generic is a vectorized monotone bisection.
 
 Gauss-map inversion is closed form for the builtin families (pnorm, the
@@ -43,15 +44,13 @@ SCALE_CAP = 1e290      # |K| |w| and |K / a| |w| below this cannot overflow
 
 # --- primitive integer directions ---
 
-def primitive_directions(dimension: int, k_max: int) -> np.ndarray:
-    """All gcd-1 nonnegative integer vectors with ||k||_inf <= k_max,
-    lexicographically sorted. Shape (N, dimension), dtype int64,
-    C-contiguous.
+def _sieve(dimension: int, k_max: int) -> np.ndarray:
+    """The (k_max + 1)^dimension boolean cube, true at the primitive
+    directions.
 
-    A prime sieve on the (k_max + 1)^dimension cube: a vector is not
-    primitive exactly when some prime p <= k_max divides every component,
-    so clearing the sub-lattice p Z^dimension for each such p (and the
-    origin) leaves the primitive ones, read out in C (= lex) order.
+    A vector is not primitive exactly when some prime p <= k_max divides
+    every component, so clearing the sub-lattice p Z^dimension for each such
+    p (and the origin) leaves the primitive ones.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -62,9 +61,43 @@ def primitive_directions(dimension: int, k_max: int) -> np.ndarray:
             composite[p * p::p] = True
             keep[(slice(None, None, p),) * dimension] = False
     keep[(0,) * dimension] = False
-    # stacking the index columns keeps the rows C-contiguous (argwhere
-    # would not), which the row-wise action sums rely on
-    return np.stack(np.nonzero(keep), axis=1)
+    return keep
+
+
+def _slabs(mask: np.ndarray, rows: int):
+    """The true cells of mask as index rows in C (= lex) order, in chunks
+    of whole first-coordinate slabs: as many slabs as hold at most `rows`
+    cells together, and at least one."""
+    ends = np.cumsum(mask.reshape(len(mask), -1).sum(axis=1))
+    lo = 0
+    while lo < len(mask):
+        done = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, done + rows, side="right")))
+        # stacking the index columns keeps the rows C-contiguous (argwhere
+        # would not), which the row-wise action sums rely on
+        chunk = np.stack(np.nonzero(mask[lo:hi]), axis=1)
+        chunk[:, 0] += lo
+        yield chunk
+        lo = hi
+
+
+def primitive_directions(dimension: int, k_max: int) -> np.ndarray:
+    """All gcd-1 nonnegative integer vectors with ||k||_inf <= k_max,
+    lexicographically sorted. Shape (N, dimension), dtype int64,
+    C-contiguous: a prime sieve on the (k_max + 1)^dimension cube, read out
+    in C (= lex) order.
+    """
+    return np.stack(np.nonzero(_sieve(dimension, k_max)), axis=1)
+
+
+def primitive_direction_chunks(dimension: int, k_max: int, rows: int):
+    """primitive_directions as a stream of lex-ordered chunks: whole slabs
+    of the first coordinate, about `rows` directions each (more only where
+    one slab holds more), each C-contiguous int64. Concatenated, the chunks
+    are primitive_directions(dimension, k_max); the working set beyond the
+    sieve is one chunk.
+    """
+    return _slabs(_sieve(dimension, k_max), rows)
 
 
 def bisect_generic(angle_fn, lo: float, hi: float, targets: np.ndarray,
@@ -430,6 +463,29 @@ def lattice_extremum(invert, W: np.ndarray, k_max: int, use_max: bool,
     gives on the lex-ordered table of every kept primitive k with
     ||k||_inf <= k_max. Returns None when that table would be empty.
 
+    lattice_search settles the rows it can; the rest take extremal_ratios
+    on a table built once for the call.
+    """
+    W = np.ascontiguousarray(W, dtype=float)
+    found = lattice_search(invert, W, k_max, use_max, tie_tol)
+    if found is None:
+        return None
+    vals, args, rest = found
+    if rest.size:
+        K, a = _kept_table(invert, k_max)
+        vals[rest], idx = extremal_ratios(K, a, W[rest], use_max, tie_tol)
+        args[rest] = K[idx]
+    return vals, args
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def lattice_search(invert, W: np.ndarray, k_max: int, use_max: bool,
+                   tie_tol: float = 1e-12):
+    """lattice_extremum's result for the rows the curve settles, without
+    any table: (vals, args, rest), where rest lists the rows left to the
+    table, whose vals and args are unset. None when the table would be
+    empty.
+
     The ratio is unimodal in the angle of k, and the sign of p(k) x w tells
     on which side of the peak k lies, so a Stern-Brocot descent finds the
     consecutive Farey terms of the box around the peak. A walk outward from
@@ -439,12 +495,11 @@ def lattice_extremum(invert, W: np.ndarray, k_max: int, use_max: bool,
     whose products could overflow, that meet an unattained direction in the
     descent, are still walking after FAREY_WALK_CAP terms on a side or once
     the walk has visited as many directions as the box has lattice points,
-    or find no kept entry, take extremal_ratios on a table built once for
-    the call.
+    or find no kept entry, are left to the table.
     """
     W = np.ascontiguousarray(W, dtype=float)
     if W.ndim != 2 or W.shape[1] != 2 or not (np.isfinite(W).all() and (W >= 0).all()):
-        raise ValueError("lattice_extremum needs finite nonnegative W (G, 2)")
+        raise ValueError("the lattice search needs finite nonnegative W (G, 2)")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     if not 0.0 < tie_tol < 1.0:
@@ -478,9 +533,4 @@ def lattice_extremum(invert, W: np.ndarray, k_max: int, use_max: bool,
     args[rows[hit]] = K[order[first_of_row]]
     done[rows[hit]] = True
 
-    rest = np.flatnonzero(~done)
-    if rest.size:
-        Kt, at = _kept_table(invert, k_max)
-        vals[rest], idx = extremal_ratios(Kt, at, W[rest], use_max, tie_tol)
-        args[rest] = Kt[idx]
-    return vals, args
+    return vals, args, np.flatnonzero(~done)

@@ -9,8 +9,6 @@ The three must agree wherever they are all defined; tests lean on that.
 """
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -74,21 +72,21 @@ class EbkSpectrum:
         return float(self.energies[hit[0]])
 
     def to_csv(self) -> str:
-        n = self.dimension
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow([f"m_{j+1}" for j in range(n)]
-                   + ["E_m", "argmax_k", "truncation_error_estimate"])
-        for i, m in enumerate(self.m_grid):
-            arg = ""
-            if self.argext is not None:
-                arg = ";".join(str(int(x)) for x in self.argext[i])
-            est = ""
-            if self.truncation is not None and math.isfinite(self.truncation[i]):
-                est = format(float(self.truncation[i]), ".17g")
-            w.writerow([int(x) for x in m]
-                       + [format(float(self.energies[i]), ".17g"), arg, est])
-        return buf.getvalue()
+        # one %-template per row over Python scalars: %.17g prints a float
+        # as format(x, ".17g"), and no cell needs the csv module's quoting
+        n, count = self.dimension, len(self.energies)
+        header = ",".join([f"m_{j+1}" for j in range(n)]
+                          + ["E_m", "argmax_k", "truncation_error_estimate"])
+        args = ([""] * count if self.argext is None
+                else [";".join(map(str, k))
+                      for k in self.argext.astype(np.int64).tolist()])
+        ests = ([""] * count if self.truncation is None
+                else ["%.17g" % t if math.isfinite(t) else ""
+                      for t in self.truncation.tolist()])
+        row = ",".join(["%d"] * n + ["%.17g", "%s", "%s"]) + "\n"
+        return header + "\n" + "".join(
+            row % (*m, e, arg, est) for m, e, arg, est in zip(
+                self.m_grid.tolist(), self.energies.tolist(), args, ests))
 
     def to_json(self) -> str:
         entries = []
@@ -192,11 +190,13 @@ def variational_spectrum(actions, m_max: int, degree: float = 1.0,
     Richardson-style error estimate is attached per level.
 
     actions is an ActionSpectrum, a list of entries, or SurfaceActions. A
-    searchable SurfaceActions is never tabulated: kernels.lattice_extremum
-    finds each level's extremum from the curve, bitwise as the table would.
+    searchable SurfaceActions is searched: kernels.lattice_search finds each
+    level's extremum from the curve, bitwise as the table would, and the
+    rows it leaves over, at any level, read one table built at k_max.
     """
     _check_degree(degree)
     searched = isinstance(actions, SurfaceActions) and actions.searchable(orientation)
+    spec = None
     if searched:
         dimension, stored, k_max = 2, MaslovShift.zero(2), actions.k_max
         oriented = actions.surface.orientation
@@ -221,20 +221,28 @@ def variational_spectrum(actions, m_max: int, degree: float = 1.0,
     def level(k: int):
         """Energies and extremal directions with ||k||_inf <= k; None when
         no entry is that short."""
+        nonlocal spec
         if searched:
-            found = kernels.lattice_extremum(actions.invert, W, k, use_max,
-                                             tie_tol=ARGEXT_TIE_TOL)
+            found = kernels.lattice_search(actions.invert, W, k, use_max,
+                                           tie_tol=ARGEXT_TIE_TOL)
+            if found is None:
+                return None
+            vals, args, rest = found
         else:
+            vals, args = np.empty(len(W)), np.empty((len(W), dimension), dtype=np.int64)
+            rest = np.arange(len(W))
+        if rest.size:
+            if spec is None:
+                spec = actions.table()
             sub = spec if k == k_max else spec.restrict(k)
-            found = None
-            if len(sub) > 0:
-                vals, idx = kernels.extremal_ratios(sub.directions, sub.actions, W,
-                                                    use_max, tie_tol=ARGEXT_TIE_TOL)
-                found = vals, sub.directions[idx]
-        if found is None:
-            return None
+            if len(sub) == 0:
+                return None
+            vals[rest], idx = kernels.extremal_ratios(sub.directions, sub.actions,
+                                                      W[rest], use_max,
+                                                      tie_tol=ARGEXT_TIE_TOL)
+            args[rest] = sub.directions[idx]
         with np.errstate(**QUIET):
-            return found[0] ** degree, found[1]
+            return vals ** degree, args
 
     top = level(k_max)
     if top is None:

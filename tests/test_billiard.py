@@ -1,12 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ebk import actions as actions_module
 from ebk import (
     BilliardLevel,
     ConfigError,
+    ConvergenceFailure,
     DomainError,
+    EmptySpectrum,
     RADIAL_SHIFT,
     RamosCurve,
     billiard_orbit_action,
@@ -18,12 +24,14 @@ from ebk import (
     disk_profile,
     energy_from_momentum,
     invert_gauss_map,
+    kernels,
     marked_action_spectrum,
     radial_phase,
     radial_phase_slope,
     ramos_action,
     solve_momentum,
 )
+from ebk.quantize import lattice_weights, truncation_estimate
 
 # solutions of sqrt(F^2 - m^2) - m*arccos(m/F) = n*pi, frozen from a
 # 50-digit bisection oracle (see tests below for the in-CI re-derivation)
@@ -282,3 +290,65 @@ def test_crosscheck_report_keys():
     for key in ("m1", "m2", "F_route", "F_ref", "difference", "k_max",
                 "E_toric", "truncation_error_estimate"):
         assert key in doc
+
+
+# --- the streamed reduction against the table ---
+
+def _table_oracle(m1, m2, k_max, shift):
+    """The crosscheck's energy and estimate from the action table: one scan
+    of the table and of its restrict(k_max // 4) and restrict(k_max // 2)."""
+    table = marked_action_spectrum(RamosCurve(), k_max)
+    w = lattice_weights(np.array([[m1, m2]]), actions_module.as_shift(shift, 2), 1.0)
+    levels = np.array([kernels.extremal_ratios(sub.directions, sub.actions, w, False)[0][0]
+                       for sub in (table.restrict(k_max // 4), table.restrict(k_max // 2),
+                                   table)])
+    return levels[2], truncation_estimate(levels[:1], levels[1:2], levels[2:])[0]
+
+
+@settings(max_examples=12, deadline=None)
+@given(k_max=st.integers(10, 3000), m=st.tuples(st.integers(0, 20), st.integers(0, 20)),
+       shift=st.sampled_from([0.0, 0.25, 0.5, 0.75]))
+def test_crosscheck_streams_the_table_scan_bitwise(k_max, m, shift):
+    m1, m2 = sorted(m)
+    rep = crosscheck_disk(m1, m2, k_max=k_max, shift=shift)
+    energy, estimate = _table_oracle(m1, m2, k_max, shift)
+    assert np.float64(rep.toric_energy).view(np.int64) == energy.view(np.int64)
+    assert (np.float64(rep.truncation_error_estimate).view(np.int64)
+            == estimate.view(np.int64))
+    # a given table takes the same reduction
+    again = crosscheck_disk(m1, m2, shift=shift,
+                            actions=marked_action_spectrum(RamosCurve(), k_max))
+    assert again == rep
+
+
+def test_crosscheck_residual_failure_is_the_tables(monkeypatch):
+    monkeypatch.setattr(actions_module, "NORMAL_RESIDUAL_TOL", -1.0)
+    with pytest.raises(ConvergenceFailure) as table:
+        marked_action_spectrum(RamosCurve(), 300)
+    with pytest.raises(ConvergenceFailure) as streamed:
+        crosscheck_disk(0, 2, k_max=300)
+    assert str(streamed.value) == str(table.value)
+
+
+def test_crosscheck_given_table_without_short_entries_is_empty():
+    # no entry at the coarsest truncation level, k_max // 4
+    acts = marked_action_spectrum(RamosCurve(), 300)
+    keep = acts.sup_norms > 300 // 4
+    long_only = actions_module.ActionSpectrum(
+        acts.directions[keep], acts.actions[keep], acts.points[keep], acts.orientation,
+        300, acts.shift)
+    with pytest.raises(EmptySpectrum):
+        crosscheck_disk(0, 2, actions=long_only)
+
+
+def test_crosscheck_memory_is_bounded():
+    # the 2.43M-row table alone is 97 MB; the stream holds one chunk and the
+    # 4 MB sieve
+    crosscheck_disk(0, 2, k_max=50)   # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        crosscheck_disk(0, 2, k_max=2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6

@@ -447,6 +447,22 @@ def test_overflowing_billiard_and_degree_are_numerical_failures(capsys, argv):
     _assert_one_numerical_failure_line(argv, capsys)
 
 
+def test_crosscheck_residual_failure_is_a_numerical_failure(monkeypatch, capsys):
+    monkeypatch.setattr(ebk.actions, "NORMAL_RESIDUAL_TOL", -1.0)
+    _assert_one_numerical_failure_line(
+        ["billiard-crosscheck", "--k-max", "300", "--m1", "0", "--m2", "2"], capsys)
+
+
+def test_crosscheck_at_full_size_prints_nothing_to_stderr(capsys):
+    # the stream drops the zero-action axis directions without dividing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["billiard-crosscheck", "--m1", "0", "--m2", "2", "--k-max", "2000"])
+    captured = capsys.readouterr()
+    assert rc == 0 and captured.err == ""
+    assert json.loads(captured.out)["k_max"] == 2000
+
+
 def test_spectrum_runs_never_load_scipy(tmp_path):
     # scipy serves only the spline fit and the cloud's nearest neighbours
     script = ("import sys, ebk.cli\n"

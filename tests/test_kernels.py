@@ -44,6 +44,25 @@ def test_primitive_directions_sorted_and_primitive():
 def test_primitive_directions_validates():
     with pytest.raises(ValueError):
         kernels.primitive_directions(2, 0)
+    with pytest.raises(ValueError):
+        kernels.primitive_direction_chunks(2, 0, 100)
+
+
+@pytest.mark.parametrize("dim,k_max", [(2, 1), (2, 40), (2, 300), (3, 12)])
+@pytest.mark.parametrize("rows", [1, 7, 500, 10**9])
+def test_primitive_direction_chunks_concatenate_to_the_whole(dim, k_max, rows):
+    whole = kernels.primitive_directions(dim, k_max)
+    chunks = list(kernels.primitive_direction_chunks(dim, k_max, rows))
+    assert np.array_equal(np.concatenate(chunks), whole)
+    firsts = [np.unique(c[:, 0]) for c in chunks]
+    for chunk, first in zip(chunks, firsts):
+        assert chunk.dtype == np.int64 and chunk.flags.c_contiguous
+        # whole first-coordinate slabs, as many as fit in rows, at least one
+        assert len(chunk) <= rows or len(first) == 1
+    # slabs are never split between chunks
+    assert np.array_equal(np.concatenate(firsts), np.arange(k_max + 1))
+    if rows >= len(whole):
+        assert len(chunks) == 1
 
 
 def _closed_form_surfaces():
@@ -387,12 +406,14 @@ def test_bench_kernels_rows_run(monkeypatch, capsys):
     bench.main()
     out = capsys.readouterr().out
     assert "primitive_directions(2, 20)" in out
-    assert "identical: True" in out
+    assert "primitive_direction_chunks(2, 20, 65536)" in out
     assert "lattice extremum(pnorm:4, 81 rows, k_max 30)" in out
     assert "lattice extremum(ramos, 1 rows, k_max 20)" in out
-    assert out.count("identical: True") == 4
+    assert "crosscheck(ramos, k_max 20) time" in out
+    assert "crosscheck(ramos, k_max 20) peak" in out
+    assert out.count("identical: True") == 6
     assert "inversion(pnorm:4" in out
     assert "action table(pnorm:3" in out and "identical: False" not in out
     assert "action table(ramos" in out and "action table(harmonic:1,2, 1 rows)" in out
     assert "spline fit(" in out and "spline refit(" in out
-    assert "hausdorff_distance(4096 x 4096" in out and out.count(" MB") == 7
+    assert "hausdorff_distance(4096 x 4096" in out and out.count(" MB") == 10

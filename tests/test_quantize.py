@@ -1,4 +1,7 @@
+import csv
+import io
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from ebk import (
     disk_profile,
     euclidean_profile,
     harmonic_profile,
+    kernels,
     lattice_grid,
     marked_action_spectrum,
     minmax_certificate,
@@ -27,7 +31,8 @@ from ebk import (
     variational_spectrum,
 )
 from ebk import actions as actions_module
-from ebk.actions import ActionSpectrum, MarkedActionEntry
+from ebk.actions import ActionSpectrum, MarkedActionEntry, MaslovShift
+from ebk.quantize import EbkSpectrum
 
 
 @pytest.fixture(scope="module")
@@ -215,6 +220,27 @@ def test_searched_route_builds_no_table(monkeypatch):
     assert spec.truncation is not None and len(spec) == 16
 
 
+def test_wide_tie_window_builds_one_table(monkeypatch):
+    # at hbar 1e-9 the tie window is absolute and spans most of the box, so
+    # every row at every truncation level is left to the table
+    builds = []
+    build, kept_table = actions_module.marked_action_spectrum, kernels._kept_table
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            builds.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(actions_module, "marked_action_spectrum", counting(build))
+    monkeypatch.setattr(kernels, "_kept_table", counting(kept_table))
+    surface = LevelSurface.from_profile(pnorm_profile(4.0))
+    searched = variational_spectrum(SurfaceActions(surface, 400), 64, hbar=1e-9)
+    assert builds == ["marked_action_spectrum"]
+    tabled = variational_spectrum(build(surface, 400), 64, hbar=1e-9)
+    assert searched.to_csv() == tabled.to_csv()
+
+
 def test_only_declared_convex_or_concave_curves_are_searched():
     quartic = LevelSurface.from_profile(pnorm_profile(4.0))
     assert SurfaceActions(quartic, 10).searchable(Orientation.CONVEX)
@@ -344,6 +370,46 @@ def test_spectrum_csv_format(circle_surface):
     assert row["m_1"] == "0" and row["m_2"] == "1"
     assert float(row["E_m"]) == pytest.approx(1.0, abs=1e-12)
     assert row["argmax_k"] == "0;1"
+
+
+def _csv_writer_rendering(spec):
+    """EbkSpectrum.to_csv through the csv module, cell by cell."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow([f"m_{j+1}" for j in range(spec.dimension)]
+               + ["E_m", "argmax_k", "truncation_error_estimate"])
+    for i, m in enumerate(spec.m_grid):
+        arg = "" if spec.argext is None else ";".join(str(int(x)) for x in spec.argext[i])
+        est = ""
+        if spec.truncation is not None and math.isfinite(spec.truncation[i]):
+            est = format(float(spec.truncation[i]), ".17g")
+        w.writerow([int(x) for x in m] + [format(float(spec.energies[i]), ".17g"), arg, est])
+    return buf.getvalue()
+
+
+def _spectra_to_render():
+    for s in (3.0, 4.0, 6.0):
+        surface = LevelSurface.from_profile(pnorm_profile(s))
+        yield variational_spectrum(SurfaceActions(surface, 100), 12, shift=0.5)
+    yield direct_spectrum(pnorm_profile(4.0), 12, hbar=0.3)
+    m_grid = lattice_grid(3, 2)
+    rng = np.random.default_rng(5)
+    truncation = rng.random(len(m_grid)) * 1e-7
+    truncation[[0, 4, 9]] = [np.nan, np.inf, 0.0]
+    yield EbkSpectrum(route="variational", dimension=3, degree=2.0, hbar=1.0,
+                      shift=MaslovShift.zero(3), m_grid=m_grid,
+                      energies=rng.random(len(m_grid)) * 1e5,
+                      argext=rng.integers(0, 300, size=(len(m_grid), 3)),
+                      truncation=truncation)
+    yield EbkSpectrum(route="direct", dimension=3, degree=1.0, hbar=1.0,
+                      shift=MaslovShift.zero(3), m_grid=m_grid,
+                      energies=np.linspace(0.0, 1.0, len(m_grid)) ** 3)
+
+
+@pytest.mark.parametrize("spec", list(_spectra_to_render()),
+                         ids=["pnorm3", "pnorm4", "pnorm6", "direct", "n3-argext", "n3-bare"])
+def test_spectrum_csv_equals_the_csv_module(spec):
+    assert spec.to_csv() == _csv_writer_rendering(spec)
 
 
 def test_spectrum_json_roundtrip(circle_surface):
