@@ -3,23 +3,27 @@ extremal-ratio reduction against a full scan, the lattice extremum's
 descent against the action table plus that reduction, the closed-form
 Gauss-map inversion against the generic bisection, the action table's
 build, the disk crosscheck's streamed minima against the table and three
-scans, the table's writers and readers, and the reconstruction's spline
-fits and Hausdorff distance. The enumeration, action-table, crosscheck and
-reconstruction rows also give the tracemalloc peak of one call (Python
-allocations, numpy buffers included).
+scans, the table's block-rendered writers and writer-layout JSON reader
+against the per-row writers and the json.loads reader, and the
+reconstruction's spline fits and Hausdorff distance. The enumeration,
+action-table, crosscheck, table I/O and reconstruction rows also give the
+tracemalloc peak of one call (Python allocations, numpy buffers included).
 
 Run as:  python benchmarks/bench_kernels.py
 """
 import functools
+import itertools
+import json
 import time
 import tracemalloc
 
 import numpy as np
 
-from ebk import (ActionSpectrum, LevelSurface, PointCloud, RamosCurve, SurfaceActions,
-                 crosscheck_disk, harmonic_profile, hausdorff_distance,
-                 hypersurface_transform, kernels, marked_action_spectrum, pnorm_profile)
-from ebk.actions import CHUNK_ROWS
+from ebk import (ActionSpectrum, ConfigError, LevelSurface, Orientation, PointCloud,
+                 RamosCurve, SurfaceActions, crosscheck_disk, harmonic_profile,
+                 hausdorff_distance, hypersurface_transform, kernels,
+                 marked_action_spectrum, pnorm_profile)
+from ebk.actions import CHUNK_ROWS, MaslovShift, _integer_directions
 from ebk.quantize import ARGEXT_TIE_TOL, lattice_grid, truncation_estimate
 
 K_MAX_ENUM = 1500
@@ -184,24 +188,90 @@ def crosscheck_row() -> None:
     print(f"{name + ' peak':52s} {peak_mb(table):7.1f} MB {peak_mb(streamed):7.1f} MB")
 
 
+def old_to_csv(spec) -> str:
+    """ActionSpectrum.to_csv before the block renderer: one %-template per row."""
+    n = spec.dimension
+    header = ",".join([f"k_{j+1}" for j in range(n)] + ["action"]
+                      + [f"p_{j+1}" for j in range(n)])
+    row = ",".join(["%d"] * n + ["%.17g"] * (n + 1)) + "\n"
+    return header + "\n" + "".join(
+        row % (*k, a, *p) for k, a, p in zip(spec.directions.tolist(),
+                                              spec.actions.tolist(),
+                                              spec.points.tolist()))
+
+
+def old_to_json(spec) -> str:
+    """ActionSpectrum.to_json before the block renderer."""
+    head = json.dumps({"dimension": spec.dimension, "entries": [],
+                       "orientation": spec.orientation.value,
+                       "k_max": spec.k_max, "shift": list(spec.shift.values)},
+                      indent=2, sort_keys=True) + "\n"
+    if len(spec) == 0:
+        return head
+    ints = ",\n".join(["        %d"] * spec.dimension)
+    floats = ",\n".join(["        %r"] * spec.dimension)
+    row = (f'    {{\n      "action": %r,\n      "k": [\n{ints}\n      ],\n'
+           f'      "point": [\n{floats}\n      ]\n    }}')
+    entries = ",\n".join(
+        row % (a, *k, *p) for k, a, p in zip(spec.directions.tolist(),
+                                              spec.actions.tolist(),
+                                              spec.points.tolist()))
+    return head.replace('"entries": []', f'"entries": [\n{entries}\n  ]', 1)
+
+
+def old_from_json(text: str) -> ActionSpectrum:
+    """ActionSpectrum.from_json before the writer-layout reader: json.loads
+    on the whole text."""
+    try:   # json.JSONDecodeError is a ValueError
+        doc = json.loads(text)
+        n, entries = int(doc["dimension"]), doc["entries"]
+        K, P = ([e[key] for e in entries] for key in ("k", "point"))
+        if set(map(len, itertools.chain(K, P))) - {n}:
+            raise ValueError(f"k and point need {n} components")
+        # one flat iterator per array: cheaper than asarray over nested lists
+        K, P = (np.fromiter(itertools.chain.from_iterable(rows), dtype=float,
+                            count=len(rows) * n).reshape(len(rows), n)
+                for rows in (K, P))
+        A = np.fromiter((e["action"] for e in entries), dtype=float,
+                        count=len(entries))
+        rest = (Orientation(doc["orientation"]), int(doc["k_max"]),
+                MaslovShift(values=tuple(float(v) for v in doc["shift"])))
+    except (ValueError, TypeError, KeyError) as exc:
+        raise ConfigError(f"malformed actions JSON: {exc!r}") from exc
+    return ActionSpectrum(_integer_directions(K), A, P, *rest)
+
+
+def same_table(a, b) -> bool:
+    return (all(getattr(a, attr).tobytes() == getattr(b, attr).tobytes()
+                for attr in ("directions", "actions", "points"))
+            and (a.orientation, a.k_max, a.shift) == (b.orientation, b.k_max, b.shift))
+
+
 def table_row() -> None:
-    """to_json/to_csv and from_json/from_csv on a pnorm:3 table; the
-    re-read arrays must equal the written ones."""
+    """The pnorm:3 table's writers and JSON reader against the per-row
+    writers and the whole-text json.loads reader they replace (the same
+    bytes, the same arrays), and from_csv; the re-read tables must equal
+    the written one."""
     spec = marked_action_spectrum(LevelSurface.from_profile(pnorm_profile(3.0)),
                                   K_MAX_TABLE)
     as_json, as_csv = spec.to_json(), spec.to_csv()
-    t_wjson = best_of(spec.to_json)
-    t_wcsv = best_of(spec.to_csv)
-    t_rjson = best_of(lambda: ActionSpectrum.from_json(as_json))
-    t_rcsv = best_of(lambda: ActionSpectrum.from_csv(as_csv, spec.orientation))
-    same = all(np.array_equal(getattr(back, attr), getattr(spec, attr))
-               for back in (ActionSpectrum.from_json(as_json),
-                            ActionSpectrum.from_csv(as_csv, spec.orientation))
-               for attr in ("directions", "actions", "points"))
     name = f"action table(pnorm:3, {len(spec):,} rows)"
-    print(f"{'':52s} {'json':>10s} {'csv':>10s}")
-    print(f"{name + ' write':52s} {t_wjson:9.4f}s {t_wcsv:9.4f}s")
-    print(f"{name + ' read':52s} {t_rjson:9.4f}s {t_rcsv:9.4f}s  identical: {same}")
+    print(f"{'':52s} {'old':>10s} {'new':>10s} {'old peak':>10s} {'new peak':>10s}")
+    for op, old, new, same in (
+            ("to_json", functools.partial(old_to_json, spec), spec.to_json,
+             lambda: old_to_json(spec) == as_json),
+            ("to_csv", functools.partial(old_to_csv, spec), spec.to_csv,
+             lambda: old_to_csv(spec) == as_csv),
+            ("from_json", functools.partial(old_from_json, as_json),
+             functools.partial(ActionSpectrum.from_json, as_json),
+             lambda: same_table(ActionSpectrum.from_json(as_json), spec)
+             and same_table(old_from_json(as_json), spec))):
+        print(f"{name + ' ' + op:52s} {best_of(old):9.4f}s {best_of(new):9.4f}s"
+              f" {peak_mb(old):7.1f} MB {peak_mb(new):7.1f} MB  identical: {same()}")
+    read_csv = functools.partial(ActionSpectrum.from_csv, as_csv, spec.orientation)
+    same = same_table(read_csv(), spec)
+    print(f"{name + ' from_csv':52s} {'':>10s} {best_of(read_csv):9.4f}s"
+          f" {'':>10s} {peak_mb(read_csv):7.1f} MB  identical: {same}")
 
 
 def reconstruction_row() -> None:

@@ -24,6 +24,8 @@ from .surfaces import LevelSurface, Orientation, NORMAL_RESIDUAL_TOL
 
 ZERO_ACTION_TOL = 1e-12   # |a| <= tol * |k| counts as a dropped zero entry
 CHUNK_ROWS = 1 << 16      # directions inverted per step of the action table
+ROW_BLOCK = 4096          # rows per %-operation of the row renderer
+READ_BLOCK = 1 << 20      # characters of JSON entries parsed per step
 
 
 @dataclass(frozen=True)
@@ -144,19 +146,16 @@ class ActionSpectrum:
                               min(self.k_max, k_max), self.shift)
 
     # -- deterministic file formats --
-    # One %-template per row over Python scalars (.tolist()): %r prints a
-    # float as json.dumps does and %.17g as format(x, ".17g"), so the bytes
-    # are those of the json and csv modules.
+    # %r prints a float as json.dumps does and %.17g as format(x, ".17g"),
+    # so the bytes are those of the json and csv modules.
 
     def to_csv(self) -> str:
         n = self.dimension
         header = ",".join([f"k_{j+1}" for j in range(n)] + ["action"]
                           + [f"p_{j+1}" for j in range(n)])
         row = ",".join(["%d"] * n + ["%.17g"] * (n + 1)) + "\n"
-        return header + "\n" + "".join(
-            row % (*k, a, *p) for k, a, p in zip(self.directions.tolist(),
-                                                  self.actions.tolist(),
-                                                  self.points.tolist()))
+        return render_rows(header + "\n", row, "",
+                           [*self.directions.T, self.actions, *self.points.T])
 
     def to_json(self) -> str:
         head = json.dumps({"dimension": self.dimension, "entries": [],
@@ -165,15 +164,10 @@ class ActionSpectrum:
                           indent=2, sort_keys=True) + "\n"
         if len(self) == 0:
             return head
-        ints = ",\n".join(["        %d"] * self.dimension)
-        floats = ",\n".join(["        %r"] * self.dimension)
-        row = (f'    {{\n      "action": %r,\n      "k": [\n{ints}\n      ],\n'
-               f'      "point": [\n{floats}\n      ]\n    }}')
-        entries = ",\n".join(
-            row % (a, *k, *p) for k, a, p in zip(self.directions.tolist(),
-                                                  self.actions.tolist(),
-                                                  self.points.tolist()))
-        return head.replace('"entries": []', f'"entries": [\n{entries}\n  ]', 1)
+        before, _, after = head.partition('"entries": []')
+        return render_rows(before + _ENTRIES_OPEN, _json_row(self.dimension), ",\n",
+                           [self.actions, *self.directions.T, *self.points.T],
+                           "\n  ]" + after)
 
     @classmethod
     def from_csv(cls, text: str, orientation: Orientation | str,
@@ -196,23 +190,129 @@ class ActionSpectrum:
 
     @classmethod
     def from_json(cls, text: str) -> "ActionSpectrum":
+        """Read to_json's format: text in the writer's own layout directly,
+        any other JSON through json.loads, with the same arrays and errors."""
         try:   # json.JSONDecodeError is a ValueError
-            doc = json.loads(text)
-            n, entries = int(doc["dimension"]), doc["entries"]
-            K, P = ([e[key] for e in entries] for key in ("k", "point"))
-            if set(map(len, itertools.chain(K, P))) - {n}:
-                raise ValueError(f"k and point need {n} components")
-            # one flat iterator per array: cheaper than asarray over nested lists
-            K, P = (np.fromiter(itertools.chain.from_iterable(rows), dtype=float,
-                                count=len(rows) * n).reshape(len(rows), n)
-                    for rows in (K, P))
-            A = np.fromiter((e["action"] for e in entries), dtype=float,
-                            count=len(entries))
+            doc, A, K, P = _read_writer_layout(text) or _read_json_document(text)
             rest = (Orientation(doc["orientation"]), int(doc["k_max"]),
                     MaslovShift(values=tuple(float(v) for v in doc["shift"])))
-        except (ValueError, TypeError, KeyError) as exc:
+        except (ValueError, TypeError, KeyError, OverflowError) as exc:
             raise ConfigError(f"malformed actions JSON: {exc!r}") from exc
         return cls(_integer_directions(K), A, P, *rest)
+
+
+def render_rows(head: str, row: str, sep: str, columns, tail: str = "") -> str:
+    """head, then the rows joined by sep, row i being row % (cell i of each
+    column), then tail, all concatenated once.
+
+    Columns are 1-D arrays or lists of one length. One %-operation renders
+    ROW_BLOCK rows: their cells, as Python scalars, are interleaved into one
+    flat tuple by slice assignment and formatted against the row template
+    repeated, so each cell is formatted as a per-row template would.
+    """
+    width, count = len(columns), len(columns[0])
+    pieces = [head]
+    for lo in range(0, count, ROW_BLOCK):
+        hi = min(lo + ROW_BLOCK, count)
+        flat = [None] * (width * (hi - lo))
+        for j, col in enumerate(columns):
+            part = col[lo:hi]
+            flat[j::width] = part if isinstance(part, list) else part.tolist()
+        if lo:
+            pieces.append(sep)
+        pieces.append(sep.join([row] * (hi - lo)) % tuple(flat))
+    pieces.append(tail)
+    return "".join(pieces)
+
+
+def _json_row(n: int) -> str:
+    """to_json's template of one entry: the action, then k, then the point."""
+    ints = ",\n".join(["        %d"] * n)
+    floats = ",\n".join(["        %r"] * n)
+    return (f'    {{\n      "action": %r,\n      "k": [\n{ints}\n      ],\n'
+            f'      "point": [\n{floats}\n      ]\n    }}')
+
+
+_ENTRIES_OPEN = '"entries": [\n'
+_ENTRIES_CLOSE = '\n  ],\n  "k_max": '
+_ENTRY_BREAK = "\n    },\n"
+_JSON_KEYS = ["dimension", "entries", "k_max", "orientation", "shift"]
+
+
+def _read_writer_layout(text: str):
+    """(doc, actions, directions, points) of a JSON table in exactly
+    to_json's layout, the arrays as floats; None for any other text.
+
+    The head and tail, parsed by json.loads with the entries emptied, must
+    dump back to themselves. The entries are read in blocks of whole
+    entries. Deleting every character of the writer's entry template but
+    its commas leaves one field per value slot, "x,y,...,z"; the block
+    must equal the template filled with these fields, so each field is the
+    text of one slot, holds no whitespace or delimiter, and no character
+    lies outside the slots. The fields then go to json.loads as one flat
+    array, which applies json's own grammar and float conversion. So the
+    arrays are bitwise those json.loads gives on the whole text, and a
+    value json would reject there is rejected here too, leaving the text
+    to _read_json_document.
+    """
+    start = text.find(_ENTRIES_OPEN)
+    end = text.find(_ENTRIES_CLOSE, start + len(_ENTRIES_OPEN)) if start >= 0 else -1
+    if end < 0:
+        return None
+    shell = text[:start] + '"entries": []' + text[end + len("\n  ]"):]
+    try:
+        doc = json.loads(shell)
+    except ValueError:
+        return None
+    if not (isinstance(doc, dict) and list(doc) == _JSON_KEYS and doc["entries"] == []
+            and type(doc["dimension"]) is int
+            # an entry spends at least 10 characters on each of its 2n values
+            and 1 <= doc["dimension"] <= (end - start) // 20
+            and json.dumps(doc, indent=2, sort_keys=True) + "\n" == shell):
+        return None
+    n = doc["dimension"]
+    fill = _json_row(n).replace("%r", "%s").replace("%d", "%s")
+    # one comma parts every two slots, within an entry and between entries
+    skeleton = set(fill.replace("%s", "")) - {","}
+    fields_only = str.maketrans("", "", "".join(skeleton))
+    width, parts = 2 * n + 1, []
+    pos = start + len(_ENTRIES_OPEN)
+    while True:
+        cut = text.find(_ENTRY_BREAK, min(pos + READ_BLOCK, end), end)
+        last = cut < 0
+        cut = end if last else cut + len("\n    }")
+        block = text[pos:cut]
+        joined = block.translate(fields_only)
+        fields = joined.split(",")
+        rows, spare = divmod(len(fields), width)
+        if spare or block != ",\n".join([fill] * rows) % tuple(fields):
+            return None
+        try:
+            parts.append(np.fromiter(json.loads("[" + joined + "]"), dtype=float,
+                                     count=len(fields)))
+        except (ValueError, TypeError, OverflowError):
+            return None
+        if last:
+            break
+        pos = cut + len(",\n")
+    table = np.concatenate(parts).reshape(-1, width)
+    return doc, table[:, 0], table[:, 1:n + 1], table[:, n + 1:]
+
+
+def _read_json_document(text: str):
+    """(doc, actions, directions, points) of any JSON table through
+    json.loads, the arrays as floats."""
+    doc = json.loads(text)
+    n, entries = int(doc["dimension"]), doc["entries"]
+    K, P = ([e[key] for e in entries] for key in ("k", "point"))
+    if set(map(len, itertools.chain(K, P))) - {n}:
+        raise ValueError(f"k and point need {n} components")
+    # one flat iterator per array: cheaper than asarray over nested lists
+    K, P = (np.fromiter(itertools.chain.from_iterable(rows), dtype=float,
+                        count=len(rows) * n).reshape(len(rows), n)
+            for rows in (K, P))
+    A = np.fromiter((e["action"] for e in entries), dtype=float, count=len(entries))
+    return doc, A, K, P
 
 
 def _integer_directions(columns: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import kernels
-from .actions import ActionSpectrum, MaslovShift, SurfaceActions, as_shift
+from .actions import ActionSpectrum, MaslovShift, SurfaceActions, as_shift, render_rows
 from .duality import PointCloud, ReconstructionResult, reconstruct_surface
 from .errors import (
     ConfigError,
@@ -72,8 +72,8 @@ class EbkSpectrum:
         return float(self.energies[hit[0]])
 
     def to_csv(self) -> str:
-        # one %-template per row over Python scalars: %.17g prints a float
-        # as format(x, ".17g"), and no cell needs the csv module's quoting
+        # %.17g prints a float as format(x, ".17g"), and no cell needs the
+        # csv module's quoting
         n, count = self.dimension, len(self.energies)
         header = ",".join([f"m_{j+1}" for j in range(n)]
                           + ["E_m", "argmax_k", "truncation_error_estimate"])
@@ -84,9 +84,8 @@ class EbkSpectrum:
                 else ["%.17g" % t if math.isfinite(t) else ""
                       for t in self.truncation.tolist()])
         row = ",".join(["%d"] * n + ["%.17g", "%s", "%s"]) + "\n"
-        return header + "\n" + "".join(
-            row % (*m, e, arg, est) for m, e, arg, est in zip(
-                self.m_grid.tolist(), self.energies.tolist(), args, ests))
+        return render_rows(header + "\n", row, "",
+                           [*self.m_grid.T, self.energies, args, ests])
 
     def to_json(self) -> str:
         entries = []

@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import json
 import math
 
@@ -371,6 +372,185 @@ def test_malformed_json_is_a_config_error(mutate):
     assert bad != text
     with pytest.raises(ConfigError):
         ActionSpectrum.from_json(bad)
+
+
+# --- block-rendered writers and the writer-layout JSON reader ---
+
+def _old_from_json(text):
+    # the reader before the writer-layout path: json.loads on the whole text
+    try:   # json.JSONDecodeError is a ValueError
+        doc = json.loads(text)
+        n, entries = int(doc["dimension"]), doc["entries"]
+        K, P = ([e[key] for e in entries] for key in ("k", "point"))
+        if set(map(len, itertools.chain(K, P))) - {n}:
+            raise ValueError(f"k and point need {n} components")
+        # one flat iterator per array: cheaper than asarray over nested lists
+        K, P = (np.fromiter(itertools.chain.from_iterable(rows), dtype=float,
+                            count=len(rows) * n).reshape(len(rows), n)
+                for rows in (K, P))
+        A = np.fromiter((e["action"] for e in entries), dtype=float,
+                        count=len(entries))
+        rest = (Orientation(doc["orientation"]), int(doc["k_max"]),
+                MaslovShift(values=tuple(float(v) for v in doc["shift"])))
+    except (ValueError, TypeError, KeyError) as exc:
+        raise ConfigError(f"malformed actions JSON: {exc!r}") from exc
+    return ActionSpectrum(actions_module._integer_directions(K), A, P, *rest)
+
+
+def _bitwise(x, y):
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def _same_table(a, b):
+    return (all(_bitwise(getattr(a, attr), getattr(b, attr))
+                for attr in ("directions", "actions", "points"))
+            and (a.orientation, a.k_max, a.shift) == (b.orientation, b.k_max, b.shift))
+
+
+def _outcome(read, text):
+    try:
+        return read(text)
+    except ConfigError:
+        return None
+
+
+def _no_fallback(text):
+    raise AssertionError("from_json fell back to json.loads")
+
+
+@pytest.fixture
+def no_fallback(monkeypatch):
+    """Fail any read that leaves the writer-layout path."""
+    monkeypatch.setattr(actions_module, "_read_json_document", _no_fallback)
+
+
+@pytest.fixture(scope="module")
+def block_tables():
+    # more rows than two render blocks, in two and three dimensions
+    make = {
+        "2d": lambda: marked_action_spectrum(
+            LevelSurface.from_profile(pnorm_profile(3.0)), 130),
+        "shifted": lambda: marked_action_spectrum(
+            LevelSurface.from_profile(pnorm_profile(3.0)), 130, shift=(0.5, 0.25)),
+        "3d": lambda: marked_action_spectrum(
+            LevelSurface.from_profile(pnorm_profile(3.0, dimension=3)), 22),
+    }
+    return {name: f() for name, f in make.items()}
+
+
+def _head(spec, rows):
+    return ActionSpectrum(spec.directions[:rows], spec.actions[:rows],
+                          spec.points[:rows], spec.orientation, spec.k_max, spec.shift)
+
+
+BLOCK = actions_module.ROW_BLOCK
+
+
+@pytest.mark.parametrize("rows", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+@pytest.mark.parametrize("name", ["2d", "shifted", "3d"])
+def test_block_writers_match_json_and_csv_modules(block_tables, name, rows):
+    assert len(block_tables[name]) > 2 * BLOCK + 1
+    spec = _head(block_tables[name], rows)
+    assert spec.to_json() == _old_to_json(spec)
+    assert spec.to_csv() == _old_to_csv(spec)
+
+
+@pytest.mark.parametrize("dimension, k_max", [(2, 200), (3, 27)])
+def test_json_reader_reads_across_blocks(dimension, k_max, no_fallback):
+    spec = marked_action_spectrum(
+        LevelSurface.from_profile(pnorm_profile(3.0, dimension=dimension)), k_max)
+    text = spec.to_json()
+    assert len(text) > 2 * actions_module.READ_BLOCK
+    assert _same_table(ActionSpectrum.from_json(text), spec)
+
+
+def test_json_reader_block_cuts_fall_between_entries(monkeypatch, no_fallback):
+    # a block cut after every entry or few, and one cut at the last entry
+    spec = _table("shifted")
+    text = spec.to_json()
+    for size in (1, 150, 997, len(text)):
+        monkeypatch.setattr(actions_module, "READ_BLOCK", size)
+        assert _same_table(ActionSpectrum.from_json(text), spec)
+
+
+def test_json_reader_takes_other_layouts_through_json_loads():
+    # compact and reordered JSON: the same table, read by the fallback
+    spec = _table("pnorm:3")
+    doc = json.loads(spec.to_json())
+    for text in (json.dumps(doc), json.dumps(doc, indent=4),
+                 json.dumps(doc, indent=2, sort_keys=True).replace("\n", "\r\n")):
+        assert actions_module._read_writer_layout(text) is None
+        assert _same_table(ActionSpectrum.from_json(text), spec)
+
+
+def test_json_reader_declines_a_slot_emptied_and_refilled_elsewhere():
+    # the count of numbers stays, so only their places show the damage
+    text = _table("pnorm:3").to_json()
+    slot = text.index('"k": [\n        1,') + len('"k": [\n        ')
+    bad = text[:slot] + text[slot + 1:]
+    key = bad.index('"point"')
+    bad = bad[:key + 3] + "7" + bad[key + 3:]
+    assert actions_module._read_writer_layout(bad) is None
+    with pytest.raises(ConfigError, match="Expecting value"):
+        ActionSpectrum.from_json(bad)
+
+
+@pytest.mark.parametrize("layout", ["writer", "compact"])
+def test_json_integer_too_large_for_a_float_is_a_config_error(layout):
+    doc = json.loads(_table("pnorm:3").to_json())
+    doc["entries"][3]["k"][1] = 10 ** 400
+    text = (json.dumps(doc, indent=2, sort_keys=True) + "\n" if layout == "writer"
+            else json.dumps(doc))
+    # in the writer's layout the number sits in its slot
+    assert ("\n        1" + "0" * 400 + "\n" in text) == (layout == "writer")
+    with pytest.raises(ConfigError, match="OverflowError"):
+        ActionSpectrum.from_json(text)
+
+
+_EDIT_CHARS = "0123456789.+-eE" + ' \n,:[]{}"'
+_EDITED_TABLE_JSON = marked_action_spectrum(
+    LevelSurface.from_profile(pnorm_profile(3.0)), 5, shift=(0.5, 0.25)).to_json()
+
+
+@given(st.lists(st.tuples(st.sampled_from("idr"), st.floats(0.0, 1.0),
+                          st.sampled_from(_EDIT_CHARS)), min_size=1, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_edited_json_reads_as_json_loads_reads_it(edits):
+    text = _EDITED_TABLE_JSON
+    for op, where, char in edits:
+        at = min(int(where * len(text)), len(text) - 1)
+        text = {"i": text[:at] + char + text[at:],
+                "d": text[:at] + text[at + 1:],
+                "r": text[:at] + char + text[at + 1:]}[op]
+    new, old = _outcome(ActionSpectrum.from_json, text), _outcome(_old_from_json, text)
+    assert (new is None) == (old is None)
+    if new is not None:
+        assert _same_table(new, old)
+
+
+_DOUBLES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1e300, -1e300, 1e-300, -1e-300]),
+    st.floats(min_value=-1e-307, max_value=1e-307))
+
+
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.lists(st.integers(-2 ** 53, 2 ** 53), min_size=n, max_size=n),
+                       _DOUBLES.filter(lambda a: a != 0.0),
+                       st.lists(_DOUBLES, min_size=n, max_size=n)),
+             min_size=1, max_size=12))))
+@settings(max_examples=150, deadline=None)
+def test_json_roundtrip_of_any_doubles_takes_the_writer_layout(case):
+    n, rows = case
+    spec = ActionSpectrum(np.array([k for k, _, _ in rows], dtype=np.int64),
+                          np.array([a for _, a, _ in rows]),
+                          np.array([p for _, _, p in rows]), Orientation.CONCAVE,
+                          7, MaslovShift(values=(0.25,) * n))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(actions_module, "_read_json_document", _no_fallback)
+        assert _same_table(ActionSpectrum.from_json(spec.to_json()), spec)
 
 
 # --- Maslov shift plumbing ---

@@ -400,6 +400,24 @@ def test_ragged_json_k_is_a_config_error(tmp_path, capsys):
                           "--m", "1,1"], capsys)
 
 
+@pytest.mark.parametrize("layout", ["writer", "compact"])
+@pytest.mark.parametrize("command", [
+    ["minmax-certify", "--energy", "1.0", "--m", "1,1"],
+    ["spectrum-variational", "--m-max", "2"],
+], ids=["certify", "variational"])
+def test_json_k_too_large_for_a_float_is_a_config_error(tmp_path, capsys, layout,
+                                                         command):
+    acts = tmp_path / "acts.json"
+    assert main(["actions", "--profile", "circle", "--k-max", "10", "--format", "json",
+                 "--out", str(acts)]) == 0
+    doc = json.loads(acts.read_text())
+    doc["entries"][2]["k"][0] = 10 ** 400
+    acts.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n"
+                    if layout == "writer" else json.dumps(doc))
+    capsys.readouterr()
+    _assert_config_error(command[:1] + ["--actions", str(acts)] + command[1:], capsys)
+
+
 def test_huge_hbar_spectrum_prints_no_warning(capsys):
     # finite energies whose truncation estimate overflows: exit 0, no stderr
     with warnings.catch_warnings():

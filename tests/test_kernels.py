@@ -163,6 +163,63 @@ def _ratio_case(dim=2, k_max=45, groups=9):
     return K, a, W
 
 
+def _old_scan(cols, a, w, use_max, tie_tol, order):
+    # the scan before it accumulated in place: three table-length temporaries
+    num = cols[0] * w[0]
+    for j in range(1, len(cols)):
+        num += cols[j] * w[j]
+    r = num / a
+    best = r.max() if use_max else r.min()
+    tol = tie_tol * max(1.0, abs(best))
+    mask = (r >= best - tol) if use_max else (r <= best + tol)
+    if order is None:
+        return best, int(np.argmax(mask))
+    return best, int(order[mask].min())
+
+
+@pytest.mark.parametrize("slab", [1, 7, kernels.SCAN_SLAB])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_scan_in_place_equals_the_temporaries(monkeypatch, slab, dim):
+    monkeypatch.setattr(kernels, "SCAN_SLAB", slab)
+    rng = np.random.default_rng(dim * 100 + slab)
+    for trial in range(20):
+        N = int(rng.integers(1, 200))
+        K = rng.integers(-50, 50, size=(N, dim))
+        # repeated rows and proportional actions make exact ties
+        K[rng.integers(0, N, N // 3)] = K[0]
+        a = rng.choice([0.5, 1.0, 2.0, -1.5, 3.0], N) * rng.integers(1, 3, N)
+        if trial % 2:
+            K = K.astype(float)
+        cols = [K[:, j] for j in range(dim)]
+        w = rng.uniform(-2.0, 2.0, dim)
+        order = rng.permutation(N) if trial % 3 == 0 else None
+        for use_max in (True, False):
+            for tol in (0.0, 1e-12, 0.3):
+                got = kernels._scan(cols, a, w, use_max, tol, order)
+                want = _old_scan(cols, a, w, use_max, tol, order)
+                assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+                assert got[1] == want[1]
+
+
+def test_scan_of_one_weight_row_holds_one_table_length_temporary():
+    import tracemalloc
+    rng = np.random.default_rng(9)
+    N = 10 ** 6
+    K = rng.integers(0, 1000, size=(N, 2))
+    a = rng.uniform(0.5, 2.0, N)
+    W = np.array([[0.3, 0.7]])
+    kernels.extremal_ratios(K, a, W, False)
+    tracemalloc.start()
+    try:
+        kernels.extremal_ratios(K, a, W, False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # num (8 bytes a row), the tie mask (1) and one product slab; three
+    # float temporaries would take 24
+    assert peak < 8 * N * 1.25
+
+
 def test_extremal_ratios_against_bruteforce():
     K, a, W = _ratio_case()
     vals, idxs = kernels.extremal_ratios(K, a, W, True)
@@ -411,9 +468,9 @@ def test_bench_kernels_rows_run(monkeypatch, capsys):
     assert "lattice extremum(ramos, 1 rows, k_max 20)" in out
     assert "crosscheck(ramos, k_max 20) time" in out
     assert "crosscheck(ramos, k_max 20) peak" in out
-    assert out.count("identical: True") == 6
+    assert out.count("identical: True") == 9
     assert "inversion(pnorm:4" in out
     assert "action table(pnorm:3" in out and "identical: False" not in out
     assert "action table(ramos" in out and "action table(harmonic:1,2, 1 rows)" in out
     assert "spline fit(" in out and "spline refit(" in out
-    assert "hausdorff_distance(4096 x 4096" in out and out.count(" MB") == 10
+    assert "hausdorff_distance(4096 x 4096" in out and out.count(" MB") == 17

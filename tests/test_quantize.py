@@ -404,10 +404,20 @@ def _spectra_to_render():
     yield EbkSpectrum(route="direct", dimension=3, degree=1.0, hbar=1.0,
                       shift=MaslovShift.zero(3), m_grid=m_grid,
                       energies=np.linspace(0.0, 1.0, len(m_grid)) ** 3)
+    # more levels than one block of the row renderer
+    m_grid = lattice_grid(2, 64)
+    truncation = rng.random(len(m_grid)) * 1e-7
+    truncation[::97] = np.nan
+    yield EbkSpectrum(route="variational", dimension=2, degree=2.0, hbar=1.0,
+                      shift=MaslovShift.zero(2), m_grid=m_grid,
+                      energies=rng.random(len(m_grid)) * 1e5,
+                      argext=rng.integers(0, 300, size=(len(m_grid), 2)),
+                      truncation=truncation)
 
 
 @pytest.mark.parametrize("spec", list(_spectra_to_render()),
-                         ids=["pnorm3", "pnorm4", "pnorm6", "direct", "n3-argext", "n3-bare"])
+                         ids=["pnorm3", "pnorm4", "pnorm6", "direct", "n3-argext",
+                              "n3-bare", "two-blocks"])
 def test_spectrum_csv_equals_the_csv_module(spec):
     assert spec.to_csv() == _csv_writer_rendering(spec)
 
