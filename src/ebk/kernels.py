@@ -37,7 +37,6 @@ BISECT_ITERS = 80
 RATIO_BLOCK = 256
 RATIO_CHUNK = 32
 RATIO_MIN_ROWS = 32
-SCAN_SLAB = 1 << 16    # rows per product temporary of a full scan
 BOUND_SLACK = 1e-9     # relative to |x|_1 |w|_1; covers rounding of the scan
 BOUND_FLOOR = 1e-290   # absolute; covers underflow
 SCALE_CAP = 1e290      # |K| |w| and |K / a| |w| below this cannot overflow
@@ -126,11 +125,9 @@ def _scan(cols, a, w, use_max, tie_tol, order):
     """Extremum of (cols . w) / a and the smallest original index within the
     tie window; order maps scan positions to original indices (None: the
     scan is in original order)."""
-    num = np.multiply(cols[0], w[0])
-    for lo in range(0, len(num), SCAN_SLAB):   # the products stay slab-sized
-        part = num[lo:lo + SCAN_SLAB]
-        for j in range(1, len(cols)):
-            part += cols[j][lo:lo + SCAN_SLAB] * w[j]
+    num = cols[0] * w[0]
+    for j in range(1, len(cols)):
+        num += cols[j] * w[j]
     r = np.divide(num, a, out=num)
     best = r.max() if use_max else r.min()
     tol = tie_tol * max(1.0, abs(best))

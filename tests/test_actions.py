@@ -1,6 +1,5 @@
 import csv
 import io
-import itertools
 import json
 import math
 
@@ -376,27 +375,6 @@ def test_malformed_json_is_a_config_error(mutate):
 
 # --- block-rendered writers and the writer-layout JSON reader ---
 
-def _old_from_json(text):
-    # the reader before the writer-layout path: json.loads on the whole text
-    try:   # json.JSONDecodeError is a ValueError
-        doc = json.loads(text)
-        n, entries = int(doc["dimension"]), doc["entries"]
-        K, P = ([e[key] for e in entries] for key in ("k", "point"))
-        if set(map(len, itertools.chain(K, P))) - {n}:
-            raise ValueError(f"k and point need {n} components")
-        # one flat iterator per array: cheaper than asarray over nested lists
-        K, P = (np.fromiter(itertools.chain.from_iterable(rows), dtype=float,
-                            count=len(rows) * n).reshape(len(rows), n)
-                for rows in (K, P))
-        A = np.fromiter((e["action"] for e in entries), dtype=float,
-                        count=len(entries))
-        rest = (Orientation(doc["orientation"]), int(doc["k_max"]),
-                MaslovShift(values=tuple(float(v) for v in doc["shift"])))
-    except (ValueError, TypeError, KeyError) as exc:
-        raise ConfigError(f"malformed actions JSON: {exc!r}") from exc
-    return ActionSpectrum(actions_module._integer_directions(K), A, P, *rest)
-
-
 def _bitwise(x, y):
     return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
@@ -515,14 +493,16 @@ _EDITED_TABLE_JSON = marked_action_spectrum(
 @given(st.lists(st.tuples(st.sampled_from("idr"), st.floats(0.0, 1.0),
                           st.sampled_from(_EDIT_CHARS)), min_size=1, max_size=3))
 @settings(max_examples=300, deadline=None)
-def test_edited_json_reads_as_json_loads_reads_it(edits):
+def test_edited_json_reads_as_json_loads_reads_it(bench_kernels, edits):
     text = _EDITED_TABLE_JSON
     for op, where, char in edits:
         at = min(int(where * len(text)), len(text) - 1)
         text = {"i": text[:at] + char + text[at:],
                 "d": text[:at] + text[at + 1:],
                 "r": text[:at] + char + text[at + 1:]}[op]
-    new, old = _outcome(ActionSpectrum.from_json, text), _outcome(_old_from_json, text)
+    # the benchmark's verbatim copy of the reader before the writer-layout path
+    new = _outcome(ActionSpectrum.from_json, text)
+    old = _outcome(bench_kernels.old_from_json, text)
     assert (new is None) == (old is None)
     if new is not None:
         assert _same_table(new, old)

@@ -1,6 +1,4 @@
-import importlib.util
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -177,11 +175,9 @@ def _old_scan(cols, a, w, use_max, tie_tol, order):
     return best, int(order[mask].min())
 
 
-@pytest.mark.parametrize("slab", [1, 7, kernels.SCAN_SLAB])
 @pytest.mark.parametrize("dim", [2, 3])
-def test_scan_in_place_equals_the_temporaries(monkeypatch, slab, dim):
-    monkeypatch.setattr(kernels, "SCAN_SLAB", slab)
-    rng = np.random.default_rng(dim * 100 + slab)
+def test_scan_in_place_equals_the_temporaries(dim):
+    rng = np.random.default_rng(dim * 100)
     for trial in range(20):
         N = int(rng.integers(1, 200))
         K = rng.integers(-50, 50, size=(N, dim))
@@ -201,7 +197,7 @@ def test_scan_in_place_equals_the_temporaries(monkeypatch, slab, dim):
                 assert got[1] == want[1]
 
 
-def test_scan_of_one_weight_row_holds_one_table_length_temporary():
+def test_scan_of_one_weight_row_holds_two_table_length_buffers():
     import tracemalloc
     rng = np.random.default_rng(9)
     N = 10 ** 6
@@ -215,9 +211,9 @@ def test_scan_of_one_weight_row_holds_one_table_length_temporary():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # num (8 bytes a row), the tie mask (1) and one product slab; three
-    # float temporaries would take 24
-    assert peak < 8 * N * 1.25
+    # num and one product (8 bytes a row each); dividing into a third
+    # buffer beside num took 17 with the tie mask
+    assert peak < 16.5 * N
 
 
 def test_extremal_ratios_against_bruteforce():
@@ -449,12 +445,9 @@ def test_lattice_extremum_validates(W, k_max, tie_tol):
         kernels.lattice_extremum(invert, W, k_max, False, tie_tol)
 
 
-def test_bench_kernels_rows_run(monkeypatch, capsys):
+def test_bench_kernels_rows_run(bench_kernels, monkeypatch, capsys):
     # every row of the kernel benchmark at toy sizes, so a renamed API fails here
-    path = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_kernels.py"
-    spec = importlib.util.spec_from_file_location("bench_kernels", path)
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
+    bench = bench_kernels
     for name, value in (("K_MAX_ENUM", 20), ("K_MAX_INVERT", 20),
                         ("K_MAX_RATIOS", 30), ("M_MAX_RATIOS", 8),
                         ("K_MAX_TABLE", 20), ("K_MAX_BUILD", 20),
