@@ -1,6 +1,7 @@
 """Time the hot kernels: enumeration whole and chunked, the pruned
-extremal-ratio reduction against a full scan, the lattice extremum's
-descent against the action table plus that reduction, the closed-form
+extremal-ratio reduction against a full scan, the lattice search (with its
+table fallback) against the action table plus that reduction, the
+three-level search against three one-level searches, the closed-form
 Gauss-map inversion against the generic bisection, the action table's
 build, the disk crosscheck's streamed minima against the table and three
 scans, the table's block-rendered writers and writer-layout JSON reader
@@ -10,12 +11,16 @@ action-table, crosscheck, table I/O and reconstruction rows also give the
 tracemalloc peak of one call (Python allocations, numpy buffers included).
 
 Run as:  python benchmarks/bench_kernels.py
+(with the test extras installed: the lattice row takes its
+lattice_extremum from tests/test_kernels.py).
 """
 import functools
 import itertools
 import json
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
@@ -25,6 +30,9 @@ from ebk import (ActionSpectrum, ConfigError, LevelSurface, Orientation, PointCl
                  marked_action_spectrum, pnorm_profile)
 from ebk.actions import CHUNK_ROWS, MaslovShift, _integer_directions
 from ebk.quantize import ARGEXT_TIE_TOL, lattice_grid, truncation_estimate
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from test_kernels import lattice_extremum  # noqa: E402  the search plus the table
 
 K_MAX_ENUM = 1500
 K_MAX_INVERT = 1500
@@ -106,18 +114,19 @@ def ratios_row() -> None:
 
 
 def lattice_row() -> None:
-    """lattice_extremum on pnorm:4 at the spectrum-variational sizes and on
-    the disk's one crosscheck row, against building the action table and
-    reducing it; both must give the same values and directions."""
+    """lattice_extremum (the search, then the table for the rows it leaves)
+    on pnorm:4 at the spectrum-variational sizes and on the disk's one
+    crosscheck row, against building the action table and reducing it;
+    both must give the same values and directions."""
     print(f"{'':52s} {'descent':>10s} {'table':>10s}")
     for name, surface, k_max, W, use_max in (
             ("pnorm:4", LevelSurface.from_profile(pnorm_profile(4.0)), K_MAX_RATIOS,
              lattice_grid(2, M_MAX_RATIOS).astype(float), True),
             ("ramos", RamosCurve(), K_MAX_BUILD, np.array([[0.0, 2.0]]), False)):
-        invert = SurfaceActions(surface, k_max).invert
+        actions = SurfaceActions(surface, k_max)
 
         def descent():
-            return kernels.lattice_extremum(invert, W, k_max, use_max, ARGEXT_TIE_TOL)
+            return lattice_extremum(actions, W, use_max)
 
         def table():
             spec = marked_action_spectrum(surface, k_max)
@@ -131,6 +140,37 @@ def lattice_row() -> None:
         label = f"lattice extremum({name}, {len(W):,} rows, k_max {k_max})"
         print(f"{label:52s} {t_descent:9.4f}s {t_table:9.4f}s {t_table / t_descent:7.1f}x"
               f"  identical: {same}")
+
+
+def three_level_row() -> None:
+    """The variational route's search of its three truncation boxes on
+    pnorm:4 at the spectrum-variational sizes: one call (one descent, the
+    coarser Farey pairs derived by integer arithmetic) against one call per
+    box; every box must give the same values, directions and left rows."""
+    invert = SurfaceActions(LevelSurface.from_profile(pnorm_profile(4.0)),
+                            K_MAX_RATIOS).invert
+    W = lattice_grid(2, M_MAX_RATIOS).astype(float)
+    boxes = (K_MAX_RATIOS // 4, K_MAX_RATIOS // 2, K_MAX_RATIOS)
+
+    def one():
+        return kernels.lattice_search(invert, W, boxes, True, ARGEXT_TIE_TOL)
+
+    def three():
+        return [kernels.lattice_search(invert, W, (k,), True, ARGEXT_TIE_TOL)[0]
+                for k in boxes]
+
+    def same(got, want):   # the left rows' vals and args are unset
+        settled = np.setdiff1d(np.arange(len(W)), want[2])
+        return (np.array_equal(got[2], want[2])
+                and np.array_equal(got[0][settled], want[0][settled])
+                and np.array_equal(got[1][settled], want[1][settled]))
+
+    t_one, t_three = best_of(one), best_of(three)
+    identical = all(map(same, one(), three()))
+    name = f"three-level search(pnorm:4, {len(W):,} rows, k_max {K_MAX_RATIOS})"
+    print(f"{'':52s} {'one':>10s} {'three':>10s}")
+    print(f"{name:52s} {t_one:9.4f}s {t_three:9.4f}s {t_three / t_one:7.1f}x"
+          f"  identical: {identical}")
 
 
 def inversion_row() -> None:
@@ -299,6 +339,7 @@ def main() -> None:
     enumeration_row()
     ratios_row()
     lattice_row()
+    three_level_row()
     inversion_row()
     build_row()
     crosscheck_row()

@@ -196,7 +196,8 @@ class ActionSpectrum:
             doc, A, K, P = _read_writer_layout(text) or _read_json_document(text)
             rest = (Orientation(doc["orientation"]), int(doc["k_max"]),
                     MaslovShift(values=tuple(float(v) for v in doc["shift"])))
-        except (ValueError, TypeError, KeyError, OverflowError) as exc:
+        # json.loads raises RecursionError on arrays nested too deep
+        except (ValueError, TypeError, KeyError, OverflowError, RecursionError) as exc:
             raise ConfigError(f"malformed actions JSON: {exc!r}") from exc
         return cls(_integer_directions(K), A, P, *rest)
 
@@ -400,7 +401,7 @@ class SurfaceActions:
         return marked_action_spectrum(self.surface, self.k_max)
 
     def searchable(self, orientation=None) -> bool:
-        """Whether kernels.lattice_extremum applies: a planar curve with a
+        """Whether kernels.lattice_search applies: a planar curve with a
         closed-form Gauss-map inverse whose declared orientation is convex
         or concave and is not overridden."""
         s = self.surface

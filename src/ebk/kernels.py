@@ -6,11 +6,13 @@
     spectra. In two dimensions, with many weight rows, it scans for each row
     only the blocks of entries whose upper bound can reach the extremum;
     values and indices are bitwise those of a full scan;
-  * lattice_extremum gives extremal_ratios' result on the action table of a
-    strictly convex or concave planar curve; its lattice_search settles most
-    rows without building the table: a batched Stern-Brocot descent on the
-    sign of p(k) x w finds the Farey neighbours of each row's peak, and a
-    walk over consecutive Farey terms covers the tie window;
+  * lattice_search gives extremal_ratios' result on the action tables of a
+    strictly convex or concave planar curve, truncated to several boxes,
+    for most rows without building a table: one batched Stern-Brocot descent
+    on the sign of p(k) x w finds the Farey neighbours of each row's peak in
+    the largest box, integer arithmetic gives those of the smaller boxes,
+    and a walk over each box's consecutive Farey terms covers the tie
+    window;
   * bisect_generic is a vectorized monotone bisection.
 
 Gauss-map inversion is closed form for the builtin families (pnorm, the
@@ -315,19 +317,9 @@ def _lex_first_kept(invert, k_max):
     return None
 
 
-def _kept_table(invert, k_max, chunk=1 << 16):
-    """Every kept direction of the box, in lex order, and its action."""
-    K = primitive_directions(2, k_max)
-    a = np.empty(len(K))
-    kept = 0
-    for lo in range(0, len(K), chunk):
-        Kc = K[lo:lo + chunk]
-        _, ac, keep = invert(Kc)
-        stop = kept + int(np.count_nonzero(keep))
-        K[kept:stop] = Kc[keep]   # kept <= lo: these rows were read already
-        a[kept:stop] = ac[keep]
-        kept = stop
-    return K[:kept], a[:kept]
+def _int_cross(P, Q):
+    """P x Q row by row, exact for int64 directions of a box below 2**31."""
+    return P[:, 0] * Q[:, 1] - P[:, 1] * Q[:, 0]
 
 
 def _cross(p, W, sgn):
@@ -448,89 +440,124 @@ def _walk(invert, W, L, R, k_max, sgn, tie_tol):
     return best, *map(np.concatenate, (rows, dirs, ratios)), np.concatenate(walking)
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def lattice_extremum(invert, W: np.ndarray, k_max: int, use_max: bool,
-                     tie_tol: float = 1e-12):
-    """extremal_ratios over the action table of a strictly convex (sup) or
-    concave (inf) planar curve, without building the table.
-
-    invert(K) maps an (M, 2) int64 array of primitive directions k >= 0 to
-    (points, actions, keep) in the table's own arithmetic: the curve point
-    whose normal is along k (nan where none is), the action <p, k> > 0, and
-    whether the table keeps the row; it raises where the table would. The
-    rows of W are nonnegative. Returns, per row, the extremum and the
-    direction achieving it, shape (G, 2): bitwise what extremal_ratios
-    gives on the lex-ordered table of every kept primitive k with
-    ||k||_inf <= k_max. Returns None when that table would be empty.
-
-    lattice_search settles the rows it can; the rest take extremal_ratios
-    on a table built once for the call.
-    """
-    W = np.ascontiguousarray(W, dtype=float)
-    found = lattice_search(invert, W, k_max, use_max, tie_tol)
-    if found is None:
-        return None
-    vals, args, rest = found
-    if rest.size:
-        K, a = _kept_table(invert, k_max)
-        vals[rest], idx = extremal_ratios(K, a, W[rest], use_max, tie_tol)
-        args[rest] = K[idx]
-    return vals, args
-
-
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def lattice_search(invert, W: np.ndarray, k_max: int, use_max: bool,
-                   tie_tol: float = 1e-12):
-    """lattice_extremum's result for the rows the curve settles, without
-    any table: (vals, args, rest), where rest lists the rows left to the
-    table, whose vals and args are unset. None when the table would be
-    empty.
-
-    The ratio is unimodal in the angle of k, and the sign of p(k) x w tells
-    on which side of the peak k lies, so a Stern-Brocot descent finds the
-    consecutive Farey terms of the box around the peak. A walk outward from
-    them visits every entry of the tie window; it stops a side at a kept
-    entry below the window twice over, past which the ratio only falls.
-    Rows with w = 0 take the first kept direction, as the scan does. Rows
-    whose products could overflow, that meet an unattained direction in the
-    descent, are still walking after FAREY_WALK_CAP terms on a side or once
-    the walk has visited as many directions as the box has lattice points,
-    or find no kept entry, are left to the table.
-    """
-    W = np.ascontiguousarray(W, dtype=float)
-    if W.ndim != 2 or W.shape[1] != 2 or not (np.isfinite(W).all() and (W >= 0).all()):
-        raise ValueError("the lattice search needs finite nonnegative W (G, 2)")
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    if not 0.0 < tie_tol < 1.0:
-        raise ValueError("tie_tol must lie in (0, 1)")
-    first = _lex_first_kept(invert, k_max)
-    if first is None:
-        return None
-    sgn = 1.0 if use_max else -1.0
-    vals = np.empty(len(W))
-    args = np.empty((len(W), 2), dtype=np.int64)
-    done = ~W.any(axis=1)
-    vals[done] = _ratios(first[0][None, :], first[1], W[done])
-    args[done] = first[0]
-    # below SCALE_CAP no product overflows, nor its ratio to a kept action
-    rows = np.flatnonzero(~done & (k_max * W.sum(axis=1) < SCALE_CAP))
-
-    Wr = W[rows]
-    L, R = _bracket(invert, Wr, k_max, sgn)
-    found = ~_descend(invert, Wr, L, R, k_max, sgn)
-    rows, L, R = rows[found], L[found], R[found]
+def _settle(invert, W, rows, L, R, k_max, sgn, tie_tol):
+    """Walk the rows from their box terms L, R; return the rows whose walk
+    covered the tie window, their extremum and their first direction in
+    lex order within the window."""
     best, seen, K, r, capped = _walk(invert, W[rows], L, R, k_max, sgn, tie_tol)
     best *= sgn
     tol = tie_tol * np.maximum(1.0, np.abs(best))
-    window = (r >= (best - tol)[seen]) if use_max else (r <= (best + tol)[seen])
+    window = (r >= (best - tol)[seen]) if sgn > 0 else (r <= (best + tol)[seen])
     seen, K = seen[window], K[window]
     order = np.lexsort((K[:, 1], K[:, 0], seen))
     hit, first_of_row = np.unique(seen[order], return_index=True)
     whole = ~np.isin(hit, capped)      # a capped walk may have missed entries
     hit, first_of_row = hit[whole], first_of_row[whole]
-    vals[rows[hit]] = best[hit]
-    args[rows[hit]] = K[order[first_of_row]]
-    done[rows[hit]] = True
+    return rows[hit], best[hit], K[order[first_of_row]]
 
-    return vals, args, np.flatnonzero(~done)
+
+def _box_pair(L, R, b, A, B):
+    """Move A and B, in place, to the consecutive Farey terms of the box
+    [0, b]^2 around the mediant M = L + R of consecutive terms L < R of a
+    box at least as large, row by row. No direction of that box, and so
+    none of box b, lies strictly between L and R: these are also box b's
+    terms around L and R.
+
+    Integer arithmetic only: a Stern-Brocot descent toward M from
+    consecutive terms A < M < B of box b, such as (1, 0) and (0, 1). A
+    round moves the end on the mediant's side by its whole run, capped at
+    the box; for the end E and the other end O, E + t O stays on E's side
+    of M while t |O x M| < |E x M|, so t = (|E x M| - 1) // |O x M|.
+    A row is done when the mediant A + B leaves the box.
+    """
+    M = L + R
+    live = np.arange(len(M))
+    while live.size:
+        a, c, m = A[live], B[live], M[live]
+        before = _int_cross(a + c, m) > 0   # the mediant lies before M
+        end = np.where(before[:, None], a, c)
+        other = np.where(before[:, None], c, a)
+        t = np.minimum((np.abs(_int_cross(end, m)) - 1) // np.abs(_int_cross(other, m)),
+                       _run_length(end, other, b))
+        end += t[:, None] * other
+        A[live[before]], B[live[~before]] = end[before], end[~before]
+        live = live[t >= 1]
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def lattice_search(invert, W: np.ndarray, boxes, use_max: bool,
+                   tie_tol: float = 1e-12):
+    """extremal_ratios over the action tables of a strictly convex (sup) or
+    concave (inf) planar curve truncated to each box [0, k]^2 of boxes, for
+    the rows the curve settles, without any table.
+
+    invert(K) maps an (M, 2) int64 array of primitive directions k >= 0 to
+    (points, actions, keep) in the table's own arithmetic: the curve point
+    whose normal is along k (nan where none is), the action <p, k> > 0, and
+    whether the table keeps the row; it raises where the table would. The
+    rows of W are nonnegative, and boxes ascend from k >= 1. Returns, per
+    box, (vals, args, rest): the extremum and the direction achieving it,
+    shape (G, 2), bitwise what extremal_ratios gives on the lex-ordered
+    table of every kept primitive k with ||k||_inf <= k, except on the rows
+    listed in rest, which are left to that table and whose vals and args
+    are unset; or None when that table would be empty.
+
+    The ratio is unimodal in the angle of k, and the sign of p(k) x w tells
+    on which side of the peak k lies, so one Stern-Brocot descent finds the
+    consecutive Farey terms of the largest box around the peak, and
+    _box_pair derives those of each smaller box from them. A walk outward
+    from each box's terms visits every entry of the tie window; it stops a
+    side at a kept entry below the window twice over, past which the ratio
+    only falls. Rows with w = 0 take the first kept direction, as the scan
+    does. Rows whose products could overflow, that meet an unattained
+    direction in the descent (at every box), are still walking after
+    FAREY_WALK_CAP terms on a side or once the walk has visited as many
+    directions as the box has lattice points, or find no kept entry, are
+    left to the table.
+    """
+    W = np.ascontiguousarray(W, dtype=float)
+    if W.ndim != 2 or W.shape[1] != 2 or not (np.isfinite(W).all() and (W >= 0).all()):
+        raise ValueError("the lattice search needs finite nonnegative W (G, 2)")
+    boxes = [int(k) for k in boxes]
+    if not boxes or boxes[0] < 1 or boxes != sorted(boxes):
+        raise ValueError("boxes must ascend from k >= 1")
+    if not 0.0 < tie_tol < 1.0:
+        raise ValueError("tie_tol must lie in (0, 1)")
+    firsts = [_lex_first_kept(invert, k) for k in boxes]
+    if firsts[-1] is None:
+        return [None] * len(boxes)
+    sgn = 1.0 if use_max else -1.0
+    zero = ~W.any(axis=1)
+    # below SCALE_CAP no product overflows, nor its ratio to a kept action;
+    # the smallest box's rows hold every other box's
+    scale = W.sum(axis=1)
+    rows = np.flatnonzero(~zero & (boxes[0] * scale < SCALE_CAP))
+    L0, R0 = _bracket(invert, W[rows], boxes[-1], sgn)
+    L, R = L0.copy(), R0.copy()
+    found = ~_descend(invert, W[rows], L, R, boxes[-1], sgn)
+    rows, L0, R0, L, R = rows[found], L0[found], R0[found], L[found], R[found]
+
+    results = []
+    for k, first in zip(boxes, firsts):
+        if first is None:
+            results.append(None)
+            continue
+        vals = np.empty(len(W))
+        args = np.empty((len(W), 2), dtype=np.int64)
+        done = zero.copy()
+        vals[done] = _ratios(first[0][None, :], first[1], W[done])
+        args[done] = first[0]
+        safe = k * scale[rows] < SCALE_CAP
+        g = rows[safe]
+        if k < boxes[-1]:
+            # start from the bracket's terms where box k holds them
+            inside = (np.maximum(L0[safe], R0[safe]) <= k).all(axis=1, keepdims=True)
+            Lk = np.where(inside, L0[safe], [1, 0])
+            Rk = np.where(inside, R0[safe], [0, 1])
+            _box_pair(L[safe], R[safe], k, Lk, Rk)
+        else:
+            Lk, Rk = L[safe], R[safe]
+        hit, best, arg = _settle(invert, W, g, Lk, Rk, k, sgn, tie_tol)
+        vals[hit], args[hit], done[hit] = best, arg, True
+        results.append((vals, args, np.flatnonzero(~done)))
+    return results

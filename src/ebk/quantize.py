@@ -189,9 +189,10 @@ def variational_spectrum(actions, m_max: int, degree: float = 1.0,
     Richardson-style error estimate is attached per level.
 
     actions is an ActionSpectrum, a list of entries, or SurfaceActions. A
-    searchable SurfaceActions is searched: kernels.lattice_search finds each
-    level's extremum from the curve, bitwise as the table would, and the
-    rows it leaves over, at any level, read one table built at k_max.
+    searchable SurfaceActions is searched: one kernels.lattice_search call
+    finds every truncation level's extremum from the curve, bitwise as the
+    table would, and the rows it leaves over, at any level, read one table
+    built at k_max.
     """
     _check_degree(degree)
     searched = isinstance(actions, SurfaceActions) and actions.searchable(orientation)
@@ -216,17 +217,21 @@ def variational_spectrum(actions, m_max: int, degree: float = 1.0,
             "variational route needs a convex or concave orientation")
     m_grid = lattice_grid(dimension, m_max)
     W = lattice_weights(m_grid, mu, hbar)
+    estimate = truncation and k_max >= TRUNCATION_MIN_KMAX
+    boxes = (k_max // 4, k_max // 2, k_max) if estimate else (k_max,)
+    if searched:
+        found = kernels.lattice_search(actions.invert, W, boxes, use_max,
+                                       tie_tol=ARGEXT_TIE_TOL)
 
-    def level(k: int):
-        """Energies and extremal directions with ||k||_inf <= k; None when
-        no entry is that short."""
+    def level(i: int):
+        """Energies and extremal directions with ||k||_inf <= boxes[i]; None
+        when no entry is that short."""
         nonlocal spec
+        k = boxes[i]
         if searched:
-            found = kernels.lattice_search(actions.invert, W, k, use_max,
-                                           tie_tol=ARGEXT_TIE_TOL)
-            if found is None:
+            if found[i] is None:
                 return None
-            vals, args, rest = found
+            vals, args, rest = found[i]
         else:
             vals, args = np.empty(len(W)), np.empty((len(W), dimension), dtype=np.int64)
             rest = np.arange(len(W))
@@ -243,15 +248,15 @@ def variational_spectrum(actions, m_max: int, degree: float = 1.0,
         with np.errstate(**QUIET):
             return vals ** degree, args
 
-    top = level(k_max)
+    top = level(-1)
     if top is None:
         raise EmptySpectrum("action spectrum has no entries")
     energies, argext = top
     _check_finite("variational", energies, hbar)
 
     est = None
-    if truncation and k_max >= TRUNCATION_MIN_KMAX:
-        quarter, half = level(k_max // 4), level(k_max // 2)
+    if estimate:
+        quarter, half = level(0), level(1)
         # single-direction containers can lose every entry at a coarser
         # level; the three-level estimate is undefined then
         if quarter is not None and half is not None:

@@ -418,6 +418,17 @@ def test_json_k_too_large_for_a_float_is_a_config_error(tmp_path, capsys, layout
     _assert_config_error(command[:1] + ["--actions", str(acts)] + command[1:], capsys)
 
 
+@pytest.mark.parametrize("command", [
+    ["minmax-certify", "--energy", "1", "--m", "1,1"],
+    ["spectrum-variational", "--m-max", "2"],
+], ids=["certify", "variational"])
+def test_deeply_nested_json_is_a_config_error(tmp_path, capsys, command):
+    # json.loads gives up on 100,000 nested arrays with RecursionError
+    acts = tmp_path / "deep.json"
+    acts.write_text("[" * 100_000)
+    _assert_config_error(command[:1] + ["--actions", str(acts)] + command[1:], capsys)
+
+
 def test_huge_hbar_spectrum_prints_no_warning(capsys):
     # finite energies whose truncation estimate overflows: exit 0, no stderr
     with warnings.catch_warnings():

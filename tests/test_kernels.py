@@ -1,4 +1,5 @@
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from ebk import (ConvergenceFailure, LevelSurface, RamosCurve, SurfaceActions, kernels,
                  marked_action_spectrum, pnorm_profile)
-from ebk.quantize import ARGEXT_TIE_TOL, lattice_grid
+from ebk.quantize import ARGEXT_TIE_TOL, lattice_grid, variational_spectrum
 
 
 def _brute_primitives(dim, k_max):
@@ -321,13 +322,32 @@ def test_extremal_ratios_prunes(monkeypatch):
     assert sum(scanned) < 0.1 * len(W) * len(spec)
 
 
-# --- the lattice extremum without the table ---
+# --- the lattice search, with the table for the rows it leaves ---
+
+def lattice_extremum(actions, W, use_max, tie_tol=ARGEXT_TIE_TOL):
+    """extremal_ratios over actions.table() (marked_action_spectrum at
+    actions.k_max), as the variational route reduces one level:
+    kernels.lattice_search settles the rows it can, and the table scan the
+    rows it leaves. None when the table would be empty. actions needs
+    invert and k_max, and table() only when the search leaves rows."""
+    W = np.ascontiguousarray(W, dtype=float)
+    found = kernels.lattice_search(actions.invert, W, (actions.k_max,), use_max,
+                                   tie_tol)[0]
+    if found is None:
+        return None
+    vals, args, rest = found
+    if rest.size:
+        spec = actions.table()
+        vals[rest], idx = kernels.extremal_ratios(spec.directions, spec.actions,
+                                                  W[rest], use_max, tie_tol)
+        args[rest] = spec.directions[idx]
+    return vals, args
+
 
 def _assert_matches_table(surface, k_max, W, use_max):
     """lattice_extremum against extremal_ratios on the action table:
     values bitwise, the sign of a zero included, and argmax directions."""
-    got = kernels.lattice_extremum(SurfaceActions(surface, k_max).invert, W, k_max,
-                                   use_max, ARGEXT_TIE_TOL)
+    got = lattice_extremum(SurfaceActions(surface, k_max), W, use_max)
     spec = marked_action_spectrum(surface, k_max)
     vals, idx = kernels.extremal_ratios(spec.directions, spec.actions, W, use_max,
                                         ARGEXT_TIE_TOL)
@@ -390,8 +410,7 @@ def test_lattice_extremum_tied_axis_side_falls_back_to_the_table(monkeypatch):
     surface = LevelSurface.from_profile(pnorm_profile(1.05))
     W = np.array([[0.0, 1.0], [1.0, 1.0]])
     t0 = time.perf_counter()
-    got = kernels.lattice_extremum(SurfaceActions(surface, 2000).invert, W, 2000,
-                                   True, ARGEXT_TIE_TOL)
+    got = lattice_extremum(SurfaceActions(surface, 2000), W, True)
     assert time.perf_counter() - t0 < 30.0
     assert calls == [1]   # only the tied row scans a table
     monkeypatch.setattr(kernels, "extremal_ratios", scan)
@@ -420,16 +439,17 @@ def test_lattice_extremum_wide_tie_window_takes_the_table(monkeypatch):
 def test_lattice_extremum_raises_where_the_table_does():
     # pnorm:1.01 underflows k^100 beside the axis, and the descent of the
     # axis rows meets those directions
-    invert = SurfaceActions(LevelSurface.from_profile(pnorm_profile(1.01)), 2000).invert
+    actions = SurfaceActions(LevelSurface.from_profile(pnorm_profile(1.01)), 2000)
     with pytest.raises(ConvergenceFailure):
-        kernels.lattice_extremum(invert, lattice_grid(2, 2).astype(float), 2000, True)
+        lattice_extremum(actions, lattice_grid(2, 2).astype(float), True)
 
 
 def test_lattice_extremum_without_kept_directions_is_none():
     def nothing(K):
         return np.full(K.shape, np.nan), np.full(len(K), np.nan), np.zeros(len(K), bool)
 
-    assert kernels.lattice_extremum(nothing, np.ones((3, 2)), 20, True) is None
+    assert lattice_extremum(SimpleNamespace(invert=nothing, k_max=20), np.ones((3, 2)),
+                            True) is None
 
 
 @pytest.mark.parametrize("W,k_max,tie_tol", [
@@ -440,9 +460,98 @@ def test_lattice_extremum_without_kept_directions_is_none():
     (np.ones((2, 2)), 10, 0.0),
 ])
 def test_lattice_extremum_validates(W, k_max, tie_tol):
-    invert = SurfaceActions(RamosCurve(), 10).invert
+    actions = SimpleNamespace(invert=SurfaceActions(RamosCurve(), 10).invert, k_max=k_max)
     with pytest.raises(ValueError):
-        kernels.lattice_extremum(invert, W, k_max, False, tie_tol)
+        lattice_extremum(actions, W, False, tie_tol)
+
+
+def _farey_terms(k_max):
+    """The primitive directions of the box [0, k_max]^2 in angle order,
+    (1, 0) first and (0, 1) last."""
+    K = kernels.primitive_directions(2, k_max)
+    K = K[np.argsort(np.arctan2(K[:, 1], K[:, 0]))]
+    assert (K[:-1, 0] * K[1:, 1] - K[:-1, 1] * K[1:, 0] == 1).all()   # consecutive
+    return K
+
+
+def _terms_around(K, M):
+    """The terms of K (one box, in angle order) just before and just after
+    M, which is no term of K; every cross product is exact."""
+    before = K[:, 0] * M[1] - K[:, 1] * M[0] > 0
+    j = int(np.count_nonzero(before))
+    assert before[:j].all() and not before[j:].any()
+    return K[j - 1], K[j]
+
+
+@settings(max_examples=40, deadline=None)
+@given(k_max=st.integers(1, 400), b=st.one_of(st.integers(1, 63), st.integers(1, 400)),
+       c=st.integers(1, 400), seed=st.integers(0, 2**32 - 1))
+def test_box_pair_equals_the_brute_force_terms(k_max, b, c, seed):
+    b = min(b, k_max)
+    c = min(c, b)
+    big = _farey_terms(k_max)
+    rng = np.random.default_rng(seed)
+    i = rng.integers(0, len(big) - 1, 16)
+    L, R = big[i], big[i + 1]
+    want, start = (np.array([_terms_around(K, m) for m in L + R])
+                   for K in (_farey_terms(b), _farey_terms(c)))   # (rows, 2 terms, 2)
+    quadrant = np.tile([1, 0], (len(L), 1)), np.tile([0, 1], (len(L), 1))
+    for A, B in (quadrant, (start[:, 0], start[:, 1])):   # box c's terms lie in box b
+        kernels._box_pair(L, R, b, A, B)
+        assert np.array_equal(A, want[:, 0]) and np.array_equal(B, want[:, 1])
+
+
+@settings(max_examples=30, deadline=None)
+@given(s=st.one_of(st.floats(1.05, 40.0), st.just("disk")),
+       shift=st.tuples(*[st.sampled_from([0.0, 0.25, 0.5, 0.75])] * 2),
+       hbar=st.sampled_from([1.0, 1e-3, 1e-9]),
+       k_max=st.integers(4, 3000),
+       m_max=st.integers(0, 64),
+       rows=st.integers(1, 48),
+       seed=st.integers(0, 2**32 - 1))
+def test_lattice_search_of_three_boxes_equals_three_searches(s, shift, hbar, k_max,
+                                                             m_max, rows, seed):
+    surface, use_max = ((RamosCurve(), False) if s == "disk"
+                        else (LevelSurface.from_profile(pnorm_profile(s)), True))
+    rng = np.random.default_rng(seed)
+    grid = lattice_grid(2, m_max)
+    W = hbar * (grid[rng.choice(len(grid), size=min(rows, len(grid)), replace=False)]
+                + shift)
+    invert = SurfaceActions(surface, k_max).invert
+    boxes = (k_max // 4, k_max // 2, k_max)
+    together = kernels.lattice_search(invert, W, boxes, use_max, ARGEXT_TIE_TOL)
+    assert len(together) == 3
+    for k, got in zip(boxes, together):
+        want = kernels.lattice_search(invert, W, (k,), use_max, ARGEXT_TIE_TOL)[0]
+        assert (got is None) == (want is None)
+        if want is None:
+            continue
+        assert np.array_equal(got[2], want[2])
+        settled = np.setdiff1d(np.arange(len(W)), want[2])
+        assert np.array_equal(got[0][settled].view(np.int64),
+                              want[0][settled].view(np.int64))
+        assert np.array_equal(got[1][settled], want[1][settled])
+
+
+def test_variational_spectrum_descends_once(monkeypatch):
+    calls = {"_bracket": 0, "_descend": 0}
+    for name in calls:
+        def spy(*args, _name=name, _fn=getattr(kernels, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(kernels, name, spy)
+    actions = SurfaceActions(LevelSurface.from_profile(pnorm_profile(4.0)), 100)
+    spectrum = variational_spectrum(actions, 8, shift=(0.5, 0.5))
+    assert np.isfinite(spectrum.truncation).all()   # all three levels were read
+    assert calls == {"_bracket": 1, "_descend": 1}
+
+
+def test_lattice_search_validates_boxes():
+    invert = SurfaceActions(RamosCurve(), 10).invert
+    for boxes in ((), (0, 10), (10, 5)):
+        with pytest.raises(ValueError):
+            kernels.lattice_search(invert, np.ones((2, 2)), boxes, False)
 
 
 def test_bench_kernels_rows_run(bench_kernels, monkeypatch, capsys):
@@ -459,9 +568,10 @@ def test_bench_kernels_rows_run(bench_kernels, monkeypatch, capsys):
     assert "primitive_direction_chunks(2, 20, 65536)" in out
     assert "lattice extremum(pnorm:4, 81 rows, k_max 30)" in out
     assert "lattice extremum(ramos, 1 rows, k_max 20)" in out
+    assert "three-level search(pnorm:4, 81 rows, k_max 30)" in out
     assert "crosscheck(ramos, k_max 20) time" in out
     assert "crosscheck(ramos, k_max 20) peak" in out
-    assert out.count("identical: True") == 9
+    assert out.count("identical: True") == 10
     assert "inversion(pnorm:4" in out
     assert "action table(pnorm:3" in out and "identical: False" not in out
     assert "action table(ramos" in out and "action table(harmonic:1,2, 1 rows)" in out

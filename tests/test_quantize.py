@@ -21,7 +21,6 @@ from ebk import (
     disk_profile,
     euclidean_profile,
     harmonic_profile,
-    kernels,
     lattice_grid,
     marked_action_spectrum,
     minmax_certificate,
@@ -224,16 +223,13 @@ def test_wide_tie_window_builds_one_table(monkeypatch):
     # at hbar 1e-9 the tie window is absolute and spans most of the box, so
     # every row at every truncation level is left to the table
     builds = []
-    build, kept_table = actions_module.marked_action_spectrum, kernels._kept_table
+    build = actions_module.marked_action_spectrum
 
-    def counting(fn):
-        def wrapper(*args, **kwargs):
-            builds.append(fn.__name__)
-            return fn(*args, **kwargs)
-        return wrapper
+    def counting(*args, **kwargs):
+        builds.append(build.__name__)
+        return build(*args, **kwargs)
 
-    monkeypatch.setattr(actions_module, "marked_action_spectrum", counting(build))
-    monkeypatch.setattr(kernels, "_kept_table", counting(kept_table))
+    monkeypatch.setattr(actions_module, "marked_action_spectrum", counting)
     surface = LevelSurface.from_profile(pnorm_profile(4.0))
     searched = variational_spectrum(SurfaceActions(surface, 400), 64, hbar=1e-9)
     assert builds == ["marked_action_spectrum"]
