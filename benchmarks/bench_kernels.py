@@ -4,7 +4,8 @@ table fallback) against the action table plus that reduction, the
 three-level search against three one-level searches, the closed-form
 Gauss-map inversion against the generic bisection, the action table's
 build, the disk crosscheck's streamed minima against the table and three
-scans, the table's block-rendered writers and writer-layout JSON reader
+scans (both the build and the stream also in the former 65,536-row
+chunks), the table's block-rendered writers and writer-layout JSON reader
 against the per-row writers and the json.loads reader, and the
 reconstruction's spline fits and Hausdorff distance. The enumeration,
 action-table, crosscheck, table I/O and reconstruction rows also give the
@@ -14,6 +15,7 @@ Run as:  python benchmarks/bench_kernels.py
 (with the test extras installed: the lattice row takes its
 lattice_extremum from tests/test_kernels.py).
 """
+import contextlib
 import functools
 import itertools
 import json
@@ -28,6 +30,7 @@ from ebk import (ActionSpectrum, ConfigError, LevelSurface, Orientation, PointCl
                  RamosCurve, SurfaceActions, crosscheck_disk, harmonic_profile,
                  hausdorff_distance, hypersurface_transform, kernels,
                  marked_action_spectrum, pnorm_profile)
+from ebk import actions as actions_module, billiard
 from ebk.actions import CHUNK_ROWS, MaslovShift, _integer_directions
 from ebk.quantize import ARGEXT_TIE_TOL, lattice_grid, truncation_estimate
 
@@ -42,6 +45,7 @@ K_MAX_TABLE = 500    # the table-io workload's pnorm:3 table
 K_MAX_BUILD = 2000   # the billiard workload's disk table, 2.43M directions
 K_MAX_RECONSTRUCT = 200   # the reconstruct workload's pnorm:4 cloud
 REPEAT = 3
+OLD_CHUNK_ROWS = 1 << 16   # the action table's chunk size before CHUNK_ROWS
 
 
 def best_of(fn, repeat=REPEAT):
@@ -187,26 +191,45 @@ def inversion_row() -> None:
     print(f"{name:52s} {t_closed:9.4f}s {t_bisect:9.4f}s {t_bisect / t_closed:7.1f}x")
 
 
+@contextlib.contextmanager
+def chunk_rows(rows):
+    """The action table and the disk crosscheck streamed in chunks of
+    about `rows` directions."""
+    saved = actions_module.CHUNK_ROWS, billiard.CHUNK_ROWS
+    actions_module.CHUNK_ROWS = billiard.CHUNK_ROWS = rows
+    try:
+        yield
+    finally:
+        actions_module.CHUNK_ROWS, billiard.CHUNK_ROWS = saved
+
+
 def build_row() -> None:
     """marked_action_spectrum on the billiard crosscheck's disk table, on a
     harmonic facet over as many directions (one row: the closed form maps
-    the rest to nan) and on the table-io workload's pnorm:3 table."""
-    print(f"{'':52s} {'time':>10s} {'peak':>10s}")
+    the rest to nan) and on the table-io workload's pnorm:3 table, each in
+    CHUNK_ROWS-row chunks and in the former OLD_CHUNK_ROWS-row ones."""
+    sizes = (CHUNK_ROWS, OLD_CHUNK_ROWS)
+    print(f"{'':52s}" + "".join(f" {f'{rows}-row chunks':>21s}" for rows in sizes))
+    print(f"{'':52s}" + f" {'time':>10s} {'peak':>10s}" * len(sizes))
     for name, surface, k_max in (
             ("ramos", RamosCurve(), K_MAX_BUILD),
             ("harmonic:1,2", LevelSurface.from_profile(harmonic_profile((1, 2))),
              K_MAX_BUILD),
             ("pnorm:3", LevelSurface.from_profile(pnorm_profile(3.0)), K_MAX_TABLE)):
         run = functools.partial(marked_action_spectrum, surface, k_max)
-        t = best_of(run)
+        cells = []
+        for rows in sizes:
+            with chunk_rows(rows):
+                cells.append(f" {best_of(run):9.4f}s {peak_mb(run):7.1f} MB")
         label = f"action table({name}, {len(run()):,} rows) build"
-        print(f"{label:52s} {t:9.4f}s {peak_mb(run):7.1f} MB")
+        print(f"{label:52s}" + "".join(cells))
 
 
 def crosscheck_row() -> None:
     """The disk crosscheck's three truncation minima for one weight row:
     the action table, two restrict() copies and three scans, against
-    crosscheck_disk's streamed reduction (the same minima, no table)."""
+    crosscheck_disk's streamed reduction (the same minima, no table), the
+    stream also in the former OLD_CHUNK_ROWS-row chunks."""
     k_max, w = K_MAX_BUILD, np.array([[0.0, 2.0]])
 
     def table():
@@ -226,6 +249,9 @@ def crosscheck_row() -> None:
     print(f"{name + ' time':52s} {t_table:9.4f}s {t_stream:9.4f}s {t_table / t_stream:7.1f}x"
           f"  identical: {same}")
     print(f"{name + ' peak':52s} {peak_mb(table):7.1f} MB {peak_mb(streamed):7.1f} MB")
+    with chunk_rows(OLD_CHUNK_ROWS):
+        print(f"{name + f' {OLD_CHUNK_ROWS}-row chunks':52s} {'':10s} "
+              f"{best_of(streamed):9.4f}s {peak_mb(streamed):7.1f} MB")
 
 
 def old_to_csv(spec) -> str:

@@ -83,10 +83,7 @@ from .surfaces import (
     InversionResult,
     LevelSurface,
     Orientation,
-    gauss_curvature,
     gauss_map,
-    invert_gauss_map,
-    invert_gauss_map_all,
     legendre_point,
 )
 

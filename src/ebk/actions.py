@@ -5,6 +5,14 @@ a = <p + mu, k> of the orbit class through the surface point p whose outward
 normal is proportional to k. Entries are stored for primitive k only and in
 lexicographic order; integer multiples scale exactly and are generated on
 demand. Zero-action entries (k orthogonal to an axis endpoint) are dropped.
+
+A table is built from a stream: the sieve is read out in lex-ordered
+chunks of about CHUNK_ROWS directions, each converted to float coordinate
+columns once, and the inversion, its residual check, the actions and the
+kept mask run on those columns (_table_rows, which also serves the lattice
+search's inversions and the disk crosscheck). The bytes do not depend on
+CHUNK_ROWS; 16,384 rows took about half the peak memory of 65,536 (a
+chunk's temporaries) in no more time, and 2.5 MB less than 32,768.
 """
 from __future__ import annotations
 
@@ -23,7 +31,7 @@ from .errors import ConfigError, ConvergenceFailure, InvalidOrbitClass
 from .surfaces import LevelSurface, Orientation, NORMAL_RESIDUAL_TOL
 
 ZERO_ACTION_TOL = 1e-12   # |a| <= tol * |k| counts as a dropped zero entry
-CHUNK_ROWS = 1 << 16      # directions inverted per step of the action table
+CHUNK_ROWS = 1 << 14      # directions inverted per step of the action table
 ROW_BLOCK = 4096          # rows per %-operation of the row renderer
 READ_BLOCK = 1 << 20      # characters of JSON entries parsed per step
 
@@ -326,18 +334,36 @@ def _integer_directions(columns: np.ndarray) -> np.ndarray:
 
 def _kept_actions(K: np.ndarray, pts: np.ndarray, mu: MaslovShift):
     """Actions <p + mu, k> per row and the mask of rows whose action is not
-    a dropped zero (rows with nan points are not kept either)."""
-    Kf = K.astype(float)
-    acts = np.einsum("ij,ij->i", pts + mu.as_array(), Kf)
-    keep = np.abs(acts) > ZERO_ACTION_TOL * np.linalg.norm(Kf, axis=1)
-    return acts, keep
+    a dropped zero (rows with nan points are not kept either), from the
+    direction columns K, shape (n, N), and the points, shape (N, n).
+
+    In 2-D the sum is taken column by column, a zero shift skipped (adding
+    +0.0 changes only the sign of a zero action, which is dropped). In 3-D
+    np.einsum sums the three products in an order that depends on the
+    memory layout, so it keeps the table's C-contiguous rows."""
+    buf = np.empty(K.shape[1])
+    if len(K) == 3:
+        acts = np.einsum("ij,ij->i", pts + mu.as_array(), np.ascontiguousarray(K.T))
+    else:
+        (p0, p1), (m0, m1) = pts.T, mu.values
+        acts = np.multiply(p0 + m0 if m0 else p0, K[0])
+        acts += np.multiply(p1 + m1 if m1 else p1, K[1], out=buf)
+    # |k|: the sum of squares is exact for integer directions
+    norm = np.multiply(K[0], K[0])
+    for k in K[1:]:
+        norm += np.multiply(k, k, out=buf)
+    np.sqrt(norm, out=norm)
+    norm *= ZERO_ACTION_TOL
+    return acts, np.abs(acts, out=buf) > norm
 
 
 def _table_rows(surface: LevelSurface, K: np.ndarray, mu: MaslovShift):
-    """Points, actions and kept mask of the directions K, and how many
-    attained rows fail the inversion residual: the action table's own
-    arithmetic, for any set of directions."""
-    pts, res, attained = surface.invert_normal_many(K)[1:]
+    """Points, actions and kept mask of the directions whose float columns
+    are the rows of K, shape (n, N), and how many attained rows fail the
+    inversion residual: the action table's own arithmetic, for any set of
+    directions. The points come as an (N, n) array in the layout the
+    surface's normal map gives."""
+    pts, res, attained = surface.invert_normal_many(K.T)[1:]
     failed = int(np.count_nonzero(attained & ~(res <= NORMAL_RESIDUAL_TOL)))
     acts, keep = _kept_actions(K, pts, mu)
     keep &= attained
@@ -351,7 +377,8 @@ def marked_action_spectrum(surface: LevelSurface, k_max: int,
     Directions outside the surface's normal cone are skipped silently. The
     inversion is vectorized (closed form where the family has one, a
     monotone bisection of the normal angle otherwise) and reads the
-    directions as a stream of lex-ordered chunks of about CHUNK_ROWS, the
+    directions as a stream of lex-ordered chunks of about CHUNK_ROWS, each
+    converted to float columns once for the inversion and the actions, the
     kept rows compacted in place into arrays sized by the sieve's count, so
     the working set beyond the table and the sieve is one chunk. Where the
     normal angle is monotone the points with a given normal form one
@@ -367,13 +394,14 @@ def marked_action_spectrum(surface: LevelSurface, k_max: int,
     pts = np.empty(K.shape)
     acts = np.empty(len(K))
     kept = failed = 0
-    for Kc in kernels._slabs(mask, CHUNK_ROWS):
-        pc, ac, keep, bad = _table_rows(surface, Kc, mu)
+    for cols in kernels._slabs(mask, CHUNK_ROWS):
+        pc, ac, keep, bad = _table_rows(surface, np.array(cols, dtype=float), mu)
         failed += bad
         stop = kept + int(np.count_nonzero(keep))
-        K[kept:stop] = Kc[keep]
-        pts[kept:stop] = pc[keep]
-        acts[kept:stop] = ac[keep]
+        for j, (k, p) in enumerate(zip(cols, pc.T)):
+            np.compress(keep, k, out=K[kept:stop, j])
+            np.compress(keep, p, out=pts[kept:stop, j])
+        np.compress(keep, ac, out=acts[kept:stop])
         kept = stop
     if failed:
         raise ConvergenceFailure(f"{failed} directions failed the inversion residual")
@@ -412,7 +440,8 @@ class SurfaceActions:
     def invert(self, K: np.ndarray):
         """(points, actions, keep) of the directions K, as the table has
         them; ConvergenceFailure where the table would fail."""
-        pts, acts, keep, failed = _table_rows(self.surface, K, MaslovShift.zero(2))
+        pts, acts, keep, failed = _table_rows(self.surface, K.T.astype(float),
+                                              MaslovShift.zero(2))
         if failed:
             raise ConvergenceFailure(f"{failed} directions failed the inversion residual")
         return pts, acts, keep

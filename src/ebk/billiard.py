@@ -151,9 +151,33 @@ class BilliardLevel:
 
 def boundary_point(alpha):
     """rho(alpha) = (sin a - a cos a, sin a + (pi - a) cos a), a in [0, pi]."""
-    a = np.asarray(alpha, dtype=float)
+    a = np.asarray(alpha, dtype=float).ravel()
+    return np.stack(_rho(a, math.pi - a), axis=-1).reshape(np.shape(alpha) + (2,))
+
+
+def _rho(a, b):
+    """rho at the 1-D angles a, given b = pi - a, as a (2, N) array of
+    coordinate columns: boundary_point's arithmetic, each temporary
+    reused in place."""
     s, c = np.sin(a), np.cos(a)
-    return np.stack([s - a * c, s + (math.pi - a) * c], axis=-1)
+    p = np.empty((2, len(a)))
+    np.multiply(a, c, out=p[0])
+    np.subtract(s, p[0], out=p[0])
+    np.multiply(b, c, out=p[1])
+    p[1] += s
+    return p
+
+
+def _nu(a, b):
+    """The outward unit normal at the 1-D angles a, given b = pi - a, as a
+    (2, N) array of coordinate columns: boundary_normal's arithmetic."""
+    nu = np.empty((2, len(a)))
+    norm = np.multiply(b, b)
+    norm += np.multiply(a, a, out=nu[1])
+    np.sqrt(norm, out=norm)
+    np.divide(b, norm, out=nu[0])
+    np.divide(a, norm, out=nu[1])
+    return nu
 
 
 def boundary_tangent(alpha):
@@ -164,10 +188,8 @@ def boundary_tangent(alpha):
 
 def boundary_normal(alpha):
     """Outward unit normal, proportional to (pi - a, a)."""
-    a = np.asarray(alpha, dtype=float)
-    b = math.pi - a
-    norm = np.sqrt(b * b + a * a)
-    return np.stack([b / norm, a / norm], axis=-1)
+    a = np.asarray(alpha, dtype=float).ravel()
+    return np.stack(_nu(a, math.pi - a), axis=-1).reshape(np.shape(alpha) + (2,))
 
 
 def direction_parameter(k1, k2):
@@ -182,8 +204,14 @@ def direction_parameter(k1, k2):
 
 
 def _ramos_normal_map(K):
-    alpha = direction_parameter(K[:, 0], K[:, 1])
-    return alpha, boundary_point(alpha), boundary_normal(alpha)
+    """direction_parameter, boundary_point and boundary_normal on the
+    columns of K (nonzero rows k >= 0, or nan), in their arithmetic."""
+    k1, k2 = K.T
+    alpha = np.multiply(k2, math.pi)
+    b = np.add(k1, k2)
+    alpha /= b
+    np.subtract(math.pi, alpha, out=b)
+    return alpha, _rho(alpha, b).T, _nu(alpha, b).T
 
 
 def ramos_action(k1: int, k2: int) -> float:
@@ -259,16 +287,19 @@ class CrosscheckReport:
 
 
 # as in extremal_ratios, products of huge weights may overflow to inf
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _fold_minima(lows, K, a, keep, w, bounds):
     """Fold into lows[i] the minimum of (k . w) / a over the kept rows with
-    ||k||_inf <= bounds[i], in the arithmetic of kernels._scan. Dropped rows
-    read +inf; the minimum is exact in any order, and every ratio is
-    >= +0.0, so the folded value is bitwise the table scan's."""
-    num = K[:, 0] * w[0]
-    num += K[:, 1] * w[1]
-    r = np.divide(num, a, out=np.full(len(a), np.inf), where=keep)
-    sup = np.maximum(K[:, 0], K[:, 1])
+    ||k||_inf <= bounds[i], K holding the direction columns, shape (2, N),
+    in the arithmetic of kernels._scan. Dropped rows read +inf; the minimum
+    is exact in any order, and every ratio is >= +0.0, so the folded value
+    is bitwise the table scan's."""
+    r = np.multiply(K[0], w[0])
+    r += np.multiply(K[1], w[1])
+    r /= a
+    if keep is not True:
+        r[~keep] = np.inf
+    sup = np.maximum(K[0], K[1])
     for i, k in enumerate(bounds):
         lows[i] = min(lows[i], r.min(where=sup <= k, initial=np.inf))
 
@@ -276,15 +307,18 @@ def _fold_minima(lows, K, a, keep, w, bounds):
 def _disk_minima(w, bounds):
     """The minimum of (k . w) / a(k) over the disk's action table up to each
     of the ascending bounds, without the table: the directions stream in
-    chunks through the table's inversion, residual check and kept mask, and
-    the table's failures are raised after the stream."""
+    chunks, converted to float columns once, through the table's inversion,
+    residual check and kept mask, and the table's failures are raised after
+    the stream."""
     curve, mu = RamosCurve(), MaslovShift.zero(2)
     lows = np.full(len(bounds), np.inf)
     failed, finite = 0, True
-    for K in kernels.primitive_direction_chunks(2, bounds[-1], CHUNK_ROWS):
+    for cols in kernels._slabs(kernels._sieve(2, bounds[-1]), CHUNK_ROWS):
+        K = np.array(cols, dtype=float)
         _, acts, keep, bad = _table_rows(curve, K, mu)
         failed += bad
-        finite = finite and bool(np.isfinite(acts[keep]).all())
+        # a kept action is never nan, so it is finite unless infinite
+        finite = finite and not np.isinf(acts).any(where=keep)
         _fold_minima(lows, K, acts, keep, w, bounds)
     if failed:
         raise ConvergenceFailure(f"{failed} directions failed the inversion residual")
@@ -333,7 +367,7 @@ def crosscheck_disk(m1: int, m2: int, k_max: int = 2000, shift=None,
         if not np.any(actions.sup_norms <= k_max // 4):
             raise EmptySpectrum(f"no action entry with ||k||_inf <= {k_max // 4}")
         levels = np.full(3, np.inf)
-        _fold_minima(levels, actions.directions, actions.actions, True, w,
+        _fold_minima(levels, actions.directions.T, actions.actions, True, w,
                      (k_max // 4, k_max // 2, k_max))
     energy = float(levels[2])
     estimate = float(truncation_estimate(levels[:1], levels[1:2], levels[2:])[0])

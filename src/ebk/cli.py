@@ -58,13 +58,25 @@ def _write(out: Optional[str], text: str) -> None:
             raise ConfigError(f"cannot write {out!r}: {exc.strerror or exc}") from exc
 
 
+def _read_text(path: str) -> str:
+    """The file decoded as text mode would (the locale's encoding, CRLF and
+    CR read as LF), from one bytes read: text mode holds a CRLF file's
+    bytes, its decoded text and the translated text at once."""
+    try:
+        with open(path) as fh:   # for the encoding text mode would use
+            data = fh.buffer.read()
+        text = data.decode(fh.encoding)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read actions file {path!r}: {exc}") from exc
+    del data
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
 def _load_actions(args) -> ActionSpectrum | SurfaceActions:
     if getattr(args, "actions", None):
-        try:
-            with open(args.actions) as fh:
-                text = fh.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"cannot read actions file {args.actions!r}: {exc}") from exc
+        text = _read_text(args.actions)
         if args.actions.endswith(".json"):
             return ActionSpectrum.from_json(text)
         orientation = getattr(args, "orientation", None)

@@ -1,7 +1,9 @@
 """Hot numeric kernels, numpy only.
 
   * primitive_directions enumerates the gcd-1 integer directions, and
-    primitive_direction_chunks streams them in lex-ordered chunks;
+    primitive_direction_chunks streams them in lex-ordered chunks (the
+    action table and the disk crosscheck read the same chunks as index
+    columns, which their column arithmetic takes without a stack);
   * extremal_ratios is the sup/inf ratio reduction behind variational
     spectra. In two dimensions, with many weight rows, it scans for each row
     only the blocks of entries whose upper bound can reach the extremum;
@@ -67,19 +69,17 @@ def _sieve(dimension: int, k_max: int) -> np.ndarray:
 
 
 def _slabs(mask: np.ndarray, rows: int):
-    """The true cells of mask as index rows in C (= lex) order, in chunks
-    of whole first-coordinate slabs: as many slabs as hold at most `rows`
-    cells together, and at least one."""
+    """The true cells of mask as index columns in C (= lex) order, one
+    int64 array per coordinate, in chunks of whole first-coordinate slabs:
+    as many slabs as hold at most `rows` cells together, and at least one."""
     ends = np.cumsum(mask.reshape(len(mask), -1).sum(axis=1))
     lo = 0
     while lo < len(mask):
         done = int(ends[lo - 1]) if lo else 0
         hi = max(lo + 1, int(np.searchsorted(ends, done + rows, side="right")))
-        # stacking the index columns keeps the rows C-contiguous (argwhere
-        # would not), which the row-wise action sums rely on
-        chunk = np.stack(np.nonzero(mask[lo:hi]), axis=1)
-        chunk[:, 0] += lo
-        yield chunk
+        cols = np.nonzero(mask[lo:hi])
+        cols[0][:] += lo
+        yield cols
         lo = hi
 
 
@@ -99,7 +99,7 @@ def primitive_direction_chunks(dimension: int, k_max: int, rows: int):
     are primitive_directions(dimension, k_max); the working set beyond the
     sieve is one chunk.
     """
-    return _slabs(_sieve(dimension, k_max), rows)
+    return (np.stack(cols, axis=1) for cols in _slabs(_sieve(dimension, k_max), rows))
 
 
 def bisect_generic(angle_fn, lo: float, hi: float, targets: np.ndarray,

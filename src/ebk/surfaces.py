@@ -16,7 +16,6 @@ bisection (UnsupportedSurface where the normal turns back).
 """
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
@@ -56,13 +55,27 @@ def gauss_map(profile: ToricProfile, p) -> np.ndarray:
 
 def _normal_residuals(normals: np.ndarray, K: np.ndarray) -> np.ndarray:
     """max_{i<j} |n_i k_j - n_j k_i| / (|n| |k|) per row: the sine of the
-    angle between n and k for n = 2, within a factor sqrt(3) of it for n = 3."""
-    n = [normals[:, j] for j in range(normals.shape[1])]
-    k = [K[:, j] for j in range(K.shape[1])]
-    cross = functools.reduce(np.maximum, (
-        np.abs(n[i] * k[j] - n[j] * k[i])
-        for i, j in itertools.combinations(range(len(n)), 2)))
-    return cross / (functools.reduce(np.hypot, n) * functools.reduce(np.hypot, k))
+    angle between n and k for n = 2, within a factor sqrt(3) of it for n = 3.
+    Computed on the coordinate columns, each temporary reused in place."""
+    n, k = normals.T, K.T
+    cross = None
+    for i, j in itertools.combinations(range(len(n)), 2):
+        d = np.multiply(n[i], k[j])
+        d -= n[j] * k[i]
+        np.abs(d, out=d)
+        cross = d if cross is None else np.maximum(cross, d, out=cross)
+    den = _column_norms(n)
+    den *= _column_norms(k)
+    cross /= den
+    return cross
+
+
+def _column_norms(cols) -> np.ndarray:
+    """hypot(hypot(c_1, c_2), c_3) ... over the columns: the row norms."""
+    h = np.hypot(cols[0], cols[1])
+    for col in cols[2:]:
+        np.hypot(h, col, out=h)
+    return h
 
 
 def _cubic_spline(x: np.ndarray, y: np.ndarray, clamp_lo: bool,
@@ -176,11 +189,12 @@ class LevelSurface:
 
     normal_map, when given, is the closed-form inverse of the Gauss map in
     this parametrization: it sends each nonzero row k >= 0 of an (N, n)
-    array to (params, points, normals) with the normal parallel to k, and
-    a row that no point has its normal along to nan. Surfaces in n = 3 need
-    one and a declared convex or concave orientation; planar arcs without
-    an orientation detect it from their sampled curvature
-    (orientation_declared tells which).
+    array, in any memory layout (the action table passes its direction
+    columns transposed), to (params, points, normals) with the normal
+    parallel to k, and a row that no point has its normal along to nan.
+    Surfaces in n = 3 need one and a declared convex or concave
+    orientation; planar arcs without an orientation detect it from their
+    sampled curvature (orientation_declared tells which).
     """
 
     def __init__(self, dimension: int, point_fn: Callable, param_lo, param_hi,
@@ -247,8 +261,10 @@ class LevelSurface:
         if profile.inverse_gauss_fn is not None:
             def normal_map(K):
                 # the points come from k directly, so the axis rows
-                # land exactly on the axis endpoints
-                p = profile.inverse_gauss_fn(K)
+                # land exactly on the axis endpoints; the closed form
+                # reads C-contiguous rows, as the profile's own callers
+                # pass them
+                p = profile.inverse_gauss_fn(np.ascontiguousarray(K))
                 t = np.arctan2(p[:, 1], p[:, 0])
                 if n == 3:
                     t = np.stack([t, np.arctan2(np.hypot(p[:, 0], p[:, 1]),
@@ -411,14 +427,20 @@ class LevelSurface:
         if self.normal_map is None:
             t, points, normals, attained = self._bisect_normal_many(K)
         else:
-            cols = [K[:, j] for j in range(K.shape[1])]
-            attained = ((functools.reduce(np.minimum, cols) >= 0)
-                        & (functools.reduce(np.maximum, cols) > 0))
+            # columnwise: a row-wise reduction over few columns is far slower
+            cols = K.T
+            low = np.minimum(cols[0], cols[1])
+            high = np.maximum(cols[0], cols[1])
+            for col in cols[2:]:
+                np.minimum(low, col, out=low)
+                np.maximum(high, col, out=high)
+            attained = low >= 0
+            attained &= high > 0
             if not attained.all():
                 K = np.where(attained[:, None], K, np.nan)
             t, points, normals = self.normal_map(K)
-            # columnwise: a row-wise all() over few columns is far slower
-            attained &= functools.reduce(np.logical_and, map(np.isfinite, points.T))
+            for col in points.T:
+                attained &= np.isfinite(col)
         return t, points, _normal_residuals(normals, K), attained
 
     def _bisect_normal_many(self, K: np.ndarray):
@@ -554,18 +576,3 @@ class LevelSurface:
         q = self.point(self.ray_parameter(P))
         r = np.hypot(P[..., 0], P[..., 1]) / np.hypot(q[..., 0], q[..., 1])
         return float(r) if P.ndim == 1 else r
-
-
-def gauss_curvature(surface: LevelSurface, param):
-    """Curvature of the surface at the given parameter(s)."""
-    return surface.curvature(param)
-
-
-def invert_gauss_map(surface: LevelSurface, k) -> np.ndarray:
-    """Point p on the surface with n(p) proportional to k (representative)."""
-    return surface.invert_normal(k).point
-
-
-def invert_gauss_map_all(surface: LevelSurface, k) -> InversionResult:
-    """All solution components, with the multivalued flag exposed."""
-    return surface.invert_normal(k)

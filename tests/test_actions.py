@@ -20,13 +20,13 @@ from ebk import (
     billiard_orbit_action,
     euclidean_profile,
     harmonic_profile,
-    invert_gauss_map,
     kernels,
     marked_action_spectrum,
     pnorm_profile,
 )
 from ebk import actions as actions_module
 from ebk.actions import MaslovShift, as_shift
+from ebk.catalog import load_domain_file
 
 
 @pytest.fixture(scope="module")
@@ -121,7 +121,7 @@ def test_scaling_consistency(circle_actions):
         k = np.asarray(e.k, dtype=float)
         # doubling k doubles the pairing exactly (power-of-two scaling)
         assert float(np.dot(e.point, 2.0 * k)) == 2.0 * float(np.dot(e.point, k))
-        p2 = invert_gauss_map(surf, 2.0 * k)
+        p2 = surf.invert_normal(2.0 * k).point
         assert np.abs(p2 - np.asarray(e.point)).max() <= 1e-9
 
 
@@ -196,6 +196,41 @@ def test_streamed_table_matches_one_chunk(monkeypatch, name):
         assert np.array_equal(got, getattr(whole, attr)), attr
         assert got.flags.c_contiguous, attr
     assert np.array_equal(streamed.sup_norms, streamed.directions.max(axis=1))
+
+
+def _pnorm_3d_spec(tmp_path):
+    spec = tmp_path / "pnorm3d.json"
+    spec.write_text('{"kind": "pnorm", "params": {"s": 3.5}, "dimension": 3}')
+    return load_domain_file(str(spec)).make_surface()
+
+
+# name: (surface factory taking tmp_path, k_max, shift); each table is more
+# than one default chunk
+CHUNKED = {
+    "pnorm:1.05": (lambda _: LevelSurface.from_profile(pnorm_profile(1.05)), 200, None),
+    "pnorm:3": (lambda _: LevelSurface.from_profile(pnorm_profile(3.0)), 200, None),
+    "pnorm:40": (lambda _: LevelSurface.from_profile(pnorm_profile(40.0)), 200, None),
+    "pnorm:3-shifted": (lambda _: LevelSurface.from_profile(pnorm_profile(3.0)), 200,
+                        (0.5, -0.25)),
+    "ramos": (lambda _: RamosCurve(), 200, None),
+    "pnorm:3.5-3d-spec": (_pnorm_3d_spec, 30, 0.25),
+    "spline": (lambda _: _spline_arc(), 200, None),
+}
+
+
+@pytest.mark.parametrize("name", CHUNKED)
+def test_table_is_independent_of_the_chunk_size(monkeypatch, tmp_path, name):
+    make, k_max, shift = CHUNKED[name]
+    surface = make(tmp_path)
+    tables = []
+    for rows in (7, actions_module.CHUNK_ROWS):
+        monkeypatch.setattr(actions_module, "CHUNK_ROWS", rows)
+        tables.append(marked_action_spectrum(surface, k_max, shift=shift))
+    chunks = len(list(kernels._slabs(kernels._sieve(surface.dimension, k_max),
+                                     actions_module.CHUNK_ROWS)))
+    assert chunks > 1
+    for attr in ("directions", "points", "actions"):
+        assert np.array_equal(getattr(tables[0], attr), getattr(tables[1], attr)), attr
 
 
 def test_streamed_residual_failures_are_counted_over_chunks(monkeypatch):

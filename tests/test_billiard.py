@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ebk import actions as actions_module
+from ebk import billiard as billiard_module
 from ebk import (
     BilliardLevel,
     ConfigError,
@@ -23,7 +24,6 @@ from ebk import (
     direction_parameter,
     disk_profile,
     energy_from_momentum,
-    invert_gauss_map,
     kernels,
     marked_action_spectrum,
     radial_phase,
@@ -189,7 +189,7 @@ def test_ramos_action_is_boundary_pairing():
 def test_ramos_action_matches_inverted_point():
     rc = RamosCurve()
     for k1, k2 in [(1, 1), (3, 2), (1, 5)]:
-        p = invert_gauss_map(rc, (float(k1), float(k2)))
+        p = rc.invert_normal((float(k1), float(k2))).point
         assert ramos_action(k1, k2) == pytest.approx(
             float(np.dot(p, [k1, k2])), abs=1e-10)
 
@@ -328,6 +328,25 @@ def test_crosscheck_residual_failure_is_the_tables(monkeypatch):
     with pytest.raises(ConvergenceFailure) as streamed:
         crosscheck_disk(0, 2, k_max=300)
     assert str(streamed.value) == str(table.value)
+
+
+def test_disk_minima_are_independent_of_the_chunk_size(monkeypatch):
+    w = lattice_weights(np.array([[1, 3]]), actions_module.as_shift(0.75, 2), 1.0)[0]
+    bounds = (150, 300, 600)
+    lows, failures = [], []
+    for rows in (7, actions_module.CHUNK_ROWS):
+        monkeypatch.setattr(billiard_module, "CHUNK_ROWS", rows)
+        lows.append([float(x).hex() for x in billiard_module._disk_minima(w, bounds)])
+        with monkeypatch.context() as m:
+            m.setattr(actions_module, "NORMAL_RESIDUAL_TOL", 1e-17)
+            with pytest.raises(ConvergenceFailure) as failed:
+                billiard_module._disk_minima(w, bounds)
+        failures.append(str(failed.value))
+    assert lows[0] == lows[1]
+    assert failures[0] == failures[1]
+    # a tolerance below the rounding fails some directions, not every one
+    count = int(failures[0].split()[0])
+    assert 0 < count < len(kernels.primitive_directions(2, bounds[-1]))
 
 
 def test_crosscheck_given_table_without_short_entries_is_empty():

@@ -165,6 +165,41 @@ def test_actions_file_matches_profile_route(tmp_path):
     assert via_file == via_profile
 
 
+@pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_actions_file_with_crlf_or_cr_lines_reads_as_lf(tmp_path, newline, fmt):
+    # the file is decoded from bytes, with text mode's universal newlines
+    acts = tmp_path / f"acts.{fmt}"
+    assert main(["actions", "--profile", "pnorm:3", "--k-max", "30", "--format", fmt,
+                 "--out", str(acts)]) == 0
+    other = tmp_path / f"other.{fmt}"
+    other.write_bytes(acts.read_bytes().replace(b"\n", newline))
+    assert other.read_bytes() != acts.read_bytes()
+    for command in (["spectrum-variational", "--m-max", "3"],
+                    ["minmax-certify", "--energy", "1.0", "--m", "1,1"]):
+        argv = command[:1] + ["--orientation", "convex"] + command[1:]
+        assert run_to_file(tmp_path, "via_other.out", argv[:1] + ["--actions", str(other)]
+                           + argv[1:]) \
+            == run_to_file(tmp_path, "via_lf.out", argv[:1] + ["--actions", str(acts)]
+                           + argv[1:])
+
+
+def test_actions_file_outside_the_text_encoding_is_a_config_error(tmp_path, capsys):
+    # UTF-16 bytes (a BOM and NULs) decode under no ASCII-compatible locale
+    # encoding that Python selects: exit 2, naming the file
+    acts = tmp_path / "acts.csv"
+    assert main(["actions", "--profile", "circle", "--k-max", "10",
+                 "--out", str(acts)]) == 0
+    acts.write_bytes(acts.read_text().encode("utf-16"))
+    _assert_config_error(["spectrum-variational", "--actions", str(acts),
+                          "--orientation", "convex", "--m-max", "2"], capsys)
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"dimension": 2, "entries": [], "\xe9": 1}')
+    assert main(["minmax-certify", "--actions", str(latin), "--energy", "1.0",
+                 "--m", "1,1"]) == 2
+    assert "latin.json" in capsys.readouterr().err
+
+
 # --- failure modes ---
 
 def test_missing_profile_is_a_config_error(capsys):

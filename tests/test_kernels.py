@@ -565,15 +565,17 @@ def test_bench_kernels_rows_run(bench_kernels, monkeypatch, capsys):
     bench.main()
     out = capsys.readouterr().out
     assert "primitive_directions(2, 20)" in out
-    assert "primitive_direction_chunks(2, 20, 65536)" in out
+    assert "primitive_direction_chunks(2, 20, 16384)" in out
     assert "lattice extremum(pnorm:4, 81 rows, k_max 30)" in out
     assert "lattice extremum(ramos, 1 rows, k_max 20)" in out
     assert "three-level search(pnorm:4, 81 rows, k_max 30)" in out
     assert "crosscheck(ramos, k_max 20) time" in out
     assert "crosscheck(ramos, k_max 20) peak" in out
+    assert "crosscheck(ramos, k_max 20) 65536-row chunks" in out
+    assert "16384-row chunks      65536-row chunks" in out
     assert out.count("identical: True") == 10
     assert "inversion(pnorm:4" in out
     assert "action table(pnorm:3" in out and "identical: False" not in out
     assert "action table(ramos" in out and "action table(harmonic:1,2, 1 rows)" in out
     assert "spline fit(" in out and "spline refit(" in out
-    assert "hausdorff_distance(4096 x 4096" in out and out.count(" MB") == 17
+    assert "hausdorff_distance(4096 x 4096" in out and out.count(" MB") == 21

@@ -14,11 +14,8 @@ from ebk import (
     ToricProfile,
     boundary_point,
     euclidean_profile,
-    gauss_curvature,
     gauss_map,
     harmonic_profile,
-    invert_gauss_map,
-    invert_gauss_map_all,
     kernels,
     legendre_point,
     pnorm_profile,
@@ -82,17 +79,17 @@ def test_gauss_map_degenerate_gradient():
 
 def test_circle_curvature_is_one(circle):
     ts = np.linspace(circle.param_lo, circle.param_hi, 256)[1:-1]
-    ks = np.array([gauss_curvature(circle, t) for t in ts])
+    ks = np.array([circle.curvature(t) for t in ts])
     assert np.abs(ks - 1.0).max() <= 1e-6
 
 
 def test_segment_curvature_is_zero(segment):
     ts = np.linspace(segment.param_lo, segment.param_hi, 64)[1:-1]
-    assert max(abs(gauss_curvature(segment, t)) for t in ts) <= 1e-8
+    assert max(abs(segment.curvature(t)) for t in ts) <= 1e-8
 
 
 def test_quartic_diagonal_curvature(quartic):
-    got = gauss_curvature(quartic, np.pi / 4)
+    got = quartic.curvature(np.pi / 4)
     assert abs(got - QUARTIC_DIAGONAL_CURVATURE) <= 1e-6
 
 
@@ -103,8 +100,8 @@ def test_orientation_sign_convention(circle, quartic, segment):
     rc = RamosCurve()
     assert rc.orientation is Orientation.CONCAVE
     # convex: K > 0, concave: K < 0, away from the parameter endpoints
-    assert gauss_curvature(quartic, 0.9) > 0.0
-    assert gauss_curvature(rc, 1.3) < 0.0
+    assert quartic.curvature(0.9) > 0.0
+    assert rc.curvature(1.3) < 0.0
 
 
 @pytest.mark.parametrize("s", [1.01, 1.05, 12.0, 20.0, 40.0])
@@ -146,28 +143,28 @@ def test_legendre_point_tangent_through_origin():
         legendre_point((1.0, -1.0), n)
 
 
-# --- invert_gauss_map ---
+# --- invert_normal ---
 
 def test_invert_circle_diagonal(circle):
-    p = invert_gauss_map(circle, (1.0, 1.0))
+    p = circle.invert_normal((1.0, 1.0)).point
     assert np.allclose(p, np.full(2, 1.0 / np.sqrt(2.0)), atol=1e-10)
 
 
 def test_invert_ramos_closed_form():
     rc = RamosCurve()
     for k1, k2 in [(1, 1), (2, 1), (1, 3), (5, 2)]:
-        p = invert_gauss_map(rc, (float(k1), float(k2)))
+        p = rc.invert_normal((float(k1), float(k2))).point
         alpha = k2 * np.pi / (k1 + k2)
         assert np.allclose(p, boundary_point(alpha), atol=1e-9)
 
 
 def test_invert_segment_off_normal(segment):
     with pytest.raises(DirectionNotAttained):
-        invert_gauss_map(segment, (1.0, 1.0))
+        segment.invert_normal((1.0, 1.0))
 
 
 def test_invert_segment_flat_run_is_multivalued(segment):
-    res = invert_gauss_map_all(segment, (1.0, 2.0))
+    res = segment.invert_normal((1.0, 2.0))
     assert res.multivalued
     # every representative sits on the level set
     f = harmonic_profile((1.0, 2.0))
@@ -189,7 +186,7 @@ def test_facet_closed_form_matches_scan(weights):
     scanned = []
     for k in K:
         try:
-            scanned.append(invert_gauss_map_all(facet, k).multivalued)
+            scanned.append(facet.invert_normal(k).multivalued)
         except DirectionNotAttained:
             scanned.append(False)
     assert np.array_equal(ok, scanned)
@@ -212,7 +209,7 @@ def test_invert_roundtrip_convex(circle, quartic):
 
 def test_invert_dimension_three():
     sphere = LevelSurface.from_profile(euclidean_profile(3))
-    p = invert_gauss_map(sphere, (1.0, 1.0, 1.0))
+    p = sphere.invert_normal((1.0, 1.0, 1.0)).point
     assert np.allclose(p, np.full(3, 1.0 / np.sqrt(3.0)), atol=1e-9)
 
 
