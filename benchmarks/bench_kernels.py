@@ -84,21 +84,24 @@ def full_scan(K, a, W, use_max, tie_tol):
 
 
 def enumeration_row() -> None:
-    """The whole enumeration against its chunked readout, each chunk
-    dropped once read (the chunks must concatenate to the whole)."""
+    """The whole enumeration against the sieve's chunked readout as index
+    columns, each chunk dropped once read (the chunks must concatenate to
+    the whole)."""
+    def slabs():
+        return kernels._slabs(kernels._sieve(2, K_MAX_ENUM), CHUNK_ROWS)
+
     def chunked():
-        return [len(c) for c in
-                kernels.primitive_direction_chunks(2, K_MAX_ENUM, CHUNK_ROWS)]
+        return [len(cols[0]) for cols in slabs()]
 
     print(f"{'':52s} {'time':>10s} {'peak':>10s}")
     for name, run in (
             (f"primitive_directions(2, {K_MAX_ENUM})",
              functools.partial(kernels.primitive_directions, 2, K_MAX_ENUM)),
-            (f"primitive_direction_chunks(2, {K_MAX_ENUM}, {CHUNK_ROWS})", chunked)):
+            (f"_slabs(_sieve(2, {K_MAX_ENUM}), {CHUNK_ROWS})", chunked)):
         print(f"{name:52s} {best_of(run):9.4f}s {peak_mb(run):7.1f} MB")
     whole = kernels.primitive_directions(2, K_MAX_ENUM)
-    same = np.array_equal(np.concatenate(list(
-        kernels.primitive_direction_chunks(2, K_MAX_ENUM, CHUNK_ROWS))), whole)
+    same = np.array_equal(
+        np.concatenate([np.stack(cols, axis=1) for cols in slabs()]), whole)
     print(f"{'chunks concatenated':52s} {len(whole):,} directions  identical: {same}")
 
 

@@ -12,14 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from . import kernels
-from .actions import CHUNK_ROWS, ActionSpectrum, MaslovShift, _table_rows, as_shift
-from .errors import (ConfigError, ConvergenceFailure, DomainError, EmptySpectrum,
-                     NonFiniteEnergy)
+from .actions import CHUNK_ROWS, MaslovShift, _table_rows, as_shift
+from .errors import ConfigError, ConvergenceFailure, DomainError, NonFiniteEnergy
 from .profiles import ToricProfile
 from .quantize import lattice_weights, truncation_estimate
 from .surfaces import DEFAULT_RESOLUTION, LevelSurface, Orientation
@@ -297,8 +295,7 @@ def _fold_minima(lows, K, a, keep, w, bounds):
     r = np.multiply(K[0], w[0])
     r += np.multiply(K[1], w[1])
     r /= a
-    if keep is not True:
-        r[~keep] = np.inf
+    r[~keep] = np.inf
     sup = np.maximum(K[0], K[1])
     for i, k in enumerate(bounds):
         lows[i] = min(lows[i], r.min(where=sup <= k, initial=np.inf))
@@ -328,8 +325,7 @@ def _disk_minima(w, bounds):
 
 
 def crosscheck_disk(m1: int, m2: int, k_max: int = 2000, shift=None,
-                    hbar: float = 1.0,
-                    actions: Optional[ActionSpectrum] = None) -> CrosscheckReport:
+                    hbar: float = 1.0) -> CrosscheckReport:
     """Compare the toric inf-route momentum against the phase-equation root.
 
     The toric route evaluates the concave variational formula at (m1, m2)
@@ -337,8 +333,7 @@ def crosscheck_disk(m1: int, m2: int, k_max: int = 2000, shift=None,
     at k_max and at k_max // 4 and k_max // 2 for the truncation estimate;
     the reference solves the phase equation at angular m2 - m1 and radial
     m1 + mu. Uniform shifts only: the identification pairs one mu with both
-    loops of the reference route. Without actions the disk's table is
-    streamed, never held.
+    loops of the reference route. The disk's table is streamed, never held.
     """
     m1 = _check_angular(m1)
     m2 = _check_angular(m2)
@@ -351,24 +346,9 @@ def crosscheck_disk(m1: int, m2: int, k_max: int = 2000, shift=None,
     mu = as_shift(shift, 2)
     if mu.values[0] != mu.values[1]:
         raise ConfigError("crosscheck requires a uniform shift")
-    # the reference first: it rejects m1 + mu < 0 as bad input, which the
-    # weight check would report as a domain error
     reference = BilliardLevel.solve(m2 - m1, m1 + mu.values[0], hbar=hbar)
     w = lattice_weights(np.array([[m1, m2]]), mu, hbar)[0]
-
-    if actions is None:
-        levels = _disk_minima(w, (k_max // 4, k_max // 2, k_max))
-    else:
-        if actions.orientation is not Orientation.CONCAVE:
-            raise ConfigError("crosscheck needs concave-orientation actions")
-        if not actions.shift.is_zero:
-            raise ConfigError("crosscheck needs unshifted action entries")
-        k_max = actions.k_max
-        if not np.any(actions.sup_norms <= k_max // 4):
-            raise EmptySpectrum(f"no action entry with ||k||_inf <= {k_max // 4}")
-        levels = np.full(3, np.inf)
-        _fold_minima(levels, actions.directions.T, actions.actions, True, w,
-                     (k_max // 4, k_max // 2, k_max))
+    levels = _disk_minima(w, (k_max // 4, k_max // 2, k_max))
     energy = float(levels[2])
     estimate = float(truncation_estimate(levels[:1], levels[1:2], levels[2:])[0])
 

@@ -1,9 +1,9 @@
 """Hot numeric kernels, numpy only.
 
-  * primitive_directions enumerates the gcd-1 integer directions, and
-    primitive_direction_chunks streams them in lex-ordered chunks (the
-    action table and the disk crosscheck read the same chunks as index
-    columns, which their column arithmetic takes without a stack);
+  * primitive_directions enumerates the gcd-1 integer directions; the
+    action table and the disk crosscheck read the same sieve as a stream
+    of lex-ordered chunks of index columns (_slabs), which their column
+    arithmetic takes without a stack;
   * extremal_ratios is the sup/inf ratio reduction behind variational
     spectra. In two dimensions, with many weight rows, it scans for each row
     only the blocks of entries whose upper bound can reach the extremum;
@@ -12,9 +12,9 @@
     strictly convex or concave planar curve, truncated to several boxes,
     for most rows without building a table: one batched Stern-Brocot descent
     on the sign of p(k) x w finds the Farey neighbours of each row's peak in
-    the largest box, integer arithmetic gives those of the smaller boxes,
-    and a walk over each box's consecutive Farey terms covers the tie
-    window;
+    the largest box, a walk up the Stern-Brocot tree gives those of the
+    smaller boxes, and a walk over each box's consecutive Farey terms
+    covers the tie window;
   * bisect_generic is a vectorized monotone bisection.
 
 Gauss-map inversion is closed form for the builtin families (pnorm, the
@@ -90,16 +90,6 @@ def primitive_directions(dimension: int, k_max: int) -> np.ndarray:
     in C (= lex) order.
     """
     return np.stack(np.nonzero(_sieve(dimension, k_max)), axis=1)
-
-
-def primitive_direction_chunks(dimension: int, k_max: int, rows: int):
-    """primitive_directions as a stream of lex-ordered chunks: whole slabs
-    of the first coordinate, about `rows` directions each (more only where
-    one slab holds more), each C-contiguous int64. Concatenated, the chunks
-    are primitive_directions(dimension, k_max); the working set beyond the
-    sieve is one chunk.
-    """
-    return (np.stack(cols, axis=1) for cols in _slabs(_sieve(dimension, k_max), rows))
 
 
 def bisect_generic(angle_fn, lo: float, hi: float, targets: np.ndarray,
@@ -317,11 +307,6 @@ def _lex_first_kept(invert, k_max):
     return None
 
 
-def _int_cross(P, Q):
-    """P x Q row by row, exact for int64 directions of a box below 2**31."""
-    return P[:, 0] * Q[:, 1] - P[:, 1] * Q[:, 0]
-
-
 def _cross(p, W, sgn):
     """sgn * (p x w) row by row: positive where the peak lies beyond k."""
     return sgn * (p[:, 0] * W[:, 1] - p[:, 1] * W[:, 0])
@@ -456,32 +441,33 @@ def _settle(invert, W, rows, L, R, k_max, sgn, tie_tol):
     return rows[hit], best[hit], K[order[first_of_row]]
 
 
-def _box_pair(L, R, b, A, B):
-    """Move A and B, in place, to the consecutive Farey terms of the box
-    [0, b]^2 around the mediant M = L + R of consecutive terms L < R of a
-    box at least as large, row by row. No direction of that box, and so
-    none of box b, lies strictly between L and R: these are also box b's
-    terms around L and R.
+def _box_pair(L, R, b):
+    """The consecutive Farey terms of the box [0, b]^2 around consecutive
+    terms L < R of a box at least as large, row by row, as new arrays: the
+    ends of the narrowest Stern-Brocot interval around L and R whose ends
+    both lie in box b (no direction of box b lies strictly between them).
 
-    Integer arithmetic only: a Stern-Brocot descent toward M from
-    consecutive terms A < M < B of box b, such as (1, 0) and (0, 1). A
-    round moves the end on the mediant's side by its whole run, capped at
-    the box; for the end E and the other end O, E + t O stays on E's side
-    of M while t |O x M| < |E x M|, so t = (|E x M| - 1) // |O x M|.
-    A row is done when the mediant A + B leaves the box.
+    Integer arithmetic only: a walk up the tree. Of two consecutive terms,
+    the younger Y (the larger coordinate sum) is Y0 + q O for the older O,
+    with q the smallest Y_c // O_c over O_c > 0, and each Y - t O, t <= q,
+    is an ancestor consecutive with O. A round moves Y by t, the smaller of
+    q and the fewest steps that bring Y into the box, until both terms lie
+    in the box.
     """
-    M = L + R
-    live = np.arange(len(M))
+    L, R = L.copy(), R.copy()
+    live = np.flatnonzero((np.maximum(L, R) > b).any(axis=1))
     while live.size:
-        a, c, m = A[live], B[live], M[live]
-        before = _int_cross(a + c, m) > 0   # the mediant lies before M
-        end = np.where(before[:, None], a, c)
-        other = np.where(before[:, None], c, a)
-        t = np.minimum((np.abs(_int_cross(end, m)) - 1) // np.abs(_int_cross(other, m)),
-                       _run_length(end, other, b))
-        end += t[:, None] * other
-        A[live[before]], B[live[~before]] = end[before], end[~before]
-        live = live[t >= 1]
+        l, r = L[live], R[live]
+        left = (l.sum(axis=1) > r.sum(axis=1))[:, None]   # L is the younger
+        Y, O = np.where(left, l, r), np.where(left, r, l)
+        pos = O > 0
+        O1 = np.maximum(O, 1)
+        q = np.where(pos, Y // O1, Y.max()).min(axis=1)
+        into = np.where(pos, -((b - Y) // O1), 0).max(axis=1)
+        Y -= np.minimum(q, into)[:, None] * O
+        L[live], R[live] = np.where(left, Y, O), np.where(left, O, Y)
+        live = live[(np.maximum(L[live], R[live]) > b).any(axis=1)]
+    return L, R
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -505,15 +491,15 @@ def lattice_search(invert, W: np.ndarray, boxes, use_max: bool,
     The ratio is unimodal in the angle of k, and the sign of p(k) x w tells
     on which side of the peak k lies, so one Stern-Brocot descent finds the
     consecutive Farey terms of the largest box around the peak, and
-    _box_pair derives those of each smaller box from them. A walk outward
-    from each box's terms visits every entry of the tie window; it stops a
-    side at a kept entry below the window twice over, past which the ratio
-    only falls. Rows with w = 0 take the first kept direction, as the scan
-    does. Rows whose products could overflow, that meet an unattained
-    direction in the descent (at every box), are still walking after
-    FAREY_WALK_CAP terms on a side or once the walk has visited as many
-    directions as the box has lattice points, or find no kept entry, are
-    left to the table.
+    _box_pair walks from them up the tree to those of each smaller box. A
+    walk outward from each box's terms visits every entry of the tie window;
+    it stops a side at a kept entry below the window twice over, past which
+    the ratio only falls. Rows with w = 0 take the first kept direction, as
+    the scan does. Rows whose products could overflow, that meet an
+    unattained direction in the descent (at every box), are still walking
+    after FAREY_WALK_CAP terms on a side or once the walk has visited as
+    many directions as the box has lattice points, or find no kept entry,
+    are left to the table.
     """
     W = np.ascontiguousarray(W, dtype=float)
     if W.ndim != 2 or W.shape[1] != 2 or not (np.isfinite(W).all() and (W >= 0).all()):
@@ -532,10 +518,9 @@ def lattice_search(invert, W: np.ndarray, boxes, use_max: bool,
     # the smallest box's rows hold every other box's
     scale = W.sum(axis=1)
     rows = np.flatnonzero(~zero & (boxes[0] * scale < SCALE_CAP))
-    L0, R0 = _bracket(invert, W[rows], boxes[-1], sgn)
-    L, R = L0.copy(), R0.copy()
+    L, R = _bracket(invert, W[rows], boxes[-1], sgn)
     found = ~_descend(invert, W[rows], L, R, boxes[-1], sgn)
-    rows, L0, R0, L, R = rows[found], L0[found], R0[found], L[found], R[found]
+    rows, L, R = rows[found], L[found], R[found]
 
     results = []
     for k, first in zip(boxes, firsts):
@@ -548,16 +533,8 @@ def lattice_search(invert, W: np.ndarray, boxes, use_max: bool,
         vals[done] = _ratios(first[0][None, :], first[1], W[done])
         args[done] = first[0]
         safe = k * scale[rows] < SCALE_CAP
-        g = rows[safe]
-        if k < boxes[-1]:
-            # start from the bracket's terms where box k holds them
-            inside = (np.maximum(L0[safe], R0[safe]) <= k).all(axis=1, keepdims=True)
-            Lk = np.where(inside, L0[safe], [1, 0])
-            Rk = np.where(inside, R0[safe], [0, 1])
-            _box_pair(L[safe], R[safe], k, Lk, Rk)
-        else:
-            Lk, Rk = L[safe], R[safe]
-        hit, best, arg = _settle(invert, W, g, Lk, Rk, k, sgn, tie_tol)
+        Lk, Rk = _box_pair(L[safe], R[safe], k)
+        hit, best, arg = _settle(invert, W, rows[safe], Lk, Rk, k, sgn, tie_tol)
         vals[hit], args[hit], done[hit] = best, arg, True
         results.append((vals, args, np.flatnonzero(~done)))
     return results

@@ -22,7 +22,6 @@ from .duality import PointCloud, ReconstructionResult, reconstruct_surface
 from .errors import (
     ConfigError,
     DirectionNotAttained,
-    DomainError,
     EmptySpectrum,
     NoQualifyingDirections,
     NonFiniteEnergy,
@@ -115,7 +114,8 @@ QUIET = dict(over="ignore", invalid="ignore")
 
 
 def lattice_weights(m_grid: np.ndarray, mu: MaslovShift, hbar: float) -> np.ndarray:
-    """hbar (m + mu) per lattice row; NonFiniteEnergy when it overflows."""
+    """hbar (m + mu) per lattice row; NonFiniteEnergy when it overflows,
+    ConfigError when it leaves the nonnegative orthant."""
     if not 0 < hbar < math.inf:
         raise ConfigError("hbar must be finite and > 0")
     with np.errstate(**QUIET):
@@ -123,7 +123,7 @@ def lattice_weights(m_grid: np.ndarray, mu: MaslovShift, hbar: float) -> np.ndar
     if not np.isfinite(W).all():
         raise NonFiniteEnergy(f"hbar (m + mu) overflows at hbar {hbar:g}")
     if np.any(W < 0):
-        raise DomainError("hbar (m + mu) leaves the nonnegative orthant")
+        raise ConfigError("hbar (m + mu) leaves the nonnegative orthant")
     return W
 
 
@@ -179,14 +179,14 @@ def _check_shift_pairing(stored: MaslovShift, mu: MaslovShift) -> None:
 
 
 def variational_spectrum(actions, m_max: int, degree: float = 1.0,
-                         hbar: float = 1.0, shift=None, orientation=None,
-                         truncation: bool = True) -> EbkSpectrum:
+                         hbar: float = 1.0, shift=None, orientation=None) -> EbkSpectrum:
     """Extremal-ratio spectrum over the primitive entries.
 
     Convex containers take the sup of hbar <m + mu, k> / a(k), concave ones
     the inf; the result is raised to the homogeneity degree. When the
-    container records its k_max and truncation is requested, a three-level
-    Richardson-style error estimate is attached per level.
+    container's k_max is at least TRUNCATION_MIN_KMAX, a three-level
+    Richardson-style error estimate from the boxes k_max // 4, k_max // 2
+    and k_max is attached per level.
 
     actions is an ActionSpectrum, a list of entries, or SurfaceActions. A
     searchable SurfaceActions is searched: one kernels.lattice_search call
@@ -217,7 +217,7 @@ def variational_spectrum(actions, m_max: int, degree: float = 1.0,
             "variational route needs a convex or concave orientation")
     m_grid = lattice_grid(dimension, m_max)
     W = lattice_weights(m_grid, mu, hbar)
-    estimate = truncation and k_max >= TRUNCATION_MIN_KMAX
+    estimate = k_max >= TRUNCATION_MIN_KMAX
     boxes = (k_max // 4, k_max // 2, k_max) if estimate else (k_max,)
     if searched:
         found = kernels.lattice_search(actions.invert, W, boxes, use_max,

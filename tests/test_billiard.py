@@ -13,7 +13,6 @@ from ebk import (
     ConfigError,
     ConvergenceFailure,
     DomainError,
-    EmptySpectrum,
     RADIAL_SHIFT,
     RamosCurve,
     billiard_orbit_action,
@@ -267,13 +266,6 @@ def test_crosscheck_with_radial_shift():
     assert abs(rep.difference) <= 1e-3
 
 
-def test_crosscheck_reuses_precomputed_actions():
-    acts = marked_action_spectrum(RamosCurve(), 300)
-    rep = crosscheck_disk(0, 2, k_max=10_000, actions=acts)
-    assert rep.k_max == 300  # adopted from the container
-    assert abs(rep.difference) <= 1e-2
-
-
 def test_crosscheck_validation():
     with pytest.raises(ConfigError):
         crosscheck_disk(2, 1)
@@ -315,10 +307,6 @@ def test_crosscheck_streams_the_table_scan_bitwise(k_max, m, shift):
     assert np.float64(rep.toric_energy).view(np.int64) == energy.view(np.int64)
     assert (np.float64(rep.truncation_error_estimate).view(np.int64)
             == estimate.view(np.int64))
-    # a given table takes the same reduction
-    again = crosscheck_disk(m1, m2, shift=shift,
-                            actions=marked_action_spectrum(RamosCurve(), k_max))
-    assert again == rep
 
 
 def test_crosscheck_residual_failure_is_the_tables(monkeypatch):
@@ -347,17 +335,6 @@ def test_disk_minima_are_independent_of_the_chunk_size(monkeypatch):
     # a tolerance below the rounding fails some directions, not every one
     count = int(failures[0].split()[0])
     assert 0 < count < len(kernels.primitive_directions(2, bounds[-1]))
-
-
-def test_crosscheck_given_table_without_short_entries_is_empty():
-    # no entry at the coarsest truncation level, k_max // 4
-    acts = marked_action_spectrum(RamosCurve(), 300)
-    keep = acts.sup_norms > 300 // 4
-    long_only = actions_module.ActionSpectrum(
-        acts.directions[keep], acts.actions[keep], acts.points[keep], acts.orientation,
-        300, acts.shift)
-    with pytest.raises(EmptySpectrum):
-        crosscheck_disk(0, 2, actions=long_only)
 
 
 def test_crosscheck_memory_is_bounded():

@@ -309,6 +309,24 @@ def test_nonfinite_or_nonpositive_flag_is_a_config_error(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ["spectrum-direct", "--profile", "pnorm:4", "--m-max", "2", "--shift", "-0.5"],
+    ["spectrum-variational", "--profile", "pnorm:4", "--k-max", "10", "--m-max", "2",
+     "--shift", "-0.5"],
+    ["minmax-certify", "--profile", "pnorm:4", "--k-max", "10", "--energy", "3.5",
+     "--m", "1,1", "--shift", "-2"],
+    ["spectrum-reconstruct", "--profile", "pnorm:4", "--k-max", "30", "--m-max", "2",
+     "--shift", "-0.5"],
+], ids=["direct", "variational", "minmax", "reconstruct"])
+def test_shift_out_of_the_orthant_is_a_config_error(tmp_path, capsys, argv):
+    # hbar (m + mu) < 0 is bad input, not a numerical failure
+    out = tmp_path / "out.txt"
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
     ["spectrum-variational", "--actions", "missing.csv", "--orientation", "convex",
      "--m-max", "2"],
     ["spectrum-direct", "--profile", "pnorm:4", "--m-max", "2",

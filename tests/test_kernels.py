@@ -44,14 +44,20 @@ def test_primitive_directions_validates():
     with pytest.raises(ValueError):
         kernels.primitive_directions(2, 0)
     with pytest.raises(ValueError):
-        kernels.primitive_direction_chunks(2, 0, 100)
+        _direction_chunks(2, 0, 100)
+
+
+def _direction_chunks(dim, k_max, rows):
+    """The sieve's chunked readout, each chunk's index columns stacked."""
+    mask = kernels._sieve(dim, k_max)
+    return [np.stack(cols, axis=1) for cols in kernels._slabs(mask, rows)]
 
 
 @pytest.mark.parametrize("dim,k_max", [(2, 1), (2, 40), (2, 300), (3, 12)])
 @pytest.mark.parametrize("rows", [1, 7, 500, 10**9])
 def test_primitive_direction_chunks_concatenate_to_the_whole(dim, k_max, rows):
     whole = kernels.primitive_directions(dim, k_max)
-    chunks = list(kernels.primitive_direction_chunks(dim, k_max, rows))
+    chunks = _direction_chunks(dim, k_max, rows)
     assert np.array_equal(np.concatenate(chunks), whole)
     firsts = [np.unique(c[:, 0]) for c in chunks]
     for chunk, first in zip(chunks, firsts):
@@ -485,20 +491,23 @@ def _terms_around(K, M):
 
 @settings(max_examples=40, deadline=None)
 @given(k_max=st.integers(1, 400), b=st.one_of(st.integers(1, 63), st.integers(1, 400)),
-       c=st.integers(1, 400), seed=st.integers(0, 2**32 - 1))
-def test_box_pair_equals_the_brute_force_terms(k_max, b, c, seed):
-    b = min(b, k_max)
-    c = min(c, b)
+       seed=st.integers(0, 2**32 - 1))
+def test_box_pair_equals_the_brute_force_terms(k_max, b, seed):
     big = _farey_terms(k_max)
     rng = np.random.default_rng(seed)
     i = rng.integers(0, len(big) - 1, 16)
+    i[:2] = 0, len(big) - 2   # pairs that touch an axis: L = (1, 0), R = (0, 1)
     L, R = big[i], big[i + 1]
-    want, start = (np.array([_terms_around(K, m) for m in L + R])
-                   for K in (_farey_terms(b), _farey_terms(c)))   # (rows, 2 terms, 2)
-    quadrant = np.tile([1, 0], (len(L), 1)), np.tile([0, 1], (len(L), 1))
-    for A, B in (quadrant, (start[:, 0], start[:, 1])):   # box c's terms lie in box b
-        kernels._box_pair(L, R, b, A, B)
+    given = L.copy(), R.copy()
+    for box in (min(b, k_max), 1, k_max):
+        want = np.array([_terms_around(_farey_terms(box), m) for m in L + R])
+        A, B = kernels._box_pair(L, R, box)
         assert np.array_equal(A, want[:, 0]) and np.array_equal(B, want[:, 1])
+        assert np.array_equal(L, given[0]) and np.array_equal(R, given[1])
+        # fresh arrays: the walk moves its terms in place
+        assert not np.shares_memory(A, L) and not np.shares_memory(B, R)
+    # in the pair's own box, the pair itself
+    assert np.array_equal(A, L) and np.array_equal(B, R)
 
 
 @settings(max_examples=30, deadline=None)
@@ -565,7 +574,7 @@ def test_bench_kernels_rows_run(bench_kernels, monkeypatch, capsys):
     bench.main()
     out = capsys.readouterr().out
     assert "primitive_directions(2, 20)" in out
-    assert "primitive_direction_chunks(2, 20, 16384)" in out
+    assert "_slabs(_sieve(2, 20), 16384)" in out
     assert "lattice extremum(pnorm:4, 81 rows, k_max 30)" in out
     assert "lattice extremum(ramos, 1 rows, k_max 20)" in out
     assert "three-level search(pnorm:4, 81 rows, k_max 30)" in out

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ebk import (
-    DomainError,
+    ConfigError,
     EmptySpectrum,
     InsufficientCloud,
     LevelSurface,
@@ -77,7 +77,7 @@ def test_direct_euclidean_hbar():
 
 
 def test_direct_rejects_negative_weights():
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError):
         direct_spectrum(harmonic_profile((1.0, 2.0)), 1, shift=-1.0)
 
 
@@ -189,7 +189,6 @@ def test_variational_rejects_empty_and_general():
 
 def test_double_shift_is_rejected(circle_surface):
     shifted_actions = marked_action_spectrum(circle_surface, 5, shift=0.5)
-    from ebk import ConfigError
     with pytest.raises(ConfigError):
         variational_spectrum(shifted_actions, 2, shift=0.5)
 
