@@ -96,10 +96,6 @@ class MarkedActionEntry:
         return MarkedActionEntry(k=tuple(ell * kj for kj in self.k),
                                  action=ell * self.action, point=self.point)
 
-    @property
-    def is_primitive(self) -> bool:
-        return math.gcd(*self.k) == 1 if len(self.k) > 1 else self.k[0] == 1
-
 
 class ActionSpectrum:
     """Array-backed container for a marked action spectrum.
@@ -412,7 +408,7 @@ def marked_action_spectrum(surface: LevelSurface, k_max: int,
 @dataclass(frozen=True)
 class SurfaceActions:
     """The unshifted marked action spectrum of a surface up to k_max, not
-    yet tabulated.
+    yet tabulated; its orientation is the surface's.
 
     The variational route searches it directly where it can (searchable);
     everything else reads table().
@@ -428,14 +424,13 @@ class SurfaceActions:
     def table(self) -> ActionSpectrum:
         return marked_action_spectrum(self.surface, self.k_max)
 
-    def searchable(self, orientation=None) -> bool:
+    def searchable(self) -> bool:
         """Whether kernels.lattice_search applies: a planar curve with a
         closed-form Gauss-map inverse whose declared orientation is convex
-        or concave and is not overridden."""
+        or concave."""
         s = self.surface
         return (s.dimension == 2 and s.normal_map is not None and s.orientation_declared
-                and s.orientation in (Orientation.CONVEX, Orientation.CONCAVE)
-                and (orientation is None or Orientation(orientation) is s.orientation))
+                and s.orientation in (Orientation.CONVEX, Orientation.CONCAVE))
 
     def invert(self, K: np.ndarray):
         """(points, actions, keep) of the directions K, as the table has

@@ -10,9 +10,9 @@ linear takes params.weights, pnorm/superellipse take params.s, custom-table
 takes params.table as [t, x, y] rows (a sampled curve; no closed-form
 profile, so only surface-based subcommands accept it). Every other kind
 inverts its Gauss map in closed form and declares its orientation (linear
-general, ramos concave, the others convex). "dimension": 3 needs pnorm or
-superellipse: a three-dimensional surface must be convex or concave, so
-subcommands that need a surface reject linear specs in three dimensions.
+general, ramos concave, the others convex). "dimension": 3 takes linear,
+pnorm or superellipse, the kinds whose Gauss-map inverse has a closed form
+in any dimension.
 A spec entry of the wrong type is a ConfigError.
 """
 from __future__ import annotations

@@ -25,7 +25,7 @@ from .quantize import (
     reconstruction_spectrum,
     variational_spectrum,
 )
-from .surfaces import DEFAULT_RESOLUTION
+from .surfaces import DEFAULT_RESOLUTION, Orientation
 
 
 def _parse_shift(text: Optional[str]):
@@ -75,19 +75,38 @@ def _read_text(path: str) -> str:
 
 
 def _load_actions(args) -> ActionSpectrum | SurfaceActions:
-    if getattr(args, "actions", None):
+    if args.actions:
         text = _read_text(args.actions)
         if args.actions.endswith(".json"):
-            return ActionSpectrum.from_json(text)
-        orientation = getattr(args, "orientation", None)
-        if orientation is None:
+            actions = ActionSpectrum.from_json(text)
+        elif args.orientation is None:
             raise ConfigError("CSV action files need --orientation")
-        return ActionSpectrum.from_csv(text, orientation=orientation)
-    spec = parse_domain_spec(args.profile)
-    surface = spec.make_surface(args.resolution)
-    # entries stay unshifted here; --shift enters these routes through the
-    # lattice numerator, not the stored actions
-    return SurfaceActions(surface, args.k_max)
+        else:
+            actions = ActionSpectrum.from_csv(text, orientation=args.orientation)
+        if len(actions) == 0:
+            raise ConfigError(f"actions file {args.actions!r} has no entries")
+    else:
+        spec = parse_domain_spec(args.profile)
+        surface = spec.make_surface(args.resolution)
+        # entries stay unshifted here; --shift enters these routes through
+        # the lattice numerator, not the stored actions
+        actions = SurfaceActions(surface, args.k_max)
+    return _oriented(actions, args.orientation)
+
+
+def _oriented(actions, orientation: Optional[str]):
+    """The input under --orientation, which may repeat the input's own
+    orientation and relabels a general one; contradicting a convex or
+    concave input is a ConfigError."""
+    own = (actions.surface if isinstance(actions, SurfaceActions) else actions).orientation
+    if orientation is None or orientation == own.value:
+        return actions
+    if own is not Orientation.GENERAL:
+        raise ConfigError(f"--orientation {orientation} contradicts the input's "
+                          f"own orientation, {own.value}")
+    table = actions.table() if isinstance(actions, SurfaceActions) else actions
+    return ActionSpectrum(table.directions, table.actions, table.points, orientation,
+                          table.k_max, table.shift)
 
 
 def _spectrum_text(spectrum, fmt: str) -> str:
@@ -106,20 +125,15 @@ def cmd_spectrum_variational(args) -> int:
     actions = _load_actions(args)
     spectrum = variational_spectrum(actions, args.m_max, degree=args.degree,
                                     hbar=args.hbar,
-                                    shift=_parse_shift(args.shift),
-                                    orientation=args.orientation)
+                                    shift=_parse_shift(args.shift))
     _write(args.out, _spectrum_text(spectrum, args.format))
     return 0
 
 
 def cmd_spectrum_reconstruct(args) -> int:
-    reference = None
-    if getattr(args, "actions", None):
-        actions = _load_actions(args)
-    else:
-        spec = parse_domain_spec(args.profile)
-        reference = spec.make_surface(args.resolution)
-        actions = marked_action_spectrum(reference, args.k_max)
+    actions = _load_actions(args)
+    # a surface's cloud is checked against the surface itself
+    reference = actions.surface if isinstance(actions, SurfaceActions) else None
     spectrum, recon = reconstruction_spectrum(actions, args.m_max,
                                               degree=args.degree,
                                               hbar=args.hbar,
@@ -202,8 +216,7 @@ def cmd_minmax_certify(args) -> int:
     actions = _load_actions(args)
     cert = minmax_certificate(actions, args.energy, _parse_lattice_point(args.m),
                               shift=_parse_shift(args.shift), hbar=args.hbar,
-                              ells=range(1, args.ell_max + 1),
-                              orientation=args.orientation)
+                              ells=range(1, args.ell_max + 1))
     if args.format == "json":
         doc = {"energy": cert.energy, "m": list(cert.m),
                "shift": list(cert.shift.values), "hbar": cert.hbar,
@@ -235,7 +248,8 @@ def _add_profile(p, *, k_max=False, actions=False) -> None:
     if actions:
         p.add_argument("--actions", help="precomputed actions file (CSV or JSON)")
         p.add_argument("--orientation", choices=("convex", "concave", "general"),
-                       help="orientation of a CSV actions file")
+                       help="orientation of a CSV actions file; elsewhere it may "
+                            "repeat the input's own, or relabel a general one")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -89,16 +89,6 @@ class ToricProfile:
             out[..., j] = (self.evaluate_fn(hp) - self.evaluate_fn(hm)) / (2.0 * h[..., 0])
         return out
 
-    # -- invariants, used by tests and by validation entry points --
-
-    def euler_residual(self, p) -> float:
-        """Relative residual of <p, grad f(p)> = d f(p) at a single point."""
-        arr, _ = _as_points(p, self.dimension)
-        val = self.evaluate(arr)
-        grad = self.gradient(arr)
-        lhs = float(np.dot(arr, grad))
-        return abs(lhs - self.degree * val) / max(abs(self.degree * val), 1e-300)
-
 
 # --- builtin families ---
 

@@ -145,28 +145,8 @@ def _check_degree(degree: float) -> None:
         raise ConfigError("degree must be finite and > 0")
 
 
-def _coerce_actions(actions, orientation=None) -> ActionSpectrum:
-    if isinstance(actions, SurfaceActions):
-        actions = actions.table()
-    if isinstance(actions, ActionSpectrum):
-        if orientation is not None and Orientation(orientation) is not actions.orientation:
-            # explicit override: single-facet (general) containers have no
-            # preferred extremum, the caller picks sup or inf semantics
-            return ActionSpectrum(actions.directions, actions.actions,
-                                  actions.points, orientation, actions.k_max,
-                                  actions.shift)
-        return actions
-    entries = list(actions)
-    if not entries:
-        raise EmptySpectrum("no marked action entries supplied")
-    if orientation is None:
-        raise ConfigError("orientation is required with a bare entry list")
-    n = len(entries[0].k)
-    K = np.asarray([e.k for e in entries], dtype=np.int64)
-    A = np.asarray([e.action for e in entries], dtype=float)
-    P = np.asarray([e.point for e in entries], dtype=float)
-    return ActionSpectrum(K, A, P, orientation, int(K.max()),
-                          MaslovShift.zero(n))
+def _table(actions) -> ActionSpectrum:
+    return actions.table() if isinstance(actions, SurfaceActions) else actions
 
 
 def _check_shift_pairing(stored: MaslovShift, mu: MaslovShift) -> None:
@@ -179,42 +159,42 @@ def _check_shift_pairing(stored: MaslovShift, mu: MaslovShift) -> None:
 
 
 def variational_spectrum(actions, m_max: int, degree: float = 1.0,
-                         hbar: float = 1.0, shift=None, orientation=None) -> EbkSpectrum:
+                         hbar: float = 1.0, shift=None) -> EbkSpectrum:
     """Extremal-ratio spectrum over the primitive entries.
 
-    Convex containers take the sup of hbar <m + mu, k> / a(k), concave ones
-    the inf; the result is raised to the homogeneity degree. When the
-    container's k_max is at least TRUNCATION_MIN_KMAX, a three-level
-    Richardson-style error estimate from the boxes k_max // 4, k_max // 2
-    and k_max is attached per level.
+    The input's own orientation picks the extremum of hbar <m + mu, k> / a(k):
+    the sup for a convex one, the inf for a concave one, and the sup for a
+    general table of one entry, where the two agree; a general table of
+    more entries is UnsupportedSurface. The result is raised to the
+    homogeneity degree. When the input's k_max is at least
+    TRUNCATION_MIN_KMAX, a three-level Richardson-style error estimate from
+    the boxes k_max // 4, k_max // 2 and k_max is attached per level.
 
-    actions is an ActionSpectrum, a list of entries, or SurfaceActions. A
-    searchable SurfaceActions is searched: one kernels.lattice_search call
-    finds every truncation level's extremum from the curve, bitwise as the
-    table would, and the rows it leaves over, at any level, read one table
-    built at k_max.
+    actions is an ActionSpectrum or SurfaceActions. A searchable
+    SurfaceActions is searched: one kernels.lattice_search call finds every
+    truncation level's extremum from the curve, bitwise as the table would,
+    and the rows it leaves over, at any level, read one table built at
+    k_max.
     """
     _check_degree(degree)
-    searched = isinstance(actions, SurfaceActions) and actions.searchable(orientation)
+    searched = isinstance(actions, SurfaceActions) and actions.searchable()
     spec = None
     if searched:
         dimension, stored, k_max = 2, MaslovShift.zero(2), actions.k_max
         oriented = actions.surface.orientation
     else:
-        spec = _coerce_actions(actions, orientation)
+        spec = _table(actions)
         if len(spec) == 0:
             raise EmptySpectrum("action spectrum has no entries")
         dimension, stored, k_max = spec.dimension, spec.shift, spec.k_max
         oriented = spec.orientation
     mu = as_shift(shift, dimension)
     _check_shift_pairing(stored, mu)
-    if oriented is Orientation.CONVEX:
-        use_max = True
-    elif oriented is Orientation.CONCAVE:
-        use_max = False
-    else:
+    # a searched curve is convex or concave
+    if oriented is Orientation.GENERAL and len(spec) > 1:
         raise UnsupportedSurface(
             "variational route needs a convex or concave orientation")
+    use_max = oriented is not Orientation.CONCAVE
     m_grid = lattice_grid(dimension, m_max)
     W = lattice_weights(m_grid, mu, hbar)
     estimate = k_max >= TRUNCATION_MIN_KMAX
@@ -331,8 +311,8 @@ class MinmaxCertificate:
 
 
 def minmax_certificate(actions, energy: float, m: Sequence[int], shift=None,
-                       hbar: float = 1.0, ells: Iterable[int] = range(1, 21),
-                       orientation=None) -> MinmaxCertificate:
+                       hbar: float = 1.0, ells: Iterable[int] = range(1, 21)
+                       ) -> MinmaxCertificate:
     """value(ell) = min over interior entries of ceil(ell / min_j k_j) times
     (E a(k) - hbar <m + mu, k>), the smallest qualifying multiple of each
     primitive class.
@@ -347,7 +327,7 @@ def minmax_certificate(actions, energy: float, m: Sequence[int], shift=None,
     if not ells or min(ells) < 1:
         # an empty record list would report sign 1 from no evidence
         raise ConfigError("certificate needs at least one level, each ell >= 1")
-    spec = _coerce_actions(actions, orientation)
+    spec = _table(actions)
     mu = as_shift(shift, spec.dimension)
     _check_shift_pairing(spec.shift, mu)
     if spec.orientation is Orientation.CONCAVE:
@@ -384,8 +364,7 @@ def minmax_certificate(actions, energy: float, m: Sequence[int], shift=None,
 
 
 def reconstruction_spectrum(actions, m_max: int, degree: float = 1.0,
-                            hbar: float = 1.0, shift=None, orientation=None,
-                            reference=None
+                            hbar: float = 1.0, shift=None, reference=None
                             ) -> tuple[EbkSpectrum, ReconstructionResult]:
     """Rebuild the level surface from {k / a(k)} and read energies off it.
 
@@ -393,7 +372,7 @@ def reconstruction_spectrum(actions, m_max: int, degree: float = 1.0,
     into the surface); the quantization shift still applies to the lattice.
     """
     _check_degree(degree)
-    spec = _coerce_actions(actions, orientation)
+    spec = _table(actions)
     if len(spec) == 0:
         raise EmptySpectrum("action spectrum has no entries")
     if not spec.shift.is_zero:

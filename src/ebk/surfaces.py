@@ -1,9 +1,10 @@
 """Level surfaces {f = 1} of homogeneous profiles and their Gauss geometry.
 
 For n = 2 a surface is a parametrized arc in the closed positive quadrant.
-For n = 3 it is the level set of a convex profile with a closed-form
-Gauss-map inverse (pnorm), parametrized by sphere angles; it is inverted
-through that closed form only, and the sampled methods are planar.
+For n = 3 it is the level set of a profile with a closed-form Gauss-map
+inverse and a declared orientation (pnorm convex, the harmonic facet
+general), parametrized by sphere angles; it is inverted through that closed
+form only, and the sampled methods are planar.
 
 Orientation is declared wherever the math fixes it: by each builtin profile
 family (pnorm convex, the harmonic facet general) and by the disk's concave
@@ -192,9 +193,9 @@ class LevelSurface:
     array, in any memory layout (the action table passes its direction
     columns transposed), to (params, points, normals) with the normal
     parallel to k, and a row that no point has its normal along to nan.
-    Surfaces in n = 3 need one and a declared convex or concave
-    orientation; planar arcs without an orientation detect it from their
-    sampled curvature (orientation_declared tells which).
+    Surfaces in n = 3 need one and a declared orientation; planar arcs
+    without an orientation detect it from their sampled curvature
+    (orientation_declared tells which).
     """
 
     def __init__(self, dimension: int, point_fn: Callable, param_lo, param_hi,
@@ -205,11 +206,10 @@ class LevelSurface:
                  knots: Optional[np.ndarray] = None):
         if dimension not in (2, 3):
             raise ConfigError("only dimensions 2 and 3 are supported")
-        if dimension == 3 and (normal_map is None or orientation not in (
-                Orientation.CONVEX, Orientation.CONCAVE)):
+        if dimension == 3 and (normal_map is None or orientation is None):
             raise ConfigError("n = 3 surfaces need a closed-form Gauss-map "
-                              "inverse and a declared orientation (pnorm or "
-                              "superellipse profiles)")
+                              "inverse and a declared orientation (pnorm, "
+                              "superellipse or linear profiles)")
         if not resolution >= MIN_RESOLUTION:
             raise ConfigError(f"resolution must be >= {MIN_RESOLUTION}")
         self.dimension = dimension
@@ -460,12 +460,14 @@ class LevelSurface:
     def invert_normal(self, k) -> InversionResult:
         """Inversion for a single integer/real direction.
 
-        Convex and concave surfaces take invert_normal_many; general arcs
-        scan the samples for residual sign changes and flat runs, and so
-        report every solution component.
+        Convex and concave surfaces, and every n = 3 surface, take
+        invert_normal_many; general planar arcs scan the samples for
+        residual sign changes and flat runs, and so report every solution
+        component.
         """
         k = np.asarray(k, dtype=float)
-        if self.orientation in (Orientation.CONVEX, Orientation.CONCAVE):
+        if self.dimension == 3 or self.orientation in (Orientation.CONVEX,
+                                                       Orientation.CONCAVE):
             t, pts, res, ok = self.invert_normal_many(k[None, :])
             if not ok[0]:
                 raise DirectionNotAttained(f"direction {k.tolist()} outside normal cone")

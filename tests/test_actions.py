@@ -112,7 +112,7 @@ def test_entry_invariants_on_quartic():
         khat = k / np.linalg.norm(k)
         assert abs(n[0] * khat[1] - n[1] * khat[0]) <= 1e-10
         assert e.action > 0.0
-        assert e.is_primitive
+        assert math.gcd(*e.k) == 1
 
 
 def test_scaling_consistency(circle_actions):

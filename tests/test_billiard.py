@@ -211,7 +211,9 @@ def test_disk_profile_values():
     assert dp.evaluate((1.0, 1.0)) == pytest.approx(1.0, rel=1e-12)
     p = np.array([0.8, 1.1])
     assert dp.evaluate(2.0 * p) == pytest.approx(2.0 * dp.evaluate(p), rel=1e-9)
-    assert dp.euler_residual(p) <= 1e-7
+    # Euler's relation <p, grad f(p)> = d f(p), relative to d f(p)
+    d_f = dp.degree * dp.evaluate(p)
+    assert abs(float(np.dot(p, dp.gradient(p))) - d_f) <= 1e-7 * abs(d_f)
 
 
 def _disk_gauge_by_scalar_loop(p):

@@ -369,10 +369,99 @@ def test_non_integral_spec_dimension_is_a_config_error(tmp_path, capsys, dimensi
     _assert_config_error(["actions", "--profile", str(spec), "--k-max", "3"], capsys)
 
 
-def test_harmonic_in_three_dimensions_is_a_config_error(capsys):
-    # a facet has no closed-form Gauss-map inverse, and n = 3 needs one
-    _assert_config_error(["actions", "--profile", "harmonic:1,2,3",
-                          "--k-max", "3"], capsys)
+def _columns(data, count):
+    return [line.split(",")[:count] for line in data.decode().splitlines()]
+
+
+def test_harmonic_in_three_dimensions_runs(tmp_path):
+    # the facet's closed-form Gauss-map inverse serves n = 3 as it serves
+    # n = 2, and its one-entry table needs no orientation
+    common = ["--profile", "harmonic:1,2,3", "--m-max", "3", "--shift", "0.5"]
+    var = run_to_file(tmp_path, "var.csv", ["spectrum-variational", "--k-max", "20"]
+                      + common)
+    direct = run_to_file(tmp_path, "direct.csv", ["spectrum-direct"] + common)
+    assert len(_columns(var, 4)) == 65
+    assert _columns(var, 4) == _columns(direct, 4)
+    cert = run_to_file(tmp_path, "cert.csv", ["minmax-certify", "--profile",
+                                              "harmonic:1,2,3", "--k-max", "20",
+                                              "--energy", "7", "--m", "1,1,1"])
+    assert _columns(cert, 3)[1] == ["1", "1", "1;2;3"]
+
+
+def test_harmonic_facet_needs_no_orientation(tmp_path):
+    # sup and inf over its one-entry table agree
+    argv = ["spectrum-variational", "--profile", "harmonic:1,2", "--k-max", "20",
+            "--m-max", "3"]
+    plain = run_to_file(tmp_path, "plain.csv", argv)
+    assert plain == run_to_file(tmp_path, "convex.csv", argv + ["--orientation", "convex"])
+    direct = run_to_file(tmp_path, "direct.csv", ["spectrum-direct", "--profile",
+                                                  "harmonic:1,2", "--m-max", "3"])
+    assert _columns(plain, 3) == _columns(direct, 3)
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum-variational", "--profile", "ramos", "--k-max", "50", "--m-max", "1",
+     "--orientation", "convex"],
+    ["spectrum-variational", "--profile", "pnorm:4", "--k-max", "50", "--m-max", "1",
+     "--orientation", "concave"],
+    ["spectrum-variational", "--profile", "pnorm:4", "--k-max", "50", "--m-max", "1",
+     "--orientation", "general"],
+    ["minmax-certify", "--profile", "pnorm:4", "--k-max", "20", "--energy", "1.3",
+     "--m", "1,1", "--orientation", "concave"],
+    ["spectrum-reconstruct", "--profile", "pnorm:4", "--k-max", "50", "--m-max", "2",
+     "--orientation", "concave"],
+], ids=["variational-ramos-convex", "variational-pnorm-concave",
+        "variational-pnorm-general", "certify-pnorm-concave", "reconstruct-pnorm-concave"])
+def test_orientation_contradicting_the_surface_is_a_config_error(tmp_path, capsys, argv):
+    # the surface's own orientation picks sup or inf; overriding it gave
+    # wrong energies with exit 0
+    out = tmp_path / "out.txt"
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --orientation") and captured.err.count("\n") == 1
+    assert "contradicts" in captured.err and not out.exists()
+
+
+def test_orientation_of_a_json_table(tmp_path, capsys):
+    table = tmp_path / "table.json"
+    assert main(["actions", "--profile", "pnorm:3", "--k-max", "20", "--format", "json",
+                 "--out", str(table)]) == 0
+    argv = ["spectrum-variational", "--actions", str(table), "--m-max", "3"]
+    plain = run_to_file(tmp_path, "plain.csv", argv)
+    # a table may be given its own orientation, not another one
+    assert run_to_file(tmp_path, "own.csv", argv + ["--orientation", "convex"]) == plain
+    _assert_config_error(argv + ["--orientation", "concave"], capsys)
+    # a general table of several entries takes the orientation it is given,
+    # and without one has no extremum to take
+    doc = json.loads(table.read_text())
+    doc["orientation"] = "general"
+    table.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    assert run_to_file(tmp_path, "relabelled.csv", argv + ["--orientation", "convex"]) \
+        == plain
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("numerical failure:")
+
+
+@pytest.mark.parametrize("name,text", [
+    ("empty.csv", "k_1,k_2,action,p_1,p_2\n"),
+    ("empty.json", '{"dimension": 2, "entries": [], "k_max": 0, '
+                   '"orientation": "convex", "shift": [0.0, 0.0]}\n'),
+], ids=["csv", "json"])
+@pytest.mark.parametrize("command", [
+    ["spectrum-variational", "--m-max", "2"],
+    ["spectrum-reconstruct", "--m-max", "2"],
+    ["minmax-certify", "--energy", "1.0", "--m", "1,1"],
+], ids=["variational", "reconstruct", "certify"])
+def test_actions_file_without_entries_is_a_config_error(tmp_path, capsys, name, text,
+                                                        command):
+    acts = tmp_path / name
+    acts.write_text(text)
+    out = tmp_path / "out.txt"
+    assert main(command[:1] + ["--actions", str(acts), "--orientation", "convex"]
+                + command[1:] + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert name in captured.err and not out.exists()
 
 
 def _energies(text):

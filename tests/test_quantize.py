@@ -1,4 +1,5 @@
 import csv
+import inspect
 import io
 import itertools
 import math
@@ -30,7 +31,7 @@ from ebk import (
     variational_spectrum,
 )
 from ebk import actions as actions_module
-from ebk.actions import ActionSpectrum, MarkedActionEntry, MaslovShift
+from ebk.actions import ActionSpectrum, MaslovShift
 from ebk.quantize import EbkSpectrum
 
 
@@ -87,7 +88,8 @@ def test_direct_rejects_negative_weights():
 def test_variational_matches_direct_on_rational_harmonic(omega):
     surf = LevelSurface.from_profile(harmonic_profile(omega))
     acts = marked_action_spectrum(surf, 10)
-    var = variational_spectrum(acts, 4, orientation=Orientation.CONVEX)
+    assert len(acts) == 1 and acts.orientation is Orientation.GENERAL
+    var = variational_spectrum(acts, 4)
     ref = direct_spectrum(harmonic_profile(omega), 4)
     denom = np.maximum(ref.energies, 1e-30)
     assert (np.abs(var.energies - ref.energies) / denom).max() <= 1e-12
@@ -165,26 +167,42 @@ def test_shift_consistency_direct_vs_variational(circle_surface):
 def test_primitive_sufficiency(circle_surface):
     acts = marked_action_spectrum(circle_surface, 8)
     base = variational_spectrum(acts, 3)
+
+    def padded(extra):
+        # the table, then the multiple ell * k of row i for each (i, ell)
+        i, ell = np.asarray(extra).T
+        K = np.concatenate([acts.directions, ell[:, None] * acts.directions[i]])
+        return ActionSpectrum(K, np.concatenate([acts.actions, ell * acts.actions[i]]),
+                              np.concatenate([acts.points, acts.points[i]]),
+                              acts.orientation, int(K.max()), acts.shift)
+
     # power-of-two multiples leave every ratio bit-identical
-    padded = list(acts.entries)
-    for e in acts.entries[::3]:
-        padded.append(e.multiple(2))
-        padded.append(e.multiple(4))
-    again = variational_spectrum(padded, 3, orientation=Orientation.CONVEX)
+    extra = [(i, ell) for i in range(0, len(acts), 3) for ell in (2, 4)]
+    again = variational_spectrum(padded(extra), 3)
     assert np.array_equal(base.energies, again.energies)
     # other multiples can shift the ratio by an ulp, nothing more
-    padded.extend(e.multiple(5) for e in acts.entries)
-    third = variational_spectrum(padded, 3, orientation=Orientation.CONVEX)
+    extra += [(i, 5) for i in range(len(acts))]
+    third = variational_spectrum(padded(extra), 3)
     denom = np.maximum(base.energies, 1.0)
     assert (np.abs(third.energies - base.energies) / denom).max() <= 1e-14
 
 
+def _unit_table(K, orientation):
+    """The table of the directions K with unit actions: each point is
+    k / sum(k), so that <p, k> = 1."""
+    K = np.asarray(K, dtype=np.int64).reshape(-1, 2)
+    return ActionSpectrum(K, np.ones(len(K)), K / K.sum(axis=1, keepdims=True),
+                          orientation, int(K.max(initial=0)), MaslovShift.zero(2))
+
+
 def test_variational_rejects_empty_and_general():
     with pytest.raises(EmptySpectrum):
-        variational_spectrum([], 2, orientation=Orientation.CONVEX)
-    entry = MarkedActionEntry(k=(1, 1), action=1.0, point=(0.5, 0.5))
+        variational_spectrum(_unit_table([], Orientation.CONVEX), 2)
+    # sup and inf of one ratio agree, so a general table of one entry runs
+    one = variational_spectrum(_unit_table([(1, 1)], Orientation.GENERAL), 2)
+    assert one.energy((1, 1)) == 2.0 and one.energy((2, 1)) == 3.0
     with pytest.raises(UnsupportedSurface):
-        variational_spectrum([entry], 2, orientation=Orientation.GENERAL)
+        variational_spectrum(_unit_table([(1, 0), (1, 1)], Orientation.GENERAL), 2)
 
 
 def test_double_shift_is_rejected(circle_surface):
@@ -238,8 +256,9 @@ def test_wide_tie_window_builds_one_table(monkeypatch):
 
 def test_only_declared_convex_or_concave_curves_are_searched():
     quartic = LevelSurface.from_profile(pnorm_profile(4.0))
-    assert SurfaceActions(quartic, 10).searchable(Orientation.CONVEX)
-    assert not SurfaceActions(quartic, 10).searchable(Orientation.CONCAVE)
+    assert SurfaceActions(quartic, 10).searchable()
+    # no option steers a searchable curve onto the table path
+    assert list(inspect.signature(SurfaceActions.searchable).parameters) == ["self"]
     assert SurfaceActions(RamosCurve(), 10).searchable()
     fitted = LevelSurface.from_points(quartic.point(np.linspace(0, np.pi / 2, 50)))
     undeclared = LevelSurface(2, quartic.point, quartic.param_lo, quartic.param_hi,
@@ -248,15 +267,6 @@ def test_only_declared_convex_or_concave_curves_are_searched():
     for surface in (LevelSurface.from_profile(harmonic_profile((1, 2))), fitted,
                     undeclared, LevelSurface.from_profile(pnorm_profile(4.0, dimension=3))):
         assert not SurfaceActions(surface, 10).searchable()
-
-
-def test_overridden_orientation_takes_the_table():
-    quartic = LevelSurface.from_profile(pnorm_profile(4.0))
-    got = variational_spectrum(SurfaceActions(quartic, 30), 4,
-                               orientation=Orientation.CONCAVE)
-    want = variational_spectrum(marked_action_spectrum(quartic, 30), 4,
-                                orientation=Orientation.CONCAVE)
-    assert got.to_csv() == want.to_csv()
 
 
 # --- truncation estimate ---
@@ -322,11 +332,9 @@ def test_minmax_growth_bound(harmonic_actions):
 
 
 def test_minmax_requires_interior_directions():
-    axis_only = [MarkedActionEntry(k=(1, 0), action=1.0, point=(1.0, 0.0)),
-                 MarkedActionEntry(k=(0, 1), action=1.0, point=(0.0, 1.0))]
+    axis_only = _unit_table([(1, 0), (0, 1)], Orientation.CONVEX)
     with pytest.raises(NoQualifyingDirections):
-        minmax_certificate(axis_only, 1.5, (1, 1),
-                           orientation=Orientation.CONVEX)
+        minmax_certificate(axis_only, 1.5, (1, 1))
 
 
 def test_minmax_rejects_concave():

@@ -211,6 +211,13 @@ def test_invert_dimension_three():
     sphere = LevelSurface.from_profile(euclidean_profile(3))
     p = sphere.invert_normal((1.0, 1.0, 1.0)).point
     assert np.allclose(p, np.full(3, 1.0 / np.sqrt(3.0)), atol=1e-9)
+    # a general facet inverts through its closed form too: the sample scan
+    # is planar
+    facet = LevelSurface.from_profile(harmonic_profile((1.0, 2.0, 3.0)))
+    assert facet.orientation is Orientation.GENERAL
+    assert np.array_equal(facet.invert_normal((2.0, 4.0, 6.0)).point, np.full(3, 1.0 / 6.0))
+    with pytest.raises(DirectionNotAttained):
+        facet.invert_normal((1.0, 1.0, 1.0))
 
 
 # --- construction invariants ---
