@@ -22,7 +22,6 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -174,8 +173,9 @@ class ActionSpectrum:
                            "\n  ]" + after)
 
     @classmethod
-    def from_csv(cls, text: str, orientation: Orientation | str,
-                 k_max: int = 0, shift: Optional[MaslovShift] = None) -> "ActionSpectrum":
+    def from_csv(cls, text: str, orientation: Orientation | str) -> "ActionSpectrum":
+        """Read to_csv's format. A CSV carries no k_max and no shift: the
+        table takes its largest k component and the zero shift."""
         header, _, body = text.partition("\n")
         n = header.count("k_")
         if n < 1 or header.split(",") != ([f"k_{j+1}" for j in range(n)] + ["action"]
@@ -190,7 +190,7 @@ class ActionSpectrum:
             raise ConfigError(f"actions CSV rows need {2 * n + 1} columns")
         K = _integer_directions(table[:, :n])
         return cls(K, table[:, n], table[:, n + 1:], orientation,
-                   k_max or (int(K.max()) if len(K) else 0), shift or MaslovShift.zero(n))
+                   int(K.max()) if len(K) else 0, MaslovShift.zero(n))
 
     @classmethod
     def from_json(cls, text: str) -> "ActionSpectrum":

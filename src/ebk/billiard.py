@@ -20,7 +20,7 @@ from .actions import CHUNK_ROWS, MaslovShift, _table_rows, as_shift
 from .errors import ConfigError, ConvergenceFailure, DomainError, NonFiniteEnergy
 from .profiles import ToricProfile
 from .quantize import lattice_weights, truncation_estimate
-from .surfaces import DEFAULT_RESOLUTION, LevelSurface, Orientation
+from .surfaces import LevelSurface, Orientation
 
 # Maslov pair for the disk: 0 on the angular loop, 3/4 on the radial one,
 # surfaced as n -> n + 3/4 in the phase equation.
@@ -61,8 +61,7 @@ def radial_phase_slope(m: int, x):
     return out if isinstance(x, np.ndarray) else float(out)
 
 
-def solve_momentum(m: int, n: float, tol: float = PHASE_SOLVE_TOL,
-                   max_iter: int = MAX_SOLVE_ITERS) -> float:
+def solve_momentum(m: int, n: float, tol: float = PHASE_SOLVE_TOL) -> float:
     """The unique F >= m with radial_phase(m, F) = n pi.
 
     Bracket doubling from [m, m + n pi + 1], then a bisection-safeguarded
@@ -88,7 +87,7 @@ def solve_momentum(m: int, n: float, tol: float = PHASE_SOLVE_TOL,
 
     x = 0.5 * (lo + hi)
     fx = radial_phase(m, x) - target
-    for _ in range(max_iter):
+    for _ in range(MAX_SOLVE_ITERS):
         if abs(fx) <= tol:
             return x
         if fx > 0:
@@ -249,12 +248,12 @@ def disk_profile() -> ToricProfile:
 class RamosCurve(LevelSurface):
     """The concave curve bounding the disk's toric momentum region."""
 
-    def __init__(self, resolution: int = DEFAULT_RESOLUTION):
+    def __init__(self):
         super().__init__(dimension=2, point_fn=boundary_point,
                          param_lo=0.0, param_hi=math.pi,
                          normal_fn=boundary_normal,
                          orientation=Orientation.CONCAVE,
-                         resolution=resolution, normal_map=_ramos_normal_map)
+                         normal_map=_ramos_normal_map)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -27,19 +28,23 @@ import numpy as np
 from .billiard import RamosCurve, disk_profile
 from .errors import ConfigError
 from .profiles import ToricProfile, linear_profile, pnorm_profile
-from .surfaces import DEFAULT_RESOLUTION, LevelSurface
+from .surfaces import LevelSurface
 
 
 @dataclass(frozen=True)
 class DomainSpec:
-    """A parsed --profile argument: closed-form profile, surface recipe, or both."""
+    """A parsed --profile argument: closed-form profile, surface recipe, or both.
+
+    surface_factory takes no arguments; make_surface calls it, so each call
+    builds a fresh surface.
+    """
 
     name: str
     profile: Optional[ToricProfile]
-    surface_factory: Callable[[int], LevelSurface]
+    surface_factory: Callable[[], LevelSurface]
 
-    def make_surface(self, resolution: int = DEFAULT_RESOLUTION) -> LevelSurface:
-        return self.surface_factory(resolution)
+    def make_surface(self) -> LevelSurface:
+        return self.surface_factory()
 
     def require_profile(self) -> ToricProfile:
         if self.profile is None:
@@ -49,14 +54,9 @@ class DomainSpec:
         return self.profile
 
 
-def _from_profile_factory(profile: ToricProfile):
-    return lambda resolution: LevelSurface.from_profile(profile,
-                                                        resolution=resolution)
-
-
 def _spec_from_profile(name: str, profile: ToricProfile) -> DomainSpec:
     return DomainSpec(name=name, profile=profile,
-                      surface_factory=_from_profile_factory(profile))
+                      surface_factory=partial(LevelSurface.from_profile, profile))
 
 
 def _parse_floats(text: str, what: str) -> list[float]:
@@ -154,9 +154,6 @@ def load_domain_file(path: str) -> DomainSpec:
         if rows.ndim != 2 or rows.shape[1] != 3:
             raise ConfigError("params.table rows must be [t, x, y]")
         pts = rows[np.argsort(rows[:, 0], kind="stable"), 1:]
-
-        def factory(resolution: int) -> LevelSurface:
-            return LevelSurface.from_points(pts, resolution=resolution)
-
-        return DomainSpec(name=name, profile=None, surface_factory=factory)
+        return DomainSpec(name=name, profile=None,
+                          surface_factory=partial(LevelSurface.from_points, pts))
     raise ConfigError(f"unknown profile kind {kind!r} in {path!r}")

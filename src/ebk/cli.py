@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .actions import ActionSpectrum, SurfaceActions, marked_action_spectrum
-from .billiard import RADIAL_SHIFT, BilliardLevel, crosscheck_disk
+from .billiard import PHASE_SOLVE_TOL, RADIAL_SHIFT, BilliardLevel, crosscheck_disk
 from .catalog import parse_domain_spec
 from .duality import hypersurface_transform
 from .errors import ConfigError, EbkError
@@ -25,7 +25,7 @@ from .quantize import (
     reconstruction_spectrum,
     variational_spectrum,
 )
-from .surfaces import DEFAULT_RESOLUTION, Orientation
+from .surfaces import Orientation
 
 
 def _parse_shift(text: Optional[str]):
@@ -87,7 +87,7 @@ def _load_actions(args) -> ActionSpectrum | SurfaceActions:
             raise ConfigError(f"actions file {args.actions!r} has no entries")
     else:
         spec = parse_domain_spec(args.profile)
-        surface = spec.make_surface(args.resolution)
+        surface = spec.make_surface()
         # entries stay unshifted here; --shift enters these routes through
         # the lattice numerator, not the stored actions
         actions = SurfaceActions(surface, args.k_max)
@@ -149,7 +149,7 @@ def cmd_spectrum_reconstruct(args) -> int:
 
 def cmd_actions(args) -> int:
     spec = parse_domain_spec(args.profile)
-    surface = spec.make_surface(args.resolution)
+    surface = spec.make_surface()
     actions = marked_action_spectrum(surface, args.k_max,
                                      shift=_parse_shift(args.shift))
     _write(args.out,
@@ -161,7 +161,7 @@ def cmd_legendre_dual(args) -> int:
     if args.samples < 1:
         raise ConfigError("--samples must be >= 1")
     spec = parse_domain_spec(args.profile)
-    surface = spec.make_surface(args.resolution)
+    surface = spec.make_surface()
     dual = hypersurface_transform(surface)
     params = np.linspace(dual.param_lo, dual.param_hi, args.samples)
     points = dual.point(params)
@@ -242,7 +242,6 @@ def _add_common(p, *, out=True) -> None:
 
 def _add_profile(p, *, k_max=False, actions=False) -> None:
     p.add_argument("--profile", help="builtin name or JSON spec file")
-    p.add_argument("--resolution", type=int, default=DEFAULT_RESOLUTION)
     if k_max:
         p.add_argument("--k-max", type=int, default=100, dest="k_max")
     if actions:
@@ -303,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--maslov", action="store_true",
                    help=f"add the radial shift {RADIAL_SHIFT} to n")
     p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=float, default=PHASE_SOLVE_TOL)
     _add_common(p)
     p.set_defaults(fn=cmd_billiard_solve)
 

@@ -190,35 +190,31 @@ def support_function(surface: LevelSurface, q) -> float:
 
 
 def hypersurface_transform(surface: LevelSurface,
-                           curvature_floor: float = CURVATURE_FLOOR,
                            at_params: Optional[np.ndarray] = None) -> LevelSurface:
     """Dual surface through L(p) = n(p) / <p, n(p)> over the nice samples.
 
-    Nice means |K| above the curvature floor, support value away from zero,
-    and locally injective images. The samples are the surface's own dense
-    ones, or the given parameters. The result is parametrized by the
-    original parameter, with closed-form normals p(t)/|p(t)|, inherits the
-    surface's resolution, and keeps the surviving parameters as its knots.
+    Nice means |K| above CURVATURE_FLOOR, support value away from zero, and
+    locally injective images. The samples are the given parameters, or
+    DEFAULT_RESOLUTION equally spaced ones over the arc. The result is
+    parametrized by the original parameter, with closed-form normals
+    p(t)/|p(t)|, and keeps the surviving parameters as its knots.
     """
     if surface.dimension != 2:
         raise ConfigError("hypersurface_transform is implemented for n = 2")
-    if at_params is not None:
-        params = np.asarray(at_params, dtype=float)
-        pts = surface.point(params)
-        nrm = surface.normal(params)
-        curv = surface.curvature(params)
-    else:
-        samp = surface.samples
-        params, pts, nrm, curv = samp.params, samp.points, samp.normals, samp.curvature
+    params = (np.linspace(surface.param_lo, surface.param_hi, DEFAULT_RESOLUTION)
+              if at_params is None else np.asarray(at_params, dtype=float))
+    pts = surface.point(params)
+    nrm = surface.normal(params)
+    curv = surface.curvature(params)
 
     support = np.einsum("ij,ij->i", pts, nrm)
     defined = np.abs(support) > SUPPORT_FLOOR
     with np.errstate(invalid="ignore"):
-        nice = defined & (np.abs(curv) > curvature_floor)
+        nice = defined & (np.abs(curv) > CURVATURE_FLOOR)
     if nice.sum() < NICE_FRACTION_MIN * len(params):
         raise TooFewNicePoints(
             f"only {int(nice.sum())} of {len(params)} samples are nice "
-            f"(curvature floor {curvature_floor:g})")
+            f"(curvature floor {CURVATURE_FLOOR:g})")
 
     images = nrm[nice] / support[nice, None]
     pre = np.linalg.norm(np.diff(pts[nice], axis=0), axis=1)
@@ -262,8 +258,7 @@ def hypersurface_transform(surface: LevelSurface,
                    if surface.orientation is Orientation.CONVEX else None)
     return LevelSurface(dimension=2, point_fn=point_fn, param_lo=lo,
                         param_hi=hi, normal_fn=normal_fn,
-                        orientation=orientation, resolution=surface.resolution,
-                        knots=params[survivors])
+                        orientation=orientation, knots=params[survivors])
 
 
 @dataclass(frozen=True)
@@ -297,7 +292,7 @@ def reconstruct_surface(cloud: PointCloud,
     the hypersurface transform; the transform of the fitted dual is N itself.
     No curve is sampled densely: the transform runs at the fit's knots and
     the result is read off by rays; only the Hausdorff distance to the
-    reference samples, at its own resolution.
+    reference samples both curves, at DEFAULT_RESOLUTION points each.
     """
     if len(cloud) < MIN_CLOUD_POINTS:
         raise InsufficientCloud(

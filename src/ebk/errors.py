@@ -78,8 +78,9 @@ class TooFewNicePoints(EbkError):
     """Fewer than the minimum usable points survive the nice-point filters."""
 
 
-class InsufficientCloud(EbkError):
-    """Point cloud too small to fit a curve through."""
+class InsufficientCloud(ConfigError):
+    """Point cloud too small to fit a curve through: an input with too few
+    entries, so a configuration error."""
 
 
 class NonGraphical(EbkError):

@@ -92,7 +92,7 @@ class ToricProfile:
 
 # --- builtin families ---
 
-def linear_profile(weights: Sequence[float], name: str | None = None) -> ToricProfile:
+def linear_profile(weights: Sequence[float]) -> ToricProfile:
     """f(p) = <w, p> with positive weights; degree 1.
 
     This is the harmonic-oscillator profile: the level set is a simplex
@@ -123,7 +123,7 @@ def linear_profile(weights: Sequence[float], name: str | None = None) -> ToricPr
         return np.where(flat[:, None], diagonal, np.nan)
 
     return ToricProfile(
-        name=name or ("harmonic:" + ",".join(format(x, "g") for x in w)),
+        name="harmonic:" + ",".join(format(x, "g") for x in w),
         dimension=w.size,
         degree=1.0,
         evaluate_fn=ev,

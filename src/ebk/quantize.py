@@ -165,10 +165,11 @@ def variational_spectrum(actions, m_max: int, degree: float = 1.0,
     The input's own orientation picks the extremum of hbar <m + mu, k> / a(k):
     the sup for a convex one, the inf for a concave one, and the sup for a
     general table of one entry, where the two agree; a general table of
-    more entries is UnsupportedSurface. The result is raised to the
-    homogeneity degree. When the input's k_max is at least
-    TRUNCATION_MIN_KMAX, a three-level Richardson-style error estimate from
-    the boxes k_max // 4, k_max // 2 and k_max is attached per level.
+    more entries is a ConfigError, since only the caller can choose. The
+    result is raised to the homogeneity degree. When the input's k_max is
+    at least TRUNCATION_MIN_KMAX, a three-level Richardson-style error
+    estimate from the boxes k_max // 4, k_max // 2 and k_max is attached
+    per level.
 
     actions is an ActionSpectrum or SurfaceActions. A searchable
     SurfaceActions is searched: one kernels.lattice_search call finds every
@@ -192,8 +193,8 @@ def variational_spectrum(actions, m_max: int, degree: float = 1.0,
     _check_shift_pairing(stored, mu)
     # a searched curve is convex or concave
     if oriented is Orientation.GENERAL and len(spec) > 1:
-        raise UnsupportedSurface(
-            "variational route needs a convex or concave orientation")
+        raise ConfigError("variational route needs a convex or concave "
+                          "orientation for a general input of several entries")
     use_max = oriented is not Orientation.CONCAVE
     m_grid = lattice_grid(dimension, m_max)
     W = lattice_weights(m_grid, mu, hbar)

@@ -40,8 +40,7 @@ from .profiles import Orientation, ToricProfile
 GRADIENT_FLOOR = 1e-12        # |grad f| below this: Gauss map undefined
 SUPPORT_FLOOR = 1e-10         # |<p, n>| below this: dual point undefined
 NORMAL_RESIDUAL_TOL = 1e-10   # |n x k_hat| accepted by the inversion
-DEFAULT_RESOLUTION = 4096
-MIN_RESOLUTION = 64           # smallest accepted; every builtin curve dualizes at 64
+DEFAULT_RESOLUTION = 4096     # points of every dense sampling of a planar arc
 SCAN_REFINE_ITERS = 200       # bisection steps per sign change of the scan
 
 
@@ -162,15 +161,6 @@ def legendre_point(p, n) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SurfaceSamples:
-    """Dense samples of a planar (n = 2) arc; n = 3 surfaces have none."""
-    params: np.ndarray     # (R,)
-    points: np.ndarray     # (R, 2)
-    normals: np.ndarray    # (R, 2), unit
-    curvature: np.ndarray  # (R,) signed
-
-
-@dataclass(frozen=True)
 class InversionResult:
     """One representative point per solution component of n(p) ~ k."""
     points: np.ndarray     # (C, n)
@@ -195,13 +185,15 @@ class LevelSurface:
     parallel to k, and a row that no point has its normal along to nan.
     Surfaces in n = 3 need one and a declared orientation; planar arcs
     without an orientation detect it from their sampled curvature
-    (orientation_declared tells which).
+    (orientation_declared tells which). A surface holds no sampling density:
+    the planar methods that sample densely, the general-arc scan of
+    invert_normal and duality.hypersurface_transform, take DEFAULT_RESOLUTION
+    points.
     """
 
     def __init__(self, dimension: int, point_fn: Callable, param_lo, param_hi,
                  normal_fn: Callable,
                  orientation: Orientation | str | None = None,
-                 resolution: int = DEFAULT_RESOLUTION,
                  normal_map: Optional[Callable] = None,
                  knots: Optional[np.ndarray] = None):
         if dimension not in (2, 3):
@@ -210,14 +202,11 @@ class LevelSurface:
             raise ConfigError("n = 3 surfaces need a closed-form Gauss-map "
                               "inverse and a declared orientation (pnorm, "
                               "superellipse or linear profiles)")
-        if not resolution >= MIN_RESOLUTION:
-            raise ConfigError(f"resolution must be >= {MIN_RESOLUTION}")
         self.dimension = dimension
         self._point_fn = point_fn
         self.param_lo = param_lo
         self.param_hi = param_hi
         self._normal_fn = normal_fn
-        self.resolution = int(resolution)
         self.normal_map = normal_map
         self.knots = knots
         self.orientation_declared = orientation is not None
@@ -229,8 +218,7 @@ class LevelSurface:
     # -- construction --
 
     @classmethod
-    def from_profile(cls, profile: ToricProfile,
-                     resolution: int = DEFAULT_RESOLUTION) -> "LevelSurface":
+    def from_profile(cls, profile: ToricProfile) -> "LevelSurface":
         """Polar (n = 2) or spherical (n = 3) angle parametrization of {f = 1}.
 
         The profile's closed-form Gauss-map inverse, if any, becomes the
@@ -274,11 +262,10 @@ class LevelSurface:
         lo, hi = (0.0, np.pi / 2) if n == 2 else (np.zeros(2), np.full(2, np.pi / 2))
         return cls(n, point_fn, lo, hi,
                    normal_fn=normal_fn, orientation=profile.orientation,
-                   resolution=resolution, normal_map=normal_map)
+                   normal_map=normal_map)
 
     @classmethod
-    def from_points(cls, points: np.ndarray,
-                    resolution: int = DEFAULT_RESOLUTION) -> "LevelSurface":
+    def from_points(cls, points: np.ndarray) -> "LevelSurface":
         """Interpolating polar cubic fit through scattered curve points.
 
         Ends touching a coordinate axis are clamped (dr/dphi = 0): for
@@ -334,8 +321,7 @@ class LevelSurface:
             return np.stack([nx / nrm, ny / nrm], axis=-1)
 
         return cls(2, point_fn, float(phi[0]), float(phi[-1]),
-                   normal_fn=normal_fn, resolution=resolution,
-                   knots=phi.copy())
+                   normal_fn=normal_fn, knots=phi.copy())
 
     # -- evaluation --
 
@@ -362,17 +348,6 @@ class LevelSurface:
         if np.any(speed2 < 1e-30):
             raise InsufficientResolution("parametrization speed vanished")
         return (dn * dp).sum(axis=-1) / speed2
-
-    # -- cached dense samples --
-
-    @cached_property
-    def samples(self) -> SurfaceSamples:
-        if self.dimension != 2:
-            raise ConfigError("dense samples are n = 2 only")
-        params = np.linspace(self.param_lo, self.param_hi, self.resolution)
-        return SurfaceSamples(params=params, points=self.point(params),
-                              normals=self.normal(params),
-                              curvature=self.curvature(params))
 
     def _detect_orientation(self) -> Orientation:
         # interior samples only: strictly convex arcs may have K -> 0 at the
@@ -480,7 +455,7 @@ class LevelSurface:
 
     def _invert_normal_scan(self, k: np.ndarray) -> InversionResult:
         khat = k / np.linalg.norm(k)
-        t = np.linspace(self.param_lo, self.param_hi, self.resolution)
+        t = np.linspace(self.param_lo, self.param_hi, DEFAULT_RESOLUTION)
         n = self.normal(t)
         g = n[:, 0] * khat[1] - n[:, 1] * khat[0]
         dot = n @ khat

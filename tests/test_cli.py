@@ -277,11 +277,8 @@ def test_empty_certificate_is_a_config_error(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["legendre-dual", "--profile", "pnorm:3", "--resolution", "-5"],
     ["legendre-dual", "--profile", "pnorm:3", "--samples", "-1"],
-    ["spectrum-variational", "--profile", "pnorm:3", "--k-max", "10",
-     "--m-max", "2", "--resolution", "0"],
-], ids=["dual-resolution", "dual-samples", "variational-resolution"])
+], ids=["dual-samples"])
 def test_bad_resolution_or_samples_is_a_config_error(capsys, argv):
     _assert_config_error(argv, capsys)
 
@@ -432,14 +429,13 @@ def test_orientation_of_a_json_table(tmp_path, capsys):
     assert run_to_file(tmp_path, "own.csv", argv + ["--orientation", "convex"]) == plain
     _assert_config_error(argv + ["--orientation", "concave"], capsys)
     # a general table of several entries takes the orientation it is given,
-    # and without one has no extremum to take
+    # and without one lacks a choice only the user can make
     doc = json.loads(table.read_text())
     doc["orientation"] = "general"
     table.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     assert run_to_file(tmp_path, "relabelled.csv", argv + ["--orientation", "convex"]) \
         == plain
-    assert main(argv) == 3
-    assert capsys.readouterr().err.startswith("numerical failure:")
+    _assert_config_error(argv, capsys)
 
 
 @pytest.mark.parametrize("name,text", [
@@ -462,6 +458,17 @@ def test_actions_file_without_entries_is_a_config_error(tmp_path, capsys, name, 
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
     assert name in captured.err and not out.exists()
+
+
+@pytest.mark.parametrize("profile,k_max", [("harmonic:1,2", "10"), ("pnorm:4", "3")])
+def test_cloud_too_small_to_reconstruct_is_a_config_error(tmp_path, capsys, profile,
+                                                          k_max):
+    out = tmp_path / "out.csv"
+    assert main(["spectrum-reconstruct", "--profile", profile, "--k-max", k_max,
+                 "--m-max", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: need at least") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def _energies(text):

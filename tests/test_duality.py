@@ -28,6 +28,7 @@ from ebk import (
     support_function,
 )
 from ebk.duality import CLOUD_DEDUP_TOL, _directed_hausdorff_squared
+from ebk.surfaces import DEFAULT_RESOLUTION
 
 
 def quadratic_bowl():
@@ -186,12 +187,12 @@ def _support_by_samples(surface, q):
     qnorm = float(np.linalg.norm(q))
     u = np.asarray(q, dtype=float) / qnorm
     use_min = surface.orientation is Orientation.CONCAVE
-    samp = surface.samples
-    dots = samp.points @ u
+    params = np.linspace(surface.param_lo, surface.param_hi, DEFAULT_RESOLUTION)
+    dots = surface.point(params) @ u
     idx = int(np.argmin(dots) if use_min else np.argmax(dots))
     value = float(dots[idx])
-    lo = samp.params[max(idx - 1, 0)]
-    hi = samp.params[min(idx + 1, len(dots) - 1)]
+    lo = params[max(idx - 1, 0)]
+    hi = params[min(idx + 1, len(dots) - 1)]
     if hi > lo:
         sign = 1.0 if use_min else -1.0
         res = minimize_scalar(lambda t: sign * float(surface.point(t) @ u),

@@ -201,7 +201,7 @@ def test_variational_rejects_empty_and_general():
     # sup and inf of one ratio agree, so a general table of one entry runs
     one = variational_spectrum(_unit_table([(1, 1)], Orientation.GENERAL), 2)
     assert one.energy((1, 1)) == 2.0 and one.energy((2, 1)) == 3.0
-    with pytest.raises(UnsupportedSurface):
+    with pytest.raises(ConfigError):
         variational_spectrum(_unit_table([(1, 0), (1, 1)], Orientation.GENERAL), 2)
 
 

@@ -21,7 +21,12 @@ from ebk import (
     pnorm_profile,
 )
 from ebk.catalog import load_domain_file
-from ebk.surfaces import _cubic_spline
+from ebk.surfaces import DEFAULT_RESOLUTION, _cubic_spline
+
+
+def _dense_params(surface):
+    return np.linspace(surface.param_lo, surface.param_hi, DEFAULT_RESOLUTION)
+
 
 # analytic curvature of the quartic curve p1^4 + p2^4 = 1 at the diagonal
 # point (2^-1/4, 2^-1/4): kappa = 3 * 2^(-1/4)
@@ -63,7 +68,7 @@ def test_gauss_map_ramos_midpoint():
 
 def test_gauss_map_unit_norm(circle, quartic):
     for surf in (circle, quartic):
-        norms = np.linalg.norm(surf.samples.normals, axis=1)
+        norms = np.linalg.norm(surf.normal(_dense_params(surf)), axis=1)
         assert np.abs(norms - 1.0).max() <= 1e-12
 
 
@@ -227,7 +232,7 @@ def test_invert_dimension_three():
                          ids=lambda p: p.name)
 def test_samples_sit_on_level_set(profile):
     surf = LevelSurface.from_profile(profile)
-    vals = np.array([profile.evaluate(p) for p in surf.samples.points])
+    vals = np.array([profile.evaluate(p) for p in surf.point(_dense_params(surf))])
     assert np.abs(vals - 1.0).max() <= 1e-9
 
 

@@ -14,20 +14,52 @@ import ebk
 
 # names the trace still wraps although the program no longer has them
 STALE = {"ebk.kernels.bisect_family", "ebk.billiard.marked_action_spectrum"}
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SRC = Path(ebk.__file__).resolve().parents[1]
+
+
+def _traced(body: str, *args: str):
+    """Run body in a subprocess after layers.install(tracer), with perfbench
+    and this checkout's src first on sys.path and args in sys.argv[3:];
+    return what the body prints as JSON."""
+    script = ("import json, sys\n"
+              "sys.path[:0] = sys.argv[1:3]\n"
+              "import ebk, ebk.cli, layers\n"
+              "tracer = layers.Tracer()\n"
+              "layers.install(tracer)\n" + body)
+    proc = subprocess.run([sys.executable, "-c", script, str(PERFBENCH), str(SRC), *args],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 def test_the_layer_trace_misses_no_current_name():
-    script = ("import json, sys\n"
-              "sys.path[:0] = sys.argv[1:]\n"
-              "import ebk, layers\n"
-              "tracer = layers.Tracer()\n"
-              "layers.install(tracer)\n"
-              "print(json.dumps([ebk.__file__, tracer.missing]))\n")
-    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
-    src = Path(ebk.__file__).resolve().parents[1]
-    proc = subprocess.run([sys.executable, "-c", script, str(perfbench), str(src)],
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    loaded, missing = json.loads(proc.stdout)
-    assert Path(loaded).resolve().parents[1] == src
+    loaded, missing = _traced("print(json.dumps([ebk.__file__, tracer.missing]))\n")
+    assert Path(loaded).resolve().parents[1] == SRC
     assert set(missing) <= STALE, sorted(set(missing) - STALE)
+
+
+def test_the_layer_trace_hooks_run_clean(tmp_path):
+    # a hook that no longer fits a return value only lands in hook_errors,
+    # and its layer's counts go missing from the benchmark without a failure
+    table = str(tmp_path / "table.json")
+    runs = [
+        ["spectrum-variational", "--profile", "pnorm:4", "--k-max", "40", "--m-max", "4"],
+        ["spectrum-reconstruct", "--profile", "pnorm:4", "--k-max", "60", "--m-max", "4",
+         "--report", str(tmp_path / "report.json")],
+        ["actions", "--profile", "pnorm:4", "--k-max", "20", "--format", "json",
+         "--out", table],
+        ["minmax-certify", "--actions", table, "--energy", "3.5", "--m", "1,1"],
+        ["billiard-crosscheck", "--m1", "0", "--m2", "2", "--k-max", "100"],
+    ]
+    runs = [argv if "--out" in argv else argv + ["--out", str(tmp_path / f"{i}.out")]
+            for i, argv in enumerate(runs)]
+    codes, summary = _traced(
+        "runs = json.loads(sys.argv[3])\n"
+        "codes = [tracer.run_root(ebk.cli.main, argv) for argv in runs]\n"
+        "print(json.dumps([codes, tracer.summary()]))\n", json.dumps(runs))
+    assert codes == [0] * len(runs)
+    assert summary["hook_errors"] == []
+    layers = {"catalog.parse", "surfaces.invert", "surfaces.from_points",
+              "duality.transform", "quantize.variational", "billiard.crosscheck"}
+    assert layers <= set(summary["self_s"]), sorted(layers - set(summary["self_s"]))
