@@ -32,7 +32,7 @@ from ebk import (ActionSpectrum, ConfigError, LevelSurface, Orientation, PointCl
                  marked_action_spectrum, pnorm_profile)
 from ebk import actions as actions_module, billiard
 from ebk.actions import CHUNK_ROWS, MaslovShift, _integer_directions
-from ebk.quantize import ARGEXT_TIE_TOL, lattice_grid, truncation_estimate
+from ebk.quantize import lattice_grid, truncation_estimate
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from test_kernels import lattice_extremum  # noqa: E402  the search plus the table
@@ -67,7 +67,7 @@ def peak_mb(fn) -> float:
         tracemalloc.stop()
 
 
-def full_scan(K, a, W, use_max, tie_tol):
+def full_scan(K, a, W, use_max):
     """Every entry for every weight row: the reduction without pruning."""
     K = K.astype(float)
     vals = np.empty(len(W))
@@ -77,7 +77,7 @@ def full_scan(K, a, W, use_max, tie_tol):
         num += K[:, 1] * w[1]
         r = num / a
         best = r.max() if use_max else r.min()
-        tol = tie_tol * max(1.0, abs(best))
+        tol = kernels.TIE_TOL * abs(best)
         mask = (r >= best - tol) if use_max else (r <= best + tol)
         vals[g], idxs[g] = best, int(np.argmax(mask))
     return vals, idxs
@@ -109,7 +109,7 @@ def ratios_row() -> None:
     spec = marked_action_spectrum(LevelSurface.from_profile(pnorm_profile(4.0)),
                                   K_MAX_RATIOS)
     W = lattice_grid(2, M_MAX_RATIOS).astype(float)
-    args = (spec.directions, spec.actions, W, True, ARGEXT_TIE_TOL)
+    args = (spec.directions, spec.actions, W, True)
     t_pruned = best_of(lambda: kernels.extremal_ratios(*args))
     t_full = best_of(lambda: full_scan(*args), repeat=1)
     same = all(np.array_equal(x, y) for x, y in
@@ -122,13 +122,15 @@ def ratios_row() -> None:
 
 def lattice_row() -> None:
     """lattice_extremum (the search, then the table for the rows it leaves)
-    on pnorm:4 at the spectrum-variational sizes and on the disk's one
-    crosscheck row, against building the action table and reducing it;
-    both must give the same values and directions."""
+    on pnorm:4 at the spectrum-variational sizes, at hbar 1 and 1e-9, and on
+    the disk's one crosscheck row, against building the action table and
+    reducing it; both must give the same values and directions."""
     print(f"{'':52s} {'descent':>10s} {'table':>10s}")
+    quartic = LevelSurface.from_profile(pnorm_profile(4.0))
+    grid = lattice_grid(2, M_MAX_RATIOS).astype(float)
     for name, surface, k_max, W, use_max in (
-            ("pnorm:4", LevelSurface.from_profile(pnorm_profile(4.0)), K_MAX_RATIOS,
-             lattice_grid(2, M_MAX_RATIOS).astype(float), True),
+            ("pnorm:4", quartic, K_MAX_RATIOS, grid, True),
+            ("pnorm:4 hbar 1e-9", quartic, K_MAX_RATIOS, 1e-9 * grid, True),
             ("ramos", RamosCurve(), K_MAX_BUILD, np.array([[0.0, 2.0]]), False)):
         actions = SurfaceActions(surface, k_max)
 
@@ -138,7 +140,7 @@ def lattice_row() -> None:
         def table():
             spec = marked_action_spectrum(surface, k_max)
             vals, idx = kernels.extremal_ratios(spec.directions, spec.actions, W,
-                                                use_max, ARGEXT_TIE_TOL)
+                                                use_max)
             return vals, spec.directions[idx]
 
         t_descent = best_of(descent)
@@ -160,10 +162,10 @@ def three_level_row() -> None:
     boxes = (K_MAX_RATIOS // 4, K_MAX_RATIOS // 2, K_MAX_RATIOS)
 
     def one():
-        return kernels.lattice_search(invert, W, boxes, True, ARGEXT_TIE_TOL)
+        return kernels.lattice_search(invert, W, boxes, True)
 
     def three():
-        return [kernels.lattice_search(invert, W, (k,), True, ARGEXT_TIE_TOL)[0]
+        return [kernels.lattice_search(invert, W, (k,), True)[0]
                 for k in boxes]
 
     def same(got, want):   # the left rows' vals and args are unset

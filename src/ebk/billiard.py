@@ -45,9 +45,11 @@ def radial_phase(m: int, x):
     if m == 0:
         out = arr.copy()
     else:
-        # x == m makes both terms vanish; the clip only absorbs roundoff
-        root = np.sqrt(np.maximum(arr * arr - m * m, 0.0))
-        out = root - m * np.arccos(np.clip(m / arr, -1.0, 1.0))
+        # x == m makes both terms vanish; the clip only absorbs roundoff. An
+        # overflow is left to the caller's finiteness check.
+        with np.errstate(over="ignore"):
+            root = np.sqrt(np.maximum(arr * arr - m * m, 0.0))
+            out = root - m * np.arccos(np.clip(m / arr, -1.0, 1.0))
     return out if isinstance(x, np.ndarray) else float(out)
 
 

@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .billiard import RamosCurve, disk_profile
-from .errors import ConfigError
+from .errors import ConfigError, InsufficientResolution, NonGraphical
 from .profiles import ToricProfile, linear_profile, pnorm_profile
 from .surfaces import LevelSurface
 
@@ -71,6 +71,15 @@ def _spec_number(value, what: str, cast=float):
         return cast(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{what} must be a number, got {value!r}") from exc
+
+
+def _table_surface(pts: np.ndarray) -> LevelSurface:
+    """The curve fitted through a custom table; a table the fit rejects is
+    bad input."""
+    try:
+        return LevelSurface.from_points(pts)
+    except (InsufficientResolution, NonGraphical) as exc:
+        raise ConfigError(f"params.table: {exc}") from exc
 
 
 def parse_domain_spec(spec: str) -> DomainSpec:
@@ -155,5 +164,5 @@ def load_domain_file(path: str) -> DomainSpec:
             raise ConfigError("params.table rows must be [t, x, y]")
         pts = rows[np.argsort(rows[:, 0], kind="stable"), 1:]
         return DomainSpec(name=name, profile=None,
-                          surface_factory=partial(LevelSurface.from_points, pts))
+                          surface_factory=partial(_table_surface, pts))
     raise ConfigError(f"unknown profile kind {kind!r} in {path!r}")

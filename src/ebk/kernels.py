@@ -5,9 +5,10 @@
     of lex-ordered chunks of index columns (_slabs), which their column
     arithmetic takes without a stack;
   * extremal_ratios is the sup/inf ratio reduction behind variational
-    spectra. In two dimensions, with many weight rows, it scans for each row
-    only the blocks of entries whose upper bound can reach the extremum;
-    values and indices are bitwise those of a full scan;
+    spectra, its ties relative to the extremum. In two dimensions, with many
+    weight rows, it scans for each row only the blocks of entries whose upper
+    bound can reach the extremum; values and indices are bitwise those of a
+    full scan;
   * lattice_search gives extremal_ratios' result on the action tables of a
     strictly convex or concave planar curve, truncated to several boxes,
     for most rows without building a table: one batched Stern-Brocot descent
@@ -41,6 +42,7 @@ BISECT_ITERS = 80
 RATIO_BLOCK = 256
 RATIO_CHUNK = 32
 RATIO_MIN_ROWS = 32
+TIE_TOL = 1e-12   # entries within TIE_TOL |best| of the extremum tie with it
 BOUND_SLACK = 1e-9     # relative to |x|_1 |w|_1; covers rounding of the scan
 BOUND_FLOOR = 1e-290   # absolute; covers underflow
 SCALE_CAP = 1e290      # |K| |w| and |K / a| |w| below this cannot overflow
@@ -113,7 +115,7 @@ def bisect_generic(angle_fn, lo: float, hi: float, targets: np.ndarray,
 
 # --- extremal ratio reduction ---
 
-def _scan(cols, a, w, use_max, tie_tol, order):
+def _scan(cols, a, w, use_max, order):
     """Extremum of (cols . w) / a and the smallest original index within the
     tie window; order maps scan positions to original indices (None: the
     scan is in original order)."""
@@ -122,7 +124,7 @@ def _scan(cols, a, w, use_max, tie_tol, order):
         num += cols[j] * w[j]
     r = np.divide(num, a, out=num)
     best = r.max() if use_max else r.min()
-    tol = tie_tol * max(1.0, abs(best))
+    tol = TIE_TOL * abs(best)
     mask = (r >= best - tol) if use_max else (r <= best + tol)
     if order is None:
         return best, int(np.argmax(mask))
@@ -176,7 +178,7 @@ def _blocks(K, a, wl1):
     return order, cols, a_sorted, starts, box, reps
 
 
-def _candidate_ranges(K, a, Wc, sgn, tie_tol, box, reps, floor):
+def _candidate_ranges(K, a, Wc, sgn, box, reps, floor):
     """Per weight row, the first and last block whose upper bound on
     sgn * ratio reaches the best attained representative minus the tie
     window."""
@@ -192,14 +194,14 @@ def _candidate_ranges(K, a, Wc, sgn, tie_tol, box, reps, floor):
     num = K[reps, 0] * Wc[:, :1]
     num += K[reps, 1] * Wc[:, 1:]
     lower = (sgn * (num / a[reps])).max(axis=1)
-    threshold = lower - 2.0 * tie_tol * np.maximum(1.0, np.abs(lower))
+    threshold = lower - 2.0 * TIE_TOL * np.abs(lower)
     hit = upper >= threshold[:, None]
     first = hit.argmax(axis=1)
     last = hit.shape[1] - 1 - hit[:, ::-1].argmax(axis=1)
     return first, last + 1
 
 
-def _check_ratio_inputs(K, a, W, tie_tol):
+def _check_ratio_inputs(K, a, W):
     if K.ndim != 2 or a.shape != (K.shape[0],) or W.ndim != 2 \
             or W.shape[1] != K.shape[1]:
         raise ValueError("extremal_ratios needs K (N, n), a (N,), W (G, n)")
@@ -209,17 +211,14 @@ def _check_ratio_inputs(K, a, W, tie_tol):
         raise ValueError("extremal_ratios needs finite K, a and W")
     if np.any(a == 0):
         raise ValueError("extremal_ratios needs nonzero actions")
-    if not 0.0 <= tie_tol < 1.0:
-        raise ValueError("tie_tol must lie in [0, 1)")
 
 
 # overflowing products and ratios are left to the caller's finiteness check
 @np.errstate(over="ignore", invalid="ignore")
-def extremal_ratios(K: np.ndarray, a: np.ndarray, W: np.ndarray, use_max: bool,
-                    tie_tol: float = 1e-12):
+def extremal_ratios(K: np.ndarray, a: np.ndarray, W: np.ndarray, use_max: bool):
     """For each weight row w in W: extremum over entries of (K @ w) / a and
     the first (lexicographically smallest) entry index achieving it within
-    tie_tol relative.
+    TIE_TOL relative.
 
     In two dimensions, with at least RATIO_MIN_ROWS rows and more than one
     block of entries, each row scans only the blocks whose bound can reach
@@ -231,7 +230,7 @@ def extremal_ratios(K: np.ndarray, a: np.ndarray, W: np.ndarray, use_max: bool,
         K = np.ascontiguousarray(K, dtype=float)
     a = np.ascontiguousarray(a, dtype=float)
     W = np.ascontiguousarray(W, dtype=float)
-    _check_ratio_inputs(K, a, W, tie_tol)
+    _check_ratio_inputs(K, a, W)
     (N, n), G = K.shape, W.shape[0]
     vals = np.empty(G, dtype=float)
     idxs = np.empty(G, dtype=np.int64)
@@ -243,7 +242,7 @@ def extremal_ratios(K: np.ndarray, a: np.ndarray, W: np.ndarray, use_max: bool,
         plan = _blocks(K, a, wl1)
     if plan is None:
         for g in range(G):
-            vals[g], idxs[g] = _scan(cols, a, W[g], use_max, tie_tol, None)
+            vals[g], idxs[g] = _scan(cols, a, W[g], use_max, None)
         return vals, idxs
 
     order, sorted_cols, a_sorted, starts, box, reps = plan
@@ -251,13 +250,13 @@ def extremal_ratios(K: np.ndarray, a: np.ndarray, W: np.ndarray, use_max: bool,
     floor = BOUND_FLOOR / min(1.0, float(np.abs(a).min()))
     for c0 in range(0, G, RATIO_CHUNK):
         Wc = W[c0:c0 + RATIO_CHUNK]
-        first, stop = _candidate_ranges(K, a, Wc, sgn, tie_tol, box, reps, floor)
+        first, stop = _candidate_ranges(K, a, Wc, sgn, box, reps, floor)
         for g, lo, hi in zip(range(c0, c0 + len(Wc)), starts[first], starts[stop]):
             vals[g], idxs[g] = _scan([c[lo:hi] for c in sorted_cols], a_sorted[lo:hi],
-                                     W[g], use_max, tie_tol, order[lo:hi])
+                                     W[g], use_max, order[lo:hi])
             if vals[g] == 0:
                 # the sign of a zero extremum depends on the scan order
-                vals[g], idxs[g] = _scan(cols, a, W[g], use_max, tie_tol, None)
+                vals[g], idxs[g] = _scan(cols, a, W[g], use_max, None)
     return vals, idxs
 
 
@@ -379,19 +378,15 @@ def _descend(invert, W, L, R, k_max, sgn):
     return lost
 
 
-def _walk(invert, W, L, R, k_max, sgn, tie_tol):
+def _walk(invert, W, L, R, k_max, sgn):
     """Visit L and R, then the Farey terms beyond them outward, skipping
     dropped directions, until each side meets a kept entry below the tie
     window twice over (or runs out of terms).
 
     Returns the best sgn * ratio per row; the rows, directions and ratios
     of the kept entries visited; and the rows still walking after
-    FAREY_WALK_CAP terms on a side, or once the walk has visited as many
-    directions as the box has lattice points (the table is cheaper then:
-    a window wider than the walk happens when |ratio| << 1, where the tie
-    window is absolute).
+    FAREY_WALK_CAP terms on a side.
     """
-    budget = (k_max + 1) ** 2
     near, far = [L, R], [R.copy(), L.copy()]   # side 0 walks left, side 1 right
     walking = [np.arange(len(W)), np.arange(len(W))]
     best = np.full(len(W), -np.inf)
@@ -407,9 +402,8 @@ def _walk(invert, W, L, R, k_max, sgn, tie_tol):
                 far[side][g] = near[side][g]
                 near[side][g] = nxt[has]
         g = np.concatenate(walking)
-        if not g.size or budget < 0:
+        if not g.size:
             break
-        budget -= g.size
         K = np.concatenate([near[0][walking[0]], near[1][walking[1]]])
         _, a, keep = invert(K)
         g, K = g[keep], K[keep]
@@ -419,19 +413,19 @@ def _walk(invert, W, L, R, k_max, sgn, tie_tol):
         dirs.append(K)
         ratios.append(r)
         below = np.zeros(len(keep), dtype=bool)
-        below[keep] = sgn * r < best[g] - 2.0 * tie_tol * np.maximum(1.0, np.abs(best[g]))
+        below[keep] = sgn * r < best[g] - 2.0 * TIE_TOL * np.abs(best[g])
         n0 = len(walking[0])
         walking = [walking[0][~below[:n0]], walking[1][~below[n0:]]]
     return best, *map(np.concatenate, (rows, dirs, ratios)), np.concatenate(walking)
 
 
-def _settle(invert, W, rows, L, R, k_max, sgn, tie_tol):
+def _settle(invert, W, rows, L, R, k_max, sgn):
     """Walk the rows from their box terms L, R; return the rows whose walk
     covered the tie window, their extremum and their first direction in
     lex order within the window."""
-    best, seen, K, r, capped = _walk(invert, W[rows], L, R, k_max, sgn, tie_tol)
+    best, seen, K, r, capped = _walk(invert, W[rows], L, R, k_max, sgn)
     best *= sgn
-    tol = tie_tol * np.maximum(1.0, np.abs(best))
+    tol = TIE_TOL * np.abs(best)
     window = (r >= (best - tol)[seen]) if sgn > 0 else (r <= (best + tol)[seen])
     seen, K = seen[window], K[window]
     order = np.lexsort((K[:, 1], K[:, 0], seen))
@@ -471,8 +465,7 @@ def _box_pair(L, R, b):
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def lattice_search(invert, W: np.ndarray, boxes, use_max: bool,
-                   tie_tol: float = 1e-12):
+def lattice_search(invert, W: np.ndarray, boxes, use_max: bool):
     """extremal_ratios over the action tables of a strictly convex (sup) or
     concave (inf) planar curve truncated to each box [0, k]^2 of boxes, for
     the rows the curve settles, without any table.
@@ -497,9 +490,8 @@ def lattice_search(invert, W: np.ndarray, boxes, use_max: bool,
     the ratio only falls. Rows with w = 0 take the first kept direction, as
     the scan does. Rows whose products could overflow, that meet an
     unattained direction in the descent (at every box), are still walking
-    after FAREY_WALK_CAP terms on a side or once the walk has visited as
-    many directions as the box has lattice points, or find no kept entry,
-    are left to the table.
+    after FAREY_WALK_CAP terms on a side, or find no kept entry, are left
+    to the table.
     """
     W = np.ascontiguousarray(W, dtype=float)
     if W.ndim != 2 or W.shape[1] != 2 or not (np.isfinite(W).all() and (W >= 0).all()):
@@ -507,8 +499,6 @@ def lattice_search(invert, W: np.ndarray, boxes, use_max: bool,
     boxes = [int(k) for k in boxes]
     if not boxes or boxes[0] < 1 or boxes != sorted(boxes):
         raise ValueError("boxes must ascend from k >= 1")
-    if not 0.0 < tie_tol < 1.0:
-        raise ValueError("tie_tol must lie in (0, 1)")
     firsts = [_lex_first_kept(invert, k) for k in boxes]
     if firsts[-1] is None:
         return [None] * len(boxes)
@@ -534,7 +524,7 @@ def lattice_search(invert, W: np.ndarray, boxes, use_max: bool,
         args[done] = first[0]
         safe = k * scale[rows] < SCALE_CAP
         Lk, Rk = _box_pair(L[safe], R[safe], k)
-        hit, best, arg = _settle(invert, W, rows[safe], Lk, Rk, k, sgn, tie_tol)
+        hit, best, arg = _settle(invert, W, rows[safe], Lk, Rk, k, sgn)
         vals[hit], args[hit], done[hit] = best, arg, True
         results.append((vals, args, np.flatnonzero(~done)))
     return results

@@ -32,7 +32,6 @@ from .profiles import ToricProfile
 from .surfaces import Orientation
 
 TRUNCATION_MIN_KMAX = 4   # need k_max/4 >= 1 for the three-level estimate
-ARGEXT_TIE_TOL = 1e-12    # relative tie window; first direction in lex order wins
 
 
 def lattice_grid(dimension: int, m_max: int) -> np.ndarray:
@@ -201,8 +200,7 @@ def variational_spectrum(actions, m_max: int, degree: float = 1.0,
     estimate = k_max >= TRUNCATION_MIN_KMAX
     boxes = (k_max // 4, k_max // 2, k_max) if estimate else (k_max,)
     if searched:
-        found = kernels.lattice_search(actions.invert, W, boxes, use_max,
-                                       tie_tol=ARGEXT_TIE_TOL)
+        found = kernels.lattice_search(actions.invert, W, boxes, use_max)
 
     def level(i: int):
         """Energies and extremal directions with ||k||_inf <= boxes[i]; None
@@ -223,8 +221,7 @@ def variational_spectrum(actions, m_max: int, degree: float = 1.0,
             if len(sub) == 0:
                 return None
             vals[rest], idx = kernels.extremal_ratios(sub.directions, sub.actions,
-                                                      W[rest], use_max,
-                                                      tie_tol=ARGEXT_TIE_TOL)
+                                                      W[rest], use_max)
             args[rest] = sub.directions[idx]
         with np.errstate(**QUIET):
             return vals ** degree, args
@@ -311,6 +308,7 @@ class MinmaxCertificate:
         return 0
 
 
+@np.errstate(**QUIET)   # an overflowing value fails the finiteness check
 def minmax_certificate(actions, energy: float, m: Sequence[int], shift=None,
                        hbar: float = 1.0, ells: Iterable[int] = range(1, 21)
                        ) -> MinmaxCertificate:
@@ -355,6 +353,8 @@ def minmax_certificate(actions, energy: float, m: Sequence[int], shift=None,
         mult = -(-ell // kmin)   # ceil(ell / kmin), elementwise
         vals = mult * base
         i = int(np.argmin(vals))
+        if not math.isfinite(vals[i]):
+            raise NonFiniteEnergy(f"certificate value at ell {ell} is not finite")
         records.append(CertificateRecord(ell=int(ell), value=float(vals[i]),
                                          direction=tuple(int(x) for x in K[i]),
                                          multiple=int(mult[i])))

@@ -356,6 +356,21 @@ def test_non_numeric_spec_entry_is_a_config_error(tmp_path, capsys, doc):
     _assert_config_error(["actions", "--profile", str(spec), "--k-max", "3"], capsys)
 
 
+@pytest.mark.parametrize("table", [
+    _QUADRANT_TABLE[:3],
+    _QUADRANT_TABLE[:3] + [[3, 1.8, 1.2]],
+], ids=["three-rows", "repeated-angle"])
+@pytest.mark.parametrize("command", ["actions", "legendre-dual"])
+def test_custom_table_the_fit_rejects_is_a_config_error(tmp_path, capsys, table, command):
+    # too few rows for the cubic fit, or one polar angle at two radii (the
+    # last row is twice the second)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"kind": "custom-table", "params": {"table": table}}))
+    argv = [command, "--profile", str(spec)] + (["--k-max", "3"] if command == "actions"
+                                                  else [])
+    _assert_config_error(argv, capsys)
+
+
 @pytest.mark.parametrize("dimension", [2.7, math.inf, 10 ** 400],
                          ids=["fraction", "infinite", "beyond-float"])
 def test_non_integral_spec_dimension_is_a_config_error(tmp_path, capsys, dimension):
@@ -622,6 +637,25 @@ def test_overflowing_spectrum_is_a_numerical_failure(capsys, argv):
 ], ids=["crosscheck-1e308", "crosscheck-1e307", "solve-hbar", "solve-radius",
         "reconstruct-degree"])
 def test_overflowing_billiard_and_degree_are_numerical_failures(capsys, argv):
+    _assert_one_numerical_failure_line(argv, capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--energy", "1e308"],
+    ["--energy", "1", "--hbar", "1e307"],
+], ids=["energy", "hbar"])
+def test_overflowing_certificate_is_a_numerical_failure(capsys, argv):
+    # E a(k) or hbar <m + mu, k> leaves the float range: no inf in output
+    _assert_one_numerical_failure_line(
+        ["minmax-certify", "--profile", "pnorm:4", "--k-max", "5", "--m", "1,1"] + argv,
+        capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["billiard-solve", "--m", "2", "--n", "1e300"],
+    ["billiard-crosscheck", "--m1", "0", "--m2", "2", "--k-max", "10", "--shift", "1e300"],
+], ids=["solve", "crosscheck"])
+def test_overflowing_radial_phase_is_a_numerical_failure(capsys, argv):
     _assert_one_numerical_failure_line(argv, capsys)
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ebk import (ConvergenceFailure, LevelSurface, RamosCurve, SurfaceActions, kernels,
                  marked_action_spectrum, pnorm_profile)
-from ebk.quantize import ARGEXT_TIE_TOL, lattice_grid, variational_spectrum
+from ebk.quantize import lattice_grid, variational_spectrum
 
 
 def _brute_primitives(dim, k_max):
@@ -130,8 +130,9 @@ def test_closed_form_masks_directions_outside_quadrant():
 
 
 
-def _full_scan(K, a, W, use_max, tie_tol=1e-12):
-    """Oracle: every entry for every weight row, in lexicographic order."""
+def _full_scan(K, a, W, use_max):
+    """Oracle: every entry for every weight row, in lexicographic order,
+    ties within kernels.TIE_TOL of the extremum, relative."""
     K = np.ascontiguousarray(K, dtype=float)
     a = np.ascontiguousarray(a, dtype=float)
     W = np.ascontiguousarray(W, dtype=float)
@@ -145,16 +146,16 @@ def _full_scan(K, a, W, use_max, tie_tol=1e-12):
             num += K[:, j] * W[g, j]
         r = num / a
         best = r.max() if use_max else r.min()
-        tol = tie_tol * max(1.0, abs(best))
+        tol = kernels.TIE_TOL * abs(best)
         mask = (r >= best - tol) if use_max else (r <= best + tol)
         vals[g] = best
         idxs[g] = int(np.argmax(mask))
     return vals, idxs
 
 
-def _assert_matches_full_scan(K, a, W, use_max, tie_tol=1e-12):
-    vals, idxs = kernels.extremal_ratios(K, a, W, use_max, tie_tol)
-    ref_vals, ref_idxs = _full_scan(K, a, W, use_max, tie_tol)
+def _assert_matches_full_scan(K, a, W, use_max):
+    vals, idxs = kernels.extremal_ratios(K, a, W, use_max)
+    ref_vals, ref_idxs = _full_scan(K, a, W, use_max)
     # bitwise, the sign of a zero included
     assert np.array_equal(vals.view(np.int64), ref_vals.view(np.int64))
     assert np.array_equal(idxs, ref_idxs)
@@ -168,14 +169,14 @@ def _ratio_case(dim=2, k_max=45, groups=9):
     return K, a, W
 
 
-def _old_scan(cols, a, w, use_max, tie_tol, order):
+def _old_scan(cols, a, w, use_max, order):
     # the scan before it accumulated in place: three table-length temporaries
     num = cols[0] * w[0]
     for j in range(1, len(cols)):
         num += cols[j] * w[j]
     r = num / a
     best = r.max() if use_max else r.min()
-    tol = tie_tol * max(1.0, abs(best))
+    tol = kernels.TIE_TOL * abs(best)
     mask = (r >= best - tol) if use_max else (r <= best + tol)
     if order is None:
         return best, int(np.argmax(mask))
@@ -183,7 +184,7 @@ def _old_scan(cols, a, w, use_max, tie_tol, order):
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-def test_scan_in_place_equals_the_temporaries(dim):
+def test_scan_in_place_equals_the_temporaries(dim, monkeypatch):
     rng = np.random.default_rng(dim * 100)
     for trial in range(20):
         N = int(rng.integers(1, 200))
@@ -198,8 +199,9 @@ def test_scan_in_place_equals_the_temporaries(dim):
         order = rng.permutation(N) if trial % 3 == 0 else None
         for use_max in (True, False):
             for tol in (0.0, 1e-12, 0.3):
-                got = kernels._scan(cols, a, w, use_max, tol, order)
-                want = _old_scan(cols, a, w, use_max, tol, order)
+                monkeypatch.setattr(kernels, "TIE_TOL", tol)
+                got = kernels._scan(cols, a, w, use_max, order)
+                want = _old_scan(cols, a, w, use_max, order)
                 assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
                 assert got[1] == want[1]
 
@@ -298,8 +300,10 @@ def test_extremal_ratios_equal_full_scan(dim, k_max, groups, kind, weights,
     W[rng.random(groups) < 0.1] = 0.0
     if float_k:
         K = K.astype(float)
-    for use_max in (True, False):
-        _assert_matches_full_scan(K, a, W, use_max, tie_tol)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "TIE_TOL", tie_tol)
+        for use_max in (True, False):
+            _assert_matches_full_scan(K, a, W, use_max)
 
 
 @pytest.mark.parametrize("surface", [LevelSurface.from_profile(pnorm_profile(4.0)),
@@ -330,22 +334,21 @@ def test_extremal_ratios_prunes(monkeypatch):
 
 # --- the lattice search, with the table for the rows it leaves ---
 
-def lattice_extremum(actions, W, use_max, tie_tol=ARGEXT_TIE_TOL):
+def lattice_extremum(actions, W, use_max):
     """extremal_ratios over actions.table() (marked_action_spectrum at
     actions.k_max), as the variational route reduces one level:
     kernels.lattice_search settles the rows it can, and the table scan the
     rows it leaves. None when the table would be empty. actions needs
     invert and k_max, and table() only when the search leaves rows."""
     W = np.ascontiguousarray(W, dtype=float)
-    found = kernels.lattice_search(actions.invert, W, (actions.k_max,), use_max,
-                                   tie_tol)[0]
+    found = kernels.lattice_search(actions.invert, W, (actions.k_max,), use_max)[0]
     if found is None:
         return None
     vals, args, rest = found
     if rest.size:
         spec = actions.table()
         vals[rest], idx = kernels.extremal_ratios(spec.directions, spec.actions,
-                                                  W[rest], use_max, tie_tol)
+                                                  W[rest], use_max)
         args[rest] = spec.directions[idx]
     return vals, args
 
@@ -355,11 +358,18 @@ def _assert_matches_table(surface, k_max, W, use_max):
     values bitwise, the sign of a zero included, and argmax directions."""
     got = lattice_extremum(SurfaceActions(surface, k_max), W, use_max)
     spec = marked_action_spectrum(surface, k_max)
-    vals, idx = kernels.extremal_ratios(spec.directions, spec.actions, W, use_max,
-                                        ARGEXT_TIE_TOL)
+    vals, idx = kernels.extremal_ratios(spec.directions, spec.actions, W, use_max)
     assert np.array_equal(got[0].view(np.int64), vals.view(np.int64))
     assert np.array_equal(got[1], spec.directions[idx])
     return got
+
+
+def _searched_surface(s):
+    """The searched curve and its orientation's extremum: pnorm:s (sup) or
+    the disk's boundary curve (inf)."""
+    if s == "disk":
+        return RamosCurve(), False
+    return LevelSurface.from_profile(pnorm_profile(s)), True
 
 
 @settings(max_examples=30, deadline=None)
@@ -376,11 +386,8 @@ def test_lattice_extremum_equals_the_table_scan(s, shift, k_max, m_max, rows,
     grid = lattice_grid(2, m_max)
     W = grid[rng.choice(len(grid), size=min(rows, len(grid)), replace=False)] + shift
     W = np.concatenate([W, np.zeros((zero_rows, 2))])[rng.permutation(len(W) + zero_rows)]
-    if s == "disk":
-        _assert_matches_table(RamosCurve(), k_max, W, use_max=False)
-    else:
-        _assert_matches_table(LevelSurface.from_profile(pnorm_profile(s)), k_max, W,
-                              use_max=True)
+    surface, use_max = _searched_surface(s)
+    _assert_matches_table(surface, k_max, W, use_max)
 
 
 def test_lattice_extremum_disk_axis_rays_take_the_edge_term():
@@ -421,14 +428,14 @@ def test_lattice_extremum_tied_axis_side_falls_back_to_the_table(monkeypatch):
     assert calls == [1]   # only the tied row scans a table
     monkeypatch.setattr(kernels, "extremal_ratios", scan)
     spec = marked_action_spectrum(surface, 2000)
-    vals, idx = scan(spec.directions, spec.actions, W, True, ARGEXT_TIE_TOL)
+    vals, idx = scan(spec.directions, spec.actions, W, True)
     assert np.array_equal(got[0].view(np.int64), vals.view(np.int64))
     assert np.array_equal(got[1], spec.directions[idx])
 
 
 def test_lattice_extremum_wide_tie_window_takes_the_table(monkeypatch):
-    # below 1 the tie window is absolute, so at hbar 1e-9 it spans most of
-    # the box: the walk stops once it has cost as much as the table
+    # a window of 30% spans more Farey terms than the walk visits on a side
+    monkeypatch.setattr(kernels, "TIE_TOL", 0.3)
     calls = []
     scan = kernels.extremal_ratios
 
@@ -437,7 +444,7 @@ def test_lattice_extremum_wide_tie_window_takes_the_table(monkeypatch):
         return scan(K, a, W, *rest)
 
     monkeypatch.setattr(kernels, "extremal_ratios", counting)
-    W = 1e-9 * (lattice_grid(2, 12) + 0.5)
+    W = lattice_grid(2, 12) + 0.5
     _assert_matches_table(LevelSurface.from_profile(pnorm_profile(4.0)), 200, W, True)
     assert calls[0] > 0   # the rows still walking scanned the table
 
@@ -458,17 +465,16 @@ def test_lattice_extremum_without_kept_directions_is_none():
                             True) is None
 
 
-@pytest.mark.parametrize("W,k_max,tie_tol", [
-    (np.array([[-1.0, 1.0]]), 10, 1e-12),
-    (np.array([[np.nan, 1.0]]), 10, 1e-12),
-    (np.ones((2, 3)), 10, 1e-12),
-    (np.ones((2, 2)), 0, 1e-12),
-    (np.ones((2, 2)), 10, 0.0),
+@pytest.mark.parametrize("W,k_max", [
+    (np.array([[-1.0, 1.0]]), 10),
+    (np.array([[np.nan, 1.0]]), 10),
+    (np.ones((2, 3)), 10),
+    (np.ones((2, 2)), 0),
 ])
-def test_lattice_extremum_validates(W, k_max, tie_tol):
+def test_lattice_extremum_validates(W, k_max):
     actions = SimpleNamespace(invert=SurfaceActions(RamosCurve(), 10).invert, k_max=k_max)
     with pytest.raises(ValueError):
-        lattice_extremum(actions, W, False, tie_tol)
+        lattice_extremum(actions, W, False)
 
 
 def _farey_terms(k_max):
@@ -520,18 +526,17 @@ def test_box_pair_equals_the_brute_force_terms(k_max, b, seed):
        seed=st.integers(0, 2**32 - 1))
 def test_lattice_search_of_three_boxes_equals_three_searches(s, shift, hbar, k_max,
                                                              m_max, rows, seed):
-    surface, use_max = ((RamosCurve(), False) if s == "disk"
-                        else (LevelSurface.from_profile(pnorm_profile(s)), True))
+    surface, use_max = _searched_surface(s)
     rng = np.random.default_rng(seed)
     grid = lattice_grid(2, m_max)
     W = hbar * (grid[rng.choice(len(grid), size=min(rows, len(grid)), replace=False)]
                 + shift)
     invert = SurfaceActions(surface, k_max).invert
     boxes = (k_max // 4, k_max // 2, k_max)
-    together = kernels.lattice_search(invert, W, boxes, use_max, ARGEXT_TIE_TOL)
+    together = kernels.lattice_search(invert, W, boxes, use_max)
     assert len(together) == 3
     for k, got in zip(boxes, together):
-        want = kernels.lattice_search(invert, W, (k,), use_max, ARGEXT_TIE_TOL)[0]
+        want = kernels.lattice_search(invert, W, (k,), use_max)[0]
         assert (got is None) == (want is None)
         if want is None:
             continue
@@ -540,6 +545,45 @@ def test_lattice_search_of_three_boxes_equals_three_searches(s, shift, hbar, k_m
         assert np.array_equal(got[0][settled].view(np.int64),
                               want[0][settled].view(np.int64))
         assert np.array_equal(got[1][settled], want[1][settled])
+
+
+@settings(max_examples=20, deadline=None)
+@given(s=st.one_of(st.floats(1.5, 40.0), st.just("disk")),
+       shift=st.tuples(*[st.sampled_from([0.0, 0.25, 0.5])] * 2),
+       k_max=st.integers(4, 400),
+       m_max=st.integers(0, 16),
+       j=st.integers(-40, 20),
+       hbar=st.sampled_from([1e-9, 1e-3, 0.3, 7.0, 1e3]))
+def test_argmax_does_not_depend_on_the_unit_of_hbar(s, shift, k_max, m_max, j, hbar):
+    # the ratio is 1-homogeneous in the weight, and so is the tie window:
+    # scaling hbar by 2**j scales every ratio exactly, and any other factor
+    # moves the ratios by rounding only, far inside the window
+    surface, _ = _searched_surface(s)
+    actions = SurfaceActions(surface, k_max)
+    unit = variational_spectrum(actions, m_max, shift=shift)
+    scaled = variational_spectrum(actions, m_max, hbar=2.0 ** j, shift=shift)
+    assert np.array_equal(scaled.energies, 2.0 ** j * unit.energies)
+    assert np.array_equal(scaled.truncation, 2.0 ** j * unit.truncation)
+    assert np.array_equal(scaled.argext, unit.argext)
+    other = variational_spectrum(actions, m_max, hbar=hbar, shift=shift)
+    assert np.array_equal(other.argext, unit.argext)
+
+
+@settings(max_examples=25, deadline=None)
+@given(s=st.one_of(st.floats(1.5, 40.0), st.just("disk")),
+       shift=st.tuples(*[st.sampled_from([0.0, 0.25, 0.5, 0.75])] * 2),
+       hbar=st.sampled_from([1e-9, 1.0, 1e3]),
+       k_max=st.integers(4, 400),
+       m_max=st.integers(0, 64))
+def test_lattice_search_leaves_no_row_to_the_table(s, shift, hbar, k_max, m_max):
+    # the relative window at hbar 1e-9 is as narrow as at hbar 1; pnorm
+    # flatter than s = 1.5 can still tie the axis rows past the walk
+    surface, use_max = _searched_surface(s)
+    W = hbar * (lattice_grid(2, m_max) + shift)
+    boxes = (k_max // 4, k_max // 2, k_max)
+    for found in kernels.lattice_search(SurfaceActions(surface, k_max).invert, W, boxes,
+                                        use_max):
+        assert found is None or found[2].size == 0
 
 
 def test_variational_spectrum_descends_once(monkeypatch):
@@ -576,13 +620,14 @@ def test_bench_kernels_rows_run(bench_kernels, monkeypatch, capsys):
     assert "primitive_directions(2, 20)" in out
     assert "_slabs(_sieve(2, 20), 16384)" in out
     assert "lattice extremum(pnorm:4, 81 rows, k_max 30)" in out
+    assert "lattice extremum(pnorm:4 hbar 1e-9, 81 rows, k_max 30)" in out
     assert "lattice extremum(ramos, 1 rows, k_max 20)" in out
     assert "three-level search(pnorm:4, 81 rows, k_max 30)" in out
     assert "crosscheck(ramos, k_max 20) time" in out
     assert "crosscheck(ramos, k_max 20) peak" in out
     assert "crosscheck(ramos, k_max 20) 65536-row chunks" in out
     assert "16384-row chunks      65536-row chunks" in out
-    assert out.count("identical: True") == 10
+    assert out.count("identical: True") == 11
     assert "inversion(pnorm:4" in out
     assert "action table(pnorm:3" in out and "identical: False" not in out
     assert "action table(ramos" in out and "action table(harmonic:1,2, 1 rows)" in out

@@ -30,7 +30,7 @@ from ebk import (
     truncation_estimate,
     variational_spectrum,
 )
-from ebk import actions as actions_module
+from ebk import actions as actions_module, kernels
 from ebk.actions import ActionSpectrum, MaslovShift
 from ebk.quantize import EbkSpectrum
 
@@ -236,9 +236,9 @@ def test_searched_route_builds_no_table(monkeypatch):
     assert spec.truncation is not None and len(spec) == 16
 
 
-def test_wide_tie_window_builds_one_table(monkeypatch):
-    # at hbar 1e-9 the tie window is absolute and spans most of the box, so
-    # every row at every truncation level is left to the table
+def _counted_builds(monkeypatch):
+    """The names of the action tables built from here on, and the unwrapped
+    builder."""
     builds = []
     build = actions_module.marked_action_spectrum
 
@@ -247,11 +247,34 @@ def test_wide_tie_window_builds_one_table(monkeypatch):
         return build(*args, **kwargs)
 
     monkeypatch.setattr(actions_module, "marked_action_spectrum", counting)
+    return builds, build
+
+
+def test_wide_tie_window_builds_one_table(monkeypatch):
+    # a window of 30% spans more Farey terms than the walk visits, so rows
+    # at every truncation level are left to the table, and one table serves
+    # them all
+    monkeypatch.setattr(kernels, "TIE_TOL", 0.3)
+    builds, build = _counted_builds(monkeypatch)
     surface = LevelSurface.from_profile(pnorm_profile(4.0))
-    searched = variational_spectrum(SurfaceActions(surface, 400), 64, hbar=1e-9)
+    searched = variational_spectrum(SurfaceActions(surface, 200), 16)
     assert builds == ["marked_action_spectrum"]
-    tabled = variational_spectrum(build(surface, 400), 64, hbar=1e-9)
+    tabled = variational_spectrum(build(surface, 200), 16)
     assert searched.to_csv() == tabled.to_csv()
+
+
+@pytest.mark.parametrize("hbar", [1e-9, 1e-3])
+def test_small_hbar_builds_no_table(monkeypatch, hbar):
+    # the tie window is relative, so it is as narrow at small hbar as at
+    # hbar 1: the search settles every row, with hbar 1's directions
+    builds, build = _counted_builds(monkeypatch)
+    surface = LevelSurface.from_profile(pnorm_profile(4.0))
+    searched = variational_spectrum(SurfaceActions(surface, 400), 64, hbar=hbar)
+    assert builds == []
+    tabled = variational_spectrum(build(surface, 400), 64, hbar=hbar)
+    assert searched.to_csv() == tabled.to_csv()
+    unit = variational_spectrum(SurfaceActions(surface, 400), 64)
+    assert np.array_equal(searched.argext, unit.argext)
 
 
 def test_only_declared_convex_or_concave_curves_are_searched():
