@@ -31,7 +31,7 @@ from ebk import (ActionSpectrum, ConfigError, LevelSurface, Orientation, PointCl
                  hausdorff_distance, hypersurface_transform, kernels,
                  marked_action_spectrum, pnorm_profile)
 from ebk import actions as actions_module, billiard
-from ebk.actions import CHUNK_ROWS, MaslovShift, _integer_directions
+from ebk.actions import CHUNK_ROWS, _integer_directions
 from ebk.quantize import lattice_grid, truncation_estimate
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
@@ -292,7 +292,7 @@ def old_to_json(spec) -> str:
 
 def old_from_json(text: str) -> ActionSpectrum:
     """ActionSpectrum.from_json before the writer-layout reader: json.loads
-    on the whole text."""
+    on the whole text, with the reader's rule that the shift key holds zeros."""
     try:   # json.JSONDecodeError is a ValueError
         doc = json.loads(text)
         n, entries = int(doc["dimension"]), doc["entries"]
@@ -305,10 +305,12 @@ def old_from_json(text: str) -> ActionSpectrum:
                 for rows in (K, P))
         A = np.fromiter((e["action"] for e in entries), dtype=float,
                         count=len(entries))
-        rest = (Orientation(doc["orientation"]), int(doc["k_max"]),
-                MaslovShift(values=tuple(float(v) for v in doc["shift"])))
+        rest = (Orientation(doc["orientation"]), int(doc["k_max"]))
+        shifted = any(float(v) != 0.0 for v in doc["shift"])
     except (ValueError, TypeError, KeyError) as exc:
         raise ConfigError(f"malformed actions JSON: {exc!r}") from exc
+    if shifted:
+        raise ConfigError("the table's shift is not zero")
     return ActionSpectrum(_integer_directions(K), A, P, *rest)
 
 

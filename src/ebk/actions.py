@@ -1,10 +1,12 @@
 """Marked action spectra: periodic-orbit actions labeled by integer homology.
 
 An entry pairs a primitive nonnegative integer direction k with the action
-a = <p + mu, k> of the orbit class through the surface point p whose outward
+a = <p, k> of the orbit class through the surface point p whose outward
 normal is proportional to k. Entries are stored for primitive k only and in
 lexicographic order; integer multiples scale exactly and are generated on
 demand. Zero-action entries (k orthogonal to an axis endpoint) are dropped.
+Tables are unshifted: the Maslov shift mu enters only the lattice weights
+hbar (m + mu) of the spectrum routes.
 
 A table is built from a stream: the sieve is read out in lex-ordered
 chunks of about CHUNK_ROWS directions, each converted to float coordinate
@@ -37,7 +39,7 @@ READ_BLOCK = 1 << 20      # characters of JSON entries parsed per step
 
 @dataclass(frozen=True)
 class MaslovShift:
-    """Per-coordinate quantization shift mu appearing in m + mu and p + mu."""
+    """Per-coordinate quantization shift mu appearing in hbar (m + mu)."""
 
     values: tuple[float, ...]
 
@@ -55,10 +57,6 @@ class MaslovShift:
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.values, dtype=float)
-
-    @property
-    def is_zero(self) -> bool:
-        return all(v == 0.0 for v in self.values)
 
 
 def as_shift(shift, dimension: int) -> MaslovShift:
@@ -103,14 +101,12 @@ class ActionSpectrum:
     """
 
     def __init__(self, directions: np.ndarray, actions: np.ndarray,
-                 points: np.ndarray, orientation: Orientation | str,
-                 k_max: int, shift: MaslovShift):
+                 points: np.ndarray, orientation: Orientation | str, k_max: int):
         self.directions = np.ascontiguousarray(directions, dtype=np.int64)
         self.actions = np.ascontiguousarray(actions, dtype=float)
         self.points = np.ascontiguousarray(points, dtype=float)
         self.orientation = Orientation(orientation)
         self.k_max = int(k_max)
-        self.shift = shift
         n = self.directions.shape[0]
         if self.actions.shape != (n,) or self.points.shape != self.directions.shape:
             raise ConfigError("inconsistent action-spectrum array shapes")
@@ -125,6 +121,11 @@ class ActionSpectrum:
     @property
     def dimension(self) -> int:
         return self.directions.shape[1]
+
+    @property
+    def shift(self) -> MaslovShift:
+        """The zero shift: the JSON format keeps a shift key, always zeros."""
+        return MaslovShift.zero(self.dimension)
 
     @cached_property
     def sup_norms(self) -> np.ndarray:
@@ -146,7 +147,7 @@ class ActionSpectrum:
         mask = self.sup_norms <= k_max
         return ActionSpectrum(self.directions[mask], self.actions[mask],
                               self.points[mask], self.orientation,
-                              min(self.k_max, k_max), self.shift)
+                              min(self.k_max, k_max))
 
     # -- deterministic file formats --
     # %r prints a float as json.dumps does and %.17g as format(x, ".17g"),
@@ -174,8 +175,8 @@ class ActionSpectrum:
 
     @classmethod
     def from_csv(cls, text: str, orientation: Orientation | str) -> "ActionSpectrum":
-        """Read to_csv's format. A CSV carries no k_max and no shift: the
-        table takes its largest k component and the zero shift."""
+        """Read to_csv's format. A CSV carries no k_max: the table takes its
+        largest k component."""
         header, _, body = text.partition("\n")
         n = header.count("k_")
         if n < 1 or header.split(",") != ([f"k_{j+1}" for j in range(n)] + ["action"]
@@ -190,19 +191,23 @@ class ActionSpectrum:
             raise ConfigError(f"actions CSV rows need {2 * n + 1} columns")
         K = _integer_directions(table[:, :n])
         return cls(K, table[:, n], table[:, n + 1:], orientation,
-                   int(K.max()) if len(K) else 0, MaslovShift.zero(n))
+                   int(K.max()) if len(K) else 0)
 
     @classmethod
     def from_json(cls, text: str) -> "ActionSpectrum":
         """Read to_json's format: text in the writer's own layout directly,
-        any other JSON through json.loads, with the same arrays and errors."""
+        any other JSON through json.loads, with the same arrays and errors.
+        The shift key must hold zeros: a shifted table is a ConfigError."""
         try:   # json.JSONDecodeError is a ValueError
             doc, A, K, P = _read_writer_layout(text) or _read_json_document(text)
-            rest = (Orientation(doc["orientation"]), int(doc["k_max"]),
-                    MaslovShift(values=tuple(float(v) for v in doc["shift"])))
+            rest = (Orientation(doc["orientation"]), int(doc["k_max"]))
+            shifted = any(float(v) != 0.0 for v in doc["shift"])
         # json.loads raises RecursionError on arrays nested too deep
         except (ValueError, TypeError, KeyError, OverflowError, RecursionError) as exc:
             raise ConfigError(f"malformed actions JSON: {exc!r}") from exc
+        if shifted:
+            raise ConfigError("the table's shift is not zero; tables are unshifted "
+                              "(a = <p, k>), and mu enters only hbar (m + mu)")
         return cls(_integer_directions(K), A, P, *rest)
 
 
@@ -328,22 +333,21 @@ def _integer_directions(columns: np.ndarray) -> np.ndarray:
     return columns.astype(np.int64)
 
 
-def _kept_actions(K: np.ndarray, pts: np.ndarray, mu: MaslovShift):
-    """Actions <p + mu, k> per row and the mask of rows whose action is not
-    a dropped zero (rows with nan points are not kept either), from the
+def _kept_actions(K: np.ndarray, pts: np.ndarray):
+    """Actions <p, k> per row and the mask of rows whose action is not a
+    dropped zero (rows with nan points are not kept either), from the
     direction columns K, shape (n, N), and the points, shape (N, n).
 
-    In 2-D the sum is taken column by column, a zero shift skipped (adding
-    +0.0 changes only the sign of a zero action, which is dropped). In 3-D
-    np.einsum sums the three products in an order that depends on the
-    memory layout, so it keeps the table's C-contiguous rows."""
+    In 2-D the sum is taken column by column. In 3-D np.einsum sums the
+    three products in an order that depends on the memory layout, so it
+    takes C-contiguous rows (the inversion's points already are)."""
     buf = np.empty(K.shape[1])
     if len(K) == 3:
-        acts = np.einsum("ij,ij->i", pts + mu.as_array(), np.ascontiguousarray(K.T))
+        acts = np.einsum("ij,ij->i", pts, np.ascontiguousarray(K.T))
     else:
-        (p0, p1), (m0, m1) = pts.T, mu.values
-        acts = np.multiply(p0 + m0 if m0 else p0, K[0])
-        acts += np.multiply(p1 + m1 if m1 else p1, K[1], out=buf)
+        p0, p1 = pts.T
+        acts = np.multiply(p0, K[0])
+        acts += np.multiply(p1, K[1], out=buf)
     # |k|: the sum of squares is exact for integer directions
     norm = np.multiply(K[0], K[0])
     for k in K[1:]:
@@ -353,7 +357,7 @@ def _kept_actions(K: np.ndarray, pts: np.ndarray, mu: MaslovShift):
     return acts, np.abs(acts, out=buf) > norm
 
 
-def _table_rows(surface: LevelSurface, K: np.ndarray, mu: MaslovShift):
+def _table_rows(surface: LevelSurface, K: np.ndarray):
     """Points, actions and kept mask of the directions whose float columns
     are the rows of K, shape (n, N), and how many attained rows fail the
     inversion residual: the action table's own arithmetic, for any set of
@@ -361,13 +365,12 @@ def _table_rows(surface: LevelSurface, K: np.ndarray, mu: MaslovShift):
     surface's normal map gives."""
     pts, res, attained = surface.invert_normal_many(K.T)[1:]
     failed = int(np.count_nonzero(attained & ~(res <= NORMAL_RESIDUAL_TOL)))
-    acts, keep = _kept_actions(K, pts, mu)
+    acts, keep = _kept_actions(K, pts)
     keep &= attained
     return pts, acts, keep, failed
 
 
-def marked_action_spectrum(surface: LevelSurface, k_max: int,
-                           shift=None) -> ActionSpectrum:
+def marked_action_spectrum(surface: LevelSurface, k_max: int) -> ActionSpectrum:
     """Enumerate primitive directions with ||k||_inf <= k_max and their actions.
 
     Directions outside the surface's normal cone are skipped silently. The
@@ -384,14 +387,13 @@ def marked_action_spectrum(surface: LevelSurface, k_max: int,
     """
     if k_max < 1:
         raise ConfigError("k_max must be >= 1")
-    mu = as_shift(shift, surface.dimension)
     mask = kernels._sieve(surface.dimension, k_max)
     K = np.empty((int(np.count_nonzero(mask)), surface.dimension), dtype=np.int64)
     pts = np.empty(K.shape)
     acts = np.empty(len(K))
     kept = failed = 0
     for cols in kernels._slabs(mask, CHUNK_ROWS):
-        pc, ac, keep, bad = _table_rows(surface, np.array(cols, dtype=float), mu)
+        pc, ac, keep, bad = _table_rows(surface, np.array(cols, dtype=float))
         failed += bad
         stop = kept + int(np.count_nonzero(keep))
         for j, (k, p) in enumerate(zip(cols, pc.T)):
@@ -402,13 +404,13 @@ def marked_action_spectrum(surface: LevelSurface, k_max: int,
     if failed:
         raise ConvergenceFailure(f"{failed} directions failed the inversion residual")
     K, pts, acts = K[:kept], pts[:kept], acts[:kept]
-    return ActionSpectrum(K, acts, pts, surface.orientation, k_max, mu)
+    return ActionSpectrum(K, acts, pts, surface.orientation, k_max)
 
 
 @dataclass(frozen=True)
 class SurfaceActions:
-    """The unshifted marked action spectrum of a surface up to k_max, not
-    yet tabulated; its orientation is the surface's.
+    """The marked action spectrum of a surface up to k_max, not yet
+    tabulated; its orientation is the surface's.
 
     The variational route searches it directly where it can (searchable);
     everything else reads table().
@@ -435,8 +437,7 @@ class SurfaceActions:
     def invert(self, K: np.ndarray):
         """(points, actions, keep) of the directions K, as the table has
         them; ConvergenceFailure where the table would fail."""
-        pts, acts, keep, failed = _table_rows(self.surface, K.T.astype(float),
-                                              MaslovShift.zero(2))
+        pts, acts, keep, failed = _table_rows(self.surface, K.T.astype(float))
         if failed:
             raise ConvergenceFailure(f"{failed} directions failed the inversion residual")
         return pts, acts, keep

@@ -308,12 +308,12 @@ def _disk_minima(w, bounds):
     chunks, converted to float columns once, through the table's inversion,
     residual check and kept mask, and the table's failures are raised after
     the stream."""
-    curve, mu = RamosCurve(), MaslovShift.zero(2)
+    curve = RamosCurve()
     lows = np.full(len(bounds), np.inf)
     failed, finite = 0, True
     for cols in kernels._slabs(kernels._sieve(2, bounds[-1]), CHUNK_ROWS):
         K = np.array(cols, dtype=float)
-        _, acts, keep, bad = _table_rows(curve, K, mu)
+        _, acts, keep, bad = _table_rows(curve, K)
         failed += bad
         # a kept action is never nan, so it is finite unless infinite
         finite = finite and not np.isinf(acts).any(where=keep)

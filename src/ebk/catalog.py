@@ -10,7 +10,9 @@ linear takes params.weights, pnorm/superellipse take params.s, custom-table
 takes params.table as [t, x, y] rows (a sampled curve; no closed-form
 profile, so only surface-based subcommands accept it). Every other kind
 inverts its Gauss map in closed form and declares its orientation (linear
-general, ramos concave, the others convex). "dimension": 3 takes linear,
+general, ramos concave, the others convex). "degree" sets the homogeneity
+of pnorm and superellipse; the other kinds have degree 1 and take no other
+value. "dimension": 3 takes linear,
 pnorm or superellipse, the kinds whose Gauss-map inverse has a closed form
 in any dimension.
 A spec entry of the wrong type is a ConfigError.
@@ -129,6 +131,8 @@ def load_domain_file(path: str) -> DomainSpec:
     if not isinstance(params, dict):
         raise ConfigError("params must be an object")
     degree = _spec_number(doc.get("degree", 1.0), "degree")
+    if degree != 1.0 and kind in ("linear", "ramos", "custom-table"):
+        raise ConfigError(f"a {kind} spec has degree 1, got {degree!r}")
     dimension = _spec_number(doc.get("dimension", 2), "dimension")
     if not dimension.is_integer():
         raise ConfigError(f"dimension must be an integer, got {dimension!r}")

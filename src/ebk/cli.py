@@ -74,24 +74,35 @@ def _read_text(path: str) -> str:
     return text
 
 
-def _load_actions(args) -> ActionSpectrum | SurfaceActions:
+def _load_actions(args):
+    """The --actions table or the --profile surface, under --orientation,
+    and the degree: --degree, which defaults to a closed-form profile's own
+    degree and may only repeat it; a table or a sampled curve takes 1."""
+    degree = getattr(args, "degree", None)   # minmax-certify has none
     if args.actions:
+        if args.profile is not None:
+            raise ConfigError("give --profile or --actions, not both")
         text = _read_text(args.actions)
-        if args.actions.endswith(".json"):
-            actions = ActionSpectrum.from_json(text)
-        elif args.orientation is None:
-            raise ConfigError("CSV action files need --orientation")
-        else:
-            actions = ActionSpectrum.from_csv(text, orientation=args.orientation)
-        if len(actions) == 0:
-            raise ConfigError(f"actions file {args.actions!r} has no entries")
+        try:
+            if args.actions.endswith(".json"):
+                actions = ActionSpectrum.from_json(text)
+            elif args.orientation is None:
+                raise ConfigError("CSV action files need --orientation")
+            else:
+                actions = ActionSpectrum.from_csv(text, orientation=args.orientation)
+            if len(actions) == 0:
+                raise ConfigError("no entries")
+        except ConfigError as exc:
+            raise ConfigError(f"actions file {args.actions!r}: {exc}") from exc
     else:
         spec = parse_domain_spec(args.profile)
-        surface = spec.make_surface()
-        # entries stay unshifted here; --shift enters these routes through
-        # the lattice numerator, not the stored actions
-        actions = SurfaceActions(surface, args.k_max)
-    return _oriented(actions, args.orientation)
+        actions = SurfaceActions(spec.make_surface(), args.k_max)
+        own = spec.profile.degree if spec.profile is not None else degree
+        if degree not in (None, own):
+            raise ConfigError(f"--degree {degree:g} contradicts the profile's own "
+                              f"degree, {own:g}")
+        degree = own
+    return _oriented(actions, args.orientation), 1.0 if degree is None else degree
 
 
 def _oriented(actions, orientation: Optional[str]):
@@ -106,7 +117,7 @@ def _oriented(actions, orientation: Optional[str]):
                           f"own orientation, {own.value}")
     table = actions.table() if isinstance(actions, SurfaceActions) else actions
     return ActionSpectrum(table.directions, table.actions, table.points, orientation,
-                          table.k_max, table.shift)
+                          table.k_max)
 
 
 def _spectrum_text(spectrum, fmt: str) -> str:
@@ -122,8 +133,8 @@ def cmd_spectrum_direct(args) -> int:
 
 
 def cmd_spectrum_variational(args) -> int:
-    actions = _load_actions(args)
-    spectrum = variational_spectrum(actions, args.m_max, degree=args.degree,
+    actions, degree = _load_actions(args)
+    spectrum = variational_spectrum(actions, args.m_max, degree=degree,
                                     hbar=args.hbar,
                                     shift=_parse_shift(args.shift))
     _write(args.out, _spectrum_text(spectrum, args.format))
@@ -131,11 +142,11 @@ def cmd_spectrum_variational(args) -> int:
 
 
 def cmd_spectrum_reconstruct(args) -> int:
-    actions = _load_actions(args)
+    actions, degree = _load_actions(args)
     # a surface's cloud is checked against the surface itself
     reference = actions.surface if isinstance(actions, SurfaceActions) else None
     spectrum, recon = reconstruction_spectrum(actions, args.m_max,
-                                              degree=args.degree,
+                                              degree=degree,
                                               hbar=args.hbar,
                                               shift=_parse_shift(args.shift),
                                               reference=reference)
@@ -150,8 +161,7 @@ def cmd_spectrum_reconstruct(args) -> int:
 def cmd_actions(args) -> int:
     spec = parse_domain_spec(args.profile)
     surface = spec.make_surface()
-    actions = marked_action_spectrum(surface, args.k_max,
-                                     shift=_parse_shift(args.shift))
+    actions = marked_action_spectrum(surface, args.k_max)
     _write(args.out,
            actions.to_json() if args.format == "json" else actions.to_csv())
     return 0
@@ -213,7 +223,7 @@ def cmd_billiard_crosscheck(args) -> int:
 
 
 def cmd_minmax_certify(args) -> int:
-    actions = _load_actions(args)
+    actions, _ = _load_actions(args)
     cert = minmax_certificate(actions, args.energy, _parse_lattice_point(args.m),
                               shift=_parse_shift(args.shift), hbar=args.hbar,
                               ells=range(1, args.ell_max + 1))
@@ -269,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="extremal-ratio spectrum over marked actions")
     _add_profile(p, k_max=True, actions=True)
     p.add_argument("--m-max", type=int, required=True, dest="m_max")
-    p.add_argument("--degree", type=float, default=1.0)
+    p.add_argument("--degree", type=float, help="default: the profile's own, else 1")
     p.add_argument("--shift")
     _add_common(p)
     p.set_defaults(fn=cmd_spectrum_variational)
@@ -278,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="spectrum read off a surface rebuilt from k/a")
     _add_profile(p, k_max=True, actions=True)
     p.add_argument("--m-max", type=int, required=True, dest="m_max")
-    p.add_argument("--degree", type=float, default=1.0)
+    p.add_argument("--degree", type=float, help="default: the profile's own, else 1")
     p.add_argument("--shift")
     p.add_argument("--report", help="write the reconstruction report JSON here")
     _add_common(p)
@@ -286,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("actions", help="enumerate the marked action spectrum")
     _add_profile(p, k_max=True)
-    p.add_argument("--shift")
     _add_common(p)
     p.set_defaults(fn=cmd_actions)
 

@@ -148,15 +148,6 @@ def _table(actions) -> ActionSpectrum:
     return actions.table() if isinstance(actions, SurfaceActions) else actions
 
 
-def _check_shift_pairing(stored: MaslovShift, mu: MaslovShift) -> None:
-    # The variational numerator shift belongs with unshifted entries; pairing
-    # a shifted container with a second nonzero shift double-counts mu.
-    if not stored.is_zero and not mu.is_zero:
-        raise ConfigError(
-            "action entries already carry a shift; pass shift=None or "
-            "rebuild the entries unshifted")
-
-
 def variational_spectrum(actions, m_max: int, degree: float = 1.0,
                          hbar: float = 1.0, shift=None) -> EbkSpectrum:
     """Extremal-ratio spectrum over the primitive entries.
@@ -180,16 +171,13 @@ def variational_spectrum(actions, m_max: int, degree: float = 1.0,
     searched = isinstance(actions, SurfaceActions) and actions.searchable()
     spec = None
     if searched:
-        dimension, stored, k_max = 2, MaslovShift.zero(2), actions.k_max
-        oriented = actions.surface.orientation
+        dimension, k_max, oriented = 2, actions.k_max, actions.surface.orientation
     else:
         spec = _table(actions)
         if len(spec) == 0:
             raise EmptySpectrum("action spectrum has no entries")
-        dimension, stored, k_max = spec.dimension, spec.shift, spec.k_max
-        oriented = spec.orientation
+        dimension, k_max, oriented = spec.dimension, spec.k_max, spec.orientation
     mu = as_shift(shift, dimension)
-    _check_shift_pairing(stored, mu)
     # a searched curve is convex or concave
     if oriented is Orientation.GENERAL and len(spec) > 1:
         raise ConfigError("variational route needs a convex or concave "
@@ -328,7 +316,6 @@ def minmax_certificate(actions, energy: float, m: Sequence[int], shift=None,
         raise ConfigError("certificate needs at least one level, each ell >= 1")
     spec = _table(actions)
     mu = as_shift(shift, spec.dimension)
-    _check_shift_pairing(spec.shift, mu)
     if spec.orientation is Orientation.CONCAVE:
         raise UnsupportedSurface(
             "minmax certificate is defined for the sup route; concave "
@@ -367,17 +354,12 @@ def minmax_certificate(actions, energy: float, m: Sequence[int], shift=None,
 def reconstruction_spectrum(actions, m_max: int, degree: float = 1.0,
                             hbar: float = 1.0, shift=None, reference=None
                             ) -> tuple[EbkSpectrum, ReconstructionResult]:
-    """Rebuild the level surface from {k / a(k)} and read energies off it.
-
-    Entries must be unshifted (the cloud geometry would otherwise bake mu
-    into the surface); the quantization shift still applies to the lattice.
-    """
+    """Rebuild the level surface from {k / a(k)} and read energies off it;
+    the quantization shift applies to the lattice."""
     _check_degree(degree)
     spec = _table(actions)
     if len(spec) == 0:
         raise EmptySpectrum("action spectrum has no entries")
-    if not spec.shift.is_zero:
-        raise ConfigError("reconstruction needs unshifted action entries")
     mu = as_shift(shift, spec.dimension)
     recon = reconstruct_surface(PointCloud.from_actions(spec), reference=reference)
     m_grid = lattice_grid(spec.dimension, m_max)

@@ -137,19 +137,6 @@ def test_multiple_scales_entries(ell):
     assert m.point == e.point
 
 
-def test_shifted_entries_add_mu_pairing(circle_actions):
-    surf = LevelSurface.from_profile(euclidean_profile(2))
-    shifted = marked_action_spectrum(surf, 2, shift=0.5)
-    plain = {tuple(e.k): e for e in circle_actions.entries}
-    for e in shifted.entries:
-        base = plain[tuple(e.k)]
-        assert e.action == pytest.approx(base.action + 0.5 * sum(e.k),
-                                         abs=1e-12)
-        # stored point stays unshifted
-        assert np.allclose(e.point, base.point, atol=1e-15)
-    assert shifted.shift.values == (0.5, 0.5)
-
-
 def test_kmax_validation():
     surf = LevelSurface.from_profile(euclidean_profile(2))
     with pytest.raises(ConfigError):
@@ -166,29 +153,27 @@ def _spline_arc():
     return LevelSurface.from_points(u / ((u ** 1.5).sum(axis=1) ** (1 / 1.5))[:, None])
 
 
-# name: (surface factory, k_max, shift, whether rows are dropped)
+# name: (surface factory, k_max, whether rows are dropped)
 STREAMED = {
-    "pnorm:1.5-shifted": (lambda: LevelSurface.from_profile(pnorm_profile(1.5)),
-                          40, (0.5, 0.25), False),
-    "pnorm:4-shifted": (lambda: LevelSurface.from_profile(pnorm_profile(4.0)),
-                        40, (0.5, 0.25), False),
-    "ramos": (RamosCurve, 40, None, True),
+    "pnorm:1.5": (lambda: LevelSurface.from_profile(pnorm_profile(1.5)), 40, False),
+    "pnorm:4": (lambda: LevelSurface.from_profile(pnorm_profile(4.0)), 40, False),
+    "ramos": (RamosCurve, 40, True),
     "pnorm:3-3d": (lambda: LevelSurface.from_profile(pnorm_profile(3.0, dimension=3)),
-                   8, None, False),
-    "spline": (_spline_arc, 40, None, True),
+                   8, False),
+    "spline": (_spline_arc, 40, True),
 }
 
 
 @pytest.mark.parametrize("name", STREAMED)
 def test_streamed_table_matches_one_chunk(monkeypatch, name):
     # chunk edges fall mid-table, between dropped rows and kept ones
-    make, k_max, shift, drops = STREAMED[name]
+    make, k_max, drops = STREAMED[name]
     surface = make()
     assert surface.orientation is not Orientation.GENERAL
-    whole = marked_action_spectrum(surface, k_max, shift=shift)
+    whole = marked_action_spectrum(surface, k_max)
     assert len(whole) < actions_module.CHUNK_ROWS
     monkeypatch.setattr(actions_module, "CHUNK_ROWS", 7)
-    streamed = marked_action_spectrum(surface, k_max, shift=shift)
+    streamed = marked_action_spectrum(surface, k_max)
     total = len(kernels.primitive_directions(surface.dimension, k_max))
     assert (len(streamed) < total) == drops and len(streamed) > 10 * 7
     for attr in ("directions", "actions", "points"):
@@ -204,28 +189,26 @@ def _pnorm_3d_spec(tmp_path):
     return load_domain_file(str(spec)).make_surface()
 
 
-# name: (surface factory taking tmp_path, k_max, shift); each table is more
-# than one default chunk
+# name: (surface factory taking tmp_path, k_max); each table is more than
+# one default chunk
 CHUNKED = {
-    "pnorm:1.05": (lambda _: LevelSurface.from_profile(pnorm_profile(1.05)), 200, None),
-    "pnorm:3": (lambda _: LevelSurface.from_profile(pnorm_profile(3.0)), 200, None),
-    "pnorm:40": (lambda _: LevelSurface.from_profile(pnorm_profile(40.0)), 200, None),
-    "pnorm:3-shifted": (lambda _: LevelSurface.from_profile(pnorm_profile(3.0)), 200,
-                        (0.5, -0.25)),
-    "ramos": (lambda _: RamosCurve(), 200, None),
-    "pnorm:3.5-3d-spec": (_pnorm_3d_spec, 30, 0.25),
-    "spline": (lambda _: _spline_arc(), 200, None),
+    "pnorm:1.05": (lambda _: LevelSurface.from_profile(pnorm_profile(1.05)), 200),
+    "pnorm:3": (lambda _: LevelSurface.from_profile(pnorm_profile(3.0)), 200),
+    "pnorm:40": (lambda _: LevelSurface.from_profile(pnorm_profile(40.0)), 200),
+    "ramos": (lambda _: RamosCurve(), 200),
+    "pnorm:3.5-3d-spec": (_pnorm_3d_spec, 30),
+    "spline": (lambda _: _spline_arc(), 200),
 }
 
 
 @pytest.mark.parametrize("name", CHUNKED)
 def test_table_is_independent_of_the_chunk_size(monkeypatch, tmp_path, name):
-    make, k_max, shift = CHUNKED[name]
+    make, k_max = CHUNKED[name]
     surface = make(tmp_path)
     tables = []
     for rows in (7, actions_module.CHUNK_ROWS):
         monkeypatch.setattr(actions_module, "CHUNK_ROWS", rows)
-        tables.append(marked_action_spectrum(surface, k_max, shift=shift))
+        tables.append(marked_action_spectrum(surface, k_max))
     chunks = len(list(kernels._slabs(kernels._sieve(surface.dimension, k_max),
                                      actions_module.CHUNK_ROWS)))
     assert chunks > 1
@@ -277,6 +260,18 @@ def test_json_roundtrip(circle_actions):
     assert back.shift.values == circle_actions.shift.values
 
 
+@pytest.mark.parametrize("layout", ["writer", "compact"])
+def test_json_table_keeps_a_zero_shift_and_rejects_another(circle_actions, layout):
+    # a table is unshifted: the shift key is kept for the format, always zeros
+    doc = json.loads(circle_actions.to_json())
+    assert doc["shift"] == [0.0, 0.0]
+    doc["shift"] = [0.5, 0.0]
+    text = (json.dumps(doc, indent=2, sort_keys=True) + "\n" if layout == "writer"
+            else json.dumps(doc))
+    with pytest.raises(ConfigError, match="shift is not zero"):
+        ActionSpectrum.from_json(text)
+
+
 
 # --- file formats against the json/csv module writers they replaced ---
 
@@ -319,8 +314,7 @@ def _old_from_csv(text, orientation):
         P.append([float(x) for x in row[n + 1:2 * n + 1]])
     K = np.asarray(K, dtype=np.int64).reshape(len(A), n)
     return ActionSpectrum(K, np.asarray(A), np.asarray(P).reshape(len(A), n),
-                          orientation, int(K.max()) if len(A) else 0,
-                          MaslovShift.zero(n))
+                          orientation, int(K.max()) if len(A) else 0)
 
 
 def _table(name):
@@ -328,18 +322,15 @@ def _table(name):
         return marked_action_spectrum(LevelSurface.from_profile(pnorm_profile(3.0)), 60)
     if name == "ramos":
         return marked_action_spectrum(RamosCurve(), 40)
-    if name == "shifted":
-        return marked_action_spectrum(LevelSurface.from_profile(pnorm_profile(3.0)),
-                                      30, shift=(0.5, 0.25))
     if name == "pnorm:3-3d":
         return marked_action_spectrum(
             LevelSurface.from_profile(pnorm_profile(3.0, dimension=3)), 8)
     empty = np.zeros((0, 2))
     return ActionSpectrum(empty.astype(np.int64), np.zeros(0), empty,
-                          Orientation.CONVEX, 5, MaslovShift.zero(2))
+                          Orientation.CONVEX, 5)
 
 
-TABLES = ["pnorm:3", "ramos", "shifted", "pnorm:3-3d", "empty"]
+TABLES = ["pnorm:3", "ramos", "pnorm:3-3d", "empty"]
 
 
 @pytest.mark.parametrize("name", TABLES)
@@ -443,8 +434,6 @@ def block_tables():
     make = {
         "2d": lambda: marked_action_spectrum(
             LevelSurface.from_profile(pnorm_profile(3.0)), 130),
-        "shifted": lambda: marked_action_spectrum(
-            LevelSurface.from_profile(pnorm_profile(3.0)), 130, shift=(0.5, 0.25)),
         "3d": lambda: marked_action_spectrum(
             LevelSurface.from_profile(pnorm_profile(3.0, dimension=3)), 22),
     }
@@ -453,14 +442,14 @@ def block_tables():
 
 def _head(spec, rows):
     return ActionSpectrum(spec.directions[:rows], spec.actions[:rows],
-                          spec.points[:rows], spec.orientation, spec.k_max, spec.shift)
+                          spec.points[:rows], spec.orientation, spec.k_max)
 
 
 BLOCK = actions_module.ROW_BLOCK
 
 
 @pytest.mark.parametrize("rows", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
-@pytest.mark.parametrize("name", ["2d", "shifted", "3d"])
+@pytest.mark.parametrize("name", ["2d", "3d"])
 def test_block_writers_match_json_and_csv_modules(block_tables, name, rows):
     assert len(block_tables[name]) > 2 * BLOCK + 1
     spec = _head(block_tables[name], rows)
@@ -479,7 +468,7 @@ def test_json_reader_reads_across_blocks(dimension, k_max, no_fallback):
 
 def test_json_reader_block_cuts_fall_between_entries(monkeypatch, no_fallback):
     # a block cut after every entry or few, and one cut at the last entry
-    spec = _table("shifted")
+    spec = _table("pnorm:3")
     text = spec.to_json()
     for size in (1, 150, 997, len(text)):
         monkeypatch.setattr(actions_module, "READ_BLOCK", size)
@@ -522,7 +511,7 @@ def test_json_integer_too_large_for_a_float_is_a_config_error(layout):
 
 _EDIT_CHARS = "0123456789.+-eE" + ' \n,:[]{}"'
 _EDITED_TABLE_JSON = marked_action_spectrum(
-    LevelSurface.from_profile(pnorm_profile(3.0)), 5, shift=(0.5, 0.25)).to_json()
+    LevelSurface.from_profile(pnorm_profile(3.0)), 5).to_json()
 
 
 @given(st.lists(st.tuples(st.sampled_from("idr"), st.floats(0.0, 1.0),
@@ -561,8 +550,7 @@ def test_json_roundtrip_of_any_doubles_takes_the_writer_layout(case):
     n, rows = case
     spec = ActionSpectrum(np.array([k for k, _, _ in rows], dtype=np.int64),
                           np.array([a for _, a, _ in rows]),
-                          np.array([p for _, _, p in rows]), Orientation.CONCAVE,
-                          7, MaslovShift(values=(0.25,) * n))
+                          np.array([p for _, _, p in rows]), Orientation.CONCAVE, 7)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(actions_module, "_read_json_document", _no_fallback)
         assert _same_table(ActionSpectrum.from_json(spec.to_json()), spec)
@@ -571,7 +559,7 @@ def test_json_roundtrip_of_any_doubles_takes_the_writer_layout(case):
 # --- Maslov shift plumbing ---
 
 def test_as_shift_coercions():
-    assert as_shift(None, 2).is_zero
+    assert as_shift(None, 2) == MaslovShift.zero(2)
     assert as_shift(0.75, 2).values == (0.75, 0.75)
     assert as_shift((0.0, 0.75), 2).values == (0.0, 0.75)
     ms = MaslovShift.uniform(0.5, 3)

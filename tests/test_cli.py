@@ -236,6 +236,17 @@ def _assert_config_error(argv, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def _assert_one_error_line(argv, tmp_path, capsys):
+    """Exit 2 with one `error:` line, nothing on stdout and no --out file;
+    returns the line."""
+    out = tmp_path / "out.txt"
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert captured.out == "" and not out.exists()
+    return captured.err
+
+
 def test_nan_energy_is_a_config_error(capsys):
     _assert_config_error(["minmax-certify", "--profile", "pnorm:4", "--k-max", "10",
                           "--energy", "nan", "--m", "1,1"], capsys)
@@ -283,15 +294,24 @@ def test_bad_resolution_or_samples_is_a_config_error(capsys, argv):
     _assert_config_error(argv, capsys)
 
 
+@pytest.fixture(scope="module")
+def pnorm4_table(tmp_path_factory):
+    """A JSON action table of pnorm:4 at k_max 30."""
+    path = tmp_path_factory.mktemp("table") / "pnorm4.json"
+    assert main(["actions", "--profile", "pnorm:4", "--k-max", "30", "--format", "json",
+                 "--out", str(path)]) == 0
+    return str(path)
+
+
+TABLE = "<the pnorm4_table fixture>"
+
+
 @pytest.mark.parametrize("argv", [
-    ["spectrum-variational", "--profile", "pnorm:4", "--k-max", "10",
-     "--m-max", "2", "--degree", "nan"],
-    ["spectrum-reconstruct", "--profile", "pnorm:4", "--k-max", "30",
-     "--m-max", "2", "--degree", "nan"],
-    ["spectrum-variational", "--profile", "pnorm:4", "--k-max", "10",
-     "--m-max", "2", "--degree", "0"],
-    ["spectrum-reconstruct", "--profile", "pnorm:4", "--k-max", "30",
-     "--m-max", "2", "--degree", "-1"],
+    # a table has no degree of its own, so --degree is checked, not compared
+    ["spectrum-variational", "--actions", TABLE, "--m-max", "2", "--degree", "nan"],
+    ["spectrum-reconstruct", "--actions", TABLE, "--m-max", "2", "--degree", "nan"],
+    ["spectrum-variational", "--actions", TABLE, "--m-max", "2", "--degree", "0"],
+    ["spectrum-reconstruct", "--actions", TABLE, "--m-max", "2", "--degree", "-1"],
     ["spectrum-direct", "--profile", "harmonic:1,inf", "--m-max", "2"],
     ["spectrum-direct", "--profile", "power:2,inf", "--m-max", "2"],
     ["spectrum-direct", "--profile", "pnorm:inf", "--m-max", "2"],
@@ -301,8 +321,8 @@ def test_bad_resolution_or_samples_is_a_config_error(capsys, argv):
         "variational-degree-zero", "reconstruct-degree-negative",
         "harmonic-weight-inf", "power-degree-inf", "pnorm-exponent-inf",
         "solve-tol-nan", "shift-not-a-number"])
-def test_nonfinite_or_nonpositive_flag_is_a_config_error(capsys, argv):
-    _assert_config_error(argv, capsys)
+def test_nonfinite_or_nonpositive_flag_is_a_config_error(capsys, pnorm4_table, argv):
+    _assert_config_error([pnorm4_table if a == TABLE else a for a in argv], capsys)
 
 
 @pytest.mark.parametrize("argv", [
@@ -316,11 +336,7 @@ def test_nonfinite_or_nonpositive_flag_is_a_config_error(capsys, argv):
 ], ids=["direct", "variational", "minmax", "reconstruct"])
 def test_shift_out_of_the_orthant_is_a_config_error(tmp_path, capsys, argv):
     # hbar (m + mu) < 0 is bad input, not a numerical failure
-    out = tmp_path / "out.txt"
-    assert main(argv + ["--out", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
-    assert captured.out == "" and not out.exists()
+    _assert_one_error_line(argv, tmp_path, capsys)
 
 
 @pytest.mark.parametrize("argv", [
@@ -381,6 +397,88 @@ def test_non_integral_spec_dimension_is_a_config_error(tmp_path, capsys, dimensi
     _assert_config_error(["actions", "--profile", str(spec), "--k-max", "3"], capsys)
 
 
+def test_actions_takes_no_shift(tmp_path, capsys):
+    # a table is unshifted: mu enters only hbar (m + mu), through --shift on
+    # the spectrum and certificate subcommands
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exited:
+        main(["actions", "--profile", "pnorm:3", "--k-max", "10", "--shift", "0.5",
+              "--out", str(out)])
+    assert exited.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert errors == ["ebk: error: unrecognized arguments: --shift 0.5"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["spectrum-variational", "--m-max", "2"],
+    ["spectrum-reconstruct", "--m-max", "2"],
+    ["minmax-certify", "--energy", "1.0", "--m", "1,1"],
+], ids=["variational", "reconstruct", "certify"])
+def test_json_table_with_a_nonzero_shift_is_a_config_error(tmp_path, capsys,
+                                                           pnorm4_table, command):
+    # a stored shift would be a second home for mu, which no route agrees on
+    doc = json.loads(Path(pnorm4_table).read_text())
+    doc["shift"] = [0.5, 0.5]
+    table = tmp_path / "shifted.json"
+    table.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    err = _assert_one_error_line(command[:1] + ["--actions", str(table)] + command[1:]
+                                 + ["--shift", "0.5"], tmp_path, capsys)
+    assert "shifted.json" in err and "shift is not zero" in err
+
+
+@pytest.mark.parametrize("command", ["spectrum-variational", "spectrum-reconstruct"])
+@pytest.mark.parametrize("degree", ["1", "3", "nan"])
+def test_degree_contradicting_the_profile_is_a_config_error(tmp_path, capsys, command,
+                                                            degree):
+    err = _assert_one_error_line([command, "--profile", "power:2,2", "--k-max", "50",
+                                  "--m-max", "1", "--degree", degree], tmp_path, capsys)
+    assert err.startswith("error: --degree") and "contradicts" in err
+
+
+@pytest.mark.parametrize("command", ["spectrum-variational", "spectrum-reconstruct"])
+def test_degree_defaults_to_the_profile_degree(tmp_path, command):
+    # power:2,2 is |p|^2: E(0,0) = 0.5 at mu = 1/2, as the direct route has it
+    common = ["--profile", "power:2,2", "--m-max", "1", "--shift", "0.5"]
+    direct = _energies_of(run_to_file(tmp_path, "direct.csv", ["spectrum-direct"]
+                                      + common))
+    argv = [command, "--k-max", "50"] + common
+    got = _energies_of(run_to_file(tmp_path, "got.csv", argv))
+    assert got[0] == pytest.approx(0.5, rel=1e-12)
+    assert got == pytest.approx(direct, rel=2e-3)
+    # repeating the profile's own degree changes nothing
+    assert run_to_file(tmp_path, "again.csv", argv + ["--degree", "2"]) \
+        == run_to_file(tmp_path, "got.csv", argv)
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "linear", "params": {"weights": [1, 2]}, "degree": 2},
+    {"kind": "ramos", "degree": 2},
+    {"kind": "custom-table", "params": {"table": _QUADRANT_TABLE}, "degree": 0.5},
+], ids=["linear", "ramos", "custom-table"])
+def test_spec_degree_on_a_degree_one_kind_is_a_config_error(tmp_path, capsys, doc):
+    # it was silently ignored: the linear spec printed E(1,1) = 3, degree 1's
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    err = _assert_one_error_line(["spectrum-variational", "--profile", str(spec),
+                                  "--k-max", "10", "--m-max", "1"], tmp_path, capsys)
+    assert "degree 1" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["spectrum-variational", "--m-max", "2"],
+    ["spectrum-reconstruct", "--m-max", "2"],
+    ["minmax-certify", "--energy", "1.0", "--m", "1,1"],
+], ids=["variational", "reconstruct", "certify"])
+def test_profile_and_actions_together_are_a_config_error(tmp_path, capsys, pnorm4_table,
+                                                         command):
+    # the table won silently, and --k-max was ignored
+    err = _assert_one_error_line(command[:1] + ["--profile", "pnorm:3", "--actions",
+                                                pnorm4_table] + command[1:],
+                                 tmp_path, capsys)
+    assert "--profile" in err and "--actions" in err
+
+
 def _columns(data, count):
     return [line.split(",")[:count] for line in data.decode().splitlines()]
 
@@ -427,11 +525,8 @@ def test_harmonic_facet_needs_no_orientation(tmp_path):
 def test_orientation_contradicting_the_surface_is_a_config_error(tmp_path, capsys, argv):
     # the surface's own orientation picks sup or inf; overriding it gave
     # wrong energies with exit 0
-    out = tmp_path / "out.txt"
-    assert main(argv + ["--out", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error: --orientation") and captured.err.count("\n") == 1
-    assert "contradicts" in captured.err and not out.exists()
+    err = _assert_one_error_line(argv, tmp_path, capsys)
+    assert err.startswith("error: --orientation") and "contradicts" in err
 
 
 def test_orientation_of_a_json_table(tmp_path, capsys):
@@ -467,12 +562,9 @@ def test_actions_file_without_entries_is_a_config_error(tmp_path, capsys, name, 
                                                         command):
     acts = tmp_path / name
     acts.write_text(text)
-    out = tmp_path / "out.txt"
-    assert main(command[:1] + ["--actions", str(acts), "--orientation", "convex"]
-                + command[1:] + ["--out", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
-    assert name in captured.err and not out.exists()
+    err = _assert_one_error_line(command[:1] + ["--actions", str(acts), "--orientation",
+                                                "convex"] + command[1:], tmp_path, capsys)
+    assert name in err
 
 
 @pytest.mark.parametrize("profile,k_max", [("harmonic:1,2", "10"), ("pnorm:4", "3")])
@@ -484,6 +576,11 @@ def test_cloud_too_small_to_reconstruct_is_a_config_error(tmp_path, capsys, prof
     err = capsys.readouterr().err
     assert err.startswith("error: need at least") and err.count("\n") == 1
     assert not out.exists()
+
+
+def _energies_of(data):
+    """The E_m column of a spectrum CSV."""
+    return [float(line.split(",")[2]) for line in data.decode().splitlines()[1:]]
 
 
 def _energies(text):
@@ -632,8 +729,8 @@ def test_overflowing_spectrum_is_a_numerical_failure(capsys, argv):
     ["billiard-crosscheck", "--k-max", "20", "--m1", "1", "--m2", "3", "--hbar", "1e307"],
     ["billiard-solve", "--m", "1", "--n", "3", "--hbar", "1e307"],
     ["billiard-solve", "--m", "1", "--n", "3", "--radius", "1e-200"],
-    ["spectrum-reconstruct", "--profile", "pnorm:4", "--k-max", "40", "--m-max", "2",
-     "--hbar", "1e300", "--degree", "2"],
+    ["spectrum-reconstruct", "--profile", "power:4,2", "--k-max", "40", "--m-max", "2",
+     "--hbar", "1e300"],
 ], ids=["crosscheck-1e308", "crosscheck-1e307", "solve-hbar", "solve-radius",
         "reconstruct-degree"])
 def test_overflowing_billiard_and_degree_are_numerical_failures(capsys, argv):

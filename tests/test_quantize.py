@@ -174,7 +174,7 @@ def test_primitive_sufficiency(circle_surface):
         K = np.concatenate([acts.directions, ell[:, None] * acts.directions[i]])
         return ActionSpectrum(K, np.concatenate([acts.actions, ell * acts.actions[i]]),
                               np.concatenate([acts.points, acts.points[i]]),
-                              acts.orientation, int(K.max()), acts.shift)
+                              acts.orientation, int(K.max()))
 
     # power-of-two multiples leave every ratio bit-identical
     extra = [(i, ell) for i in range(0, len(acts), 3) for ell in (2, 4)]
@@ -192,7 +192,7 @@ def _unit_table(K, orientation):
     k / sum(k), so that <p, k> = 1."""
     K = np.asarray(K, dtype=np.int64).reshape(-1, 2)
     return ActionSpectrum(K, np.ones(len(K)), K / K.sum(axis=1, keepdims=True),
-                          orientation, int(K.max(initial=0)), MaslovShift.zero(2))
+                          orientation, int(K.max(initial=0)))
 
 
 def test_variational_rejects_empty_and_general():
@@ -203,12 +203,6 @@ def test_variational_rejects_empty_and_general():
     assert one.energy((1, 1)) == 2.0 and one.energy((2, 1)) == 3.0
     with pytest.raises(ConfigError):
         variational_spectrum(_unit_table([(1, 0), (1, 1)], Orientation.GENERAL), 2)
-
-
-def test_double_shift_is_rejected(circle_surface):
-    shifted_actions = marked_action_spectrum(circle_surface, 5, shift=0.5)
-    with pytest.raises(ConfigError):
-        variational_spectrum(shifted_actions, 2, shift=0.5)
 
 
 # --- the searched route: a surface without its action table ---

@@ -1,16 +1,23 @@
-"""The benchmark's layer trace finds every name it wraps.
+"""The benchmark's layer trace finds every name it wraps, and its table
+checks still read the tables.
 
 perfbench/layers.py wraps functions at the module or class attribute their
 callers look up (cli.variational_spectrum, quantize.reconstruct_surface,
 ...). A name that is renamed or imported lazily is skipped and only listed
 in the trace's `missing`, so the traced coverage drops without an error.
+perfbench/workloads.py re-reads the action tables the table-io workload
+writes through the ActionSpectrum API; a change to it ends that workload
+in a failed run.
 """
+import importlib.util
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import ebk
+import ebk.cli
 
 # names the trace still wraps although the program no longer has them
 STALE = {"ebk.kernels.bisect_family", "ebk.billiard.marked_action_spectrum"}
@@ -63,3 +70,17 @@ def test_the_layer_trace_hooks_run_clean(tmp_path):
     layers = {"catalog.parse", "surfaces.invert", "surfaces.from_points",
               "duality.transform", "quantize.variational", "billiard.crosscheck"}
     assert layers <= set(summary["self_s"]), sorted(layers - set(summary["self_s"]))
+
+
+def test_the_table_io_checks_pass_on_this_checkout(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    # dataclasses resolve the module's string annotations through sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    plan = workloads.table_io(workloads.TINY["table-io"], random.Random(0))
+    monkeypatch.chdir(tmp_path)   # the steps' paths are relative to the work dir
+    for step in (step for group in plan.groups for step in group):
+        assert ebk.cli.main(step.argv) == 0, step.key
+        step.check(tmp_path)
