@@ -6,7 +6,8 @@ Gauss-map inversion against the generic bisection, the action table's
 build, the disk crosscheck's streamed minima against the table and three
 scans (both the build and the stream also in the former 65,536-row
 chunks), the table's block-rendered writers and writer-layout JSON reader
-against the per-row writers and the json.loads reader, and the
+against the per-row writers and the json.loads reader, all four table I/O
+calls on one core and halved across a forked child, and the
 reconstruction's spline fits and Hausdorff distance. The enumeration,
 action-table, crosscheck, table I/O and reconstruction rows also give the
 tracemalloc peak of one call (Python allocations, numpy buffers included).
@@ -31,7 +32,7 @@ from ebk import (ActionSpectrum, ConfigError, LevelSurface, Orientation, PointCl
                  hausdorff_distance, hypersurface_transform, kernels,
                  marked_action_spectrum, pnorm_profile)
 from ebk import actions as actions_module, billiard
-from ebk.actions import CHUNK_ROWS, _integer_directions
+from ebk.actions import CHUNK_ROWS, _check_zero_shift, _integer_directions
 from ebk.quantize import lattice_grid, truncation_estimate
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
@@ -292,7 +293,7 @@ def old_to_json(spec) -> str:
 
 def old_from_json(text: str) -> ActionSpectrum:
     """ActionSpectrum.from_json before the writer-layout reader: json.loads
-    on the whole text, with the reader's rule that the shift key holds zeros."""
+    on the whole text, with the reader's rule for the shift key."""
     try:   # json.JSONDecodeError is a ValueError
         doc = json.loads(text)
         n, entries = int(doc["dimension"]), doc["entries"]
@@ -306,11 +307,10 @@ def old_from_json(text: str) -> ActionSpectrum:
         A = np.fromiter((e["action"] for e in entries), dtype=float,
                         count=len(entries))
         rest = (Orientation(doc["orientation"]), int(doc["k_max"]))
-        shifted = any(float(v) != 0.0 for v in doc["shift"])
+        shift = doc["shift"]
     except (ValueError, TypeError, KeyError) as exc:
         raise ConfigError(f"malformed actions JSON: {exc!r}") from exc
-    if shifted:
-        raise ConfigError("the table's shift is not zero")
+    _check_zero_shift(shift, n)
     return ActionSpectrum(_integer_directions(K), A, P, *rest)
 
 
@@ -320,31 +320,54 @@ def same_table(a, b) -> bool:
             and (a.orientation, a.k_max, a.shift) == (b.orientation, b.k_max, b.shift))
 
 
+@contextlib.contextmanager
+def split_io(on: bool):
+    """Large-table I/O halved across a forked child (on) or kept on one core
+    (off), whatever the CPUs of this process."""
+    saved = actions_module._two_cpus
+    actions_module._two_cpus = lambda: on
+    try:
+        yield
+    finally:
+        actions_module._two_cpus = saved
+
+
 def table_row() -> None:
-    """The pnorm:3 table's writers and JSON reader against the per-row
-    writers and the whole-text json.loads reader they replace (the same
-    bytes, the same arrays), and from_csv; the re-read tables must equal
-    the written one."""
+    """The pnorm:3 table's four I/O calls: the writers and the JSON reader
+    against the per-row writers and the whole-text json.loads reader they
+    replace (from_csv has no older form), each on one core and halved across
+    a forked child. Every path must give the same bytes, and the re-read
+    tables must equal the written one. The peaks are the calling process's:
+    tracemalloc does not see the child."""
     spec = marked_action_spectrum(LevelSurface.from_profile(pnorm_profile(3.0)),
                                   K_MAX_TABLE)
     as_json, as_csv = spec.to_json(), spec.to_csv()
     name = f"action table(pnorm:3, {len(spec):,} rows)"
-    print(f"{'':52s} {'old':>10s} {'new':>10s} {'old peak':>10s} {'new peak':>10s}")
-    for op, old, new, same in (
+    print(f"{'':52s} {'old':>10s} {'1 core':>10s} {'2 procs':>10s} {'':8s} {'old peak':>10s}"
+          f" {'1 core':>10s} {'2 procs':>10s}")
+    for op, old, new, right in (
             ("to_json", functools.partial(old_to_json, spec), spec.to_json,
-             lambda: old_to_json(spec) == as_json),
+             lambda out: out == as_json),
             ("to_csv", functools.partial(old_to_csv, spec), spec.to_csv,
-             lambda: old_to_csv(spec) == as_csv),
+             lambda out: out == as_csv),
             ("from_json", functools.partial(old_from_json, as_json),
              functools.partial(ActionSpectrum.from_json, as_json),
-             lambda: same_table(ActionSpectrum.from_json(as_json), spec)
-             and same_table(old_from_json(as_json), spec))):
-        print(f"{name + ' ' + op:52s} {best_of(old):9.4f}s {best_of(new):9.4f}s"
-              f" {peak_mb(old):7.1f} MB {peak_mb(new):7.1f} MB  identical: {same()}")
-    read_csv = functools.partial(ActionSpectrum.from_csv, as_csv, spec.orientation)
-    same = same_table(read_csv(), spec)
-    print(f"{name + ' from_csv':52s} {'':>10s} {best_of(read_csv):9.4f}s"
-          f" {'':>10s} {peak_mb(read_csv):7.1f} MB  identical: {same}")
+             lambda out: same_table(out, spec)),
+            ("from_csv", None,
+             functools.partial(ActionSpectrum.from_csv, as_csv, spec.orientation),
+             lambda out: same_table(out, spec))):
+        times = [best_of(old) if old else None]
+        peaks = [peak_mb(old) if old else None]
+        same = old is None or right(old())
+        for on in (False, True):
+            with split_io(on):
+                times.append(best_of(new))
+                peaks.append(peak_mb(new))
+                same = same and right(new())
+        cells = "".join(f" {t:9.4f}s" if t is not None else f" {'':9s}" for t in times)
+        cells += f" {times[1] / times[2]:6.2f}x"
+        cells += "".join(f" {p:7.1f} MB" if p is not None else f" {'':10s}" for p in peaks)
+        print(f"{name + ' ' + op:52s}{cells}  identical: {same}")
 
 
 def reconstruction_row() -> None:

@@ -15,6 +15,16 @@ kept mask run on those columns (_table_rows, which also serves the lattice
 search's inversions and the disk crosscheck). The bytes do not depend on
 CHUNK_ROWS; 16,384 rows took about half the peak memory of 65,536 (a
 chunk's temporaries) in no more time, and 2.5 MB less than 32,768.
+
+Large tables are written and read on two CPUs where two are available:
+render_rows (both writers) from SPLIT_BLOCKS blocks of ROW_BLOCK rows, the
+writer-layout JSON reader from SPLIT_JSON_CHARS characters of text and
+from_csv from SPLIT_CSV_CHARS characters of rows. A child made by os.fork
+does the second half of the rows and sends it back over a pipe; the parent
+does the first (_in_halves). Threads would not help: %-formatting,
+json.loads and np.loadtxt hold the GIL. The halves meet at a whole block, an
+entry or a line, so the bytes, the arrays and the errors do not depend on
+the split.
 """
 from __future__ import annotations
 
@@ -22,6 +32,9 @@ import io
 import itertools
 import json
 import math
+import os
+import signal
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -35,6 +48,10 @@ ZERO_ACTION_TOL = 1e-12   # |a| <= tol * |k| counts as a dropped zero entry
 CHUNK_ROWS = 1 << 14      # directions inverted per step of the action table
 ROW_BLOCK = 4096          # rows per %-operation of the row renderer
 READ_BLOCK = 1 << 20      # characters of JSON entries parsed per step
+SPLIT_BLOCKS = 4          # render_rows halves a table of this many ROW_BLOCKs or more
+SPLIT_JSON_CHARS = 2 << 20   # the JSON reader halves a text this long or longer
+SPLIT_CSV_CHARS = 1 << 20    # from_csv halves rows this long or longer
+PIPE_CHUNK = 1 << 20      # bytes of the child's half received per step, whole floats
 
 
 @dataclass(frozen=True)
@@ -183,8 +200,8 @@ class ActionSpectrum:
                                           + [f"p_{j+1}" for j in range(n)]):
             raise ConfigError("unrecognized actions CSV header")
         try:
-            table = (np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2, comments=None)
-                     if body.strip() else np.empty((0, 2 * n + 1)))
+            table = (_read_rows(body, 2 * n + 1) if body.strip()
+                     else np.empty((0, 2 * n + 1)))
         except ValueError as exc:
             raise ConfigError(f"malformed actions CSV: {exc}") from exc
         if table.shape[1] != 2 * n + 1:
@@ -197,18 +214,28 @@ class ActionSpectrum:
     def from_json(cls, text: str) -> "ActionSpectrum":
         """Read to_json's format: text in the writer's own layout directly,
         any other JSON through json.loads, with the same arrays and errors.
-        The shift key must hold zeros: a shifted table is a ConfigError."""
+        The shift key must hold a list of `dimension` zeros: anything else
+        is a ConfigError."""
         try:   # json.JSONDecodeError is a ValueError
             doc, A, K, P = _read_writer_layout(text) or _read_json_document(text)
             rest = (Orientation(doc["orientation"]), int(doc["k_max"]))
-            shifted = any(float(v) != 0.0 for v in doc["shift"])
+            shift = doc["shift"]
         # json.loads raises RecursionError on arrays nested too deep
         except (ValueError, TypeError, KeyError, OverflowError, RecursionError) as exc:
             raise ConfigError(f"malformed actions JSON: {exc!r}") from exc
-        if shifted:
-            raise ConfigError("the table's shift is not zero; tables are unshifted "
-                              "(a = <p, k>), and mu enters only hbar (m + mu)")
+        _check_zero_shift(shift, K.shape[1])
         return cls(_integer_directions(K), A, P, *rest)
+
+
+def _check_zero_shift(shift, n: int) -> None:
+    """A JSON table's shift: a list of n numbers (not bools), all zero."""
+    if not (type(shift) is list and len(shift) == n
+            and all(type(v) in (int, float) for v in shift)):
+        raise ConfigError(f"malformed actions JSON: the shift must be a list of {n} "
+                          "numbers")
+    if any(v != 0 for v in shift):
+        raise ConfigError("the table's shift is not zero; tables are unshifted "
+                          "(a = <p, k>), and mu enters only hbar (m + mu)")
 
 
 def render_rows(head: str, row: str, sep: str, columns, tail: str = "") -> str:
@@ -219,20 +246,89 @@ def render_rows(head: str, row: str, sep: str, columns, tail: str = "") -> str:
     ROW_BLOCK rows: their cells, as Python scalars, are interleaved into one
     flat tuple by slice assignment and formatted against the row template
     repeated, so each cell is formatted as a per-row template would.
+    From SPLIT_BLOCKS blocks on, a forked child renders the second half of
+    the blocks where two CPUs are available.
     """
-    width, count = len(columns), len(columns[0])
-    pieces = [head]
-    for lo in range(0, count, ROW_BLOCK):
-        hi = min(lo + ROW_BLOCK, count)
-        flat = [None] * (width * (hi - lo))
+    count = len(columns[0])
+    if count <= (SPLIT_BLOCKS - 1) * ROW_BLOCK or not _two_cpus():
+        return "".join([head, *_blocks(row, sep, columns, 0, count), tail])
+    cut = -(-count // ROW_BLOCK) // 2 * ROW_BLOCK
+    mine, theirs = _in_halves(
+        lambda: _blocks(row, sep, columns, 0, cut),
+        lambda: "".join(_blocks(row, sep, columns, cut, count)).encode("ascii"),
+        lambda chunk: str(chunk, "ascii"))
+    if theirs is None:
+        theirs = _blocks(row, sep, columns, cut, count)
+    return "".join([head, *mine, *theirs, tail])
+
+
+def _blocks(row: str, sep: str, columns, lo: int, hi: int) -> list[str]:
+    """render_rows' pieces for rows lo to hi: blocks of ROW_BLOCK rows,
+    each after sep unless it starts the table."""
+    width, pieces = len(columns), []
+    for start in range(lo, hi, ROW_BLOCK):
+        stop = min(start + ROW_BLOCK, hi)
+        flat = [None] * (width * (stop - start))
         for j, col in enumerate(columns):
-            part = col[lo:hi]
+            part = col[start:stop]
             flat[j::width] = part if isinstance(part, list) else part.tolist()
-        if lo:
+        if start:
             pieces.append(sep)
-        pieces.append(sep.join([row] * (hi - lo)) % tuple(flat))
-    pieces.append(tail)
-    return "".join(pieces)
+        pieces.append(sep.join([row] * (stop - start)) % tuple(flat))
+    return pieces
+
+
+def _two_cpus() -> bool:
+    """Whether a forked child can run beside this process."""
+    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2)
+
+
+def _in_halves(first, second, decode):
+    """(first(), the second half) with second() run in a forked child.
+
+    The child sends the bytes second() returns over a pipe, after their
+    length in 8 bytes, and ends with os._exit; it prints nothing, a warning
+    there being an error. The parent runs first() meanwhile, then receives
+    the bytes in chunks of at most PIPE_CHUNK into one buffer, each chunk
+    decode()d (a memoryview) as it arrives, so the second half is a list of
+    decoded chunks. It is None where the
+    child failed or sent too few bytes: the caller then computes that half
+    itself, and its errors are the serial path's. The child is always
+    reaped, and killed first where the parent stops early.
+    """
+    rfd, wfd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(rfd)
+            warnings.simplefilter("error")
+            data = second()
+            with open(wfd, "wb") as pipe:
+                pipe.write(len(data).to_bytes(8, "little"))
+                pipe.write(data)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(wfd)
+    received = None
+    try:
+        with open(rfd, "rb") as pipe:
+            mine = first()
+            head = pipe.read(8)
+            left, chunks = int.from_bytes(head, "little"), []
+            view = memoryview(bytearray(min(left, PIPE_CHUNK)))
+            while left and (got := pipe.readinto(view[:min(left, PIPE_CHUNK)])):
+                chunks.append(decode(view[:got]))
+                left -= got
+            if len(head) == 8 and not left:
+                received = chunks
+    finally:
+        if received is None:
+            os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    return mine, received
 
 
 def _json_row(n: int) -> str:
@@ -263,7 +359,9 @@ def _read_writer_layout(text: str):
     array, which applies json's own grammar and float conversion. So the
     arrays are bitwise those json.loads gives on the whole text, and a
     value json would reject there is rejected here too, leaving the text
-    to _read_json_document.
+    to _read_json_document. From SPLIT_JSON_CHARS characters on, a forked
+    child reads the entries after the first entry break past the middle,
+    where two CPUs are available.
     """
     start = text.find(_ENTRIES_OPEN)
     end = text.find(_ENTRIES_CLOSE, start + len(_ENTRIES_OPEN)) if start >= 0 else -1
@@ -280,17 +378,41 @@ def _read_writer_layout(text: str):
             and 1 <= doc["dimension"] <= (end - start) // 20
             and json.dumps(doc, indent=2, sort_keys=True) + "\n" == shell):
         return None
-    n = doc["dimension"]
+    n, pos = doc["dimension"], start + len(_ENTRIES_OPEN)
+    cut = (text.find(_ENTRY_BREAK, (pos + end) // 2, end)
+           if len(text) >= SPLIT_JSON_CHARS and _two_cpus() else -1)
+    if cut < 0:
+        parts = _entry_values(text, pos, end, n)
+    else:   # the halves meet between two entries
+        stop, resume = cut + len("\n    }"), cut + len(_ENTRY_BREAK)
+        # None (another layout) fails np.concatenate, and so the child
+        parts, theirs = _in_halves(
+            lambda: _entry_values(text, pos, stop, n),
+            lambda: np.concatenate(_entry_values(text, resume, end, n)).tobytes(),
+            bytes)
+        if parts is not None:   # each chunk holds whole floats (PIPE_CHUNK % 8 == 0)
+            rest = (_entry_values(text, resume, end, n) if theirs is None
+                    else [np.frombuffer(chunk) for chunk in theirs])
+            parts = None if rest is None else parts + rest
+    if parts is None:
+        return None
+    table = np.concatenate(parts).reshape(-1, 2 * n + 1)
+    return doc, table[:, 0], table[:, 1:n + 1], table[:, n + 1:]
+
+
+def _entry_values(text: str, pos: int, stop: int, n: int):
+    """The values of the whole entries text[pos:stop] of an n-dimensional
+    table in to_json's layout, entry after entry, as float arrays read in
+    blocks of about READ_BLOCK characters; None for any other text."""
     fill = _json_row(n).replace("%r", "%s").replace("%d", "%s")
     # one comma parts every two slots, within an entry and between entries
     skeleton = set(fill.replace("%s", "")) - {","}
     fields_only = str.maketrans("", "", "".join(skeleton))
     width, parts = 2 * n + 1, []
-    pos = start + len(_ENTRIES_OPEN)
     while True:
-        cut = text.find(_ENTRY_BREAK, min(pos + READ_BLOCK, end), end)
+        cut = text.find(_ENTRY_BREAK, min(pos + READ_BLOCK, stop), stop)
         last = cut < 0
-        cut = end if last else cut + len("\n    }")
+        cut = stop if last else cut + len("\n    }")
         block = text[pos:cut]
         joined = block.translate(fields_only)
         fields = joined.split(",")
@@ -303,10 +425,8 @@ def _read_writer_layout(text: str):
         except (ValueError, TypeError, OverflowError):
             return None
         if last:
-            break
+            return parts
         pos = cut + len(",\n")
-    table = np.concatenate(parts).reshape(-1, width)
-    return doc, table[:, 0], table[:, 1:n + 1], table[:, n + 1:]
 
 
 def _read_json_document(text: str):
@@ -323,6 +443,33 @@ def _read_json_document(text: str):
             for rows in (K, P))
     A = np.fromiter((e["action"] for e in entries), dtype=float, count=len(entries))
     return doc, A, K, P
+
+
+def _read_rows(body: str, width: int) -> np.ndarray:
+    """np.loadtxt of the CSV rows body, which hold data. From SPLIT_CSV_CHARS
+    characters on, a forked child reads the lines after the middle, where two
+    CPUs are available; any irregular half is read again whole, so a
+    malformed table raises loadtxt's own error."""
+    cut = (body.find("\n", len(body) // 2) + 1
+           if len(body) >= SPLIT_CSV_CHARS and _two_cpus() else 0)
+    first = body[:cut]
+    if not cut or first.isspace():
+        return _loadtxt(body)
+
+    def second():
+        table = _loadtxt(body[cut:])
+        if table.shape[1] != width:
+            raise ValueError(f"need {width} columns")
+        return table.tobytes()
+
+    mine, theirs = _in_halves(lambda: _loadtxt(first), second, bytes)
+    if theirs is None or mine.shape[1] != width:
+        return _loadtxt(body)
+    return np.concatenate([mine.ravel(), *map(np.frombuffer, theirs)]).reshape(-1, width)
+
+
+def _loadtxt(rows: str) -> np.ndarray:
+    return np.loadtxt(io.StringIO(rows), delimiter=",", ndmin=2, comments=None)
 
 
 def _integer_directions(columns: np.ndarray) -> np.ndarray:

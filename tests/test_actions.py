@@ -2,6 +2,9 @@ import csv
 import io
 import json
 import math
+import os
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from ebk import (
     RamosCurve,
     UnsupportedSurface,
     billiard_orbit_action,
+    direct_spectrum,
     euclidean_profile,
     harmonic_profile,
     kernels,
@@ -554,6 +558,205 @@ def test_json_roundtrip_of_any_doubles_takes_the_writer_layout(case):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(actions_module, "_read_json_document", _no_fallback)
         assert _same_table(ActionSpectrum.from_json(spec.to_json()), spec)
+
+
+# --- large tables halved across a forked child ---
+
+class _Split:
+    """The split forced on or off through the CPU check, and the forks
+    counted; every call is checked to leave no child process behind."""
+
+    def __init__(self, monkeypatch):
+        self.on, self.forks, fork = False, 0, os.fork
+
+        def counted():
+            self.forks += 1
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted)
+        monkeypatch.setattr(actions_module, "_two_cpus", lambda: self.on)
+
+    def run(self, on, call, *args):
+        """(call(*args), or its ConfigError's text, and the forks it made)."""
+        self.on, self.forks = on, 0
+        try:
+            out = call(*args)
+        except ConfigError as exc:
+            out = str(exc)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        return out, self.forks
+
+
+@pytest.fixture
+def split(monkeypatch):
+    return _Split(monkeypatch)
+
+
+@pytest.fixture(scope="module")
+def split_tables():
+    # more rows than four render blocks and a short one, in two and three dimensions
+    return {2: marked_action_spectrum(LevelSurface.from_profile(pnorm_profile(3.0)), 200),
+            3: marked_action_spectrum(
+                LevelSurface.from_profile(pnorm_profile(3.0, dimension=3)), 27)}
+
+
+def _readers(spec):
+    """(reader, text) of both formats of spec."""
+    return ((ActionSpectrum.from_json, spec.to_json()),
+            (lambda text: ActionSpectrum.from_csv(text, spec.orientation), spec.to_csv()))
+
+
+def _same_outcome(a, b):
+    return a == b if isinstance(a, str) else _same_table(a, b)
+
+
+# the writers' threshold is in rows: the first row of block SPLIT_BLOCKS
+_SPLIT_AT = (actions_module.SPLIT_BLOCKS - 1) * BLOCK + 1
+
+
+@pytest.mark.parametrize("rows", [_SPLIT_AT - 1, _SPLIT_AT, _SPLIT_AT + 1, 4 * BLOCK,
+                                  4 * BLOCK + 17],
+                         ids=["below", "at", "above", "even-blocks", "odd-blocks-short-tail"])
+@pytest.mark.parametrize("dimension", [2, 3])
+def test_split_writers_and_readers_match_the_serial_path(split, split_tables, dimension,
+                                                         rows):
+    spec = _head(split_tables[dimension], rows)
+    assert len(split_tables[dimension]) >= rows
+    for write in (spec.to_json, spec.to_csv):
+        serial, forks = split.run(False, write)
+        assert forks == 0
+        halved, forks = split.run(True, write)
+        assert halved == serial and forks == (rows >= _SPLIT_AT)
+    for read, text in _readers(spec):
+        serial, _ = split.run(False, read, text)
+        halved, _ = split.run(True, read, text)
+        assert _same_table(halved, serial) and _same_table(serial, spec)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1], ids=["above", "at", "below"])
+@pytest.mark.parametrize("dimension", [2, 3])
+def test_split_readers_halve_from_their_thresholds(split, split_tables, monkeypatch,
+                                                   dimension, offset):
+    # the JSON reader counts the whole text, the CSV reader the rows under the
+    # header; the child's arrays come back in many chunks
+    monkeypatch.setattr(actions_module, "PIPE_CHUNK", 8 * 512)
+    spec = _head(split_tables[dimension], 4 * BLOCK + 17)
+    (read_json, as_json), (read_csv, as_csv) = _readers(spec)
+    monkeypatch.setattr(actions_module, "SPLIT_JSON_CHARS", len(as_json) + offset)
+    monkeypatch.setattr(actions_module, "SPLIT_CSV_CHARS",
+                        len(as_csv.partition("\n")[2]) + offset)
+    for read, text in ((read_json, as_json), (read_csv, as_csv)):
+        halved, forks = split.run(True, read, text)
+        assert _same_table(halved, spec) and forks == (offset <= 0)
+
+
+def _damage(text, fraction, kind):
+    """text with one value after fraction of its length made bad."""
+    if kind == "unparsable-json":
+        at = text.index('"action": ', int(fraction * len(text))) + len('"action": ')
+        return text[:at] + "x" + text[at:]
+    if kind == "fractional-json-k":
+        at = text.index('"k": [\n', int(fraction * len(text)))
+        at = text.index(",", at)
+        return text[:at] + ".5" + text[at:]
+    at = text.index("\n", int(fraction * len(text))) + 1
+    line = text[at:text.index("\n", at)]
+    cells = line.split(",")
+    bad = ("x" + line if kind == "unparsable-csv" else ",".join(cells[:-1]))
+    return text[:at] + bad + text[at + len(line):]
+
+
+@pytest.mark.parametrize("fraction", [0.1, 0.8], ids=["first-half", "second-half"])
+@pytest.mark.parametrize("kind", ["unparsable-json", "fractional-json-k",
+                                  "unparsable-csv", "short-csv-row"])
+@pytest.mark.parametrize("dimension", [2, 3])
+def test_split_readers_raise_the_serial_error(split, split_tables, monkeypatch,
+                                              dimension, kind, fraction):
+    monkeypatch.setattr(actions_module, "SPLIT_JSON_CHARS", 1)
+    monkeypatch.setattr(actions_module, "SPLIT_CSV_CHARS", 1)
+    (read_json, as_json), (read_csv, as_csv) = _readers(split_tables[dimension])
+    read, text = (read_json, as_json) if "json" in kind else (read_csv, as_csv)
+    bad = _damage(text, fraction, kind)
+    serial, _ = split.run(False, read, bad)
+    halved, forks = split.run(True, read, bad)
+    assert isinstance(serial, str) and halved == serial and forks == 1
+
+
+@pytest.mark.parametrize("dimension", [2, 3])
+def test_split_parent_computes_the_half_of_a_child_that_exits_nonzero(
+        split, split_tables, monkeypatch, dimension):
+    monkeypatch.setattr(actions_module, "SPLIT_JSON_CHARS", 1)
+    monkeypatch.setattr(actions_module, "SPLIT_CSV_CHARS", 1)
+    spec = _head(split_tables[dimension], 4 * BLOCK + 17)
+    calls = [(spec.to_json,), (spec.to_csv,), *_readers(spec)]
+    serial = [split.run(False, *call)[0] for call in calls]
+    parent = os.getpid()
+    for name in ("_blocks", "_entry_values", "_loadtxt"):
+        def dying(*args, real=getattr(actions_module, name)):
+            if os.getpid() != parent:
+                os._exit(3)
+            return real(*args)
+        monkeypatch.setattr(actions_module, name, dying)
+    for call, want in zip(calls, serial):
+        got, forks = split.run(True, *call)
+        assert _same_outcome(got, want) and forks == 1
+
+
+class _Overstated(bytes):
+    """Bytes that count five more than they hold."""
+
+    def __len__(self):
+        return super().__len__() + 5
+
+
+def _warns():
+    warnings.warn("the child speaks")
+    return b"x"
+
+
+@pytest.mark.parametrize("second", [
+    lambda: os._exit(0), lambda: 1 / 0, _warns, lambda: _Overstated(b"abc")],
+    ids=["exits-silently", "raises", "warns", "sends-too-few-bytes"])
+def test_in_halves_takes_no_half_from_a_failed_child(split, second):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # the parent's own filters do not matter
+        (got, received), forks = split.run(
+            True, actions_module._in_halves, lambda: "mine", second, bytes)
+    assert (got, received, forks) == ("mine", None, 1)
+
+
+def test_in_halves_receives_in_chunks():
+    data = bytes(range(256)) * (3 * actions_module.PIPE_CHUNK // 256 + 5)
+    mine, chunks = actions_module._in_halves(lambda: "mine", lambda: data, bytes)
+    assert mine == "mine" and b"".join(chunks) == data
+    assert max(map(len, chunks)) <= actions_module.PIPE_CHUNK and len(chunks) == 4
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_in_halves_kills_the_child_when_the_parent_fails():
+    def fail():
+        raise KeyError("the parent's half")
+
+    started = time.monotonic()
+    with pytest.raises(KeyError):
+        actions_module._in_halves(fail, lambda: time.sleep(60) or b"", bytes)
+    assert time.monotonic() - started < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_spectrum_csv_of_4225_levels_does_not_fork(monkeypatch):
+    # the spectrum workload's outputs stay serial even where two CPUs are free
+    def no_fork():
+        raise AssertionError("forked")
+
+    spectrum = direct_spectrum(pnorm_profile(4.0), 64)
+    assert len(spectrum) == 4225
+    monkeypatch.setattr(actions_module, "_two_cpus", lambda: True)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert spectrum.to_csv().count("\n") == 4226
 
 
 # --- Maslov shift plumbing ---

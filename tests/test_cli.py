@@ -427,6 +427,25 @@ def test_json_table_with_a_nonzero_shift_is_a_config_error(tmp_path, capsys,
     assert "shifted.json" in err and "shift is not zero" in err
 
 
+@pytest.mark.parametrize("layout", ["writer", "compact"])
+@pytest.mark.parametrize("shift", ["0000", [0.0], [0.0, 0.0, 0.0], [False, False],
+                                   [0.0, "0"], None, 0.0],
+                         ids=["string", "short", "long", "bools", "string-item", "null",
+                              "scalar"])
+def test_json_table_shift_that_is_not_two_numbers_is_a_config_error(tmp_path, capsys,
+                                                                    pnorm4_table,
+                                                                    layout, shift):
+    # zeros in any other form than a list of `dimension` numbers are no zero shift
+    doc = json.loads(Path(pnorm4_table).read_text())
+    doc["shift"] = shift
+    table = tmp_path / "odd.json"
+    table.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n" if layout == "writer"
+                     else json.dumps(doc))
+    err = _assert_one_error_line(["spectrum-variational", "--actions", str(table),
+                                  "--m-max", "2"], tmp_path, capsys)
+    assert "odd.json" in err and "shift must be a list of 2 numbers" in err
+
+
 @pytest.mark.parametrize("command", ["spectrum-variational", "spectrum-reconstruct"])
 @pytest.mark.parametrize("degree", ["1", "3", "nan"])
 def test_degree_contradicting_the_profile_is_a_config_error(tmp_path, capsys, command,
