@@ -5,12 +5,13 @@ three-level search against three one-level searches, the closed-form
 Gauss-map inversion against the generic bisection, the action table's
 build, the disk crosscheck's streamed minima against the table and three
 scans (both the build and the stream also in the former 65,536-row
-chunks), the table's block-rendered writers and writer-layout JSON reader
-against the per-row writers and the json.loads reader, all four table I/O
-calls on one core and halved across a forked child, and the
-reconstruction's spline fits and Hausdorff distance. The enumeration,
-action-table, crosscheck, table I/O and reconstruction rows also give the
-tracemalloc peak of one call (Python allocations, numpy buffers included).
+chunks) and its stream on one core against two processes, the table's
+block-rendered writers and writer-layout JSON reader against the per-row
+writers and the json.loads reader, all four table I/O calls on one core
+and halved across a forked child, and the reconstruction's spline fits and
+Hausdorff distance. The enumeration, action-table, crosscheck, table I/O
+and reconstruction rows also give the tracemalloc peak of one call (Python
+allocations, numpy buffers included; a forked child's are not seen).
 
 Run as:  python benchmarks/bench_kernels.py
 (with the test extras installed: the lattice row takes its
@@ -235,7 +236,8 @@ def crosscheck_row() -> None:
     """The disk crosscheck's three truncation minima for one weight row:
     the action table, two restrict() copies and three scans, against
     crosscheck_disk's streamed reduction (the same minima, no table), the
-    stream also in the former OLD_CHUNK_ROWS-row chunks."""
+    stream also in the former OLD_CHUNK_ROWS-row chunks, and on one core
+    against two processes (the sieve's second half in a forked child)."""
     k_max, w = K_MAX_BUILD, np.array([[0.0, 2.0]])
 
     def table():
@@ -258,6 +260,14 @@ def crosscheck_row() -> None:
     with chunk_rows(OLD_CHUNK_ROWS):
         print(f"{name + f' {OLD_CHUNK_ROWS}-row chunks':52s} {'':10s} "
               f"{best_of(streamed):9.4f}s {peak_mb(streamed):7.1f} MB")
+    times, reports = [], []
+    for on in (False, True):
+        with two_procs(on):
+            times.append(best_of(streamed))
+            reports.append(streamed())
+    print(f"{'':52s} {'1 core':>10s} {'2 procs':>10s}")
+    print(f"{name + ' stream':52s} {times[0]:9.4f}s {times[1]:9.4f}s "
+          f"{times[0] / times[1]:7.2f}x  identical: {reports[0] == reports[1]}")
 
 
 def old_to_csv(spec) -> str:
@@ -321,9 +331,10 @@ def same_table(a, b) -> bool:
 
 
 @contextlib.contextmanager
-def split_io(on: bool):
-    """Large-table I/O halved across a forked child (on) or kept on one core
-    (off), whatever the CPUs of this process."""
+def two_procs(on: bool):
+    """Large-table I/O and the disk crosscheck's stream halved across a
+    forked child (on) or kept on one core (off), whatever the CPUs of this
+    process."""
     saved = actions_module._two_cpus
     actions_module._two_cpus = lambda: on
     try:
@@ -360,7 +371,7 @@ def table_row() -> None:
         peaks = [peak_mb(old) if old else None]
         same = old is None or right(old())
         for on in (False, True):
-            with split_io(on):
+            with two_procs(on):
                 times.append(best_of(new))
                 peaks.append(peak_mb(new))
                 same = same and right(new())

@@ -24,11 +24,11 @@ does the second half of the rows and sends it back over a pipe; the parent
 does the first (_in_halves). Threads would not help: %-formatting,
 json.loads and np.loadtxt hold the GIL. The halves meet at a whole block, an
 entry or a line, so the bytes, the arrays and the errors do not depend on
-the split.
+the split. The disk crosscheck (billiard._disk_minima) halves its stream
+of the sieve through _in_halves as well.
 """
 from __future__ import annotations
 
-import io
 import itertools
 import json
 import math
@@ -200,7 +200,8 @@ class ActionSpectrum:
                                           + [f"p_{j+1}" for j in range(n)]):
             raise ConfigError("unrecognized actions CSV header")
         try:
-            table = (_read_rows(body, 2 * n + 1) if body.strip()
+            # isspace is strip's test without its copy
+            table = (_read_rows(body, 2 * n + 1) if body and not body.isspace()
                      else np.empty((0, 2 * n + 1)))
         except ValueError as exc:
             raise ConfigError(f"malformed actions CSV: {exc}") from exc
@@ -469,7 +470,10 @@ def _read_rows(body: str, width: int) -> np.ndarray:
 
 
 def _loadtxt(rows: str) -> np.ndarray:
-    return np.loadtxt(io.StringIO(rows), delimiter=",", ndmin=2, comments=None)
+    """np.loadtxt of the CSV rows, read as a list of lines: io.StringIO
+    would hold the text as UCS-4. The split is on "\n" alone, so a bare
+    "\r" stays loadtxt's embedded-newline error."""
+    return np.loadtxt(rows.split("\n"), delimiter=",", ndmin=2, comments=None)
 
 
 def _integer_directions(columns: np.ndarray) -> np.ndarray:

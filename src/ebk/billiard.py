@@ -6,7 +6,8 @@ The toric route runs the concave inf-variational formula over the marked
 actions of the boundary curve rho(alpha); crosscheck_disk compares both.
 It holds no action table: the primitive directions arrive as a stream of
 lex-ordered chunks, each inverted as the table would invert it and folded
-into one running minimum per truncation level.
+into one running minimum per truncation level. A large sieve is streamed
+in two halves, the second in a forked child, where two CPUs are available.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
+from . import actions, kernels
 from .actions import CHUNK_ROWS, MaslovShift, _table_rows, as_shift
 from .errors import ConfigError, ConvergenceFailure, DomainError, NonFiniteEnergy
 from .profiles import ToricProfile
@@ -302,27 +303,58 @@ def _fold_minima(lows, K, a, keep, w, bounds):
         lows[i] = min(lows[i], r.min(where=sup <= k, initial=np.inf))
 
 
-def _disk_minima(w, bounds):
-    """The minimum of (k . w) / a(k) over the disk's action table up to each
-    of the ascending bounds, without the table: the directions stream in
-    chunks, converted to float columns once, through the table's inversion,
-    residual check and kept mask, and the table's failures are raised after
-    the stream."""
+def _stream(mask, lo, hi, w, bounds):
+    """The minima of (k . w) / a(k) up to each bound over the directions of
+    the sieve mask's slabs lo to hi, then how many of them failed the
+    inversion residual, then 1.0 if every kept action is finite (else 0.0),
+    as one float64 array. The directions stream in chunks of whole slabs,
+    converted to float columns once, through the table's inversion,
+    residual check and kept mask."""
     curve = RamosCurve()
     lows = np.full(len(bounds), np.inf)
     failed, finite = 0, True
-    for cols in kernels._slabs(kernels._sieve(2, bounds[-1]), CHUNK_ROWS):
+    for cols in kernels._slabs(mask[lo:hi], CHUNK_ROWS):
         K = np.array(cols, dtype=float)
+        K[0] += lo   # absolute directions: exact for integers
         _, acts, keep, bad = _table_rows(curve, K)
         failed += bad
         # a kept action is never nan, so it is finite unless infinite
         finite = finite and not np.isinf(acts).any(where=keep)
         _fold_minima(lows, K, acts, keep, w, bounds)
+    return np.append(lows, (failed, finite))
+
+
+def _disk_minima(w, bounds):
+    """The minimum of (k . w) / a(k) over the disk's action table up to each
+    of the ascending bounds, without the table: the sieve's directions
+    stream through _stream, and the table's failures are raised after the
+    stream.
+
+    From 2 * CHUNK_ROWS directions on, where two CPUs are available
+    (actions._two_cpus), a forked child streams the slabs after the one
+    where the cumulative direction count passes half the total and sends
+    back its summary as float64 bytes (actions._in_halves), while the parent
+    streams the slabs before; where the child fails, the parent streams its
+    half too. Every ratio is >= +0.0 and no minimum is nan, so np.minimum
+    merges the halves exactly, and the minima and the errors do not depend
+    on the split."""
+    mask = kernels._sieve(2, bounds[-1])
+    ends = np.cumsum(mask.sum(axis=1))
+    if ends[-1] < 2 * CHUNK_ROWS or not actions._two_cpus():
+        halves = [_stream(mask, 0, len(mask), w, bounds)]
+    else:
+        cut = int(np.searchsorted(ends, ends[-1] / 2, side="right"))
+        mine, theirs = actions._in_halves(
+            lambda: _stream(mask, 0, cut, w, bounds),
+            lambda: _stream(mask, cut, len(mask), w, bounds).tobytes(), bytes)
+        halves = [mine, _stream(mask, cut, len(mask), w, bounds) if theirs is None
+                  else np.frombuffer(b"".join(theirs))]
+    failed = int(sum(half[-2] for half in halves))
     if failed:
         raise ConvergenceFailure(f"{failed} directions failed the inversion residual")
-    if not finite:
+    if not all(half[-1] for half in halves):
         raise ConfigError("action entries must be finite")
-    return lows
+    return np.minimum.reduce([half[:-2] for half in halves])
 
 
 def crosscheck_disk(m1: int, m2: int, k_max: int = 2000, shift=None,
@@ -334,7 +366,10 @@ def crosscheck_disk(m1: int, m2: int, k_max: int = 2000, shift=None,
     at k_max and at k_max // 4 and k_max // 2 for the truncation estimate;
     the reference solves the phase equation at angular m2 - m1 and radial
     m1 + mu. Uniform shifts only: the identification pairs one mu with both
-    loops of the reference route. The disk's table is streamed, never held.
+    loops of the reference route. The disk's table is streamed, never held;
+    from 2 * CHUNK_ROWS directions on, where two CPUs are available, a
+    forked child streams the second half of the sieve (_disk_minima). The
+    report does not depend on the split.
     """
     m1 = _check_angular(m1)
     m2 = _check_angular(m2)

@@ -261,8 +261,17 @@ def _add_profile(p, *, k_max=False, actions=False) -> None:
                             "repeat the input's own, or relabel a general one")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are ConfigErrors, so main prints them
+    as the one `error: ...` line of every other bad input and returns 2;
+    the subcommands' parsers are of this class too."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="ebk",
         description="EBK spectra of toric domains: direct, variational, "
                     "and reconstruction routes, plus the disk billiard.")
@@ -339,16 +348,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    if getattr(args, "profile", None) is None \
-            and getattr(args, "actions", None) is None \
-            and args.fn in (cmd_spectrum_variational, cmd_spectrum_reconstruct,
-                            cmd_minmax_certify, cmd_actions, cmd_spectrum_direct,
-                            cmd_legendre_dual):
-        print("error: --profile (or --actions) is required", file=sys.stderr)
-        return 2
     try:
+        args = build_parser().parse_args(argv)
+        if getattr(args, "profile", None) is None \
+                and getattr(args, "actions", None) is None \
+                and args.fn in (cmd_spectrum_variational, cmd_spectrum_reconstruct,
+                                cmd_minmax_certify, cmd_actions, cmd_spectrum_direct,
+                                cmd_legendre_dual):
+            raise ConfigError("--profile (or --actions) is required")
         return args.fn(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

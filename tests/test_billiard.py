@@ -1,4 +1,5 @@
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -339,9 +340,11 @@ def test_disk_minima_are_independent_of_the_chunk_size(monkeypatch):
     assert 0 < count < len(kernels.primitive_directions(2, bounds[-1]))
 
 
-def test_crosscheck_memory_is_bounded():
+def test_crosscheck_memory_is_bounded(monkeypatch):
     # the 2.43M-row table alone is 97 MB; the stream holds one chunk and the
-    # 4 MB sieve
+    # 4 MB sieve. tracemalloc does not see a forked child, so the whole
+    # stream runs here, which bounds either half.
+    monkeypatch.setattr(actions_module, "_two_cpus", lambda: False)
     crosscheck_disk(0, 2, k_max=50)   # imports and caches outside the trace
     tracemalloc.start()
     try:
@@ -350,3 +353,82 @@ def test_crosscheck_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 40e6
+
+
+# --- the sieve streamed in two halves, the second in a forked child ---
+
+SPLIT_K = 232   # the least k_max whose sieve holds 2 * CHUNK_ROWS directions
+
+
+def _weights(m1, m2, shift):
+    return lattice_weights(np.array([[m1, m2]]), actions_module.as_shift(shift, 2), 1.0)[0]
+
+
+def _minima(w, k_max):
+    return [float(x).hex() for x in
+            billiard_module._disk_minima(w, (k_max // 4, k_max // 2, k_max))]
+
+
+def test_split_threshold_is_twice_the_chunk():
+    counts = [int(kernels._sieve(2, k).sum()) for k in (SPLIT_K - 1, SPLIT_K)]
+    assert counts[0] < 2 * actions_module.CHUNK_ROWS <= counts[1]
+
+
+@pytest.mark.parametrize("k_max", [SPLIT_K - 1, SPLIT_K, SPLIT_K + 1])
+@pytest.mark.parametrize("shift", [0.0, 0.75])
+def test_disk_minima_do_not_depend_on_the_split(split, monkeypatch, k_max, shift):
+    w = _weights(1, 3, shift)
+    serial, forks = split.run(False, _minima, w, k_max)
+    assert forks == 0
+    halved, forks = split.run(True, _minima, w, k_max)
+    assert halved == serial and forks == (k_max >= SPLIT_K)
+    # a tolerance below the rounding fails some directions
+    monkeypatch.setattr(actions_module, "NORMAL_RESIDUAL_TOL", 1e-17)
+    texts = [split.run(on, _minima, w, k_max) for on in (False, True)]
+    assert texts[0][0] == texts[1][0]
+    assert texts[0][0].endswith("directions failed the inversion residual")
+    assert [forks for _, forks in texts] == [0, k_max >= SPLIT_K]
+
+
+def test_residual_failures_of_both_halves_add_up(split, monkeypatch):
+    monkeypatch.setattr(actions_module, "NORMAL_RESIDUAL_TOL", 1e-17)
+    k_max, w = 600, _weights(0, 2, 0.0)
+    bounds = (k_max // 4, k_max // 2, k_max)
+    mask = kernels._sieve(2, k_max)
+    ends = np.cumsum(mask.sum(axis=1))
+    cut = int(np.searchsorted(ends, ends[-1] / 2, side="right"))
+    halves = [int(billiard_module._stream(mask, lo, hi, w, bounds)[-2])
+              for lo, hi in ((0, cut), (cut, k_max + 1))]
+    assert min(halves) > 0
+    for on in (False, True):
+        text, forks = split.run(on, _minima, w, k_max)
+        assert text == (f"ConvergenceFailure: {sum(halves)} directions failed the "
+                        "inversion residual")
+        assert forks == on
+
+
+def test_a_failed_child_leaves_its_half_to_the_parent(split, monkeypatch):
+    parent, stream, calls = os.getpid(), billiard_module._stream, []
+
+    def spoiled(mask, lo, hi, w, bounds):
+        if os.getpid() != parent:
+            raise RuntimeError("the child's half")
+        calls.append((lo, hi))
+        return stream(mask, lo, hi, w, bounds)
+
+    w = _weights(0, 4, 0.0)
+    serial, _ = split.run(False, _minima, w, 600)
+    monkeypatch.setattr(billiard_module, "_stream", spoiled)
+    halved, forks = split.run(True, _minima, w, 600)
+    assert (halved, forks) == (serial, 1)
+    (lo, cut), (resume, hi) = calls   # the parent's half, then the child's
+    assert (lo, resume, hi) == (0, cut, 601)
+
+
+def test_small_crosscheck_does_not_fork(monkeypatch):
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(actions_module, "_two_cpus", lambda: True)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert crosscheck_disk(0, 2, k_max=100).k_max == 100

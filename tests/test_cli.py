@@ -400,14 +400,31 @@ def test_non_integral_spec_dimension_is_a_config_error(tmp_path, capsys, dimensi
 def test_actions_takes_no_shift(tmp_path, capsys):
     # a table is unshifted: mu enters only hbar (m + mu), through --shift on
     # the spectrum and certificate subcommands
-    out = tmp_path / "out.csv"
+    err = _assert_one_error_line(["actions", "--profile", "pnorm:3", "--k-max", "10",
+                                  "--shift", "0.5"], tmp_path, capsys)
+    assert err == "error: unrecognized arguments: --shift 0.5\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["spectrum-variational", "--profile", "pnorm:4", "--m-max", "2", "--bogus"],
+     "unrecognized arguments: --bogus"),
+    (["spectrum-variational", "--profile", "pnorm:4"],
+     "the following arguments are required: --m-max"),
+    (["actions", "--profile", "pnorm:3", "--k-max", "x"],
+     "argument --k-max: invalid int value: 'x'"),
+    (["no-such-command"], "argument command: invalid choice: 'no-such-command'"),
+], ids=["unknown-flag", "missing-m-max", "bad-int", "unknown-command"])
+def test_argument_errors_are_one_error_line(tmp_path, capsys, argv, message):
+    # argparse's own errors read as every other bad input: no usage block
+    err = _assert_one_error_line(argv, tmp_path, capsys)
+    assert err.startswith("error: " + message)
+
+
+def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exited:
-        main(["actions", "--profile", "pnorm:3", "--k-max", "10", "--shift", "0.5",
-              "--out", str(out)])
-    assert exited.value.code == 2
-    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
-    assert errors == ["ebk: error: unrecognized arguments: --shift 0.5"]
-    assert not out.exists()
+        main(["spectrum-variational", "--help"])
+    assert exited.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: ebk spectrum-variational")
 
 
 @pytest.mark.parametrize("command", [

@@ -1,3 +1,4 @@
+import os
 import time
 from types import SimpleNamespace
 
@@ -619,6 +620,10 @@ def test_bench_kernels_rows_run(bench_kernels, monkeypatch, capsys):
                         ("K_MAX_TABLE", 20), ("K_MAX_BUILD", 20),
                         ("K_MAX_RECONSTRUCT", 20)):
         monkeypatch.setattr(bench, name, value)
+    # a crosscheck sieve this small halves only in chunks this small
+    monkeypatch.setattr(bench.billiard, "CHUNK_ROWS", 64)
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
     bench.main()
     out = capsys.readouterr().out
     assert "primitive_directions(2, 20)" in out
@@ -631,7 +636,8 @@ def test_bench_kernels_rows_run(bench_kernels, monkeypatch, capsys):
     assert "crosscheck(ramos, k_max 20) peak" in out
     assert "crosscheck(ramos, k_max 20) 65536-row chunks" in out
     assert "16384-row chunks      65536-row chunks" in out
-    assert out.count("identical: True") == 11
+    assert "crosscheck(ramos, k_max 20) stream" in out and forks
+    assert out.count("identical: True") == 12
     assert "inversion(pnorm:4" in out
     assert "action table(pnorm:3" in out and "identical: False" not in out
     assert "action table(ramos" in out and "action table(harmonic:1,2, 1 rows)" in out
