@@ -14,17 +14,13 @@ and reconstruction rows also give the tracemalloc peak of one call (Python
 allocations, numpy buffers included; a forked child's are not seen).
 
 Run as:  python benchmarks/bench_kernels.py
-(with the test extras installed: the lattice row takes its
-lattice_extremum from tests/test_kernels.py).
 """
 import contextlib
 import functools
 import itertools
 import json
-import sys
 import time
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 
@@ -32,12 +28,9 @@ from ebk import (ActionSpectrum, ConfigError, LevelSurface, Orientation, PointCl
                  RamosCurve, SurfaceActions, crosscheck_disk, harmonic_profile,
                  hausdorff_distance, hypersurface_transform, kernels,
                  marked_action_spectrum, pnorm_profile)
-from ebk import actions as actions_module, billiard
+from ebk import actions as actions_module
 from ebk.actions import CHUNK_ROWS, _check_zero_shift, _integer_directions
-from ebk.quantize import lattice_grid, truncation_estimate
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
-from test_kernels import lattice_extremum  # noqa: E402  the search plus the table
+from ebk.quantize import extremal_levels, lattice_grid, truncation_estimate
 
 K_MAX_ENUM = 1500
 K_MAX_INVERT = 1500
@@ -123,10 +116,11 @@ def ratios_row() -> None:
 
 
 def lattice_row() -> None:
-    """lattice_extremum (the search, then the table for the rows it leaves)
-    on pnorm:4 at the spectrum-variational sizes, at hbar 1 and 1e-9, and on
-    the disk's one crosscheck row, against building the action table and
-    reducing it; both must give the same values and directions."""
+    """quantize.extremal_levels at one box (the search, then the table for
+    the rows it leaves) on pnorm:4 at the spectrum-variational sizes, at
+    hbar 1 and 1e-9, and on the disk's one crosscheck row, against building
+    the action table and reducing it; both must give the same values and
+    directions."""
     print(f"{'':52s} {'descent':>10s} {'table':>10s}")
     quartic = LevelSurface.from_profile(pnorm_profile(4.0))
     grid = lattice_grid(2, M_MAX_RATIOS).astype(float)
@@ -137,7 +131,7 @@ def lattice_row() -> None:
         actions = SurfaceActions(surface, k_max)
 
         def descent():
-            return lattice_extremum(actions, W, use_max)
+            return next(extremal_levels(actions, W, (k_max,), use_max))
 
         def table():
             spec = marked_action_spectrum(surface, k_max)
@@ -202,12 +196,12 @@ def inversion_row() -> None:
 def chunk_rows(rows):
     """The action table and the disk crosscheck streamed in chunks of
     about `rows` directions."""
-    saved = actions_module.CHUNK_ROWS, billiard.CHUNK_ROWS
-    actions_module.CHUNK_ROWS = billiard.CHUNK_ROWS = rows
+    saved = actions_module.CHUNK_ROWS
+    actions_module.CHUNK_ROWS = rows
     try:
         yield
     finally:
-        actions_module.CHUNK_ROWS, billiard.CHUNK_ROWS = saved
+        actions_module.CHUNK_ROWS = saved
 
 
 def build_row() -> None:

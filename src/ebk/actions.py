@@ -8,13 +8,14 @@ demand. Zero-action entries (k orthogonal to an axis endpoint) are dropped.
 Tables are unshifted: the Maslov shift mu enters only the lattice weights
 hbar (m + mu) of the spectrum routes.
 
-A table is built from a stream: the sieve is read out in lex-ordered
-chunks of about CHUNK_ROWS directions, each converted to float coordinate
-columns once, and the inversion, its residual check, the actions and the
-kept mask run on those columns (_table_rows, which also serves the lattice
-search's inversions and the disk crosscheck). The bytes do not depend on
-CHUNK_ROWS; 16,384 rows took about half the peak memory of 65,536 (a
-chunk's temporaries) in no more time, and 2.5 MB less than 32,768.
+A table is built from a stream (_chunks): the sieve is read out in
+lex-ordered chunks of about CHUNK_ROWS directions, each converted to float
+coordinate columns once, and the inversion, its residual check, the actions
+and the kept mask run on those columns (_table_rows, which also serves the
+lattice search's inversions). The disk crosscheck reads the same stream.
+The bytes do not depend on CHUNK_ROWS; 16,384 rows took about half the
+peak memory of 65,536 (a chunk's temporaries) in no more time, and 2.5 MB
+less than 32,768.
 
 Large tables are written and read on two CPUs where two are available:
 render_rows (both writers) from SPLIT_BLOCKS blocks of ROW_BLOCK rows, the
@@ -521,18 +522,32 @@ def _table_rows(surface: LevelSurface, K: np.ndarray):
     return pts, acts, keep, failed
 
 
+def _check_residuals(failed: int) -> None:
+    """The table's error for `failed` directions off the inversion residual."""
+    if failed:
+        raise ConvergenceFailure(f"{failed} directions failed the inversion residual")
+
+
+def _chunks(surface: LevelSurface, mask: np.ndarray, lo: int = 0, hi: int | None = None):
+    """The sieve mask's slabs lo to hi in lex-ordered chunks of about
+    CHUNK_ROWS directions: per chunk, the index columns, the same columns as
+    floats (converted once) and _table_rows' four outputs on them."""
+    for cols in kernels._slabs(mask, CHUNK_ROWS, lo, hi):
+        K = np.array(cols, dtype=float)
+        yield cols, K, *_table_rows(surface, K)
+
+
 def marked_action_spectrum(surface: LevelSurface, k_max: int) -> ActionSpectrum:
     """Enumerate primitive directions with ||k||_inf <= k_max and their actions.
 
     Directions outside the surface's normal cone are skipped silently. The
     inversion is vectorized (closed form where the family has one, a
     monotone bisection of the normal angle otherwise) and reads the
-    directions as a stream of lex-ordered chunks of about CHUNK_ROWS, each
-    converted to float columns once for the inversion and the actions, the
-    kept rows compacted in place into arrays sized by the sieve's count, so
-    the working set beyond the table and the sieve is one chunk. Where the
-    normal angle is monotone the points with a given normal form one
-    connected run, along which <p, k> is constant, so one point per
+    directions as a stream of lex-ordered chunks of about CHUNK_ROWS
+    (_chunks), the kept rows compacted in place into arrays sized by the
+    sieve's count, so the working set beyond the table and the sieve is one
+    chunk. Where the normal angle is monotone the points with a given normal
+    form one connected run, along which <p, k> is constant, so one point per
     direction fixes its action; an arc whose normal turns back has no
     action table (UnsupportedSurface).
     """
@@ -543,8 +558,7 @@ def marked_action_spectrum(surface: LevelSurface, k_max: int) -> ActionSpectrum:
     pts = np.empty(K.shape)
     acts = np.empty(len(K))
     kept = failed = 0
-    for cols in kernels._slabs(mask, CHUNK_ROWS):
-        pc, ac, keep, bad = _table_rows(surface, np.array(cols, dtype=float))
+    for cols, floats, pc, ac, keep, bad in _chunks(surface, mask):
         failed += bad
         stop = kept + int(np.count_nonzero(keep))
         for j, (k, p) in enumerate(zip(cols, pc.T)):
@@ -552,8 +566,8 @@ def marked_action_spectrum(surface: LevelSurface, k_max: int) -> ActionSpectrum:
             np.compress(keep, p, out=pts[kept:stop, j])
         np.compress(keep, ac, out=acts[kept:stop])
         kept = stop
-    if failed:
-        raise ConvergenceFailure(f"{failed} directions failed the inversion residual")
+        del cols, floats   # not held while _chunks inverts the next chunk
+    _check_residuals(failed)
     K, pts, acts = K[:kept], pts[:kept], acts[:kept]
     return ActionSpectrum(K, acts, pts, surface.orientation, k_max)
 
@@ -589,8 +603,7 @@ class SurfaceActions:
         """(points, actions, keep) of the directions K, as the table has
         them; ConvergenceFailure where the table would fail."""
         pts, acts, keep, failed = _table_rows(self.surface, K.T.astype(float))
-        if failed:
-            raise ConvergenceFailure(f"{failed} directions failed the inversion residual")
+        _check_residuals(failed)
         return pts, acts, keep
 
 

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import actions, kernels
-from .actions import CHUNK_ROWS, MaslovShift, _table_rows, as_shift
+from .actions import MaslovShift, as_shift
 from .errors import ConfigError, ConvergenceFailure, DomainError, NonFiniteEnergy
 from .profiles import ToricProfile
-from .quantize import lattice_weights, truncation_estimate
+from .quantize import lattice_weights, truncation_boxes, truncation_estimate
 from .surfaces import LevelSurface, Orientation
 
 # Maslov pair for the disk: 0 on the angular loop, 3/4 on the radial one,
@@ -60,7 +60,8 @@ def radial_phase_slope(m: int, x):
     arr = np.asarray(x, dtype=float)
     if np.any(arr < m) or np.any(arr <= 0):
         raise DomainError("slope needs x >= m and x > 0")
-    out = np.sqrt(np.maximum(arr * arr - m * m, 0.0)) / arr
+    with np.errstate(over="ignore"):   # as in radial_phase
+        out = np.sqrt(np.maximum(arr * arr - m * m, 0.0)) / arr
     return out if isinstance(x, np.ndarray) else float(out)
 
 
@@ -97,7 +98,7 @@ def solve_momentum(m: int, n: float, tol: float = PHASE_SOLVE_TOL) -> float:
             hi = x
         else:
             lo = x
-        slope = math.sqrt(max(x * x - m * m, 0.0)) / x if x > 0 else 0.0
+        slope = radial_phase_slope(m, x)
         cand = x - fx / slope if slope > 0.0 else lo
         x = cand if lo < cand < hi else 0.5 * (lo + hi)
         fx = radial_phase(m, x) - target
@@ -291,12 +292,10 @@ class CrosscheckReport:
 def _fold_minima(lows, K, a, keep, w, bounds):
     """Fold into lows[i] the minimum of (k . w) / a over the kept rows with
     ||k||_inf <= bounds[i], K holding the direction columns, shape (2, N),
-    in the arithmetic of kernels._scan. Dropped rows read +inf; the minimum
-    is exact in any order, and every ratio is >= +0.0, so the folded value
-    is bitwise the table scan's."""
-    r = np.multiply(K[0], w[0])
-    r += np.multiply(K[1], w[1])
-    r /= a
+    in the arithmetic of the table scan (kernels._ratio). Dropped rows read
+    +inf; the minimum is exact in any order, and every ratio is >= +0.0, so
+    the folded value is bitwise the table scan's."""
+    r = kernels._ratio(K, a, w)
     r[~keep] = np.inf
     sup = np.maximum(K[0], K[1])
     for i, k in enumerate(bounds):
@@ -307,20 +306,15 @@ def _stream(mask, lo, hi, w, bounds):
     """The minima of (k . w) / a(k) up to each bound over the directions of
     the sieve mask's slabs lo to hi, then how many of them failed the
     inversion residual, then 1.0 if every kept action is finite (else 0.0),
-    as one float64 array. The directions stream in chunks of whole slabs,
-    converted to float columns once, through the table's inversion,
-    residual check and kept mask."""
-    curve = RamosCurve()
+    as one float64 array, from the action table's own stream (actions._chunks)."""
     lows = np.full(len(bounds), np.inf)
     failed, finite = 0, True
-    for cols in kernels._slabs(mask[lo:hi], CHUNK_ROWS):
-        K = np.array(cols, dtype=float)
-        K[0] += lo   # absolute directions: exact for integers
-        _, acts, keep, bad = _table_rows(curve, K)
+    for _, K, _, acts, keep, bad in actions._chunks(RamosCurve(), mask, lo, hi):
         failed += bad
         # a kept action is never nan, so it is finite unless infinite
         finite = finite and not np.isinf(acts).any(where=keep)
         _fold_minima(lows, K, acts, keep, w, bounds)
+        del K   # the old chunk's columns are not held while the next is inverted
     return np.append(lows, (failed, finite))
 
 
@@ -330,7 +324,7 @@ def _disk_minima(w, bounds):
     stream through _stream, and the table's failures are raised after the
     stream.
 
-    From 2 * CHUNK_ROWS directions on, where two CPUs are available
+    From 2 * actions.CHUNK_ROWS directions on, where two CPUs are available
     (actions._two_cpus), a forked child streams the slabs after the one
     where the cumulative direction count passes half the total and sends
     back its summary as float64 bytes (actions._in_halves), while the parent
@@ -340,7 +334,7 @@ def _disk_minima(w, bounds):
     on the split."""
     mask = kernels._sieve(2, bounds[-1])
     ends = np.cumsum(mask.sum(axis=1))
-    if ends[-1] < 2 * CHUNK_ROWS or not actions._two_cpus():
+    if ends[-1] < 2 * actions.CHUNK_ROWS or not actions._two_cpus():
         halves = [_stream(mask, 0, len(mask), w, bounds)]
     else:
         cut = int(np.searchsorted(ends, ends[-1] / 2, side="right"))
@@ -349,9 +343,7 @@ def _disk_minima(w, bounds):
             lambda: _stream(mask, cut, len(mask), w, bounds).tobytes(), bytes)
         halves = [mine, _stream(mask, cut, len(mask), w, bounds) if theirs is None
                   else np.frombuffer(b"".join(theirs))]
-    failed = int(sum(half[-2] for half in halves))
-    if failed:
-        raise ConvergenceFailure(f"{failed} directions failed the inversion residual")
+    actions._check_residuals(int(sum(half[-2] for half in halves)))
     if not all(half[-1] for half in halves):
         raise ConfigError("action entries must be finite")
     return np.minimum.reduce([half[:-2] for half in halves])
@@ -366,10 +358,9 @@ def crosscheck_disk(m1: int, m2: int, k_max: int = 2000, shift=None,
     at k_max and at k_max // 4 and k_max // 2 for the truncation estimate;
     the reference solves the phase equation at angular m2 - m1 and radial
     m1 + mu. Uniform shifts only: the identification pairs one mu with both
-    loops of the reference route. The disk's table is streamed, never held;
-    from 2 * CHUNK_ROWS directions on, where two CPUs are available, a
-    forked child streams the second half of the sieve (_disk_minima). The
-    report does not depend on the split.
+    loops of the reference route. The disk's table is streamed, never held,
+    on two cores where it is large (_disk_minima); the report does not
+    depend on the split.
     """
     m1 = _check_angular(m1)
     m2 = _check_angular(m2)
@@ -384,7 +375,7 @@ def crosscheck_disk(m1: int, m2: int, k_max: int = 2000, shift=None,
         raise ConfigError("crosscheck requires a uniform shift")
     reference = BilliardLevel.solve(m2 - m1, m1 + mu.values[0], hbar=hbar)
     w = lattice_weights(np.array([[m1, m2]]), mu, hbar)[0]
-    levels = _disk_minima(w, (k_max // 4, k_max // 2, k_max))
+    levels = _disk_minima(w, truncation_boxes(k_max))
     energy = float(levels[2])
     estimate = float(truncation_estimate(levels[:1], levels[1:2], levels[2:])[0])
 

@@ -27,6 +27,8 @@ from .quantize import (
 )
 from .surfaces import Orientation
 
+DEFAULT_K_MAX = 100   # --k-max of a --profile surface's action spectrum
+
 
 def _parse_shift(text: Optional[str]):
     if text is None:
@@ -45,6 +47,30 @@ def _parse_lattice_point(text: str) -> tuple[int, ...]:
         return tuple(int(tok) for tok in text.split(","))
     except ValueError as exc:
         raise ConfigError(f"--m expects comma separated integers, got {text!r}") from exc
+
+
+def _json_text(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _cell(value) -> str:
+    """A CSV cell: a float as %.17g, a sequence joined by ";", else str."""
+    if isinstance(value, float):
+        return "%.17g" % value
+    if isinstance(value, (list, tuple)):
+        return ";".join(map(_cell, value))
+    return str(value)
+
+
+def _emit(args, doc, header, rows=None) -> None:
+    """Write doc to --out as JSON under --format json, else the CSV of the
+    header and the rows of cells (default: one row, doc's values under header)."""
+    if args.format == "json":
+        _write(args.out, _json_text(doc))
+    else:
+        rows = [[doc[key] for key in header]] if rows is None else rows
+        _write(args.out, "".join(",".join(map(_cell, row)) + "\n"
+                                 for row in [header, *rows]))
 
 
 def _write(out: Optional[str], text: str) -> None:
@@ -82,6 +108,9 @@ def _load_actions(args):
     if args.actions:
         if args.profile is not None:
             raise ConfigError("give --profile or --actions, not both")
+        if args.k_max is not None:
+            raise ConfigError("--k-max does not apply to --actions: a table has its "
+                              "own k_max")
         text = _read_text(args.actions)
         try:
             if args.actions.endswith(".json"):
@@ -96,7 +125,8 @@ def _load_actions(args):
             raise ConfigError(f"actions file {args.actions!r}: {exc}") from exc
     else:
         spec = parse_domain_spec(args.profile)
-        actions = SurfaceActions(spec.make_surface(), args.k_max)
+        actions = SurfaceActions(spec.make_surface(),
+                                 DEFAULT_K_MAX if args.k_max is None else args.k_max)
         own = spec.profile.degree if spec.profile is not None else degree
         if degree not in (None, own):
             raise ConfigError(f"--degree {degree:g} contradicts the profile's own "
@@ -120,24 +150,23 @@ def _oriented(actions, orientation: Optional[str]):
                           table.k_max)
 
 
-def _spectrum_text(spectrum, fmt: str) -> str:
-    return spectrum.to_json() if fmt == "json" else spectrum.to_csv()
+def _formatted(table, fmt: str) -> str:   # a spectrum or an action table
+    return table.to_json() if fmt == "json" else table.to_csv()
 
 
 def cmd_spectrum_direct(args) -> int:
     spec = parse_domain_spec(args.profile)
     spectrum = direct_spectrum(spec.require_profile(), args.m_max,
                                hbar=args.hbar, shift=_parse_shift(args.shift))
-    _write(args.out, _spectrum_text(spectrum, args.format))
+    _write(args.out, _formatted(spectrum, args.format))
     return 0
 
 
 def cmd_spectrum_variational(args) -> int:
     actions, degree = _load_actions(args)
-    spectrum = variational_spectrum(actions, args.m_max, degree=degree,
-                                    hbar=args.hbar,
+    spectrum = variational_spectrum(actions, args.m_max, degree=degree, hbar=args.hbar,
                                     shift=_parse_shift(args.shift))
-    _write(args.out, _spectrum_text(spectrum, args.format))
+    _write(args.out, _formatted(spectrum, args.format))
     return 0
 
 
@@ -145,25 +174,18 @@ def cmd_spectrum_reconstruct(args) -> int:
     actions, degree = _load_actions(args)
     # a surface's cloud is checked against the surface itself
     reference = actions.surface if isinstance(actions, SurfaceActions) else None
-    spectrum, recon = reconstruction_spectrum(actions, args.m_max,
-                                              degree=degree,
-                                              hbar=args.hbar,
-                                              shift=_parse_shift(args.shift),
+    spectrum, recon = reconstruction_spectrum(actions, args.m_max, degree=degree,
+                                              hbar=args.hbar, shift=_parse_shift(args.shift),
                                               reference=reference)
-    _write(args.out, _spectrum_text(spectrum, args.format))
+    _write(args.out, _formatted(spectrum, args.format))
     if args.report:
-        _write(args.report,
-               json.dumps(recon.report.to_json_dict(), indent=2,
-                          sort_keys=True) + "\n")
+        _write(args.report, _json_text(recon.report.to_json_dict()))
     return 0
 
 
 def cmd_actions(args) -> int:
-    spec = parse_domain_spec(args.profile)
-    surface = spec.make_surface()
-    actions = marked_action_spectrum(surface, args.k_max)
-    _write(args.out,
-           actions.to_json() if args.format == "json" else actions.to_csv())
+    surface = parse_domain_spec(args.profile).make_surface()
+    _write(args.out, _formatted(marked_action_spectrum(surface, args.k_max), args.format))
     return 0
 
 
@@ -171,18 +193,11 @@ def cmd_legendre_dual(args) -> int:
     if args.samples < 1:
         raise ConfigError("--samples must be >= 1")
     spec = parse_domain_spec(args.profile)
-    surface = spec.make_surface()
-    dual = hypersurface_transform(surface)
+    dual = hypersurface_transform(spec.make_surface())
     params = np.linspace(dual.param_lo, dual.param_hi, args.samples)
     points = dual.point(params)
-    if args.format == "json":
-        doc = {"profile": spec.name, "params": params.tolist(),
-               "points": points.tolist()}
-        _write(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    else:
-        rows = np.column_stack([params, points]).tolist()
-        _write(args.out, "param,x_1,x_2\n"
-               + "".join("%.17g,%.17g,%.17g\n" % tuple(row) for row in rows))
+    _emit(args, {"profile": spec.name, "params": params.tolist(), "points": points.tolist()},
+          ["param", "x_1", "x_2"], np.column_stack([params, points]).tolist())
     return 0
 
 
@@ -190,14 +205,9 @@ def cmd_billiard_solve(args) -> int:
     n = args.n + (RADIAL_SHIFT if args.maslov else 0.0)
     level = BilliardLevel.solve(args.m, n, radius=args.radius, hbar=args.hbar,
                                 tol=args.tol)
-    if args.format == "json":
-        doc = {"m": level.m, "n": level.n, "F": level.momentum,
-               "E": level.energy, "residual": level.residual,
-               "radius": level.radius, "hbar": level.hbar}
-        _write(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    else:
-        _write(args.out, "m,n,F,E,residual\n%d,%.17g,%.17g,%.17g,%.17g\n" % (
-            level.m, level.n, level.momentum, level.energy, level.residual))
+    doc = {"m": level.m, "n": level.n, "F": level.momentum, "E": level.energy,
+           "residual": level.residual, "radius": level.radius, "hbar": level.hbar}
+    _emit(args, doc, ["m", "n", "F", "E", "residual"])
     return 0
 
 
@@ -205,20 +215,7 @@ def cmd_billiard_crosscheck(args) -> int:
     report = crosscheck_disk(args.m1, args.m2, k_max=args.k_max,
                              shift=_parse_shift(args.shift), hbar=args.hbar)
     doc = report.to_json_dict()
-    if args.format == "csv":
-        keys = sorted(doc)
-
-        def cell(v):
-            if isinstance(v, float):
-                return "%.17g" % v
-            if isinstance(v, (list, tuple)):
-                return ";".join(cell(x) for x in v)
-            return str(v)
-
-        _write(args.out, ",".join(keys) + "\n"
-               + ",".join(cell(doc[k]) for k in keys) + "\n")
-    else:
-        _write(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _emit(args, doc, sorted(doc))
     return 0
 
 
@@ -227,33 +224,30 @@ def cmd_minmax_certify(args) -> int:
     cert = minmax_certificate(actions, args.energy, _parse_lattice_point(args.m),
                               shift=_parse_shift(args.shift), hbar=args.hbar,
                               ells=range(1, args.ell_max + 1))
-    if args.format == "json":
-        doc = {"energy": cert.energy, "m": list(cert.m),
-               "shift": list(cert.shift.values), "hbar": cert.hbar,
-               "direction_constant": cert.direction_constant,
-               "sign": cert.sign,
-               "records": [{"ell": r.ell, "value": r.value,
-                            "direction": list(r.direction),
-                            "multiple": r.multiple} for r in cert.records]}
-        _write(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    else:
-        _write(args.out, "ell,value,direction,multiple\n" + "".join(
-            "%d,%.17g,%s,%d\n" % (r.ell, r.value, ";".join(map(str, r.direction)),
-                                   r.multiple) for r in cert.records))
+    header = ["ell", "value", "direction", "multiple"]
+    records = [dict(zip(header, (r.ell, r.value, list(r.direction), r.multiple)))
+               for r in cert.records]
+    doc = {"energy": cert.energy, "m": list(cert.m), "shift": list(cert.shift.values),
+           "hbar": cert.hbar, "direction_constant": cert.direction_constant,
+           "sign": cert.sign, "records": records}
+    _emit(args, doc, header, [[record[key] for key in header] for record in records])
     return 0
 
 
-def _add_common(p, *, out=True) -> None:
-    if out:
-        p.add_argument("--out", default="-", help="output path ('-' = stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--hbar", type=float, default=1.0)
+def _add_common(p, *, hbar=True) -> None:
+    p.add_argument("--out", default="-", help="output path ('-' = stdout)")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    if hbar:
+        p.add_argument("--hbar", type=float, default=1.0)
 
 
 def _add_profile(p, *, k_max=False, actions=False) -> None:
     p.add_argument("--profile", help="builtin name or JSON spec file")
     if k_max:
-        p.add_argument("--k-max", type=int, default=100, dest="k_max")
+        # beside --actions, None tells an explicit --k-max from the default
+        p.add_argument("--k-max", type=int, dest="k_max",
+                       default=None if actions else DEFAULT_K_MAX,
+                       help=f"default {DEFAULT_K_MAX}")
     if actions:
         p.add_argument("--actions", help="precomputed actions file (CSV or JSON)")
         p.add_argument("--orientation", choices=("convex", "concave", "general"),
@@ -305,13 +299,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("actions", help="enumerate the marked action spectrum")
     _add_profile(p, k_max=True)
-    _add_common(p)
+    _add_common(p, hbar=False)
     p.set_defaults(fn=cmd_actions)
 
     p = sub.add_parser("legendre-dual", help="sample the dual surface L(N)")
     _add_profile(p)
     p.add_argument("--samples", type=int, default=256)
-    _add_common(p)
+    _add_common(p, hbar=False)
     p.set_defaults(fn=cmd_legendre_dual)
 
     p = sub.add_parser("billiard-solve", help="solve the radial phase equation")
@@ -350,11 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if getattr(args, "profile", None) is None \
-                and getattr(args, "actions", None) is None \
-                and args.fn in (cmd_spectrum_variational, cmd_spectrum_reconstruct,
-                                cmd_minmax_certify, cmd_actions, cmd_spectrum_direct,
-                                cmd_legendre_dual):
+        # every subcommand with --profile needs it, or --actions where it has one
+        if "profile" in vars(args) and args.profile is None \
+                and getattr(args, "actions", None) is None:
             raise ConfigError("--profile (or --actions) is required")
         return args.fn(args)
     except ConfigError as exc:

@@ -70,19 +70,20 @@ def _sieve(dimension: int, k_max: int) -> np.ndarray:
     return keep
 
 
-def _slabs(mask: np.ndarray, rows: int):
-    """The true cells of mask as index columns in C (= lex) order, one
-    int64 array per coordinate, in chunks of whole first-coordinate slabs:
-    as many slabs as hold at most `rows` cells together, and at least one."""
-    ends = np.cumsum(mask.reshape(len(mask), -1).sum(axis=1))
-    lo = 0
-    while lo < len(mask):
-        done = int(ends[lo - 1]) if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(ends, done + rows, side="right")))
-        cols = np.nonzero(mask[lo:hi])
-        cols[0][:] += lo
+def _slabs(mask: np.ndarray, rows: int, lo: int = 0, hi: int | None = None):
+    """The true cells of mask's first-coordinate slabs lo to hi as absolute
+    index columns in C (= lex) order, one int64 array per coordinate, in
+    chunks of whole slabs: as many as hold at most `rows` cells, at least one."""
+    part = mask[lo:hi]
+    ends = np.cumsum(part.reshape(len(part), -1).sum(axis=1))
+    start = 0
+    while start < len(part):
+        done = int(ends[start - 1]) if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, done + rows, side="right")))
+        cols = np.nonzero(part[start:stop])
+        cols[0][:] += lo + start
         yield cols
-        lo = hi
+        start = stop
 
 
 def primitive_directions(dimension: int, k_max: int) -> np.ndarray:
@@ -115,17 +116,34 @@ def bisect_generic(angle_fn, lo: float, hi: float, targets: np.ndarray,
 
 # --- extremal ratio reduction ---
 
+def _ratio(cols, a, w):
+    """(k . w) / a from the direction columns cols and one weight per column
+    (a row's scalars, or arrays that broadcast against the columns): the
+    products summed in coordinate order, then one division in place."""
+    num = cols[0] * w[0]
+    for j in range(1, len(cols)):
+        num += cols[j] * w[j]
+    return np.divide(num, a, out=num)
+
+
+def _tied(r, best, use_max):
+    """Where the ratios r lie within TIE_TOL |best| of the extremum best."""
+    tol = TIE_TOL * np.abs(best)
+    return (r >= best - tol) if use_max else (r <= best + tol)
+
+
+def _past_window(x):
+    """x less twice its tie window: below it, past the window of x twice over."""
+    return x - 2.0 * TIE_TOL * np.abs(x)
+
+
 def _scan(cols, a, w, use_max, order):
     """Extremum of (cols . w) / a and the smallest original index within the
     tie window; order maps scan positions to original indices (None: the
     scan is in original order)."""
-    num = cols[0] * w[0]
-    for j in range(1, len(cols)):
-        num += cols[j] * w[j]
-    r = np.divide(num, a, out=num)
+    r = _ratio(cols, a, w)
     best = r.max() if use_max else r.min()
-    tol = TIE_TOL * abs(best)
-    mask = (r >= best - tol) if use_max else (r <= best + tol)
+    mask = _tied(r, best, use_max)
     if order is None:
         return best, int(np.argmax(mask))
     return best, int(order[mask].min())
@@ -191,26 +209,11 @@ def _candidate_ranges(K, a, Wc, sgn, box, reps, floor):
     upper += np.maximum(tmin * wv, tmax * wv)
     upper += BOUND_SLACK * np.abs(Wc).sum(axis=1, keepdims=True) * radius + floor
     # representatives use the scan's own arithmetic: attained values
-    num = K[reps, 0] * Wc[:, :1]
-    num += K[reps, 1] * Wc[:, 1:]
-    lower = (sgn * (num / a[reps])).max(axis=1)
-    threshold = lower - 2.0 * TIE_TOL * np.abs(lower)
-    hit = upper >= threshold[:, None]
+    lower = (sgn * _ratio(K[reps].T, a[reps], Wc.T[:, :, None])).max(axis=1)
+    hit = upper >= _past_window(lower)[:, None]
     first = hit.argmax(axis=1)
     last = hit.shape[1] - 1 - hit[:, ::-1].argmax(axis=1)
     return first, last + 1
-
-
-def _check_ratio_inputs(K, a, W):
-    if K.ndim != 2 or a.shape != (K.shape[0],) or W.ndim != 2 \
-            or W.shape[1] != K.shape[1]:
-        raise ValueError("extremal_ratios needs K (N, n), a (N,), W (G, n)")
-    if K.shape[0] == 0:
-        raise ValueError("empty entry list")
-    if not (np.isfinite(K).all() and np.isfinite(a).all() and np.isfinite(W).all()):
-        raise ValueError("extremal_ratios needs finite K, a and W")
-    if np.any(a == 0):
-        raise ValueError("extremal_ratios needs nonzero actions")
 
 
 # overflowing products and ratios are left to the caller's finiteness check
@@ -230,7 +233,15 @@ def extremal_ratios(K: np.ndarray, a: np.ndarray, W: np.ndarray, use_max: bool):
         K = np.ascontiguousarray(K, dtype=float)
     a = np.ascontiguousarray(a, dtype=float)
     W = np.ascontiguousarray(W, dtype=float)
-    _check_ratio_inputs(K, a, W)
+    if K.ndim != 2 or a.shape != (K.shape[0],) or W.ndim != 2 \
+            or W.shape[1] != K.shape[1]:
+        raise ValueError("extremal_ratios needs K (N, n), a (N,), W (G, n)")
+    if K.shape[0] == 0:
+        raise ValueError("empty entry list")
+    if not (np.isfinite(K).all() and np.isfinite(a).all() and np.isfinite(W).all()):
+        raise ValueError("extremal_ratios needs finite K, a and W")
+    if np.any(a == 0):
+        raise ValueError("extremal_ratios needs nonzero actions")
     (N, n), G = K.shape, W.shape[0]
     vals = np.empty(G, dtype=float)
     idxs = np.empty(G, dtype=np.int64)
@@ -265,13 +276,6 @@ def extremal_ratios(K: np.ndarray, a: np.ndarray, W: np.ndarray, use_max: bool):
 FAREY_WALK_CAP = 256   # Farey terms walked per side before a row takes the table
 DESCENT_ROUNDS = 200   # runs per row; a continued fraction below 2**63 has < 95
 COARSE_BOX = 64        # the descent starts from this box's Farey terms
-
-
-def _ratios(K, a, W):
-    """(k . w) / a row by row, in the arithmetic of _scan."""
-    num = K[:, 0] * W[:, 0]
-    num += K[:, 1] * W[:, 1]
-    return num / a
 
 
 def _run_length(A, B, k_max):
@@ -407,13 +411,13 @@ def _walk(invert, W, L, R, k_max, sgn):
         K = np.concatenate([near[0][walking[0]], near[1][walking[1]]])
         _, a, keep = invert(K)
         g, K = g[keep], K[keep]
-        r = _ratios(K, a[keep], W[g])
+        r = _ratio(K.T, a[keep], W[g].T)
         np.maximum.at(best, g, sgn * r)
         rows.append(g)
         dirs.append(K)
         ratios.append(r)
         below = np.zeros(len(keep), dtype=bool)
-        below[keep] = sgn * r < best[g] - 2.0 * TIE_TOL * np.abs(best[g])
+        below[keep] = sgn * r < _past_window(best[g])
         n0 = len(walking[0])
         walking = [walking[0][~below[:n0]], walking[1][~below[n0:]]]
     return best, *map(np.concatenate, (rows, dirs, ratios)), np.concatenate(walking)
@@ -425,8 +429,7 @@ def _settle(invert, W, rows, L, R, k_max, sgn):
     lex order within the window."""
     best, seen, K, r, capped = _walk(invert, W[rows], L, R, k_max, sgn)
     best *= sgn
-    tol = TIE_TOL * np.abs(best)
-    window = (r >= (best - tol)[seen]) if sgn > 0 else (r <= (best + tol)[seen])
+    window = _tied(r, best[seen], sgn > 0)
     seen, K = seen[window], K[window]
     order = np.lexsort((K[:, 1], K[:, 0], seen))
     hit, first_of_row = np.unique(seen[order], return_index=True)
@@ -520,7 +523,7 @@ def lattice_search(invert, W: np.ndarray, boxes, use_max: bool):
         vals = np.empty(len(W))
         args = np.empty((len(W), 2), dtype=np.int64)
         done = zero.copy()
-        vals[done] = _ratios(first[0][None, :], first[1], W[done])
+        vals[done] = _ratio(first[0], first[1], W[done].T)
         args[done] = first[0]
         safe = k * scale[rows] < SCALE_CAP
         Lk, Rk = _box_pair(L[safe], R[safe], k)

@@ -148,6 +148,41 @@ def _table(actions) -> ActionSpectrum:
     return actions.table() if isinstance(actions, SurfaceActions) else actions
 
 
+def truncation_boxes(k_max: int) -> tuple[int, ...]:
+    """The boxes k_max // 4, k_max // 2, k_max of the estimate; k_max alone if small."""
+    return (k_max // 4, k_max // 2, k_max) if k_max >= TRUNCATION_MIN_KMAX else (k_max,)
+
+
+def extremal_levels(actions, W: np.ndarray, boxes, use_max: bool):
+    """Yields per box b of the ascending boxes, the largest first and each
+    when asked for: (vals, args), what kernels.extremal_ratios gives on the
+    entries with ||k||_inf <= b, or None when no entry is that short.
+
+    actions is an ActionSpectrum or SurfaceActions at k_max = boxes[-1]. A
+    searchable SurfaceActions is searched: one kernels.lattice_search call
+    settles most rows of every box, bitwise as the table would, and the
+    rows it leaves, at any box, scan one table built at k_max.
+    """
+    if isinstance(actions, SurfaceActions) and actions.searchable():
+        spec, found = None, kernels.lattice_search(actions.invert, W, boxes, use_max)
+    else:   # every row of every box is left to the table
+        spec = _table(actions)
+        found = [(np.empty(len(W)), np.empty((len(W), spec.dimension), dtype=np.int64),
+                  np.arange(len(W))) for _ in boxes]
+    for k, box in zip(reversed(boxes), reversed(found)):
+        if box is not None and box[2].size:
+            spec = actions.table() if spec is None else spec
+            sub = spec if k == spec.k_max else spec.restrict(k)
+            if len(sub) == 0:
+                box = None
+            else:
+                vals, args, rest = box
+                vals[rest], idx = kernels.extremal_ratios(sub.directions, sub.actions,
+                                                          W[rest], use_max)
+                args[rest] = sub.directions[idx]
+        yield None if box is None else box[:2]
+
+
 def variational_spectrum(actions, m_max: int, degree: float = 1.0,
                          hbar: float = 1.0, shift=None) -> EbkSpectrum:
     """Extremal-ratio spectrum over the primitive entries.
@@ -158,79 +193,45 @@ def variational_spectrum(actions, m_max: int, degree: float = 1.0,
     more entries is a ConfigError, since only the caller can choose. The
     result is raised to the homogeneity degree. When the input's k_max is
     at least TRUNCATION_MIN_KMAX, a three-level Richardson-style error
-    estimate from the boxes k_max // 4, k_max // 2 and k_max is attached
-    per level.
-
-    actions is an ActionSpectrum or SurfaceActions. A searchable
-    SurfaceActions is searched: one kernels.lattice_search call finds every
-    truncation level's extremum from the curve, bitwise as the table would,
-    and the rows it leaves over, at any level, read one table built at
-    k_max.
+    estimate from the truncation_boxes is attached per level. actions is an
+    ActionSpectrum or SurfaceActions, reduced by extremal_levels.
     """
     _check_degree(degree)
-    searched = isinstance(actions, SurfaceActions) and actions.searchable()
-    spec = None
-    if searched:
+    if isinstance(actions, SurfaceActions) and actions.searchable():
         dimension, k_max, oriented = 2, actions.k_max, actions.surface.orientation
     else:
-        spec = _table(actions)
-        if len(spec) == 0:
+        actions = _table(actions)
+        if len(actions) == 0:
             raise EmptySpectrum("action spectrum has no entries")
-        dimension, k_max, oriented = spec.dimension, spec.k_max, spec.orientation
+        dimension, k_max, oriented = actions.dimension, actions.k_max, actions.orientation
     mu = as_shift(shift, dimension)
-    # a searched curve is convex or concave
-    if oriented is Orientation.GENERAL and len(spec) > 1:
+    # a searched curve is convex or concave, so only a table is general
+    if oriented is Orientation.GENERAL and len(actions) > 1:
         raise ConfigError("variational route needs a convex or concave "
                           "orientation for a general input of several entries")
     use_max = oriented is not Orientation.CONCAVE
     m_grid = lattice_grid(dimension, m_max)
     W = lattice_weights(m_grid, mu, hbar)
-    estimate = k_max >= TRUNCATION_MIN_KMAX
-    boxes = (k_max // 4, k_max // 2, k_max) if estimate else (k_max,)
-    if searched:
-        found = kernels.lattice_search(actions.invert, W, boxes, use_max)
-
-    def level(i: int):
-        """Energies and extremal directions with ||k||_inf <= boxes[i]; None
-        when no entry is that short."""
-        nonlocal spec
-        k = boxes[i]
-        if searched:
-            if found[i] is None:
-                return None
-            vals, args, rest = found[i]
-        else:
-            vals, args = np.empty(len(W)), np.empty((len(W), dimension), dtype=np.int64)
-            rest = np.arange(len(W))
-        if rest.size:
-            if spec is None:
-                spec = actions.table()
-            sub = spec if k == k_max else spec.restrict(k)
-            if len(sub) == 0:
-                return None
-            vals[rest], idx = kernels.extremal_ratios(sub.directions, sub.actions,
-                                                      W[rest], use_max)
-            args[rest] = sub.directions[idx]
-        with np.errstate(**QUIET):
-            return vals ** degree, args
-
-    top = level(-1)
+    levels = extremal_levels(actions, W, truncation_boxes(k_max), use_max)
+    top = next(levels)
     if top is None:
         raise EmptySpectrum("action spectrum has no entries")
-    energies, argext = top
+    with np.errstate(**QUIET):
+        energies = top[0] ** degree
     _check_finite("variational", energies, hbar)
 
     est = None
-    if estimate:
-        quarter, half = level(0), level(1)
-        # single-direction containers can lose every entry at a coarser
-        # level; the three-level estimate is undefined then
-        if quarter is not None and half is not None:
-            est = truncation_estimate(quarter[0], half[0], energies)
+    coarser = list(levels)
+    # single-direction containers can lose every entry at a coarser level;
+    # the three-level estimate is undefined then
+    if len(coarser) == 2 and None not in coarser:
+        half, quarter = coarser
+        with np.errstate(**QUIET):
+            est = truncation_estimate(quarter[0] ** degree, half[0] ** degree, energies)
 
     return EbkSpectrum(route="variational", dimension=dimension,
                        degree=degree, hbar=hbar, shift=mu, m_grid=m_grid,
-                       energies=energies, argext=argext, truncation=est)
+                       energies=energies, argext=top[1], truncation=est)
 
 
 def truncation_estimate(coarse: np.ndarray, mid: np.ndarray,

@@ -326,7 +326,7 @@ def test_disk_minima_are_independent_of_the_chunk_size(monkeypatch):
     bounds = (150, 300, 600)
     lows, failures = [], []
     for rows in (7, actions_module.CHUNK_ROWS):
-        monkeypatch.setattr(billiard_module, "CHUNK_ROWS", rows)
+        monkeypatch.setattr(actions_module, "CHUNK_ROWS", rows)
         lows.append([float(x).hex() for x in billiard_module._disk_minima(w, bounds)])
         with monkeypatch.context() as m:
             m.setattr(actions_module, "NORMAL_RESIDUAL_TOL", 1e-17)

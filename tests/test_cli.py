@@ -405,6 +405,40 @@ def test_actions_takes_no_shift(tmp_path, capsys):
     assert err == "error: unrecognized arguments: --shift 0.5\n"
 
 
+@pytest.mark.parametrize("argv, value", [
+    (["actions", "--profile", "pnorm:3", "--k-max", "10"], "nan"),
+    (["legendre-dual", "--profile", "pnorm:3"], "-5"),
+], ids=["actions", "legendre-dual"])
+def test_commands_without_hbar_reject_it(tmp_path, capsys, argv, value):
+    # a table and the dual surface do not depend on hbar: the flag was read
+    # and ignored, so `--hbar nan` exited 0
+    err = _assert_one_error_line(argv + ["--hbar", value], tmp_path, capsys)
+    assert err == f"error: unrecognized arguments: --hbar {value}\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["spectrum-variational", "--m-max", "2"],
+    ["spectrum-reconstruct", "--m-max", "2"],
+    ["minmax-certify", "--energy", "3.5", "--m", "1,1"],
+], ids=["variational", "reconstruct", "certify"])
+@pytest.mark.parametrize("k_max", ["100", "30"], ids=["default", "own"])
+def test_k_max_beside_actions_is_a_config_error(tmp_path, capsys, pnorm4_table, command,
+                                                k_max):
+    # a table has its own k_max: an explicit --k-max was ignored, even one
+    # that repeated the default or the table's own
+    argv = command[:1] + ["--actions", pnorm4_table] + command[1:]
+    assert main(argv + ["--out", str(tmp_path / "ok.out")]) == 0
+    capsys.readouterr()
+    err = _assert_one_error_line(argv + ["--k-max", k_max], tmp_path, capsys)
+    assert err == "error: --k-max does not apply to --actions: a table has its own k_max\n"
+
+
+def test_profile_k_max_defaults_to_100(tmp_path):
+    argv = ["spectrum-variational", "--profile", "pnorm:4", "--m-max", "2"]
+    assert run_to_file(tmp_path, "default.csv", argv) \
+        == run_to_file(tmp_path, "explicit.csv", argv + ["--k-max", "100"])
+
+
 @pytest.mark.parametrize("argv, message", [
     (["spectrum-variational", "--profile", "pnorm:4", "--m-max", "2", "--bogus"],
      "unrecognized arguments: --bogus"),

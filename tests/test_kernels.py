@@ -1,6 +1,5 @@
 import os
 import time
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ from hypothesis import strategies as st
 
 from ebk import (ConvergenceFailure, LevelSurface, RamosCurve, SurfaceActions, kernels,
                  marked_action_spectrum, pnorm_profile)
-from ebk.quantize import lattice_grid, variational_spectrum
+from ebk.quantize import extremal_levels, lattice_grid, variational_spectrum
 
 
 def _brute_primitives(dim, k_max):
@@ -69,6 +68,12 @@ def test_primitive_direction_chunks_concatenate_to_the_whole(dim, k_max, rows):
     assert np.array_equal(np.concatenate(firsts), np.arange(k_max + 1))
     if rows >= len(whole):
         assert len(chunks) == 1
+    # slabs lo to hi alone, as absolute directions
+    mask = kernels._sieve(dim, k_max)
+    for lo, hi in ((0, 1), (1, k_max + 1), (k_max // 2, k_max // 2 + 2), (k_max, None)):
+        part = [np.stack(cols, axis=1) for cols in kernels._slabs(mask, rows, lo, hi)]
+        inside = (whole[:, 0] >= lo) & (whole[:, 0] < (k_max + 1 if hi is None else hi))
+        assert np.array_equal(np.concatenate(part), whole[inside])
 
 
 def _closed_form_surfaces():
@@ -335,29 +340,11 @@ def test_extremal_ratios_prunes(monkeypatch):
 
 # --- the lattice search, with the table for the rows it leaves ---
 
-def lattice_extremum(actions, W, use_max):
-    """extremal_ratios over actions.table() (marked_action_spectrum at
-    actions.k_max), as the variational route reduces one level:
-    kernels.lattice_search settles the rows it can, and the table scan the
-    rows it leaves. None when the table would be empty. actions needs
-    invert and k_max, and table() only when the search leaves rows."""
-    W = np.ascontiguousarray(W, dtype=float)
-    found = kernels.lattice_search(actions.invert, W, (actions.k_max,), use_max)[0]
-    if found is None:
-        return None
-    vals, args, rest = found
-    if rest.size:
-        spec = actions.table()
-        vals[rest], idx = kernels.extremal_ratios(spec.directions, spec.actions,
-                                                  W[rest], use_max)
-        args[rest] = spec.directions[idx]
-    return vals, args
-
-
 def _assert_matches_table(surface, k_max, W, use_max):
-    """lattice_extremum against extremal_ratios on the action table:
-    values bitwise, the sign of a zero included, and argmax directions."""
-    got = lattice_extremum(SurfaceActions(surface, k_max), W, use_max)
+    """The search then the table (quantize.extremal_levels at the one box
+    k_max) against extremal_ratios on the action table: values bitwise, the
+    sign of a zero included, and argmax directions."""
+    got = next(extremal_levels(SurfaceActions(surface, k_max), W, (k_max,), use_max))
     spec = marked_action_spectrum(surface, k_max)
     vals, idx = kernels.extremal_ratios(spec.directions, spec.actions, W, use_max)
     assert np.array_equal(got[0].view(np.int64), vals.view(np.int64))
@@ -428,7 +415,7 @@ def test_lattice_extremum_tied_axis_side_falls_back_to_the_table(monkeypatch):
     surface = LevelSurface.from_profile(pnorm_profile(1.05))
     W = np.array([[0.0, 1.0], [1.0, 1.0]])
     t0 = time.perf_counter()
-    got = lattice_extremum(SurfaceActions(surface, 2000), W, True)
+    got = next(extremal_levels(SurfaceActions(surface, 2000), W, (2000,), True))
     assert time.perf_counter() - t0 < 30.0
     assert calls == [1]   # only the tied row scans a table
     monkeypatch.setattr(kernels, "extremal_ratios", scan)
@@ -459,15 +446,14 @@ def test_lattice_extremum_raises_where_the_table_does():
     # axis rows meets those directions
     actions = SurfaceActions(LevelSurface.from_profile(pnorm_profile(1.01)), 2000)
     with pytest.raises(ConvergenceFailure):
-        lattice_extremum(actions, lattice_grid(2, 2).astype(float), True)
+        next(extremal_levels(actions, lattice_grid(2, 2).astype(float), (2000,), True))
 
 
 def test_lattice_extremum_without_kept_directions_is_none():
     def nothing(K):
         return np.full(K.shape, np.nan), np.full(len(K), np.nan), np.zeros(len(K), bool)
 
-    assert lattice_extremum(SimpleNamespace(invert=nothing, k_max=20), np.ones((3, 2)),
-                            True) is None
+    assert kernels.lattice_search(nothing, np.ones((3, 2)), (20,), True)[0] is None
 
 
 @pytest.mark.parametrize("W,k_max", [
@@ -477,9 +463,9 @@ def test_lattice_extremum_without_kept_directions_is_none():
     (np.ones((2, 2)), 0),
 ])
 def test_lattice_extremum_validates(W, k_max):
-    actions = SimpleNamespace(invert=SurfaceActions(RamosCurve(), 10).invert, k_max=k_max)
+    invert = SurfaceActions(RamosCurve(), 10).invert
     with pytest.raises(ValueError):
-        lattice_extremum(actions, W, False)
+        kernels.lattice_search(invert, W, (k_max,), False)
 
 
 def _farey_terms(k_max):
@@ -621,7 +607,7 @@ def test_bench_kernels_rows_run(bench_kernels, monkeypatch, capsys):
                         ("K_MAX_RECONSTRUCT", 20)):
         monkeypatch.setattr(bench, name, value)
     # a crosscheck sieve this small halves only in chunks this small
-    monkeypatch.setattr(bench.billiard, "CHUNK_ROWS", 64)
+    monkeypatch.setattr(bench.actions_module, "CHUNK_ROWS", 64)
     forks, fork = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
     bench.main()
