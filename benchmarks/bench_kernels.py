@@ -1,17 +1,19 @@
 """Time the hot kernels: enumeration whole and chunked, the pruned
 extremal-ratio reduction against a full scan, the lattice search (with its
-table fallback) against the action table plus that reduction, the
-three-level search against three one-level searches, the closed-form
+table fallback) against the action table plus that reduction, the search
+with its error bracket against the table with its chords, the closed-form
 Gauss-map inversion against the generic bisection, the action table's
-build, the disk crosscheck's streamed minima against the table and three
-scans (both the build and the stream also in the former 65,536-row
-chunks) and its stream on one core against two processes, the table's
-block-rendered writers and writer-layout JSON reader against the per-row
-writers and the json.loads reader, all four table I/O calls on one core
-and halved across a forked child, and the reconstruction's spline fits and
-Hausdorff distance. The enumeration, action-table, crosscheck, table I/O
-and reconstruction rows also give the tracemalloc peak of one call (Python
-allocations, numpy buffers included; a forked child's are not seen).
+build, the disk crosscheck's streamed minimum and bound against the table
+(both the build and the stream also in the former 65,536-row chunks) and
+its stream on one core against two processes, the table's block-rendered
+writers and writer-layout JSON reader against the per-row writers and the
+json.loads reader, all four table I/O calls on one core and halved across
+a forked child, the reconstruction's spline fits and Hausdorff distance,
+and the command line's argument parser built cold for every subcommand
+against the invoked one. The enumeration, action-table, crosscheck, table
+I/O and reconstruction rows also give the tracemalloc peak of one call
+(Python allocations, numpy buffers included; a forked child's are not
+seen).
 
 Run as:  python benchmarks/bench_kernels.py
 """
@@ -19,18 +21,24 @@ import contextlib
 import functools
 import itertools
 import json
+import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
+import ebk
 from ebk import (ActionSpectrum, ConfigError, LevelSurface, Orientation, PointCloud,
-                 RamosCurve, SurfaceActions, crosscheck_disk, harmonic_profile,
-                 hausdorff_distance, hypersurface_transform, kernels,
+                 RamosCurve, SurfaceActions, crosscheck_disk, direct_spectrum,
+                 harmonic_profile, hausdorff_distance, hypersurface_transform, kernels,
                  marked_action_spectrum, pnorm_profile)
 from ebk import actions as actions_module
 from ebk.actions import CHUNK_ROWS, _check_zero_shift, _integer_directions
-from ebk.quantize import extremal_levels, lattice_grid, truncation_estimate
+from ebk.quantize import extremal_levels, lattice_grid
 
 K_MAX_ENUM = 1500
 K_MAX_INVERT = 1500
@@ -131,7 +139,7 @@ def lattice_row() -> None:
         actions = SurfaceActions(surface, k_max)
 
         def descent():
-            return next(extremal_levels(actions, W, (k_max,), use_max))
+            return extremal_levels(actions, W, use_max)[:2]
 
         def table():
             spec = marked_action_spectrum(surface, k_max)
@@ -147,35 +155,36 @@ def lattice_row() -> None:
               f"  identical: {same}")
 
 
-def three_level_row() -> None:
-    """The variational route's search of its three truncation boxes on
-    pnorm:4 at the spectrum-variational sizes: one call (one descent, the
-    coarser Farey pairs derived by integer arithmetic) against one call per
-    box; every box must give the same values, directions and left rows."""
-    invert = SurfaceActions(LevelSurface.from_profile(pnorm_profile(4.0)),
-                            K_MAX_RATIOS).invert
+def bracket_row() -> None:
+    """The variational route's one-box search with its error bracket on
+    pnorm:4 at the spectrum-variational sizes (the descent's Farey pairs
+    inverted in one call) against the action table, its reduction and the
+    chords of its angle-sorted points: the values, directions and chords
+    must be bitwise equal, and every bracket must hold the direct route's
+    energy."""
+    surface = LevelSurface.from_profile(pnorm_profile(4.0))
     W = lattice_grid(2, M_MAX_RATIOS).astype(float)
-    boxes = (K_MAX_RATIOS // 4, K_MAX_RATIOS // 2, K_MAX_RATIOS)
 
-    def one():
-        return kernels.lattice_search(invert, W, boxes, True)
+    def search():
+        return extremal_levels(SurfaceActions(surface, K_MAX_RATIOS), W, True)
 
-    def three():
-        return [kernels.lattice_search(invert, W, (k,), True)[0]
-                for k in boxes]
+    def table():
+        spec = marked_action_spectrum(surface, K_MAX_RATIOS)
+        vals, idx = kernels.extremal_ratios(spec.directions, spec.actions, W, True)
+        return vals, spec.directions[idx], kernels.table_chords(spec.points, W, True)
 
-    def same(got, want):   # the left rows' vals and args are unset
-        settled = np.setdiff1d(np.arange(len(W)), want[2])
-        return (np.array_equal(got[2], want[2])
-                and np.array_equal(got[0][settled], want[0][settled])
-                and np.array_equal(got[1][settled], want[1][settled]))
-
-    t_one, t_three = best_of(one), best_of(three)
-    identical = all(map(same, one(), three()))
-    name = f"three-level search(pnorm:4, {len(W):,} rows, k_max {K_MAX_RATIOS})"
-    print(f"{'':52s} {'one':>10s} {'three':>10s}")
-    print(f"{name:52s} {t_one:9.4f}s {t_three:9.4f}s {t_three / t_one:7.1f}x"
-          f"  identical: {identical}")
+    t_search, t_table = best_of(search), best_of(table, repeat=1)
+    found = search()
+    same = all(np.array_equal(x, y, equal_nan=True) for x, y in zip(found, table()))
+    vals, _, chord = found
+    direct = direct_spectrum(pnorm_profile(4.0), M_MAX_RATIOS).energies
+    held = np.isfinite(chord)
+    holds = bool(np.all((vals[held] <= direct[held] * (1 + 1e-12))
+                        & (direct[held] <= chord[held] * (1 + 1e-12))))
+    name = f"search and bracket(pnorm:4, {len(W):,} rows, k_max {K_MAX_RATIOS})"
+    print(f"{'':52s} {'search':>10s} {'table':>10s}")
+    print(f"{name:52s} {t_search:9.4f}s {t_table:9.4f}s {t_table / t_search:7.1f}x"
+          f"  identical: {same}  {held.sum():,} brackets hold: {holds}")
 
 
 def inversion_row() -> None:
@@ -227,25 +236,26 @@ def build_row() -> None:
 
 
 def crosscheck_row() -> None:
-    """The disk crosscheck's three truncation minima for one weight row:
-    the action table, two restrict() copies and three scans, against
-    crosscheck_disk's streamed reduction (the same minima, no table), the
-    stream also in the former OLD_CHUNK_ROWS-row chunks, and on one core
-    against two processes (the sieve's second half in a forked child)."""
-    k_max, w = K_MAX_BUILD, np.array([[0.0, 2.0]])
+    """The disk crosscheck's minimum and error bound for one interior weight
+    row: the action table, its scan and the chord of its points, against
+    crosscheck_disk's streamed reduction (the same minimum, no table) and
+    the chord of the lattice descent's Farey pair, the stream also in the
+    former OLD_CHUNK_ROWS-row chunks, and on one core against two processes
+    (the sieve's second half in a forked child)."""
+    k_max, w = K_MAX_BUILD, np.array([[1.0, 3.0]])
 
     def table():
         spec = marked_action_spectrum(RamosCurve(), k_max)
-        return [float(kernels.extremal_ratios(sub.directions, sub.actions, w, False)[0][0])
-                for sub in (spec.restrict(k_max // 4), spec.restrict(k_max // 2), spec)]
+        low = float(kernels.extremal_ratios(spec.directions, spec.actions, w, False)[0][0])
+        chord = float(kernels.table_chords(spec.points, w, False)[0])
+        return low, math.pi * abs(low - chord)
 
     def streamed():
-        rep = crosscheck_disk(0, 2, k_max=k_max)
-        return rep.toric_energy, rep.truncation_error_estimate
+        rep = crosscheck_disk(1, 3, k_max=k_max)
+        return rep.toric_energy, rep.error_bound
 
     t_table, t_stream = best_of(table, repeat=1), best_of(streamed)
-    levels = table()
-    same = streamed() == (levels[2], truncation_estimate(*levels))
+    same = streamed() == table()
     name = f"crosscheck(ramos, k_max {k_max})"
     print(f"{'':52s} {'table':>10s} {'streamed':>10s}")
     print(f"{name + ' time':52s} {t_table:9.4f}s {t_stream:9.4f}s {t_table / t_stream:7.1f}x"
@@ -396,16 +406,38 @@ def reconstruction_row() -> None:
         print(f"{label:52s} {best_of(run):9.4f}s {peak_mb(run):7.1f} MB")
 
 
+def parser_row() -> None:
+    """cli.build_parser and one parse, cold in a fresh interpreter after the
+    import, for every subcommand (as for --help) against the invoked one
+    alone (as main builds it), best of REPEAT interpreters each."""
+    argv = ["spectrum-variational", "--profile", "pnorm:4", "--m-max", "4"]
+    env = dict(os.environ, PYTHONPATH=str(Path(ebk.__file__).resolve().parents[1]))
+    times = []
+    for command in ("None", repr(argv[0])):
+        script = ("import time, ebk.cli as cli\n"
+                  "t0 = time.perf_counter()\n"
+                  f"cli.build_parser({command}).parse_args({argv!r})\n"
+                  "print(time.perf_counter() - t0)\n")
+        times.append(min(float(subprocess.run([sys.executable, "-c", script], env=env,
+                                              check=True, capture_output=True,
+                                              text=True).stdout)
+                         for _ in range(REPEAT)))
+    print(f"{'':52s} {'all':>10s} {'one':>10s}")
+    print(f"{'build_parser + parse, cold':52s} {times[0] * 1e3:8.2f}ms {times[1] * 1e3:8.2f}ms "
+          f"{times[0] / times[1]:7.1f}x")
+
+
 def main() -> None:
     enumeration_row()
     ratios_row()
     lattice_row()
-    three_level_row()
+    bracket_row()
     inversion_row()
     build_row()
     crosscheck_row()
     table_row()
     reconstruction_row()
+    parser_row()
 
 
 if __name__ == "__main__":

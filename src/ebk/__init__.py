@@ -76,7 +76,6 @@ from .quantize import (
     lattice_grid,
     minmax_certificate,
     reconstruction_spectrum,
-    truncation_estimate,
     variational_spectrum,
 )
 from .surfaces import (

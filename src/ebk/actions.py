@@ -25,7 +25,7 @@ does the second half of the rows and sends it back over a pipe; the parent
 does the first (_in_halves). Threads would not help: %-formatting,
 json.loads and np.loadtxt hold the GIL. The halves meet at a whole block, an
 entry or a line, so the bytes, the arrays and the errors do not depend on
-the split. The disk crosscheck (billiard._disk_minima) halves its stream
+the split. The disk crosscheck (billiard._disk_minimum) halves its stream
 of the sieve through _in_halves as well.
 """
 from __future__ import annotations

@@ -6,8 +6,10 @@ The toric route runs the concave inf-variational formula over the marked
 actions of the boundary curve rho(alpha); crosscheck_disk compares both.
 It holds no action table: the primitive directions arrive as a stream of
 lex-ordered chunks, each inverted as the table would invert it and folded
-into one running minimum per truncation level. A large sieve is streamed
-in two halves, the second in a forked child, where two CPUs are available.
+into one running minimum. A large sieve is streamed in two halves, the
+second in a forked child, where two CPUs are available. The chord between
+the curve points of the lattice search's final Farey pair bounds the
+truncation error from below the minimum.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from . import actions, kernels
 from .actions import MaslovShift, as_shift
 from .errors import ConfigError, ConvergenceFailure, DomainError, NonFiniteEnergy
 from .profiles import ToricProfile
-from .quantize import lattice_weights, truncation_boxes, truncation_estimate
+from .quantize import lattice_weights
 from .surfaces import LevelSurface, Orientation
 
 # Maslov pair for the disk: 0 on the angular loop, 3/4 on the radial one,
@@ -273,7 +275,7 @@ class CrosscheckReport:
     momentum_toric: float
     momentum_reference: float
     difference: float
-    truncation_error_estimate: float
+    error_bound: float   # |F_route - F_true| bound, in momentum units; nan if n/a
 
     def to_json_dict(self) -> dict:
         return {
@@ -283,70 +285,59 @@ class CrosscheckReport:
             "F_route": self.momentum_toric,
             "F_ref": self.momentum_reference,
             "difference": self.difference,
-            "truncation_error_estimate": self.truncation_error_estimate,
+            "F_error_bound": (self.error_bound if math.isfinite(self.error_bound)
+                              else None),
         }
 
 
-# as in extremal_ratios, products of huge weights may overflow to inf
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _fold_minima(lows, K, a, keep, w, bounds):
-    """Fold into lows[i] the minimum of (k . w) / a over the kept rows with
-    ||k||_inf <= bounds[i], K holding the direction columns, shape (2, N),
-    in the arithmetic of the table scan (kernels._ratio). Dropped rows read
-    +inf; the minimum is exact in any order, and every ratio is >= +0.0, so
-    the folded value is bitwise the table scan's."""
-    r = kernels._ratio(K, a, w)
-    r[~keep] = np.inf
-    sup = np.maximum(K[0], K[1])
-    for i, k in enumerate(bounds):
-        lows[i] = min(lows[i], r.min(where=sup <= k, initial=np.inf))
-
-
-def _stream(mask, lo, hi, w, bounds):
-    """The minima of (k . w) / a(k) up to each bound over the directions of
-    the sieve mask's slabs lo to hi, then how many of them failed the
-    inversion residual, then 1.0 if every kept action is finite (else 0.0),
-    as one float64 array, from the action table's own stream (actions._chunks)."""
-    lows = np.full(len(bounds), np.inf)
-    failed, finite = 0, True
+def _stream(mask, lo, hi, w):
+    """The minimum of (k . w) / a(k) over the kept directions of the sieve
+    mask's slabs lo to hi, in the arithmetic of the table scan
+    (kernels._ratio), then how many of them failed the inversion residual,
+    then 1.0 if every kept action is finite (else 0.0), as one float64
+    array, from the action table's own stream (actions._chunks). The
+    minimum is exact in any order, and every ratio is >= +0.0, so it is
+    bitwise the table scan's."""
+    low, failed, finite = np.inf, 0, True
     for _, K, _, acts, keep, bad in actions._chunks(RamosCurve(), mask, lo, hi):
         failed += bad
         # a kept action is never nan, so it is finite unless infinite
         finite = finite and not np.isinf(acts).any(where=keep)
-        _fold_minima(lows, K, acts, keep, w, bounds)
+        # as in extremal_ratios, products of huge weights may overflow to inf
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            low = min(low, kernels._ratio(K, acts, w).min(where=keep, initial=np.inf))
         del K   # the old chunk's columns are not held while the next is inverted
-    return np.append(lows, (failed, finite))
+    return np.array([low, failed, finite], dtype=float)
 
 
-def _disk_minima(w, bounds):
-    """The minimum of (k . w) / a(k) over the disk's action table up to each
-    of the ascending bounds, without the table: the sieve's directions
-    stream through _stream, and the table's failures are raised after the
-    stream.
+def _disk_minimum(w, k_max):
+    """The minimum of (k . w) / a(k) over the disk's action table at k_max,
+    without the table: the sieve's directions stream through _stream, and
+    the table's failures are raised after the stream.
 
     From 2 * actions.CHUNK_ROWS directions on, where two CPUs are available
     (actions._two_cpus), a forked child streams the slabs after the one
     where the cumulative direction count passes half the total and sends
     back its summary as float64 bytes (actions._in_halves), while the parent
     streams the slabs before; where the child fails, the parent streams its
-    half too. Every ratio is >= +0.0 and no minimum is nan, so np.minimum
-    merges the halves exactly, and the minima and the errors do not depend
-    on the split."""
-    mask = kernels._sieve(2, bounds[-1])
+    half too. Every ratio is >= +0.0 and no minimum is nan, so the smaller
+    of the halves' minima is exact, and the minimum and the errors do not
+    depend on the split."""
+    mask = kernels._sieve(2, k_max)
     ends = np.cumsum(mask.sum(axis=1))
     if ends[-1] < 2 * actions.CHUNK_ROWS or not actions._two_cpus():
-        halves = [_stream(mask, 0, len(mask), w, bounds)]
+        halves = [_stream(mask, 0, len(mask), w)]
     else:
         cut = int(np.searchsorted(ends, ends[-1] / 2, side="right"))
         mine, theirs = actions._in_halves(
-            lambda: _stream(mask, 0, cut, w, bounds),
-            lambda: _stream(mask, cut, len(mask), w, bounds).tobytes(), bytes)
-        halves = [mine, _stream(mask, cut, len(mask), w, bounds) if theirs is None
+            lambda: _stream(mask, 0, cut, w),
+            lambda: _stream(mask, cut, len(mask), w).tobytes(), bytes)
+        halves = [mine, _stream(mask, cut, len(mask), w) if theirs is None
                   else np.frombuffer(b"".join(theirs))]
-    actions._check_residuals(int(sum(half[-2] for half in halves)))
-    if not all(half[-1] for half in halves):
+    actions._check_residuals(int(sum(half[1] for half in halves)))
+    if not all(half[2] for half in halves):
         raise ConfigError("action entries must be finite")
-    return np.minimum.reduce([half[:-2] for half in halves])
+    return float(min(half[0] for half in halves))
 
 
 def crosscheck_disk(m1: int, m2: int, k_max: int = 2000, shift=None,
@@ -354,13 +345,16 @@ def crosscheck_disk(m1: int, m2: int, k_max: int = 2000, shift=None,
     """Compare the toric inf-route momentum against the phase-equation root.
 
     The toric route evaluates the concave variational formula at (m1, m2)
-    over unshifted boundary-curve actions (the shift enters the numerator),
-    at k_max and at k_max // 4 and k_max // 2 for the truncation estimate;
-    the reference solves the phase equation at angular m2 - m1 and radial
-    m1 + mu. Uniform shifts only: the identification pairs one mu with both
-    loops of the reference route. The disk's table is streamed, never held,
-    on two cores where it is large (_disk_minima); the report does not
-    depend on the split.
+    over unshifted boundary-curve actions (the shift enters the numerator)
+    at k_max; the reference solves the phase equation at angular m2 - m1
+    and radial m1 + mu. Uniform shifts only: the identification pairs one
+    mu with both loops of the reference route. The disk's table is
+    streamed, never held, on two cores where it is large (_disk_minimum);
+    the report does not depend on the split. The error bound is pi / hbar
+    times the gap between the minimum and the chord gauge of the lattice
+    descent's Farey pair (kernels.farey_chords), which lies below the
+    curve's own value; nan where the pair has a dropped point, as on the
+    axis rays.
     """
     m1 = _check_angular(m1)
     m2 = _check_angular(m2)
@@ -375,14 +369,13 @@ def crosscheck_disk(m1: int, m2: int, k_max: int = 2000, shift=None,
         raise ConfigError("crosscheck requires a uniform shift")
     reference = BilliardLevel.solve(m2 - m1, m1 + mu.values[0], hbar=hbar)
     w = lattice_weights(np.array([[m1, m2]]), mu, hbar)[0]
-    levels = _disk_minima(w, truncation_boxes(k_max))
-    energy = float(levels[2])
-    estimate = float(truncation_estimate(levels[:1], levels[1:2], levels[2:])[0])
-
+    energy = _disk_minimum(w, k_max)
+    invert = actions.SurfaceActions(RamosCurve(), k_max).invert
+    chord = kernels.farey_chords(invert, w[None, :], k_max, use_max=False)[3][0]
     momentum_toric = math.pi * energy / hbar
     return CrosscheckReport(
         m1=m1, m2=m2, shift=mu, hbar=hbar, k_max=k_max, toric_energy=energy,
         momentum_toric=momentum_toric,
         momentum_reference=reference.momentum,
         difference=momentum_toric - reference.momentum,
-        truncation_error_estimate=estimate)
+        error_bound=float(math.pi * abs(energy - chord) / hbar))

@@ -54,7 +54,10 @@ def _json_text(doc) -> str:
 
 
 def _cell(value) -> str:
-    """A CSV cell: a float as %.17g, a sequence joined by ";", else str."""
+    """A CSV cell: None empty, a float as %.17g, a sequence joined by ";",
+    else str."""
+    if value is None:
+        return ""
     if isinstance(value, float):
         return "%.17g" % value
     if isinstance(value, (list, tuple)):
@@ -264,22 +267,15 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = _Parser(
-        prog="ebk",
-        description="EBK spectra of toric domains: direct, variational, "
-                    "and reconstruction routes, plus the disk billiard.")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("spectrum-direct", help="E_m = f(hbar(m+mu)) per lattice point")
+def _direct(p) -> None:
     _add_profile(p)
     p.add_argument("--m-max", type=int, required=True, dest="m_max")
     p.add_argument("--shift")
     _add_common(p)
     p.set_defaults(fn=cmd_spectrum_direct)
 
-    p = sub.add_parser("spectrum-variational",
-                       help="extremal-ratio spectrum over marked actions")
+
+def _variational(p) -> None:
     _add_profile(p, k_max=True, actions=True)
     p.add_argument("--m-max", type=int, required=True, dest="m_max")
     p.add_argument("--degree", type=float, help="default: the profile's own, else 1")
@@ -287,8 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(fn=cmd_spectrum_variational)
 
-    p = sub.add_parser("spectrum-reconstruct",
-                       help="spectrum read off a surface rebuilt from k/a")
+
+def _reconstruct(p) -> None:
     _add_profile(p, k_max=True, actions=True)
     p.add_argument("--m-max", type=int, required=True, dest="m_max")
     p.add_argument("--degree", type=float, help="default: the profile's own, else 1")
@@ -297,18 +293,21 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(fn=cmd_spectrum_reconstruct)
 
-    p = sub.add_parser("actions", help="enumerate the marked action spectrum")
+
+def _actions(p) -> None:
     _add_profile(p, k_max=True)
     _add_common(p, hbar=False)
     p.set_defaults(fn=cmd_actions)
 
-    p = sub.add_parser("legendre-dual", help="sample the dual surface L(N)")
+
+def _legendre(p) -> None:
     _add_profile(p)
     p.add_argument("--samples", type=int, default=256)
     _add_common(p, hbar=False)
     p.set_defaults(fn=cmd_legendre_dual)
 
-    p = sub.add_parser("billiard-solve", help="solve the radial phase equation")
+
+def _solve(p) -> None:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=float, required=True)
     p.add_argument("--maslov", action="store_true",
@@ -318,8 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(fn=cmd_billiard_solve)
 
-    p = sub.add_parser("billiard-crosscheck",
-                       help="toric route vs phase equation for the disk")
+
+def _crosscheck(p) -> None:
     p.add_argument("--m1", type=int, required=True)
     p.add_argument("--m2", type=int, required=True)
     p.add_argument("--k-max", type=int, default=2000, dest="k_max")
@@ -328,8 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     # the report is a JSON document; CSV is the opt-in flattened form
     p.set_defaults(fn=cmd_billiard_crosscheck, format="json")
 
-    p = sub.add_parser("minmax-certify",
-                       help="finite minmax certificate for the sign of E - E_m")
+
+def _certify(p) -> None:
     _add_profile(p, k_max=True, actions=True)
     p.add_argument("--energy", type=float, required=True)
     p.add_argument("--m", required=True, help="lattice point, e.g. 1,1")
@@ -338,12 +337,41 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(fn=cmd_minmax_certify)
 
+
+# every subcommand once, in help order: name -> (help, adds its arguments)
+COMMANDS = {
+    "spectrum-direct": ("E_m = f(hbar(m+mu)) per lattice point", _direct),
+    "spectrum-variational": ("extremal-ratio spectrum over marked actions", _variational),
+    "spectrum-reconstruct": ("spectrum read off a surface rebuilt from k/a", _reconstruct),
+    "actions": ("enumerate the marked action spectrum", _actions),
+    "legendre-dual": ("sample the dual surface L(N)", _legendre),
+    "billiard-solve": ("solve the radial phase equation", _solve),
+    "billiard-crosscheck": ("toric route vs phase equation for the disk", _crosscheck),
+    "minmax-certify": ("finite minmax certificate for the sign of E - E_m", _certify),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of the named one alone: its
+    --help, usage and errors read as in the whole parser, and it parses
+    any argument list that starts with its name as the whole parser does."""
+    ap = _Parser(
+        prog="ebk",
+        description="EBK spectra of toric domains: direct, variational, "
+                    "and reconstruction routes, plus the disk billiard.")
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, (text, add) in COMMANDS.items():
+        if command in (None, name):
+            add(sub.add_parser(name, help=text))
     return ap
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        # only an unknown command, or none, needs every subcommand's parser
+        args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None
+                            ).parse_args(argv)
         # every subcommand with --profile needs it, or --actions where it has one
         if "profile" in vars(args) and args.profile is None \
                 and getattr(args, "actions", None) is None:

@@ -9,13 +9,16 @@
     weight rows, it scans for each row only the blocks of entries whose upper
     bound can reach the extremum; values and indices are bitwise those of a
     full scan;
-  * lattice_search gives extremal_ratios' result on the action tables of a
-    strictly convex or concave planar curve, truncated to several boxes,
-    for most rows without building a table: one batched Stern-Brocot descent
-    on the sign of p(k) x w finds the Farey neighbours of each row's peak in
-    the largest box, a walk up the Stern-Brocot tree gives those of the
-    smaller boxes, and a walk over each box's consecutive Farey terms
-    covers the tie window;
+  * lattice_search gives extremal_ratios' result on the action table of a
+    strictly convex or concave planar curve truncated to a box, for most
+    rows without building the table: one batched Stern-Brocot descent on
+    the sign of p(k) x w finds the Farey neighbours of each row's peak, and
+    a walk over the box's consecutive Farey terms covers the tie window;
+  * chord_gauge bounds the continuous extremum from the other side: the
+    chord between two curve points whose cone holds w lies inside a convex
+    level set (outside a concave one), so its gauge at w is an upper (lower)
+    bound on the curve's. lattice_search takes the two points from the
+    descent's final Farey pair, table_chords from an angle-sorted table;
   * bisect_generic is a vectorized monotone bisection.
 
 Gauss-map inversion is closed form for the builtin families (pnorm, the
@@ -31,9 +34,10 @@ import numpy as np
 
 # Bisection runs a fixed schedule: the parameter interval halves each step,
 # so 80 steps push the interval to ~1e-24 of its span, far below float
-# resolution; the residual check happens at the call site. Every target
-# takes every step, so its result does not depend on the other targets of
-# the call (the action table inverts its directions in chunks).
+# resolution; the residual check happens at the call site. A target whose
+# step leaves both ends unchanged has reached a fixed point and drops out,
+# so its result is that of all 80 steps and does not depend on the other
+# targets of the call (the action table inverts its directions in chunks).
 BISECT_ITERS = 80
 
 # Pruned ratio reduction: entries sorted by angle, cut into blocks of
@@ -104,14 +108,24 @@ def bisect_generic(angle_fn, lo: float, hi: float, targets: np.ndarray,
     against -targets (negation is exact)."""
     sign = 1.0 if increasing else -1.0
     targets = sign * np.asarray(targets, dtype=float)
-    a = np.full(targets.shape, float(lo))
-    b = np.full(targets.shape, float(hi))
+    a = np.full(targets.size, float(lo))
+    b = np.full(targets.size, float(hi))
+    at = np.arange(targets.size)   # the live targets' places in a and b
+    t, a_l, b_l = targets.ravel(), a.copy(), b.copy()
     for _ in range(BISECT_ITERS):
-        mid = 0.5 * (a + b)
-        right = sign * angle_fn(mid) < targets
-        a = np.where(right, mid, a)
-        b = np.where(right, b, mid)
-    return 0.5 * (a + b)
+        mid = 0.5 * (a_l + b_l)
+        right = sign * angle_fn(mid) < t
+        a1 = np.where(right, mid, a_l)
+        b1 = np.where(right, b_l, mid)
+        moved = (a1 != a_l) | (b1 != b_l)
+        a_l, b_l = a1, b1
+        if not moved.all():   # the rest stay where they are
+            a[at], b[at] = a_l, b_l
+            at, t, a_l, b_l = at[moved], t[moved], a_l[moved], b_l[moved]
+            if not at.size:
+                break
+    a[at], b[at] = a_l, b_l
+    return (0.5 * (a + b)).reshape(targets.shape)
 
 
 # --- extremal ratio reduction ---
@@ -438,96 +452,126 @@ def _settle(invert, W, rows, L, R, k_max, sgn):
     return rows[hit], best[hit], K[order[first_of_row]]
 
 
-def _box_pair(L, R, b):
-    """The consecutive Farey terms of the box [0, b]^2 around consecutive
-    terms L < R of a box at least as large, row by row, as new arrays: the
-    ends of the narrowest Stern-Brocot interval around L and R whose ends
-    both lie in box b (no direction of box b lies strictly between them).
+def chord_gauge(P, Q, W):
+    """Per row, the gauge at w of the line through the points p and q (rows
+    of P, Q and W): <w, nu> / <p, nu> for nu normal to the chord q - p,
+    written as (w x d) / (p x d) with d = q - p, which has no cancellation
+    when p and q are close. nan where w is not in the closed cone of p and
+    q, is zero, or the line passes through the origin.
 
-    Integer arithmetic only: a walk up the tree. Of two consecutive terms,
-    the younger Y (the larger coordinate sum) is Y0 + q O for the older O,
-    with q the smallest Y_c // O_c over O_c > 0, and each Y - t O, t <= q,
-    is an ancestor consecutive with O. A round moves Y by t, the smaller of
-    q and the fewest steps that bring Y into the box, until both terms lie
-    in the box.
+    For p, q on the boundary of a convex level set N the chord lies in N,
+    so the value is at least the gauge of N at w; for p, q on a concave
+    curve the chord lies beyond it, and the value is at most the curve's.
     """
-    L, R = L.copy(), R.copy()
-    live = np.flatnonzero((np.maximum(L, R) > b).any(axis=1))
-    while live.size:
-        l, r = L[live], R[live]
-        left = (l.sum(axis=1) > r.sum(axis=1))[:, None]   # L is the younger
-        Y, O = np.where(left, l, r), np.where(left, r, l)
-        pos = O > 0
-        O1 = np.maximum(O, 1)
-        q = np.where(pos, Y // O1, Y.max()).min(axis=1)
-        into = np.where(pos, -((b - Y) // O1), 0).max(axis=1)
-        Y -= np.minimum(q, into)[:, None] * O
-        L[live], R[live] = np.where(left, Y, O), np.where(left, O, Y)
-        live = live[(np.maximum(L[live], R[live]) > b).any(axis=1)]
-    return L, R
+    d = Q - P
+    den = P[:, 0] * d[:, 1] - P[:, 1] * d[:, 0]     # p x q
+    gauge = (W[:, 0] * d[:, 1] - W[:, 1] * d[:, 0]) / den
+    # w = alpha p + beta q with alpha, beta >= 0: p x w and w x q share
+    # the sign of p x q (or vanish)
+    inside = (P[:, 0] * W[:, 1] - P[:, 1] * W[:, 0]) * den >= 0
+    inside &= (W[:, 0] * Q[:, 1] - W[:, 1] * Q[:, 0]) * den >= 0
+    return np.where(inside & (gauge > 0) & np.isfinite(gauge), gauge, np.nan)
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def lattice_search(invert, W: np.ndarray, boxes, use_max: bool):
-    """extremal_ratios over the action tables of a strictly convex (sup) or
-    concave (inf) planar curve truncated to each box [0, k]^2 of boxes, for
-    the rows the curve settles, without any table.
+def table_chords(points, W, use_max):
+    """chord_gauge per row of W over two table points consecutive in polar
+    angle, the points sorted by angle once; nan everywhere for fewer than
+    two points or outside the plane.
+
+    The pair is the descent's: p(L), p(R) in Farey order, sgn (p(L) x w) > 0
+    >= sgn (p(R) x w) (sgn -1 on the concave inf route, where the point's
+    angle falls as the direction's rises), else the first whose closed cone
+    holds w, as where w lies on the ray of an axis point. So a kept pair of
+    a searched row gives its bound bitwise. The angles and the cross
+    products may round apart where w lies on a point's ray, so the pairs
+    beside the one the angles pick are tried too."""
+    W = np.asarray(W, dtype=float)
+    chord = np.full(len(W), np.nan)
+    if points.ndim != 2 or points.shape[1] != 2 or len(points) < 2:
+        return chord
+    theta = np.arctan2(points[:, 1], points[:, 0])
+    order = np.argsort(theta, kind="stable")
+    j = np.searchsorted(theta[order], np.arctan2(W[:, 1], W[:, 0]))
+    sgn = 1.0 if use_max else -1.0
+    closed = np.full(len(W), np.nan)
+    for i in (j, j - 1, j + 1):
+        i = np.clip(i, 1, len(points) - 1)
+        P, Q = points[order[i - 1]], points[order[i]]
+        if not use_max:
+            P, Q = Q, P
+        found = chord_gauge(P, Q, W)
+        strict = _cross(P, W, sgn) > 0
+        chord = np.where(np.isnan(chord) & strict, found, chord)
+        closed = np.where(np.isnan(closed), found, closed)
+    return np.where(np.isnan(chord), closed, chord)
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def farey_chords(invert, W, k_max, use_max):
+    """The Stern-Brocot descent of the box [0, k_max]^2 for the nonzero
+    rows of W whose products cannot overflow: the rows it settles, their
+    final consecutive Farey terms L < R around the peak, and per row of W
+    the chord_gauge of the kept points p(L), p(R), inverted in one call
+    (nan where either is dropped, and on the other rows). invert is
+    lattice_search's."""
+    sgn = 1.0 if use_max else -1.0
+    rows = np.flatnonzero(W.any(axis=1) & (k_max * W.sum(axis=1) < SCALE_CAP))
+    L, R = _bracket(invert, W[rows], k_max, sgn)
+    found = ~_descend(invert, W[rows], L, R, k_max, sgn)
+    rows, L, R = rows[found], L[found], R[found]
+    pts, _, keep = invert(np.concatenate([L, R]))
+    n = len(rows)
+    chord = np.full(len(W), np.nan)
+    chord[rows] = np.where(keep[:n] & keep[n:], chord_gauge(pts[:n], pts[n:], W[rows]),
+                           np.nan)
+    return rows, L, R, chord
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def lattice_search(invert, W: np.ndarray, k_max: int, use_max: bool):
+    """extremal_ratios over the action table of a strictly convex (sup) or
+    concave (inf) planar curve truncated to the box [0, k_max]^2, for the
+    rows the curve settles, without the table, with a bound from the other
+    side.
 
     invert(K) maps an (M, 2) int64 array of primitive directions k >= 0 to
     (points, actions, keep) in the table's own arithmetic: the curve point
     whose normal is along k (nan where none is), the action <p, k> > 0, and
     whether the table keeps the row; it raises where the table would. The
-    rows of W are nonnegative, and boxes ascend from k >= 1. Returns, per
-    box, (vals, args, rest): the extremum and the direction achieving it,
-    shape (G, 2), bitwise what extremal_ratios gives on the lex-ordered
-    table of every kept primitive k with ||k||_inf <= k, except on the rows
-    listed in rest, which are left to that table and whose vals and args
-    are unset; or None when that table would be empty.
+    rows of W are nonnegative. Returns (vals, args, rest, chord): the
+    extremum and the direction achieving it, shape (G, 2), bitwise what
+    extremal_ratios gives on the lex-ordered table of every kept primitive
+    k with ||k||_inf <= k_max, except on the rows listed in rest, which are
+    left to that table and whose vals and args are unset; and per row the
+    farey_chords value, nan where there is none. None when that table would
+    be empty.
 
     The ratio is unimodal in the angle of k, and the sign of p(k) x w tells
     on which side of the peak k lies, so one Stern-Brocot descent finds the
-    consecutive Farey terms of the largest box around the peak, and
-    _box_pair walks from them up the tree to those of each smaller box. A
-    walk outward from each box's terms visits every entry of the tie window;
-    it stops a side at a kept entry below the window twice over, past which
-    the ratio only falls. Rows with w = 0 take the first kept direction, as
-    the scan does. Rows whose products could overflow, that meet an
-    unattained direction in the descent (at every box), are still walking
-    after FAREY_WALK_CAP terms on a side, or find no kept entry, are left
-    to the table.
+    consecutive Farey terms of the box around the peak. A walk outward from
+    them visits every entry of the tie window; it stops a side at a kept
+    entry below the window twice over, past which the ratio only falls.
+    Rows with w = 0 take the first kept direction, as the scan does. Rows
+    whose products could overflow, that meet an unattained direction in the
+    descent, are still walking after FAREY_WALK_CAP terms on a side, or
+    find no kept entry, are left to the table.
     """
     W = np.ascontiguousarray(W, dtype=float)
     if W.ndim != 2 or W.shape[1] != 2 or not (np.isfinite(W).all() and (W >= 0).all()):
         raise ValueError("the lattice search needs finite nonnegative W (G, 2)")
-    boxes = [int(k) for k in boxes]
-    if not boxes or boxes[0] < 1 or boxes != sorted(boxes):
-        raise ValueError("boxes must ascend from k >= 1")
-    firsts = [_lex_first_kept(invert, k) for k in boxes]
-    if firsts[-1] is None:
-        return [None] * len(boxes)
-    sgn = 1.0 if use_max else -1.0
-    zero = ~W.any(axis=1)
-    # below SCALE_CAP no product overflows, nor its ratio to a kept action;
-    # the smallest box's rows hold every other box's
-    scale = W.sum(axis=1)
-    rows = np.flatnonzero(~zero & (boxes[0] * scale < SCALE_CAP))
-    L, R = _bracket(invert, W[rows], boxes[-1], sgn)
-    found = ~_descend(invert, W[rows], L, R, boxes[-1], sgn)
-    rows, L, R = rows[found], L[found], R[found]
-
-    results = []
-    for k, first in zip(boxes, firsts):
-        if first is None:
-            results.append(None)
-            continue
-        vals = np.empty(len(W))
-        args = np.empty((len(W), 2), dtype=np.int64)
-        done = zero.copy()
-        vals[done] = _ratio(first[0], first[1], W[done].T)
-        args[done] = first[0]
-        safe = k * scale[rows] < SCALE_CAP
-        Lk, Rk = _box_pair(L[safe], R[safe], k)
-        hit, best, arg = _settle(invert, W, rows[safe], Lk, Rk, k, sgn)
-        vals[hit], args[hit], done[hit] = best, arg, True
-        results.append((vals, args, np.flatnonzero(~done)))
-    return results
+    k_max = int(k_max)
+    if k_max < 1:
+        raise ValueError("the box needs k_max >= 1")
+    first = _lex_first_kept(invert, k_max)
+    if first is None:
+        return None
+    rows, L, R, chord = farey_chords(invert, W, k_max, use_max)
+    vals = np.empty(len(W))
+    args = np.empty((len(W), 2), dtype=np.int64)
+    done = ~W.any(axis=1)
+    vals[done] = _ratio(first[0], first[1], W[done].T)
+    args[done] = first[0]
+    hit, best, arg = _settle(invert, W, rows, L, R, k_max, 1.0 if use_max else -1.0)
+    vals[hit], args[hit], done[hit] = best, arg, True
+    return vals, args, np.flatnonzero(~done), chord

@@ -31,9 +31,6 @@ from .errors import (
 from .profiles import ToricProfile
 from .surfaces import Orientation
 
-TRUNCATION_MIN_KMAX = 4   # need k_max/4 >= 1 for the three-level estimate
-
-
 def lattice_grid(dimension: int, m_max: int) -> np.ndarray:
     """All m in {0..m_max}^dimension, lexicographically ordered."""
     if m_max < 0:
@@ -54,7 +51,7 @@ class EbkSpectrum:
     m_grid: np.ndarray
     energies: np.ndarray
     argext: Optional[np.ndarray] = None       # (M, n) extremal directions
-    truncation: Optional[np.ndarray] = None   # (M,) error estimates, NaN if n/a
+    error_bound: Optional[np.ndarray] = None  # (M,) |E_true - E_m| bounds, NaN if n/a
 
     def __post_init__(self):
         _check_finite(self.route, self.energies, self.hbar)
@@ -74,16 +71,16 @@ class EbkSpectrum:
         # csv module's quoting
         n, count = self.dimension, len(self.energies)
         header = ",".join([f"m_{j+1}" for j in range(n)]
-                          + ["E_m", "argmax_k", "truncation_error_estimate"])
-        args = ([""] * count if self.argext is None
-                else [";".join(map(str, k))
-                      for k in self.argext.astype(np.int64).tolist()])
-        ests = ([""] * count if self.truncation is None
-                else ["%.17g" % t if math.isfinite(t) else ""
-                      for t in self.truncation.tolist()])
-        row = ",".join(["%d"] * n + ["%.17g", "%s", "%s"]) + "\n"
+                          + ["E_m", "argmax_k", "E_error_bound"])
+        # the argmax cell is its components joined by ";", each as %d
+        arg, args = (("%s", [[""] * count]) if self.argext is None
+                     else (";".join(["%d"] * n), list(self.argext.astype(np.int64).T)))
+        bounds = ([""] * count if self.error_bound is None
+                  else ["%.17g" % t if math.isfinite(t) else ""
+                        for t in self.error_bound.tolist()])
+        row = ",".join(["%d"] * n + ["%.17g", arg, "%s"]) + "\n"
         return render_rows(header + "\n", row, "",
-                           [*self.m_grid.T, self.energies, args, ests])
+                           [*self.m_grid.T, self.energies, *args, bounds])
 
     def to_json(self) -> str:
         entries = []
@@ -91,10 +88,10 @@ class EbkSpectrum:
             row = {"m": [int(x) for x in m], "E": float(self.energies[i])}
             row["argmax_k"] = ([int(x) for x in self.argext[i]]
                                if self.argext is not None else None)
-            est = None
-            if self.truncation is not None and math.isfinite(self.truncation[i]):
-                est = float(self.truncation[i])
-            row["truncation_error_estimate"] = est
+            bound = None
+            if self.error_bound is not None and math.isfinite(self.error_bound[i]):
+                bound = float(self.error_bound[i])
+            row["E_error_bound"] = bound
             entries.append(row)
         doc = {"route": self.route, "dimension": self.dimension,
                "degree": self.degree, "hbar": self.hbar,
@@ -148,39 +145,40 @@ def _table(actions) -> ActionSpectrum:
     return actions.table() if isinstance(actions, SurfaceActions) else actions
 
 
-def truncation_boxes(k_max: int) -> tuple[int, ...]:
-    """The boxes k_max // 4, k_max // 2, k_max of the estimate; k_max alone if small."""
-    return (k_max // 4, k_max // 2, k_max) if k_max >= TRUNCATION_MIN_KMAX else (k_max,)
+def extremal_levels(actions, W: np.ndarray, use_max: bool):
+    """(vals, args, chord): what kernels.extremal_ratios gives on the
+    entries of actions, and per row the gauge at w of a chord between two
+    entries' points whose cone holds w (nan where there is none, and for
+    n >= 3); None when there are no entries.
 
-
-def extremal_levels(actions, W: np.ndarray, boxes, use_max: bool):
-    """Yields per box b of the ascending boxes, the largest first and each
-    when asked for: (vals, args), what kernels.extremal_ratios gives on the
-    entries with ||k||_inf <= b, or None when no entry is that short.
-
-    actions is an ActionSpectrum or SurfaceActions at k_max = boxes[-1]. A
-    searchable SurfaceActions is searched: one kernels.lattice_search call
-    settles most rows of every box, bitwise as the table would, and the
-    rows it leaves, at any box, scan one table built at k_max.
+    actions is an ActionSpectrum or SurfaceActions. A searchable
+    SurfaceActions is searched: kernels.lattice_search settles most rows,
+    bitwise as the table would, with the chord of the descent's Farey pair,
+    and the rows it leaves scan the table built at k_max and take the chord
+    of the table points around w (kernels.table_chords), as every row of
+    any other input does.
     """
     if isinstance(actions, SurfaceActions) and actions.searchable():
-        spec, found = None, kernels.lattice_search(actions.invert, W, boxes, use_max)
-    else:   # every row of every box is left to the table
+        found = kernels.lattice_search(actions.invert, W, actions.k_max, use_max)
+        if found is None:
+            return None
+        vals, args, rest, chord = found
+        if not rest.size:
+            return vals, args, chord
+        spec = actions.table()
+    else:   # every row is left to the table
         spec = _table(actions)
-        found = [(np.empty(len(W)), np.empty((len(W), spec.dimension), dtype=np.int64),
-                  np.arange(len(W))) for _ in boxes]
-    for k, box in zip(reversed(boxes), reversed(found)):
-        if box is not None and box[2].size:
-            spec = actions.table() if spec is None else spec
-            sub = spec if k == spec.k_max else spec.restrict(k)
-            if len(sub) == 0:
-                box = None
-            else:
-                vals, args, rest = box
-                vals[rest], idx = kernels.extremal_ratios(sub.directions, sub.actions,
-                                                          W[rest], use_max)
-                args[rest] = sub.directions[idx]
-        yield None if box is None else box[:2]
+        if len(spec) == 0:
+            return None
+        vals, args, chord = (np.empty(len(W)),
+                             np.empty((len(W), spec.dimension), dtype=np.int64),
+                             np.empty(len(W)))
+        rest = np.arange(len(W))
+    vals[rest], idx = kernels.extremal_ratios(spec.directions, spec.actions, W[rest],
+                                              use_max)
+    args[rest] = spec.directions[idx]
+    chord[rest] = kernels.table_chords(spec.points, W[rest], use_max)
+    return vals, args, chord
 
 
 def variational_spectrum(actions, m_max: int, degree: float = 1.0,
@@ -191,19 +189,23 @@ def variational_spectrum(actions, m_max: int, degree: float = 1.0,
     the sup for a convex one, the inf for a concave one, and the sup for a
     general table of one entry, where the two agree; a general table of
     more entries is a ConfigError, since only the caller can choose. The
-    result is raised to the homogeneity degree. When the input's k_max is
-    at least TRUNCATION_MIN_KMAX, a three-level Richardson-style error
-    estimate from the truncation_boxes is attached per level. actions is an
+    result is raised to the homogeneity degree. actions is an
     ActionSpectrum or SurfaceActions, reduced by extremal_levels.
+
+    Each level carries a certified error bound |c^d - E_m|, where c is the
+    chord gauge of extremal_levels: the finite sup lies below the convex
+    curve's gauge and c above it (the inf and c the other way round on a
+    concave curve), so the energy of the curve itself lies between E_m and
+    c^d. NaN where there is no chord.
     """
     _check_degree(degree)
     if isinstance(actions, SurfaceActions) and actions.searchable():
-        dimension, k_max, oriented = 2, actions.k_max, actions.surface.orientation
+        dimension, oriented = 2, actions.surface.orientation
     else:
         actions = _table(actions)
         if len(actions) == 0:
             raise EmptySpectrum("action spectrum has no entries")
-        dimension, k_max, oriented = actions.dimension, actions.k_max, actions.orientation
+        dimension, oriented = actions.dimension, actions.orientation
     mu = as_shift(shift, dimension)
     # a searched curve is convex or concave, so only a table is general
     if oriented is Orientation.GENERAL and len(actions) > 1:
@@ -212,51 +214,17 @@ def variational_spectrum(actions, m_max: int, degree: float = 1.0,
     use_max = oriented is not Orientation.CONCAVE
     m_grid = lattice_grid(dimension, m_max)
     W = lattice_weights(m_grid, mu, hbar)
-    levels = extremal_levels(actions, W, truncation_boxes(k_max), use_max)
-    top = next(levels)
-    if top is None:
+    found = extremal_levels(actions, W, use_max)
+    if found is None:
         raise EmptySpectrum("action spectrum has no entries")
+    vals, args, chord = found
     with np.errstate(**QUIET):
-        energies = top[0] ** degree
+        energies = vals ** degree
+        bound = np.abs(chord ** degree - energies)
     _check_finite("variational", energies, hbar)
-
-    est = None
-    coarser = list(levels)
-    # single-direction containers can lose every entry at a coarser level;
-    # the three-level estimate is undefined then
-    if len(coarser) == 2 and None not in coarser:
-        half, quarter = coarser
-        with np.errstate(**QUIET):
-            est = truncation_estimate(quarter[0] ** degree, half[0] ** degree, energies)
-
     return EbkSpectrum(route="variational", dimension=dimension,
                        degree=degree, hbar=hbar, shift=mu, m_grid=m_grid,
-                       energies=energies, argext=top[1], truncation=est)
-
-
-def truncation_estimate(coarse: np.ndarray, mid: np.ndarray,
-                        fine: np.ndarray) -> np.ndarray:
-    """Residual-ratio extrapolation from three nested truncation levels.
-
-    With D1 = mid - coarse and D2 = fine - mid, a contraction ratio
-    r = D1/D2 > 1 gives the geometric tail bound |D2| / (r - 1); otherwise
-    fall back to |D2| itself. Converged levels report zero; an estimate
-    that leaves the float range is inf.
-    """
-    with np.errstate(divide="ignore", **QUIET):
-        d1 = np.atleast_1d(np.asarray(mid, dtype=float)
-                           - np.asarray(coarse, dtype=float))
-        d2 = np.atleast_1d(np.asarray(fine, dtype=float)
-                           - np.asarray(mid, dtype=float))
-        r = np.where(d2 != 0, d1 / np.where(d2 != 0, d2, 1.0), np.inf)
-        geom = np.abs(d2) / np.maximum(r - 1.0, 1e-300)
-    out = np.abs(d2)
-    better = (r > 1.0) & (d2 != 0)
-    out[better] = geom[better]
-    out[d2 == 0] = 0.0
-    if np.isscalar(fine) or np.ndim(fine) == 0:
-        return float(out[0])
-    return out
+                       energies=energies, argext=args, error_bound=bound)
 
 
 @dataclass(frozen=True)

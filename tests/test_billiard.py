@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ebk import actions as actions_module
@@ -31,7 +31,7 @@ from ebk import (
     ramos_action,
     solve_momentum,
 )
-from ebk.quantize import lattice_weights, truncation_estimate
+from ebk.quantize import lattice_weights
 
 # solutions of sqrt(F^2 - m^2) - m*arccos(m/F) = n*pi, frozen from a
 # 50-digit bisection oracle (see tests below for the in-CI re-derivation)
@@ -283,21 +283,21 @@ def test_crosscheck_report_keys():
     rep = crosscheck_disk(1, 2, k_max=100)
     doc = rep.to_json_dict()
     for key in ("m1", "m2", "F_route", "F_ref", "difference", "k_max",
-                "E_toric", "truncation_error_estimate"):
+                "E_toric", "F_error_bound"):
         assert key in doc
 
 
 # --- the streamed reduction against the table ---
 
 def _table_oracle(m1, m2, k_max, shift):
-    """The crosscheck's energy and estimate from the action table: one scan
-    of the table and of its restrict(k_max // 4) and restrict(k_max // 2)."""
+    """The crosscheck's energy and error bound from the action table: one
+    scan of the table, and pi times the gap to the chord of the table's
+    points around w."""
     table = marked_action_spectrum(RamosCurve(), k_max)
     w = lattice_weights(np.array([[m1, m2]]), actions_module.as_shift(shift, 2), 1.0)
-    levels = np.array([kernels.extremal_ratios(sub.directions, sub.actions, w, False)[0][0]
-                       for sub in (table.restrict(k_max // 4), table.restrict(k_max // 2),
-                                   table)])
-    return levels[2], truncation_estimate(levels[:1], levels[1:2], levels[2:])[0]
+    energy = kernels.extremal_ratios(table.directions, table.actions, w, False)[0][0]
+    chord = kernels.table_chords(table.points, w, False)[0]
+    return energy, math.pi * abs(energy - chord)
 
 
 @settings(max_examples=12, deadline=None)
@@ -306,10 +306,35 @@ def _table_oracle(m1, m2, k_max, shift):
 def test_crosscheck_streams_the_table_scan_bitwise(k_max, m, shift):
     m1, m2 = sorted(m)
     rep = crosscheck_disk(m1, m2, k_max=k_max, shift=shift)
-    energy, estimate = _table_oracle(m1, m2, k_max, shift)
+    energy, bound = _table_oracle(m1, m2, k_max, shift)
     assert np.float64(rep.toric_energy).view(np.int64) == energy.view(np.int64)
-    assert (np.float64(rep.truncation_error_estimate).view(np.int64)
-            == estimate.view(np.int64))
+    # no chord on the axis rays (m1 = 0, no shift) and at w = 0
+    assert math.isnan(rep.error_bound) == math.isnan(bound) == (m1 == 0 and shift == 0)
+    if not math.isnan(bound):
+        assert np.float64(rep.error_bound).view(np.int64) == np.float64(bound).view(np.int64)
+
+
+@settings(max_examples=25, deadline=None)
+@given(k_max=st.integers(10, 600), m1=st.integers(0, 20), dm=st.integers(0, 20),
+       shift=st.sampled_from([0.0, 0.25, 0.5, 0.75]))
+def test_phase_root_lies_in_the_crosscheck_bracket(k_max, m1, dm, shift):
+    # on interior rays the chord lies beyond the concave curve and the finite
+    # inf above it, so the phase-equation root lies at or below F_route, by
+    # at most F_error_bound; the slack covers the solve's phase tolerance
+    assume(m1 > 0 or shift > 0)
+    rep = crosscheck_disk(m1, m1 + dm, k_max=k_max, shift=shift)
+    root = rep.momentum_reference
+    slack = 2 * billiard_module.PHASE_SOLVE_TOL / radial_phase_slope(dm, root) + 1e-14 * root
+    assert math.isfinite(rep.error_bound)
+    assert rep.momentum_toric - rep.error_bound - slack <= root
+    assert root <= rep.momentum_toric + slack
+    assert rep.to_json_dict()["F_error_bound"] == rep.error_bound
+
+
+def test_axis_ray_crosscheck_has_no_bound():
+    rep = crosscheck_disk(0, 2, k_max=100)
+    assert math.isnan(rep.error_bound)
+    assert rep.to_json_dict()["F_error_bound"] is None
 
 
 def test_crosscheck_residual_failure_is_the_tables(monkeypatch):
@@ -323,21 +348,21 @@ def test_crosscheck_residual_failure_is_the_tables(monkeypatch):
 
 def test_disk_minima_are_independent_of_the_chunk_size(monkeypatch):
     w = lattice_weights(np.array([[1, 3]]), actions_module.as_shift(0.75, 2), 1.0)[0]
-    bounds = (150, 300, 600)
+    k_max = 600
     lows, failures = [], []
     for rows in (7, actions_module.CHUNK_ROWS):
         monkeypatch.setattr(actions_module, "CHUNK_ROWS", rows)
-        lows.append([float(x).hex() for x in billiard_module._disk_minima(w, bounds)])
+        lows.append(billiard_module._disk_minimum(w, k_max).hex())
         with monkeypatch.context() as m:
             m.setattr(actions_module, "NORMAL_RESIDUAL_TOL", 1e-17)
             with pytest.raises(ConvergenceFailure) as failed:
-                billiard_module._disk_minima(w, bounds)
+                billiard_module._disk_minimum(w, k_max)
         failures.append(str(failed.value))
     assert lows[0] == lows[1]
     assert failures[0] == failures[1]
     # a tolerance below the rounding fails some directions, not every one
     count = int(failures[0].split()[0])
-    assert 0 < count < len(kernels.primitive_directions(2, bounds[-1]))
+    assert 0 < count < len(kernels.primitive_directions(2, k_max))
 
 
 def test_crosscheck_memory_is_bounded(monkeypatch):
@@ -365,8 +390,7 @@ def _weights(m1, m2, shift):
 
 
 def _minima(w, k_max):
-    return [float(x).hex() for x in
-            billiard_module._disk_minima(w, (k_max // 4, k_max // 2, k_max))]
+    return billiard_module._disk_minimum(w, k_max).hex()
 
 
 def test_split_threshold_is_twice_the_chunk():
@@ -393,11 +417,10 @@ def test_disk_minima_do_not_depend_on_the_split(split, monkeypatch, k_max, shift
 def test_residual_failures_of_both_halves_add_up(split, monkeypatch):
     monkeypatch.setattr(actions_module, "NORMAL_RESIDUAL_TOL", 1e-17)
     k_max, w = 600, _weights(0, 2, 0.0)
-    bounds = (k_max // 4, k_max // 2, k_max)
     mask = kernels._sieve(2, k_max)
     ends = np.cumsum(mask.sum(axis=1))
     cut = int(np.searchsorted(ends, ends[-1] / 2, side="right"))
-    halves = [int(billiard_module._stream(mask, lo, hi, w, bounds)[-2])
+    halves = [int(billiard_module._stream(mask, lo, hi, w)[1])
               for lo, hi in ((0, cut), (cut, k_max + 1))]
     assert min(halves) > 0
     for on in (False, True):
@@ -410,11 +433,11 @@ def test_residual_failures_of_both_halves_add_up(split, monkeypatch):
 def test_a_failed_child_leaves_its_half_to_the_parent(split, monkeypatch):
     parent, stream, calls = os.getpid(), billiard_module._stream, []
 
-    def spoiled(mask, lo, hi, w, bounds):
+    def spoiled(mask, lo, hi, w):
         if os.getpid() != parent:
             raise RuntimeError("the child's half")
         calls.append((lo, hi))
-        return stream(mask, lo, hi, w, bounds)
+        return stream(mask, lo, hi, w)
 
     w = _weights(0, 4, 0.0)
     serial, _ = split.run(False, _minima, w, 600)

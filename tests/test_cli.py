@@ -29,7 +29,7 @@ def test_spectrum_direct_harmonic_csv(tmp_path):
                        ["spectrum-direct", "--profile", "harmonic:1,2",
                         "--m-max", "2"])
     lines = data.decode().splitlines()
-    assert lines[0] == "m_1,m_2,E_m,argmax_k,truncation_error_estimate"
+    assert lines[0] == "m_1,m_2,E_m,argmax_k,E_error_bound"
     assert len(lines) == 10
     rows = {tuple(line.split(",")[:2]): line.split(",") for line in lines[1:]}
     row = rows[("1", "1")]
@@ -64,9 +64,8 @@ def test_crosscheck_defaults_to_json(capsys):
                "--k-max", "200"])
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
-    assert sorted(doc) == ["E_toric", "F_ref", "F_route", "difference",
-                           "hbar", "k_max", "m1", "m2", "shift",
-                           "truncation_error_estimate"]
+    assert sorted(doc) == ["E_toric", "F_error_bound", "F_ref", "F_route", "difference",
+                           "hbar", "k_max", "m1", "m2", "shift"]
     assert doc["shift"] == [0.0, 0.0]
     assert doc["k_max"] == 200
     assert abs(doc["difference"]) < 1e-6
@@ -81,6 +80,17 @@ def test_crosscheck_csv_flattening(tmp_path):
     assert cols["shift"] == "0;0"
     assert float(cols["F_route"]) == pytest.approx(float(cols["F_ref"]),
                                                    abs=1e-6)
+
+
+def test_crosscheck_axis_ray_has_an_empty_bound(tmp_path, capsys):
+    # the descent's pair on an axis ray holds the dropped axis direction
+    data = run_to_file(tmp_path, "cc.csv",
+                       ["billiard-crosscheck", "--m1", "0", "--m2", "2",
+                        "--k-max", "200", "--format", "csv"])
+    header, row = data.decode().splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["F_error_bound"] == ""
+    assert main(["billiard-crosscheck", "--m1", "0", "--m2", "2", "--k-max", "200"]) == 0
+    assert json.loads(capsys.readouterr().out)["F_error_bound"] is None
 
 
 def test_legendre_dual_sample_count(tmp_path):
@@ -761,7 +771,7 @@ def test_deeply_nested_json_is_a_config_error(tmp_path, capsys, command):
 
 
 def test_huge_hbar_spectrum_prints_no_warning(capsys):
-    # finite energies whose truncation estimate overflows: exit 0, no stderr
+    # finite energies whose error bound overflows: exit 0, no stderr
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rc = main(["spectrum-variational", "--profile", "pnorm:4", "--hbar", "1e300",

@@ -109,6 +109,46 @@ def test_closed_form_matches_bisect_generic():
         assert np.abs(t - via_bisection).max() <= 1e-12, name
 
 
+def _bisect_80_steps(angle_fn, lo, hi, targets, increasing=True):
+    """bisect_generic before its early stop: every target takes all
+    BISECT_ITERS steps."""
+    sign = 1.0 if increasing else -1.0
+    targets = sign * np.asarray(targets, dtype=float)
+    a = np.full(targets.shape, float(lo))
+    b = np.full(targets.shape, float(hi))
+    for _ in range(kernels.BISECT_ITERS):
+        mid = 0.5 * (a + b)
+        right = sign * angle_fn(mid) < targets
+        a = np.where(right, mid, a)
+        b = np.where(right, b, mid)
+    return 0.5 * (a + b)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 300),
+       increasing=st.booleans(), hi=st.sampled_from([1.0, np.pi / 2, 3.0, 1e6]))
+def test_bisection_stops_at_the_fixed_point_of_80_steps(seed, size, increasing, hi):
+    # a target drops out once a step leaves both ends where they were; the
+    # roots near 0 (down to subnormal) and the targets clamped below lo
+    # still halve b on every step, and the targets clamped above hi settle
+    rng = np.random.default_rng(seed)
+    sign = 1.0 if increasing else -1.0
+
+    def angle(t):
+        return sign * np.arctan(t)
+
+    roots = np.concatenate([rng.uniform(0.0, hi, size), [0.0, 5e-324, 1e-300, 1e-30, hi],
+                            rng.uniform(0.0, 1e-20, 8)])
+    targets = np.concatenate([angle(roots), sign * np.array([-1.0, -0.0, 2.0, 10.0])])
+    targets = targets[rng.permutation(len(targets))]
+    got = kernels.bisect_generic(angle, 0.0, hi, targets, increasing=increasing)
+    want = _bisect_80_steps(angle, 0.0, hi, targets, increasing=increasing)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    grid = targets[:12].reshape(3, 4)   # the result takes the targets' shape
+    assert np.array_equal(kernels.bisect_generic(angle, 0.0, hi, grid, increasing),
+                          _bisect_80_steps(angle, 0.0, hi, grid, increasing))
+
+
 def test_closed_form_exact_axis_points():
     axes = np.array([[1, 0], [0, 1]])
     for s in (1.5, 3.0, 4.0, 8.0):
@@ -341,15 +381,18 @@ def test_extremal_ratios_prunes(monkeypatch):
 # --- the lattice search, with the table for the rows it leaves ---
 
 def _assert_matches_table(surface, k_max, W, use_max):
-    """The search then the table (quantize.extremal_levels at the one box
-    k_max) against extremal_ratios on the action table: values bitwise, the
-    sign of a zero included, and argmax directions."""
-    got = next(extremal_levels(SurfaceActions(surface, k_max), W, (k_max,), use_max))
+    """The search then the table (quantize.extremal_levels) against
+    extremal_ratios on the action table: values bitwise, the sign of a zero
+    included, and argmax directions; and the chords against those of the
+    table's points, bitwise."""
+    got = extremal_levels(SurfaceActions(surface, k_max), W, use_max)
     spec = marked_action_spectrum(surface, k_max)
     vals, idx = kernels.extremal_ratios(spec.directions, spec.actions, W, use_max)
     assert np.array_equal(got[0].view(np.int64), vals.view(np.int64))
     assert np.array_equal(got[1], spec.directions[idx])
-    return got
+    chords = kernels.table_chords(spec.points, W, use_max)
+    assert np.array_equal(got[2].view(np.int64), chords.view(np.int64))
+    return got[:2]
 
 
 def _searched_surface(s):
@@ -415,7 +458,7 @@ def test_lattice_extremum_tied_axis_side_falls_back_to_the_table(monkeypatch):
     surface = LevelSurface.from_profile(pnorm_profile(1.05))
     W = np.array([[0.0, 1.0], [1.0, 1.0]])
     t0 = time.perf_counter()
-    got = next(extremal_levels(SurfaceActions(surface, 2000), W, (2000,), True))
+    got = extremal_levels(SurfaceActions(surface, 2000), W, True)
     assert time.perf_counter() - t0 < 30.0
     assert calls == [1]   # only the tied row scans a table
     monkeypatch.setattr(kernels, "extremal_ratios", scan)
@@ -446,14 +489,14 @@ def test_lattice_extremum_raises_where_the_table_does():
     # axis rows meets those directions
     actions = SurfaceActions(LevelSurface.from_profile(pnorm_profile(1.01)), 2000)
     with pytest.raises(ConvergenceFailure):
-        next(extremal_levels(actions, lattice_grid(2, 2).astype(float), (2000,), True))
+        extremal_levels(actions, lattice_grid(2, 2).astype(float), True)
 
 
 def test_lattice_extremum_without_kept_directions_is_none():
     def nothing(K):
         return np.full(K.shape, np.nan), np.full(len(K), np.nan), np.zeros(len(K), bool)
 
-    assert kernels.lattice_search(nothing, np.ones((3, 2)), (20,), True)[0] is None
+    assert kernels.lattice_search(nothing, np.ones((3, 2)), 20, True) is None
 
 
 @pytest.mark.parametrize("W,k_max", [
@@ -465,77 +508,7 @@ def test_lattice_extremum_without_kept_directions_is_none():
 def test_lattice_extremum_validates(W, k_max):
     invert = SurfaceActions(RamosCurve(), 10).invert
     with pytest.raises(ValueError):
-        kernels.lattice_search(invert, W, (k_max,), False)
-
-
-def _farey_terms(k_max):
-    """The primitive directions of the box [0, k_max]^2 in angle order,
-    (1, 0) first and (0, 1) last."""
-    K = kernels.primitive_directions(2, k_max)
-    K = K[np.argsort(np.arctan2(K[:, 1], K[:, 0]))]
-    assert (K[:-1, 0] * K[1:, 1] - K[:-1, 1] * K[1:, 0] == 1).all()   # consecutive
-    return K
-
-
-def _terms_around(K, M):
-    """The terms of K (one box, in angle order) just before and just after
-    M, which is no term of K; every cross product is exact."""
-    before = K[:, 0] * M[1] - K[:, 1] * M[0] > 0
-    j = int(np.count_nonzero(before))
-    assert before[:j].all() and not before[j:].any()
-    return K[j - 1], K[j]
-
-
-@settings(max_examples=40, deadline=None)
-@given(k_max=st.integers(1, 400), b=st.one_of(st.integers(1, 63), st.integers(1, 400)),
-       seed=st.integers(0, 2**32 - 1))
-def test_box_pair_equals_the_brute_force_terms(k_max, b, seed):
-    big = _farey_terms(k_max)
-    rng = np.random.default_rng(seed)
-    i = rng.integers(0, len(big) - 1, 16)
-    i[:2] = 0, len(big) - 2   # pairs that touch an axis: L = (1, 0), R = (0, 1)
-    L, R = big[i], big[i + 1]
-    given = L.copy(), R.copy()
-    for box in (min(b, k_max), 1, k_max):
-        want = np.array([_terms_around(_farey_terms(box), m) for m in L + R])
-        A, B = kernels._box_pair(L, R, box)
-        assert np.array_equal(A, want[:, 0]) and np.array_equal(B, want[:, 1])
-        assert np.array_equal(L, given[0]) and np.array_equal(R, given[1])
-        # fresh arrays: the walk moves its terms in place
-        assert not np.shares_memory(A, L) and not np.shares_memory(B, R)
-    # in the pair's own box, the pair itself
-    assert np.array_equal(A, L) and np.array_equal(B, R)
-
-
-@settings(max_examples=30, deadline=None)
-@given(s=st.one_of(st.floats(1.05, 40.0), st.just("disk")),
-       shift=st.tuples(*[st.sampled_from([0.0, 0.25, 0.5, 0.75])] * 2),
-       hbar=st.sampled_from([1.0, 1e-3, 1e-9]),
-       k_max=st.integers(4, 3000),
-       m_max=st.integers(0, 64),
-       rows=st.integers(1, 48),
-       seed=st.integers(0, 2**32 - 1))
-def test_lattice_search_of_three_boxes_equals_three_searches(s, shift, hbar, k_max,
-                                                             m_max, rows, seed):
-    surface, use_max = _searched_surface(s)
-    rng = np.random.default_rng(seed)
-    grid = lattice_grid(2, m_max)
-    W = hbar * (grid[rng.choice(len(grid), size=min(rows, len(grid)), replace=False)]
-                + shift)
-    invert = SurfaceActions(surface, k_max).invert
-    boxes = (k_max // 4, k_max // 2, k_max)
-    together = kernels.lattice_search(invert, W, boxes, use_max)
-    assert len(together) == 3
-    for k, got in zip(boxes, together):
-        want = kernels.lattice_search(invert, W, (k,), use_max)[0]
-        assert (got is None) == (want is None)
-        if want is None:
-            continue
-        assert np.array_equal(got[2], want[2])
-        settled = np.setdiff1d(np.arange(len(W)), want[2])
-        assert np.array_equal(got[0][settled].view(np.int64),
-                              want[0][settled].view(np.int64))
-        assert np.array_equal(got[1][settled], want[1][settled])
+        kernels.lattice_search(invert, W, k_max, False)
 
 
 @settings(max_examples=20, deadline=None)
@@ -554,7 +527,7 @@ def test_argmax_does_not_depend_on_the_unit_of_hbar(s, shift, k_max, m_max, j, h
     unit = variational_spectrum(actions, m_max, shift=shift)
     scaled = variational_spectrum(actions, m_max, hbar=2.0 ** j, shift=shift)
     assert np.array_equal(scaled.energies, 2.0 ** j * unit.energies)
-    assert np.array_equal(scaled.truncation, 2.0 ** j * unit.truncation)
+    assert np.array_equal(scaled.error_bound, 2.0 ** j * unit.error_bound, equal_nan=True)
     assert np.array_equal(scaled.argext, unit.argext)
     other = variational_spectrum(actions, m_max, hbar=hbar, shift=shift)
     assert np.array_equal(other.argext, unit.argext)
@@ -571,10 +544,8 @@ def test_lattice_search_leaves_no_row_to_the_table(s, shift, hbar, k_max, m_max)
     # flatter than s = 1.5 can still tie the axis rows past the walk
     surface, use_max = _searched_surface(s)
     W = hbar * (lattice_grid(2, m_max) + shift)
-    boxes = (k_max // 4, k_max // 2, k_max)
-    for found in kernels.lattice_search(SurfaceActions(surface, k_max).invert, W, boxes,
-                                        use_max):
-        assert found is None or found[2].size == 0
+    found = kernels.lattice_search(SurfaceActions(surface, k_max).invert, W, k_max, use_max)
+    assert found is None or found[2].size == 0
 
 
 def test_variational_spectrum_descends_once(monkeypatch):
@@ -587,15 +558,15 @@ def test_variational_spectrum_descends_once(monkeypatch):
         monkeypatch.setattr(kernels, name, spy)
     actions = SurfaceActions(LevelSurface.from_profile(pnorm_profile(4.0)), 100)
     spectrum = variational_spectrum(actions, 8, shift=(0.5, 0.5))
-    assert np.isfinite(spectrum.truncation).all()   # all three levels were read
+    assert np.isfinite(spectrum.error_bound).all()   # every row has its chord
     assert calls == {"_bracket": 1, "_descend": 1}
 
 
 def test_lattice_search_validates_boxes():
     invert = SurfaceActions(RamosCurve(), 10).invert
-    for boxes in ((), (0, 10), (10, 5)):
+    for k_max in (0, -3):
         with pytest.raises(ValueError):
-            kernels.lattice_search(invert, np.ones((2, 2)), boxes, False)
+            kernels.lattice_search(invert, np.ones((2, 2)), k_max, False)
 
 
 def test_bench_kernels_rows_run(bench_kernels, monkeypatch, capsys):
@@ -617,7 +588,8 @@ def test_bench_kernels_rows_run(bench_kernels, monkeypatch, capsys):
     assert "lattice extremum(pnorm:4, 81 rows, k_max 30)" in out
     assert "lattice extremum(pnorm:4 hbar 1e-9, 81 rows, k_max 30)" in out
     assert "lattice extremum(ramos, 1 rows, k_max 20)" in out
-    assert "three-level search(pnorm:4, 81 rows, k_max 30)" in out
+    assert "search and bracket(pnorm:4, 81 rows, k_max 30)" in out
+    assert "brackets hold: True" in out
     assert "crosscheck(ramos, k_max 20) time" in out
     assert "crosscheck(ramos, k_max 20) peak" in out
     assert "crosscheck(ramos, k_max 20) 65536-row chunks" in out
@@ -630,3 +602,4 @@ def test_bench_kernels_rows_run(bench_kernels, monkeypatch, capsys):
     assert "spline fit(" in out and "spline refit(" in out
     assert "action table(pnorm:3, 257 rows) from_csv" in out
     assert "hausdorff_distance(4096 x 4096" in out and out.count(" MB") == 25
+    assert "build_parser + parse, cold" in out

@@ -2,10 +2,13 @@ import csv
 import inspect
 import io
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ebk import (
     ConfigError,
@@ -27,7 +30,6 @@ from ebk import (
     minmax_certificate,
     pnorm_profile,
     reconstruction_spectrum,
-    truncation_estimate,
     variational_spectrum,
 )
 from ebk import actions as actions_module, kernels
@@ -227,7 +229,7 @@ def test_searched_route_builds_no_table(monkeypatch):
     monkeypatch.setattr(ActionSpectrum, "restrict", refuse)
     surface = LevelSurface.from_profile(pnorm_profile(4.0))
     spec = variational_spectrum(SurfaceActions(surface, 40), 3, shift=0.5)
-    assert spec.truncation is not None and len(spec) == 16
+    assert np.isfinite(spec.error_bound).all() and len(spec) == 16
 
 
 def _counted_builds(monkeypatch):
@@ -246,8 +248,7 @@ def _counted_builds(monkeypatch):
 
 def test_wide_tie_window_builds_one_table(monkeypatch):
     # a window of 30% spans more Farey terms than the walk visits, so rows
-    # at every truncation level are left to the table, and one table serves
-    # them all
+    # are left to the table, and one table serves them all
     monkeypatch.setattr(kernels, "TIE_TOL", 0.3)
     builds, build = _counted_builds(monkeypatch)
     surface = LevelSurface.from_profile(pnorm_profile(4.0))
@@ -286,25 +287,61 @@ def test_only_declared_convex_or_concave_curves_are_searched():
         assert not SurfaceActions(surface, 10).searchable()
 
 
-# --- truncation estimate ---
+# --- the certified error bound ---
 
-def test_truncation_estimate_richardson():
-    # geometric convergence 1, 1.5, 1.75 -> ratio 2, remainder ~ |D2|/(r-1)
-    assert truncation_estimate(1.0, 1.5, 1.75) == pytest.approx(0.25)
-    # no measurable change between the last two levels
-    assert truncation_estimate(1.0, 1.2, 1.2) == 0.0
-    # non-contracting sequence falls back to the last increment
-    assert truncation_estimate(1.0, 1.1, 1.3) == pytest.approx(0.2)
+@settings(max_examples=40, deadline=None)
+@given(s=st.floats(1.5, 8.0),
+       k_max=st.integers(1, 400),
+       m_max=st.integers(0, 16),
+       mu=st.sampled_from([0.0, 0.25, 0.5]),
+       degree=st.sampled_from([1.0, 2.0]),
+       route=st.sampled_from(["search", "csv", "json"]))
+def test_error_bound_contains_the_direct_energy(s, k_max, m_max, mu, degree, route):
+    # the finite sup lies below the gauge and the chord's gauge above it, so
+    # the direct energy lies between E_m and E_m + E_error_bound; every
+    # nonzero weight row of pnorm has a pair around it, by search or table
+    profile = pnorm_profile(s, degree=degree)
+    source = SurfaceActions(LevelSurface.from_profile(profile), k_max)
+    if route == "csv":
+        source = ActionSpectrum.from_csv(source.table().to_csv(), "convex")
+    elif route == "json":
+        source = ActionSpectrum.from_json(source.table().to_json())
+    spec = variational_spectrum(source, m_max, degree=degree, shift=mu)
+    direct = direct_spectrum(profile, m_max, shift=mu).energies
+    slack = 1e-12 * direct
+    assert np.array_equal(np.isfinite(spec.error_bound), direct > 0)
+    held = np.isfinite(spec.error_bound)
+    assert np.all(spec.energies <= direct + slack)
+    assert np.all(direct[held] <= spec.energies[held] + spec.error_bound[held]
+                  + slack[held])
 
 
 def test_variational_truncation_column(circle_surface):
     acts = marked_action_spectrum(circle_surface, 40)
     spec = variational_spectrum(acts, 3)
-    assert spec.truncation is not None
-    assert np.all(spec.truncation >= 0.0)
-    # axis points are attained exactly at every truncation level
+    bound = spec.error_bound
+    assert np.isnan(bound[0])   # w = 0 lies in no cone of two points
+    assert np.all(bound[1:] >= 0.0)
+    # an axis point is attained exactly, and its chord passes through it
     i = [tuple(m) for m in spec.m_grid].index((0, 2))
-    assert spec.truncation[i] == 0.0
+    assert bound[i] <= 1e-12 * spec.energies[i]
+
+
+@pytest.mark.parametrize("points", [np.empty((0, 2)), np.array([[1.0, 1.0]]),
+                                    np.ones((3, 3))], ids=["empty", "one", "3d"])
+def test_no_pair_of_table_points_is_no_bound(points):
+    W = np.ones((4, points.shape[1]))
+    for use_max in (True, False):
+        assert np.isnan(kernels.table_chords(points, W, use_max)).all()
+
+
+def test_error_bound_of_a_single_entry_is_empty():
+    table = ActionSpectrum(np.array([[1, 1]]), np.array([2.0]), np.array([[1.0, 1.0]]),
+                           "general", 1)
+    spec = variational_spectrum(table, 2)
+    assert np.isnan(spec.error_bound).all()
+    assert spec.to_csv().splitlines()[2].endswith(",1;1,")
+    assert all(row["E_error_bound"] is None for row in json.loads(spec.to_json())["entries"])
 
 
 # --- minmax certificate ---
@@ -384,7 +421,7 @@ def test_spectrum_csv_format(circle_surface):
     acts = marked_action_spectrum(circle_surface, 10)
     spec = variational_spectrum(acts, 1)
     lines = spec.to_csv().splitlines()
-    assert lines[0] == "m_1,m_2,E_m,argmax_k,truncation_error_estimate"
+    assert lines[0] == "m_1,m_2,E_m,argmax_k,E_error_bound"
     assert len(lines) == 5
     row = dict(zip(lines[0].split(","), lines[2].split(",")))
     assert row["m_1"] == "0" and row["m_2"] == "1"
@@ -397,13 +434,14 @@ def _csv_writer_rendering(spec):
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow([f"m_{j+1}" for j in range(spec.dimension)]
-               + ["E_m", "argmax_k", "truncation_error_estimate"])
+               + ["E_m", "argmax_k", "E_error_bound"])
     for i, m in enumerate(spec.m_grid):
         arg = "" if spec.argext is None else ";".join(str(int(x)) for x in spec.argext[i])
-        est = ""
-        if spec.truncation is not None and math.isfinite(spec.truncation[i]):
-            est = format(float(spec.truncation[i]), ".17g")
-        w.writerow([int(x) for x in m] + [format(float(spec.energies[i]), ".17g"), arg, est])
+        bound = ""
+        if spec.error_bound is not None and math.isfinite(spec.error_bound[i]):
+            bound = format(float(spec.error_bound[i]), ".17g")
+        w.writerow([int(x) for x in m] + [format(float(spec.energies[i]), ".17g"), arg,
+                                          bound])
     return buf.getvalue()
 
 
@@ -414,25 +452,25 @@ def _spectra_to_render():
     yield direct_spectrum(pnorm_profile(4.0), 12, hbar=0.3)
     m_grid = lattice_grid(3, 2)
     rng = np.random.default_rng(5)
-    truncation = rng.random(len(m_grid)) * 1e-7
-    truncation[[0, 4, 9]] = [np.nan, np.inf, 0.0]
+    bound = rng.random(len(m_grid)) * 1e-7
+    bound[[0, 4, 9]] = [np.nan, np.inf, 0.0]
     yield EbkSpectrum(route="variational", dimension=3, degree=2.0, hbar=1.0,
                       shift=MaslovShift.zero(3), m_grid=m_grid,
                       energies=rng.random(len(m_grid)) * 1e5,
                       argext=rng.integers(0, 300, size=(len(m_grid), 3)),
-                      truncation=truncation)
+                      error_bound=bound)
     yield EbkSpectrum(route="direct", dimension=3, degree=1.0, hbar=1.0,
                       shift=MaslovShift.zero(3), m_grid=m_grid,
                       energies=np.linspace(0.0, 1.0, len(m_grid)) ** 3)
     # more levels than one block of the row renderer
     m_grid = lattice_grid(2, 64)
-    truncation = rng.random(len(m_grid)) * 1e-7
-    truncation[::97] = np.nan
+    bound = rng.random(len(m_grid)) * 1e-7
+    bound[::97] = np.nan
     yield EbkSpectrum(route="variational", dimension=2, degree=2.0, hbar=1.0,
                       shift=MaslovShift.zero(2), m_grid=m_grid,
                       energies=rng.random(len(m_grid)) * 1e5,
                       argext=rng.integers(0, 300, size=(len(m_grid), 2)),
-                      truncation=truncation)
+                      error_bound=bound)
 
 
 @pytest.mark.parametrize("spec", list(_spectra_to_render()),
