@@ -1,6 +1,7 @@
-"""Time the hot kernels: enumeration whole and chunked, the pruned
-extremal-ratio reduction against a full scan, the lattice search (with its
-table fallback) against the action table plus that reduction, the search
+"""Time the hot kernels: enumeration whole and chunked, the extremal-ratio
+reduction's angle walk against a full scan on six tables, the lattice
+search (with its table fallback) against the action table plus that
+reduction, the search
 with its error bracket against the table with its chords, the closed-form
 Gauss-map inversion against the generic bisection, the action table's
 build, the disk crosscheck's streamed minimum and bound against the table
@@ -44,6 +45,8 @@ K_MAX_ENUM = 1500
 K_MAX_INVERT = 1500
 K_MAX_RATIOS = 400   # with M_MAX_RATIOS: the spectrum-variational pnorm:4 run
 M_MAX_RATIOS = 64
+FLAT_RATIOS = ((1.5, 1000), (1.05, 600))   # pnorm s and k_max of the flat tables
+M_MAX_FLAT = 16
 K_MAX_TABLE = 500    # the table-io workload's pnorm:3 table
 K_MAX_BUILD = 2000   # the billiard workload's disk table, 2.43M directions
 K_MAX_RECONSTRUCT = 200   # the reconstruct workload's pnorm:4 cloud
@@ -71,7 +74,7 @@ def peak_mb(fn) -> float:
 
 
 def full_scan(K, a, W, use_max):
-    """Every entry for every weight row: the reduction without pruning."""
+    """Every entry for every weight row: the reduction without the walk."""
     K = K.astype(float)
     vals = np.empty(len(W))
     idxs = np.empty(len(W), dtype=np.int64)
@@ -108,19 +111,44 @@ def enumeration_row() -> None:
     print(f"{'chunks concatenated':52s} {len(whole):,} directions  identical: {same}")
 
 
+def ratio_tables():
+    """The reduction row's tables: (name, K, a, W, use_max) for pnorm:4, pnorm:40
+    at mu 1/2, the disk (inf) at mu 3/4 and a spline through 57 points of the
+    pnorm:4 arc at polar angles 0.2 to 1.3 at K_MAX_RATIOS/M_MAX_RATIOS, and the
+    flat pnorm tables of FLAT_RATIOS at M_MAX_FLAT."""
+    quartic = LevelSurface.from_profile(pnorm_profile(4.0))
+    arc = LevelSurface.from_points(quartic.point(np.linspace(0.2, 1.3, 57)))
+    grid = lattice_grid(2, M_MAX_RATIOS).astype(float)
+    sizes = f"{K_MAX_RATIOS}/{M_MAX_RATIOS}"
+    for name, surface, k_max, W, use_max in (
+            (f"pnorm:4 {sizes}", quartic, K_MAX_RATIOS, grid, True),
+            (f"pnorm:40 {sizes} mu 1/2", LevelSurface.from_profile(pnorm_profile(40.0)),
+             K_MAX_RATIOS, grid + 0.5, True),
+            (f"disk {sizes} mu 3/4", RamosCurve(), K_MAX_RATIOS, grid + 0.75, False),
+            (f"spline arc {sizes}", arc, K_MAX_RATIOS, grid, True),
+            *((f"pnorm:{s:g} {k_max}/{M_MAX_FLAT}",
+               LevelSurface.from_profile(pnorm_profile(s)), k_max,
+               lattice_grid(2, M_MAX_FLAT).astype(float), True)
+              for s, k_max in FLAT_RATIOS)):
+        spec = marked_action_spectrum(surface, k_max)
+        yield name, spec.directions, spec.actions, W, use_max
+
+
 def ratios_row() -> None:
-    spec = marked_action_spectrum(LevelSurface.from_profile(pnorm_profile(4.0)),
-                                  K_MAX_RATIOS)
-    W = lattice_grid(2, M_MAX_RATIOS).astype(float)
-    args = (spec.directions, spec.actions, W, True)
-    t_pruned = best_of(lambda: kernels.extremal_ratios(*args))
-    t_full = best_of(lambda: full_scan(*args), repeat=1)
-    same = all(np.array_equal(x, y) for x, y in
-               zip(kernels.extremal_ratios(*args), full_scan(*args)))
-    name = f"extremal_ratios({len(spec):,} entries x {len(W):,} rows)"
-    print(f"{'':52s} {'pruned':>10s} {'full':>10s}")
-    print(f"{name:52s} {t_pruned:9.4f}s {t_full:9.4f}s {t_full / t_pruned:7.1f}x"
-          f"  identical: {same}")
+    """extremal_ratios (the angle sort, its shape check and the walk) against
+    the full scan on each of ratio_tables; values and indices must be
+    bitwise equal, and every table must pass the shape check."""
+    print(f"{'':52s} {'walk':>10s} {'full':>10s}")
+    for name, K, a, W, use_max in ratio_tables():
+        args = (K, a, W, use_max)
+        t_walk = best_of(lambda: kernels.extremal_ratios(*args))
+        t_full = best_of(lambda: full_scan(*args), repeat=1)
+        same = all(np.array_equal(x.view(np.int64), y.view(np.int64)) for x, y in
+                   zip(kernels.extremal_ratios(*args), full_scan(*args)))
+        walked = kernels._angle_order(K, a, use_max) is not None
+        label = f"reduction({name}, {len(a):,} x {len(W):,})"
+        print(f"{label:52s} {t_walk:9.4f}s {t_full:9.4f}s {t_full / t_walk:7.1f}x"
+              f"  walked: {walked}  identical: {same}")
 
 
 def lattice_row() -> None:

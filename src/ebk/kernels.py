@@ -6,9 +6,10 @@
     arithmetic takes without a stack;
   * extremal_ratios is the sup/inf ratio reduction behind variational
     spectra, its ties relative to the extremum. In two dimensions, with many
-    weight rows, it scans for each row only the blocks of entries whose upper
-    bound can reach the extremum; values and indices are bitwise those of a
-    full scan;
+    weight rows, on a table convex (sup) or concave (inf) along the angle of
+    k, the ratio is unimodal in that angle: each row bisects for its peak
+    and walks out from it over the tie window. Other tables and rows scan
+    every entry; values and indices are bitwise those of a full scan;
   * lattice_search gives extremal_ratios' result on the action table of a
     strictly convex or concave planar curve truncated to a box, for most
     rows without building the table: one batched Stern-Brocot descent on
@@ -40,16 +41,13 @@ import numpy as np
 # targets of the call (the action table inverts its directions in chunks).
 BISECT_ITERS = 80
 
-# Pruned ratio reduction: entries sorted by angle, cut into blocks of
-# RATIO_BLOCK; bounds are evaluated RATIO_CHUNK weight rows at a time, and
-# fewer than RATIO_MIN_ROWS rows are not worth the bounds.
-RATIO_BLOCK = 256
-RATIO_CHUNK = 32
-RATIO_MIN_ROWS = 32
+RATIO_MIN_ROWS = 32   # fewer weight rows scan: not worth sorting the entries
 TIE_TOL = 1e-12   # entries within TIE_TOL |best| of the extremum tie with it
-BOUND_SLACK = 1e-9     # relative to |x|_1 |w|_1; covers rounding of the scan
-BOUND_FLOOR = 1e-290   # absolute; covers underflow
-SCALE_CAP = 1e290      # |K| |w| and |K / a| |w| below this cannot overflow
+# relative: the rounding beyond exact convexity (pnorm:1.05 reaches 3 ulps)
+SHAPE_SLACK = 8 * 2.0 ** -52
+# products and ratios between 1 / SCALE_CAP and SCALE_CAP cannot overflow or
+# leave the normal range
+SCALE_CAP = 1e290
 
 
 # --- primitive integer directions ---
@@ -147,87 +145,96 @@ def _tied(r, best, use_max):
 
 
 def _past_window(x):
-    """x less twice its tie window: below it, past the window of x twice over."""
-    return x - 2.0 * TIE_TOL * np.abs(x)
+    """x less twice its tie window and a margin for ratios unimodal only up
+    to rounding and SHAPE_SLACK (so also at TIE_TOL = 0): below it, past the
+    window of x twice over."""
+    return x - (2.0 * TIE_TOL + 4.0 * SHAPE_SLACK) * np.abs(x)
 
 
-def _scan(cols, a, w, use_max, order):
-    """Extremum of (cols . w) / a and the smallest original index within the
-    tie window; order maps scan positions to original indices (None: the
-    scan is in original order)."""
+def _scan(cols, a, w, use_max):
+    """Extremum of (cols . w) / a, and the first index in its tie window."""
     r = _ratio(cols, a, w)
     best = r.max() if use_max else r.min()
-    mask = _tied(r, best, use_max)
-    if order is None:
-        return best, int(np.argmax(mask))
-    return best, int(order[mask].min())
+    return best, int(np.argmax(_tied(r, best, use_max)))
 
 
-def _blocks(K, a, wl1):
-    """Sort the entries by the angle of x = K / a and cut them into blocks.
-
-    Returns the order (padded to whole blocks), the entries' columns and
-    actions in that order, the block starts, one oriented box per block and
-    one representative entry per block; None when |x| |w| could overflow.
-    """
-    N = len(a)
-    l1 = K[:, 0] / a
-    np.abs(l1, out=l1)
-    key = K[:, 1] / a
-    l1 += np.abs(key)
-    if not float(l1.max()) * wl1 < SCALE_CAP:
+def _angle_order(K, a, use_max):
+    """The entries' order by the angle of k, and their columns (as floats)
+    and actions in that order, where the walk applies: int64 0 <= k < 2**26
+    (the cross products are exact in floats), consecutive k strictly
+    turning, and each interior a_i at most (sup; at least, inf) the chord
+    ((k_i x k_i+1) a_i-1 + (k_i-1 x k_i) a_i+1) / (k_i-1 x k_i+1) of its
+    neighbours, up to SHAPE_SLACK. None elsewhere."""
+    if K.dtype != np.int64 or K.min() < 0 or K.max() >= 2 ** 26 or a.min() <= 0:
         return None
-    np.divide(key, l1, out=key, where=l1 > 0)   # x2 / |x|_1, monotone in angle
-    del l1
-    order = np.argsort(key, kind="stable")
-    del key
-    B = -(-N // RATIO_BLOCK)
-    order = np.concatenate([order, np.full(B * RATIO_BLOCK - N, order[-1])])
-    cols = [K[order, 0], K[order, 1]]
-    a_sorted = a[order]
-    k0, k1, ab = (c.reshape(B, RATIO_BLOCK) for c in (*cols, a_sorted))
-    # frame: the chord from the first to the last point, and its normal
-    c0 = k0[:, -1] / ab[:, -1] - k0[:, 0] / ab[:, 0]
-    c1 = k1[:, -1] / ab[:, -1] - k1[:, 0] / ab[:, 0]
-    length = np.hypot(c0, c1)
-    flat = length == 0
-    length[flat] = 1.0
-    u0 = np.where(flat, 1.0, c0 / length)[:, None]
-    u1 = np.where(flat, 0.0, c1 / length)[:, None]
-    proj = k0 * u0
-    proj += k1 * u1
-    proj /= ab
-    smin, smax = proj.min(axis=1), proj.max(axis=1)
-    np.multiply(k1, u0, out=proj)
-    proj -= k0 * u1
-    proj /= ab
-    tmin, tmax = proj.min(axis=1), proj.max(axis=1)
-    # |x|_1 <= sqrt(2) |x|_2 <= sqrt(2) (|s| + |t|) in the frame
-    radius = 2.0 * (np.maximum(-smin, smax) + np.maximum(-tmin, tmax)) + BOUND_FLOOR
-    box = (u0[:, 0], u1[:, 0], smin, smax, tmin, tmax, radius)
-    starts = np.minimum(np.arange(B + 1) * RATIO_BLOCK, N)
-    reps = order[(starts[:-1] + starts[1:]) // 2]
-    return order, cols, a_sorted, starts, box, reps
+    order = np.argsort(K[:, 1] / (K[:, 0] + K[:, 1]))
+    k0, k1, a = K[order, 0].astype(float), K[order, 1].astype(float), a[order]
+    cross = k0[:-1] * k1[1:] - k1[:-1] * k0[1:]
+    if not (cross > 0).all():
+        return None
+    chord = cross[1:] * a[:-2]
+    chord += cross[:-1] * a[2:]
+    chord /= k0[:-2] * k1[2:] - k1[:-2] * k0[2:]
+    sgn = 1.0 if use_max else -1.0
+    if (sgn * (a[1:-1] - chord * (1.0 + sgn * SHAPE_SLACK)) > 0).any():
+        return None
+    return order, (k0, k1), a
 
 
-def _candidate_ranges(K, a, Wc, sgn, box, reps, floor):
-    """Per weight row, the first and last block whose upper bound on
-    sgn * ratio reaches the best attained representative minus the tie
-    window."""
-    u0, u1, smin, smax, tmin, tmax, radius = box
-    w0 = sgn * Wc[:, :1]
-    w1 = sgn * Wc[:, 1:]
-    wu = w0 * u0 + w1 * u1
-    wv = w1 * u0 - w0 * u1
-    upper = np.maximum(smin * wu, smax * wu)
-    upper += np.maximum(tmin * wv, tmax * wv)
-    upper += BOUND_SLACK * np.abs(Wc).sum(axis=1, keepdims=True) * radius + floor
-    # representatives use the scan's own arithmetic: attained values
-    lower = (sgn * _ratio(K[reps].T, a[reps], Wc.T[:, :, None])).max(axis=1)
-    hit = upper >= _past_window(lower)[:, None]
-    first = hit.argmax(axis=1)
-    last = hit.shape[1] - 1 - hit[:, ::-1].argmax(axis=1)
-    return first, last + 1
+def _angle_walk(order, cols, a, W, use_max):
+    """extremal_ratios on entries in an angle order along which every row's
+    s = sgn * ratio is unimodal (_tied(s, best, True) is the scan's window:
+    negation is exact). Each row bisects for its peak on the sign of
+    s[m + 1] - s[m], then walks both sides in lockstep until each meets an
+    entry below _past_window of the running best; sides still walking after
+    FAREY_WALK_CAP steps go on alone in slices of doubling width, each
+    stopping by the best at its start (later, never earlier)."""
+    sgn, (G, N) = (1.0 if use_max else -1.0), (len(W), len(a))
+
+    def ratios(at, rows):   # s at the positions `at` for the weight rows `rows`
+        return sgn * _ratio([c[at] for c in cols], a[at], W[rows].T)
+
+    lo, hi = np.zeros(G, dtype=np.int64), np.full(G, N - 1)
+    live = np.flatnonzero(lo < hi)
+    while live.size:
+        m = (lo[live] + hi[live]) // 2
+        rising = ratios(m + 1, live) > ratios(m, live)
+        lo[live[rising]], hi[live[~rising]] = m[rising] + 1, m[~rising]
+        live = live[lo[live] < hi[live]]
+    best = ratios(lo, slice(None))
+    seen = [(np.arange(G), lo, best.copy())]
+    g, pos = np.tile(np.arange(G), 2), np.concatenate([lo - 1, lo + 1])
+    step = np.repeat([-1, 1], G)
+    for done in range(FAREY_WALK_CAP + 1):
+        inside = (pos >= 0) & (pos < N)
+        g, pos, step = g[inside], pos[inside], step[inside]
+        if not g.size or done == FAREY_WALK_CAP:
+            break
+        s = ratios(pos, g)
+        np.maximum.at(best, g, s)
+        seen.append((g, pos, s))
+        on = s >= _past_window(best[g])
+        g, pos, step = g[on], pos[on] + step[on], step[on]
+    idx = np.full(G, N)
+    for row in np.unique(g):   # one row at a time, its window whole
+        found = []
+        for p, side in zip(pos[g == row], step[g == row]):
+            width = FAREY_WALK_CAP
+            while 0 <= p < N:
+                end = p + side * width
+                part = slice(p, None if end < 0 else min(end, N), side)
+                s = ratios(part, row)
+                below = s < _past_window(best[row])
+                n = int(np.argmax(below)) + 1 if below.any() else len(s)
+                best[row] = max(best[row], s[:n].max())
+                found.append((s[:n], order[part][:n]))
+                p, width = (end, 2 * width) if n == len(s) else (-1, 0)
+        s, at = map(np.concatenate, zip(*found))
+        idx[row] = at[_tied(s, best[row], True)].min(initial=N)
+    rows, pos, s = map(np.concatenate, zip(*seen))
+    tied = _tied(s, best[rows], True)
+    np.minimum.at(idx, rows[tied], order[pos[tied]])
+    return sgn * best, idx
 
 
 # overflowing products and ratios are left to the caller's finiteness check
@@ -237,10 +244,12 @@ def extremal_ratios(K: np.ndarray, a: np.ndarray, W: np.ndarray, use_max: bool):
     the first (lexicographically smallest) entry index achieving it within
     TIE_TOL relative.
 
-    In two dimensions, with at least RATIO_MIN_ROWS rows and more than one
-    block of entries, each row scans only the blocks whose bound can reach
-    the extremum; otherwise every row scans every entry. Either way the
-    values and indices are bitwise those of the full scan.
+    In two dimensions, with at least RATIO_MIN_ROWS rows, on a table convex
+    (sup) or concave (inf) along the angle of k (_angle_order), the rows
+    w >= 0, w != 0 whose products and ratios lie in [1 / SCALE_CAP,
+    SCALE_CAP] walk out from their peak (_angle_walk); the other rows scan
+    every entry. Either way the values and indices are bitwise the full
+    scan's: the walk computes the same ratios and visits the tie window.
     """
     K = np.asarray(K)
     if K.dtype != np.int64:   # int64 directions enter the products exactly
@@ -257,37 +266,26 @@ def extremal_ratios(K: np.ndarray, a: np.ndarray, W: np.ndarray, use_max: bool):
     if np.any(a == 0):
         raise ValueError("extremal_ratios needs nonzero actions")
     (N, n), G = K.shape, W.shape[0]
-    vals = np.empty(G, dtype=float)
-    idxs = np.empty(G, dtype=np.int64)
+    vals, idxs = np.empty(G, dtype=float), np.empty(G, dtype=np.int64)
+    shape = _angle_order(K, a, use_max) if n == 2 and G >= RATIO_MIN_ROWS else None
+    walk = np.zeros(G, dtype=bool)
+    if shape is not None:
+        (k0, k1), a_sorted = shape[1:]
+        big = max(k0.max(), k1.max(), ((k0 + k1) / a_sorted).max()) * W.sum(axis=1)
+        least = np.where(W > 0, W, np.inf).min(axis=1) * min(1.0, 1.0 / a_sorted.max())
+        walk = (W >= 0).all(axis=1) & W.any(axis=1) & (big < SCALE_CAP) \
+            & (least > 1.0 / SCALE_CAP)
     cols = [K[:, j] for j in range(n)]
-    wl1 = float(np.abs(W).sum(axis=1).max(initial=0.0))
-    plan = None
-    if n == 2 and G >= RATIO_MIN_ROWS and N > RATIO_BLOCK \
-            and max(float(K.max()), -float(K.min())) * wl1 < SCALE_CAP:
-        plan = _blocks(K, a, wl1)
-    if plan is None:
-        for g in range(G):
-            vals[g], idxs[g] = _scan(cols, a, W[g], use_max, None)
-        return vals, idxs
-
-    order, sorted_cols, a_sorted, starts, box, reps = plan
-    sgn = 1.0 if use_max else -1.0
-    floor = BOUND_FLOOR / min(1.0, float(np.abs(a).min()))
-    for c0 in range(0, G, RATIO_CHUNK):
-        Wc = W[c0:c0 + RATIO_CHUNK]
-        first, stop = _candidate_ranges(K, a, Wc, sgn, box, reps, floor)
-        for g, lo, hi in zip(range(c0, c0 + len(Wc)), starts[first], starts[stop]):
-            vals[g], idxs[g] = _scan([c[lo:hi] for c in sorted_cols], a_sorted[lo:hi],
-                                     W[g], use_max, order[lo:hi])
-            if vals[g] == 0:
-                # the sign of a zero extremum depends on the scan order
-                vals[g], idxs[g] = _scan(cols, a, W[g], use_max, None)
+    for g in np.flatnonzero(~walk):
+        vals[g], idxs[g] = _scan(cols, a, W[g], use_max)
+    if walk.any():
+        vals[walk], idxs[walk] = _angle_walk(*shape, W[walk], use_max)
     return vals, idxs
 
 
 # --- the 2-D lattice extremum without the table ---
 
-FAREY_WALK_CAP = 256   # Farey terms walked per side before a row takes the table
+FAREY_WALK_CAP = 256   # lockstep steps a side; then a row takes the table, or walks alone
 DESCENT_ROUNDS = 200   # runs per row; a continued fraction below 2**63 has < 95
 COARSE_BOX = 64        # the descent starts from this box's Farey terms
 

@@ -15,6 +15,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -23,14 +24,26 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ebk import LevelSurface, actions, marked_action_spectrum, pnorm_profile
+from ebk import LevelSurface, RamosCurve, actions, marked_action_spectrum, pnorm_profile
 from ebk.cli import main
 
 GOLDEN = Path(__file__).resolve().with_name("golden_cli.json")
 
-# input files, made once: the table-io workload's pnorm:3 table and a 3-D spec
+# input files, made once: the table-io workload's pnorm:3 table, the disk's
+# table, a 3-D spec and a spline arc through 57 points of the pnorm:4 curve
+# at polar angles 0.2 to 1.3
 TABLE_K_MAX = 500
+DISK_K_MAX = 200
 SPEC_3D = {"kind": "pnorm", "params": {"s": 4}, "dimension": 3}
+
+
+def _arc_spec() -> dict:
+    rows = []
+    for i in range(57):
+        t = 0.2 + 1.1 * i / 56
+        r = (math.cos(t) ** 4 + math.sin(t) ** 4) ** -0.25
+        rows.append([i, r * math.cos(t), r * math.sin(t)])
+    return {"kind": "custom-table", "params": {"table": rows}}
 
 
 def _variational(profile, *extra):
@@ -50,6 +63,16 @@ CASES = {
     "variational-table-csv": (
         ["spectrum-variational", "--actions", "table.csv", "--orientation", "convex",
          "--shift", "0.3", "--m-max", "4", "--out", "out.csv"], True),
+    # at least RATIO_MIN_ROWS weight rows: the table reductions walk
+    "variational-table-csv-m12": (
+        ["spectrum-variational", "--actions", "table.csv", "--orientation", "convex",
+         "--m-max", "12", "--shift", "0.3", "--out", "out.csv"], False),
+    "variational-disk-table-json": (
+        ["spectrum-variational", "--actions", "disk.json", "--m-max", "12", "--out",
+         "out.csv"], False),
+    "variational-arc-spec": (
+        ["spectrum-variational", "--profile", "arc.json", "--k-max", "200", "--m-max", "8",
+         "--out", "out.csv"], False),
     "certify-table-json": (
         ["minmax-certify", "--actions", "table.json", "--energy", "2.5", "--m", "1,2",
          "--out", "out.csv"], True),
@@ -113,7 +136,10 @@ def make_inputs(where: Path) -> None:
                                    TABLE_K_MAX)
     (where / "table.csv").write_text(table.to_csv())
     (where / "table.json").write_text(table.to_json())
+    (where / "disk.json").write_text(marked_action_spectrum(RamosCurve(), DISK_K_MAX)
+                                     .to_json())
     (where / "pnorm3d.json").write_text(json.dumps(SPEC_3D))
+    (where / "arc.json").write_text(json.dumps(_arc_spec()))
 
 
 def _digest(data: bytes) -> dict:

@@ -215,7 +215,7 @@ def _ratio_case(dim=2, k_max=45, groups=9):
     return K, a, W
 
 
-def _old_scan(cols, a, w, use_max, order):
+def _old_scan(cols, a, w, use_max):
     # the scan before it accumulated in place: three table-length temporaries
     num = cols[0] * w[0]
     for j in range(1, len(cols)):
@@ -224,9 +224,7 @@ def _old_scan(cols, a, w, use_max, order):
     best = r.max() if use_max else r.min()
     tol = kernels.TIE_TOL * abs(best)
     mask = (r >= best - tol) if use_max else (r <= best + tol)
-    if order is None:
-        return best, int(np.argmax(mask))
-    return best, int(order[mask].min())
+    return best, int(np.argmax(mask))
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -242,12 +240,11 @@ def test_scan_in_place_equals_the_temporaries(dim, monkeypatch):
             K = K.astype(float)
         cols = [K[:, j] for j in range(dim)]
         w = rng.uniform(-2.0, 2.0, dim)
-        order = rng.permutation(N) if trial % 3 == 0 else None
         for use_max in (True, False):
             for tol in (0.0, 1e-12, 0.3):
                 monkeypatch.setattr(kernels, "TIE_TOL", tol)
-                got = kernels._scan(cols, a, w, use_max, order)
-                want = _old_scan(cols, a, w, use_max, order)
+                got = kernels._scan(cols, a, w, use_max)
+                want = _old_scan(cols, a, w, use_max)
                 assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
                 assert got[1] == want[1]
 
@@ -362,20 +359,94 @@ def test_extremal_ratios_equal_full_scan_on_action_tables(surface):
             _assert_matches_full_scan(spec.directions, spec.actions, W, use_max)
 
 
+def _counting_ratio(monkeypatch):
+    """The number of entries kernels._ratio sees from here on, in a list."""
+    seen, ratio = [0], kernels._ratio
+
+    def counting(cols, a, w):
+        r = ratio(cols, a, w)
+        seen[0] += r.size
+        return r
+
+    monkeypatch.setattr(kernels, "_ratio", counting)
+    return seen
+
+
 def test_extremal_ratios_prunes(monkeypatch):
+    # the walk reads a few entries around each row's peak, not the table
     spec = marked_action_spectrum(LevelSurface.from_profile(pnorm_profile(4.0)), 120)
     W = np.indices((20, 20)).reshape(2, -1).T + 0.5
-    scanned = []
-    scan = kernels._scan
-
-    def counting_scan(cols, a, *rest):
-        scanned.append(len(a))
-        return scan(cols, a, *rest)
-
-    monkeypatch.setattr(kernels, "_scan", counting_scan)
+    seen = _counting_ratio(monkeypatch)
     kernels.extremal_ratios(spec.directions, spec.actions, W, True)
-    assert len(scanned) == len(W)
-    assert sum(scanned) < 0.1 * len(W) * len(spec)
+    assert 0 < seen[0] < 0.1 * len(W) * len(spec)
+
+
+def _walked_table(kind, s, k_max):
+    """An action table the walk takes, and its orientation's extremum."""
+    if kind == "disk":
+        return marked_action_spectrum(RamosCurve(), k_max), False
+    surface = LevelSurface.from_profile(pnorm_profile(s))
+    if kind != "pnorm":   # a spline through 57 points of the whole arc or of part
+        curve = LevelSurface.from_profile(pnorm_profile(min(max(s, 1.5), 4.0)))
+        lo, hi = (curve.param_lo, curve.param_hi) if kind == "full-arc" else (0.2, 1.3)
+        surface = LevelSurface.from_points(curve.point(np.linspace(lo, hi, 57)))
+    return marked_action_spectrum(surface, k_max), True
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["pnorm", "pnorm", "disk", "full-arc", "partial-arc"]),
+       s=st.floats(1.05, 40.0),
+       k_max=st.integers(4, 150),
+       m_max=st.integers(5, 12),
+       shift=st.tuples(*[st.sampled_from([0.0, 0.25, 0.5, 0.75])] * 2),
+       zero_rows=st.integers(0, 2),
+       tie_tol=st.sampled_from([0.0, 1e-12, 1e-6, 0.3]))
+def test_angle_walk_equals_full_scan(kind, s, k_max, m_max, shift, zero_rows, tie_tol):
+    spec, use_max = _walked_table(kind, s, k_max)
+    W = lattice_grid(2, m_max) + shift
+    W = np.concatenate([np.zeros((zero_rows, 2)), W])
+    assert kernels._angle_order(spec.directions, spec.actions, use_max) is not None
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "TIE_TOL", tie_tol)
+        _assert_matches_full_scan(spec.directions, spec.actions, W, use_max)
+
+
+@pytest.mark.parametrize("kind", ["pnorm", "disk"])
+def test_perturbed_tables_scan_or_still_agree(kind, monkeypatch):
+    # a table off its curve either fails the shape check, and every row
+    # scans, or still walks to the scan's bytes
+    spec, use_max = _walked_table(kind, 4.0, 60)
+    W = lattice_grid(2, 8) + 0.25
+    scans, scan = [0], kernels._scan
+
+    def counting(*args):
+        scans[0] += 1
+        return scan(*args)
+
+    monkeypatch.setattr(kernels, "_scan", counting)
+    rng = np.random.default_rng(5)
+    outcomes = set()
+    for trial in range(60):
+        K, a = spec.directions, spec.actions.copy()
+        i, j = rng.choice(len(a), 2, replace=False)
+        how = trial % 4
+        if how == 0:
+            a[i], a[j] = a[j], a[i]
+        elif how == 1:
+            a[i] = a[i] * (1.0 + rng.choice([-1e-9, 1e-9]))
+        elif how == 2:
+            for _ in range(int(rng.integers(1, 4))):
+                a[i] = np.nextafter(a[i], np.inf if rng.random() < 0.5 else 0.0)
+        else:
+            keep = rng.random(len(a)) > rng.uniform(0.05, 0.9)
+            K, a = K[keep], a[keep]
+        scans[0] = 0
+        _assert_matches_full_scan(K, a, W, use_max)
+        assert scans[0] in (0, len(W))
+        outcomes.add((how, scans[0] == 0))
+    # swaps break the shape; drops keep it, and so do nudges this small
+    # beside the chord gaps of a table this coarse
+    assert {(0, False), (1, True), (2, True), (3, True)} <= outcomes
 
 
 # --- the lattice search, with the table for the rows it leaves ---
@@ -574,6 +645,7 @@ def test_bench_kernels_rows_run(bench_kernels, monkeypatch, capsys):
     bench = bench_kernels
     for name, value in (("K_MAX_ENUM", 20), ("K_MAX_INVERT", 20),
                         ("K_MAX_RATIOS", 30), ("M_MAX_RATIOS", 8),
+                        ("FLAT_RATIOS", ((1.5, 40), (1.05, 30))), ("M_MAX_FLAT", 6),
                         ("K_MAX_TABLE", 20), ("K_MAX_BUILD", 20),
                         ("K_MAX_RECONSTRUCT", 20)):
         monkeypatch.setattr(bench, name, value)
@@ -595,7 +667,11 @@ def test_bench_kernels_rows_run(bench_kernels, monkeypatch, capsys):
     assert "crosscheck(ramos, k_max 20) 65536-row chunks" in out
     assert "16384-row chunks      65536-row chunks" in out
     assert "crosscheck(ramos, k_max 20) stream" in out and forks
-    assert out.count("identical: True") == 12
+    for name in ("pnorm:4 30/8", "pnorm:40 30/8 mu 1/2", "disk 30/8 mu 3/4",
+                 "spline arc 30/8", "pnorm:1.5 40/6", "pnorm:1.05 30/6"):
+        assert f"reduction({name}, " in out
+    assert out.count("walked: True") == 6
+    assert out.count("identical: True") == 17
     assert "inversion(pnorm:4" in out
     assert "action table(pnorm:3" in out and "identical: False" not in out
     assert "action table(ramos" in out and "action table(harmonic:1,2, 1 rows)" in out
