@@ -145,7 +145,7 @@ def ratios_row() -> None:
         t_full = best_of(lambda: full_scan(*args), repeat=1)
         same = all(np.array_equal(x.view(np.int64), y.view(np.int64)) for x, y in
                    zip(kernels.extremal_ratios(*args), full_scan(*args)))
-        walked = kernels._angle_order(K, a, use_max) is not None
+        walked = kernels._angle_order(K, a, use_max, len(W)) is not None
         label = f"reduction({name}, {len(a):,} x {len(W):,})"
         print(f"{label:52s} {t_walk:9.4f}s {t_full:9.4f}s {t_full / t_walk:7.1f}x"
               f"  walked: {walked}  identical: {same}")

@@ -6,10 +6,11 @@
     arithmetic takes without a stack;
   * extremal_ratios is the sup/inf ratio reduction behind variational
     spectra, its ties relative to the extremum. In two dimensions, with many
-    weight rows, on a table convex (sup) or concave (inf) along the angle of
-    k, the ratio is unimodal in that angle: each row bisects for its peak
-    and walks out from it over the tie window. Other tables and rows scan
-    every entry; values and indices are bitwise those of a full scan;
+    weight rows, on a table within a few ulps of a convex (sup) or concave
+    (inf) chain along the angle of k, the ratio is unimodal in that angle up
+    to a margin: each row bisects for its peak and walks out from it over
+    the tie window. Other tables and rows, and rows whose window is too
+    wide, scan every entry; values and indices are bitwise a full scan's;
   * lattice_search gives extremal_ratios' result on the action table of a
     strictly convex or concave planar curve truncated to a box, for most
     rows without building the table: one batched Stern-Brocot descent on
@@ -43,7 +44,8 @@ BISECT_ITERS = 80
 
 RATIO_MIN_ROWS = 32   # fewer weight rows scan: not worth sorting the entries
 TIE_TOL = 1e-12   # entries within TIE_TOL |best| of the extremum tie with it
-# relative: the rounding beyond exact convexity (pnorm:1.05 reaches 3 ulps)
+# relative: outweighs a chord's rounding (4 ulps); the shape check keeps the
+# actions within twice it of an exactly convex chain
 SHAPE_SLACK = 8 * 2.0 ** -52
 # products and ratios between 1 / SCALE_CAP and SCALE_CAP cannot overflow or
 # leave the normal range
@@ -146,9 +148,11 @@ def _tied(r, best, use_max):
 
 def _past_window(x):
     """x less twice its tie window and a margin for ratios unimodal only up
-    to rounding and SHAPE_SLACK (so also at TIE_TOL = 0): below it, past the
-    window of x twice over."""
-    return x - (2.0 * TIE_TOL + 4.0 * SHAPE_SLACK) * np.abs(x)
+    to rounding (so also at TIE_TOL = 0): below it, past the window of x
+    twice over. Actions within 2 SHAPE_SLACK of an exactly convex chain (the
+    check rounds by 6 ulps more), each ratio rounding by 3 ulps, leave the
+    ratio unimodal up to under 7 SHAPE_SLACK."""
+    return x - (2.0 * TIE_TOL + 8.0 * SHAPE_SLACK) * np.abs(x)
 
 
 def _scan(cols, a, w, use_max):
@@ -158,37 +162,72 @@ def _scan(cols, a, w, use_max):
     return best, int(np.argmax(_tied(r, best, use_max)))
 
 
-def _angle_order(K, a, use_max):
+def _chord(k0, k1, a, i, j, l):
+    """The chord of the actions of entries i and l at the direction of j,
+    for positions (or slices) i < j < l of the angle order: ((k_j x k_l) a_i
+    + (k_i x k_j) a_l) / (k_i x k_l), the cross products exact, the whole
+    within 4 ulps."""
+    (x0, y0), (x1, y1), (x2, y2) = ((k0[p], k1[p]) for p in (i, j, l))
+    return ((x1 * y2 - y1 * x2) * a[i] + (x0 * y1 - y0 * x1) * a[l]) / (x0 * y2 - y0 * x2)
+
+
+def _angle_order(K, a, use_max, passes):
     """The entries' order by the angle of k, and their columns (as floats)
-    and actions in that order, where the walk applies: int64 0 <= k < 2**26
-    (the cross products are exact in floats), consecutive k strictly
-    turning, and each interior a_i at most (sup; at least, inf) the chord
-    ((k_i x k_i+1) a_i-1 + (k_i-1 x k_i) a_i+1) / (k_i-1 x k_i+1) of its
-    neighbours, up to SHAPE_SLACK. None elsewhere."""
-    if K.dtype != np.int64 or K.min() < 0 or K.max() >= 2 ** 26 or a.min() <= 0:
+    and actions in that order, where the walk applies; None elsewhere.
+
+    It applies to N >= 3 int64 0 <= k < 2**26 (the cross products are exact
+    in floats), consecutive k strictly turning, whose actions lie within
+    2 SHAPE_SLACK, relative, of a chain of entries, the first and the last
+    among them, along which a is exactly convex (sup; concave, inf). The
+    chain starts as every entry; a pass drops every other entry of each run
+    of consecutive ones not at most (sup; at least, inf) the chord of their
+    neighbours times 1 -+ SHAPE_SLACK, which outweighs the chord's rounding.
+    After `passes` passes the check gives up."""
+    if K.dtype != np.int64 or len(K) < 3 or K.min() < 0 or K.max() >= 2 ** 26 \
+            or a.min() <= 0:
         return None
     order = np.argsort(K[:, 1] / (K[:, 0] + K[:, 1]))
-    k0, k1, a = K[order, 0].astype(float), K[order, 1].astype(float), a[order]
-    cross = k0[:-1] * k1[1:] - k1[:-1] * k0[1:]
-    if not (cross > 0).all():
+    (k0, k1), a = K[order].T.astype(float), a[order]
+    if not (k0[:-1] * k1[1:] - k1[:-1] * k0[1:] > 0).all():
         return None
-    chord = cross[1:] * a[:-2]
-    chord += cross[:-1] * a[2:]
-    chord /= k0[:-2] * k1[2:] - k1[:-2] * k0[2:]
-    sgn = 1.0 if use_max else -1.0
-    if (sgn * (a[1:-1] - chord * (1.0 + sgn * SHAPE_SLACK)) > 0).any():
+    N, sgn = len(a), 1.0 if use_max else -1.0
+
+    def bent(i, j, l):
+        return sgn * a[j] > sgn * (1.0 - sgn * SHAPE_SLACK) * _chord(k0, k1, a, i, j, l)
+
+    on = np.ones(N, dtype=bool)   # the chain, linked by prv and nxt
+    prv, nxt = np.arange(-1, N - 1), np.arange(1, N + 1)
+    off = np.flatnonzero(bent(slice(0, -2), slice(1, -1), slice(2, None))) + 1
+    for _ in range(passes):
+        if not off.size:
+            break
+        run = np.ones(off.size, dtype=bool)
+        run[1:] = prv[off[1:]] != off[:-1]
+        at = np.arange(off.size)
+        j = off[(at - np.maximum.accumulate(np.where(run, at, 0))) % 2 == 0]
+        p, n = prv[j], nxt[j]
+        nxt[p], prv[n], on[j] = n, p, False
+        off = np.stack([p, n], axis=1).ravel()   # sorted: no two j are neighbours
+        off = off[(off > 0) & (off < N - 1) & (off != np.roll(off, 1))]
+        off = off[bent(prv[off], off, nxt[off])]
+    if off.size:
+        return None
+    chain, gone = np.flatnonzero(on), np.flatnonzero(~on)
+    left = np.cumsum(on)[gone] - 1    # the chain's entries on either side
+    E = _chord(k0, k1, a, chain[left], gone, chain[left + 1])
+    if (np.abs(a[gone] - E) > 2.0 * SHAPE_SLACK * E).any():
         return None
     return order, (k0, k1), a
 
 
 def _angle_walk(order, cols, a, W, use_max):
     """extremal_ratios on entries in an angle order along which every row's
-    s = sgn * ratio is unimodal (_tied(s, best, True) is the scan's window:
-    negation is exact). Each row bisects for its peak on the sign of
-    s[m + 1] - s[m], then walks both sides in lockstep until each meets an
-    entry below _past_window of the running best; sides still walking after
-    FAREY_WALK_CAP steps go on alone in slices of doubling width, each
-    stopping by the best at its start (later, never earlier)."""
+    s = sgn * ratio is unimodal up to _past_window's margin (_tied(s, best,
+    True) is the scan's window: negation is exact). Each row bisects for its
+    peak on the sign of s[m + 1] - s[m], then walks both sides in lockstep
+    until each meets an entry below _past_window of the running best. Also
+    returns the rows still walking after FAREY_WALK_CAP steps, whose values
+    and indices are unset."""
     sgn, (G, N) = (1.0 if use_max else -1.0), (len(W), len(a))
 
     def ratios(at, rows):   # s at the positions `at` for the weight rows `rows`
@@ -215,26 +254,11 @@ def _angle_walk(order, cols, a, W, use_max):
         seen.append((g, pos, s))
         on = s >= _past_window(best[g])
         g, pos, step = g[on], pos[on] + step[on], step[on]
-    idx = np.full(G, N)
-    for row in np.unique(g):   # one row at a time, its window whole
-        found = []
-        for p, side in zip(pos[g == row], step[g == row]):
-            width = FAREY_WALK_CAP
-            while 0 <= p < N:
-                end = p + side * width
-                part = slice(p, None if end < 0 else min(end, N), side)
-                s = ratios(part, row)
-                below = s < _past_window(best[row])
-                n = int(np.argmax(below)) + 1 if below.any() else len(s)
-                best[row] = max(best[row], s[:n].max())
-                found.append((s[:n], order[part][:n]))
-                p, width = (end, 2 * width) if n == len(s) else (-1, 0)
-        s, at = map(np.concatenate, zip(*found))
-        idx[row] = at[_tied(s, best[row], True)].min(initial=N)
     rows, pos, s = map(np.concatenate, zip(*seen))
+    idx = np.full(G, N)
     tied = _tied(s, best[rows], True)
     np.minimum.at(idx, rows[tied], order[pos[tied]])
-    return sgn * best, idx
+    return sgn * best, idx, np.unique(g)
 
 
 # overflowing products and ratios are left to the caller's finiteness check
@@ -244,10 +268,11 @@ def extremal_ratios(K: np.ndarray, a: np.ndarray, W: np.ndarray, use_max: bool):
     the first (lexicographically smallest) entry index achieving it within
     TIE_TOL relative.
 
-    In two dimensions, with at least RATIO_MIN_ROWS rows, on a table convex
-    (sup) or concave (inf) along the angle of k (_angle_order), the rows
-    w >= 0, w != 0 whose products and ratios lie in [1 / SCALE_CAP,
-    SCALE_CAP] walk out from their peak (_angle_walk); the other rows scan
+    In two dimensions, with at least RATIO_MIN_ROWS rows, on a table within
+    a few ulps of convex (sup) or concave (inf) along the angle of k
+    (_angle_order), the rows w >= 0, w != 0 whose products and ratios lie in
+    [1 / SCALE_CAP, SCALE_CAP] walk out from their peak (_angle_walk); the
+    other rows, and those still walking after FAREY_WALK_CAP steps, scan
     every entry. Either way the values and indices are bitwise the full
     scan's: the walk computes the same ratios and visits the tie window.
     """
@@ -267,7 +292,7 @@ def extremal_ratios(K: np.ndarray, a: np.ndarray, W: np.ndarray, use_max: bool):
         raise ValueError("extremal_ratios needs nonzero actions")
     (N, n), G = K.shape, W.shape[0]
     vals, idxs = np.empty(G, dtype=float), np.empty(G, dtype=np.int64)
-    shape = _angle_order(K, a, use_max) if n == 2 and G >= RATIO_MIN_ROWS else None
+    shape = _angle_order(K, a, use_max, G) if n == 2 and G >= RATIO_MIN_ROWS else None
     walk = np.zeros(G, dtype=bool)
     if shape is not None:
         (k0, k1), a_sorted = shape[1:]
@@ -275,17 +300,19 @@ def extremal_ratios(K: np.ndarray, a: np.ndarray, W: np.ndarray, use_max: bool):
         least = np.where(W > 0, W, np.inf).min(axis=1) * min(1.0, 1.0 / a_sorted.max())
         walk = (W >= 0).all(axis=1) & W.any(axis=1) & (big < SCALE_CAP) \
             & (least > 1.0 / SCALE_CAP)
+    if walk.any():
+        rows = np.flatnonzero(walk)
+        vals[rows], idxs[rows], capped = _angle_walk(*shape, W[rows], use_max)
+        walk[rows[capped]] = False
     cols = [K[:, j] for j in range(n)]
     for g in np.flatnonzero(~walk):
         vals[g], idxs[g] = _scan(cols, a, W[g], use_max)
-    if walk.any():
-        vals[walk], idxs[walk] = _angle_walk(*shape, W[walk], use_max)
     return vals, idxs
 
 
 # --- the 2-D lattice extremum without the table ---
 
-FAREY_WALK_CAP = 256   # lockstep steps a side; then a row takes the table, or walks alone
+FAREY_WALK_CAP = 256   # lockstep steps a side; then a row takes the table, or the scan
 DESCENT_ROUNDS = 200   # runs per row; a continued fraction below 2**63 has < 95
 COARSE_BOX = 64        # the descent starts from this box's Farey terms
 

@@ -75,13 +75,12 @@ class EbkSpectrum:
         # the argmax cell is its components joined by ";", each as %d
         arg, args = (("%s", [[""] * count]) if self.argext is None
                      else (";".join(["%d"] * n), list(self.argext.astype(np.int64).T)))
-        bound, bounds = (("%s", [""] * count) if self.error_bound is None
-                         else ("%.17g", self.error_bound))
-        row = ",".join(["%d"] * n + ["%.17g", arg, bound]) + "\n"
-        text = render_rows(header + "\n", row, "",
+        bounds = ([""] * count if self.error_bound is None
+                  else ["%.17g" % t if math.isfinite(t) else ""
+                        for t in self.error_bound.tolist()])
+        row = ",".join(["%d"] * n + ["%.17g", arg, "%s"]) + "\n"
+        return render_rows(header + "\n", row, "",
                            [*self.m_grid.T, self.energies, *args, bounds])
-        # the bound is the last cell, and a non-finite one prints empty
-        return text.replace(",nan\n", ",\n").replace(",inf\n", ",\n")
 
     def to_json(self) -> str:
         entries = []

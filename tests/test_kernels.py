@@ -405,7 +405,7 @@ def test_angle_walk_equals_full_scan(kind, s, k_max, m_max, shift, zero_rows, ti
     spec, use_max = _walked_table(kind, s, k_max)
     W = lattice_grid(2, m_max) + shift
     W = np.concatenate([np.zeros((zero_rows, 2)), W])
-    assert kernels._angle_order(spec.directions, spec.actions, use_max) is not None
+    assert kernels._angle_order(spec.directions, spec.actions, use_max, len(W)) is not None
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kernels, "TIE_TOL", tie_tol)
         _assert_matches_full_scan(spec.directions, spec.actions, W, use_max)
@@ -447,6 +447,49 @@ def test_perturbed_tables_scan_or_still_agree(kind, monkeypatch):
     # swaps break the shape; drops keep it, and so do nudges this small
     # beside the chord gaps of a table this coarse
     assert {(0, False), (1, True), (2, True), (3, True)} <= outcomes
+
+
+@pytest.mark.parametrize("use_max", [True, False], ids=["sup", "inf"])
+def test_long_shallow_bend_fails_the_shape_check(use_max):
+    # each action lies 4 ulps past the chord of its neighbours, within a
+    # check of neighbouring entries, but the bends add up to a valley about
+    # 1e-11 deep between the two rims of rows along (1, 1), and a walk from
+    # one rim stops before the other
+    i = np.arange(201)
+    K = np.stack([200 - i, i], axis=1)[::-1]   # lex order
+    t = K[:, 1] / 200.0
+    sgn = 1.0 if use_max else -1.0
+    a = 200.0 * (1.0 + sgn * 4 * 2.0 ** -52 * 200 ** 2 * t * (1 - t))
+    W = np.stack([np.ones(40), 1.0 + np.linspace(-1e-13, 1e-13, 40)], axis=1)
+    assert kernels._angle_order(K, a, use_max, len(W)) is None
+    _assert_matches_full_scan(K, a, W, use_max)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k_max=st.integers(3, 90),
+       ulps=st.integers(0, 3),
+       bend=st.sampled_from([0.0, 4.0, 1e4, 6e4]),
+       tilt=st.sampled_from([-0.5, 0.0, 0.5]),
+       use_max=st.booleans(),
+       tie_tol=st.sampled_from([0.0, 1e-12]),
+       seed=st.integers(0, 2**32 - 1))
+def test_noisy_flat_tables_agree_with_the_scan(k_max, ulps, bend, tilt, use_max,
+                                               tie_tol, seed):
+    # a = |k|_1 is flat along the angle: few-ulp noise on it and a shallow
+    # bend of either sign across the quadrant leave ratios that tie or
+    # almost tie over long runs, and valleys between two rims deeper than
+    # the walk's margin; walked or scanned, the bytes are the scan's
+    rng = np.random.default_rng(seed)
+    K = kernels.primitive_directions(2, k_max)
+    t = K[:, 1] / K.sum(axis=1)
+    noise = rng.integers(-ulps, ulps + 1, len(K)) \
+        + bend * rng.choice([-1, 1]) * t * (1 - t) * (1 + tilt * t)
+    a = K.sum(axis=1) * (1.0 + 2.0 ** -52 * noise)
+    W = lattice_grid(2, 6) + rng.choice([0.0, 0.25, 0.5], 2)
+    W = np.concatenate([W, np.stack([np.ones(9), 1.0 + np.linspace(-2e-12, 2e-12, 9)], 1)])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "TIE_TOL", tie_tol)
+        _assert_matches_full_scan(K, a, W, use_max)
 
 
 # --- the lattice search, with the table for the rows it leaves ---
