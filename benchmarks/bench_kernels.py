@@ -9,9 +9,10 @@ build, the disk crosscheck's streamed minimum and bound against the table
 its stream on one core against two processes, the table's block-rendered
 writers and writer-layout JSON reader against the per-row writers and the
 json.loads reader, all four table I/O calls on one core and halved across
-a forked child, the reconstruction's spline fits and Hausdorff distance,
-and the command line's argument parser built cold for every subcommand
-against the invoked one. The enumeration, action-table, crosscheck, table
+a forked child, the reconstruction's spline solve by cyclic reduction
+against the Thomas sweep it replaced, its spline fits, its transform and
+its Hausdorff distance, and the command line's argument parser built cold
+for every subcommand against the invoked one. The enumeration, action-table, crosscheck, table
 I/O and reconstruction rows also give the tracemalloc peak of one call
 (Python allocations, numpy buffers included; a forked child's are not
 seen).
@@ -40,6 +41,7 @@ from ebk import (ActionSpectrum, ConfigError, LevelSurface, Orientation, PointCl
 from ebk import actions as actions_module
 from ebk.actions import CHUNK_ROWS, _check_zero_shift, _integer_directions
 from ebk.quantize import extremal_levels, lattice_grid
+from ebk.surfaces import _cyclic_reduction, _spline_system
 
 K_MAX_ENUM = 1500
 K_MAX_INVERT = 1500
@@ -413,22 +415,55 @@ def table_row() -> None:
         print(f"{name + ' ' + op:52s}{cells}  identical: {same}")
 
 
+def old_tridiagonal_sweep(sub, diag, sup, rhs) -> np.ndarray:
+    """surfaces._cyclic_reduction before it: a Thomas sweep, forward
+    elimination and back substitution, over Python lists."""
+    n = len(diag)
+    sub, diag, sup, rhs = sub.tolist(), diag.tolist(), sup.tolist(), rhs.tolist()
+    for i in range(1, n):
+        ratio = sub[i] * (1.0 / diag[i - 1])
+        diag[i] -= ratio * sup[i - 1]
+        rhs[i] -= ratio * rhs[i - 1]
+    s = rhs   # back substitution overwrites the swept right-hand side
+    s[-1] /= diag[-1]
+    for i in range(n - 2, -1, -1):
+        s[i] = (s[i] - sup[i] * s[i + 1]) / diag[i]
+    return np.asarray(s)
+
+
 def reconstruction_row() -> None:
-    """The reconstruction's two spline fits on the pnorm:4 cloud (the cloud,
-    then the dual's knot images) and the Hausdorff distance from the result
-    to the reference surface at the default 4096 samples per curve."""
+    """The reconstruction's spline solve on the pnorm:4 cloud's knots by
+    cyclic reduction against the Thomas sweep it replaced (with the largest
+    difference of their slopes, relative to the largest slope), its two
+    spline fits (the cloud, then the dual's knot images), the transform at
+    the fit's knots, and the Hausdorff distance from the result to the
+    reference surface at the default 4096 samples per curve."""
     reference = LevelSurface.from_profile(pnorm_profile(4.0))
     cloud = PointCloud.from_actions(marked_action_spectrum(reference, K_MAX_RECONSTRUCT))
     fit = LevelSurface.from_points(cloud.points)
     dual = hypersurface_transform(fit, at_params=fit.knots)
     images = dual.point(dual.knots)
     surface = LevelSurface.from_points(images)
+    # from_points' system: the cloud's polar angles are distinct, and both
+    # of its ends lie on an axis
+    phi = np.arctan2(cloud.points[:, 1], cloud.points[:, 0])
+    order = np.argsort(phi, kind="stable")
+    rows = _spline_system(phi[order], np.hypot(*cloud.points[order].T), True, True)
+    old, new = old_tridiagonal_sweep(*rows), _cyclic_reduction(*rows)
+    times = [best_of(functools.partial(solve, *rows))
+             for solve in (old_tridiagonal_sweep, _cyclic_reduction)]
+    print(f"{'':52s} {'old':>10s} {'new':>10s}")
+    print(f"{f'spline solve({len(phi):,} knots)':52s} {times[0]:9.4f}s {times[1]:9.4f}s "
+          f"{times[0] / times[1]:7.2f}x  max rel difference: "
+          f"{np.abs(new - old).max() / np.abs(old).max():.1e}")
     print(f"{'':52s} {'time':>10s} {'peak':>10s}")
     for label, run in (
             (f"spline fit({len(cloud):,} cloud points)",
              functools.partial(LevelSurface.from_points, cloud.points)),
             (f"spline refit({len(images):,} dual images)",
              functools.partial(LevelSurface.from_points, images)),
+            (f"hypersurface_transform({len(fit.knots):,} knots)",
+             functools.partial(hypersurface_transform, fit, at_params=fit.knots)),
             ("hausdorff_distance(4096 x 4096 samples)",
              functools.partial(hausdorff_distance, surface, reference))):
         print(f"{label:52s} {best_of(run):9.4f}s {peak_mb(run):7.1f} MB")

@@ -189,6 +189,15 @@ def support_function(surface: LevelSurface, q) -> float:
     return qnorm * float(dots.min() if use_min else dots.max())
 
 
+def _defined_run(defined: np.ndarray, mid: int) -> tuple[int, int]:
+    """First and last index of the run of True in defined that holds mid."""
+    gaps = np.flatnonzero(~defined)
+    j = int(np.searchsorted(gaps, mid))
+    lo = int(gaps[j - 1]) + 1 if j > 0 else 0
+    hi = int(gaps[j]) - 1 if j < len(gaps) else len(defined) - 1
+    return lo, hi
+
+
 def hypersurface_transform(surface: LevelSurface,
                            at_params: Optional[np.ndarray] = None) -> LevelSurface:
     """Dual surface through L(p) = n(p) / <p, n(p)> over the nice samples.
@@ -232,12 +241,7 @@ def hypersurface_transform(surface: LevelSurface,
     # domain: L(p) stays pointwise defined wherever the support is off zero,
     # so the image keeps the whole contiguous well-defined run around the
     # nice core (the closure of the dual), not just the nice range itself
-    mid = survivors[len(survivors) // 2]
-    lo_idx, hi_idx = mid, mid
-    while lo_idx > 0 and defined[lo_idx - 1]:
-        lo_idx -= 1
-    while hi_idx < len(params) - 1 and defined[hi_idx + 1]:
-        hi_idx += 1
+    lo_idx, hi_idx = _defined_run(defined, survivors[len(survivors) // 2])
     lo = float(params[lo_idx])
     hi = float(params[hi_idx])
 

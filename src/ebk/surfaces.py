@@ -78,24 +78,51 @@ def _column_norms(cols) -> np.ndarray:
     return h
 
 
-def _cubic_spline(x: np.ndarray, y: np.ndarray, clamp_lo: bool,
-                  clamp_hi: bool) -> tuple[Callable, Callable]:
-    """C2 cubic interpolant through (x, y) and its derivative.
+def _cyclic_reduction(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
+                      rhs: np.ndarray) -> np.ndarray:
+    """Solution s of sub[i] s[i-1] + diag[i] s[i] + sup[i] s[i+1] = rhs[i]
+    (sub[0] = sup[-1] = 0) by odd-even cyclic reduction (Hockney 1965; Buzbee,
+    Golub and Nielson 1970), without row exchanges.
 
-    x is strictly increasing with at least 4 knots; each end is clamped
-    (zero slope) or not-a-knot. The knot slopes s solve the tridiagonal
-    system of de Boor, *A Practical Guide to Splines*, ch. IV, with
+    Each even row takes out the unknowns of its odd neighbours, which leaves
+    a tridiagonal system in the even unknowns alone, half the size; solved
+    the same way, it gives the odd unknowns from their own rows.
+    """
+    if len(diag) == 1:
+        return rhs / diag
+    a, b, c, d = (v[0::2].copy() for v in (sub, diag, sup, rhs))
+    a_odd, b_odd, c_odd, d_odd = (v[1::2] for v in (sub, diag, sup, rhs))
+    n_even, n_odd = len(b), len(b_odd)
+    below = -a[1:] / b_odd[:n_even - 1]   # even row j >= 1 against odd row j - 1
+    above = -c[:n_odd] / b_odd            # even row j < n_odd against odd row j
+    b[1:] += below * c_odd[:n_even - 1]
+    d[1:] += below * d_odd[:n_even - 1]
+    b[:n_odd] += above * a_odd
+    d[:n_odd] += above * d_odd
+    a[1:] = below * a_odd[:n_even - 1]
+    c[:n_odd] = above * c_odd
+    even = _cyclic_reduction(a, b, c, d)
+    s = np.empty(len(diag))
+    s[0::2] = even
+    s[1::2] = (d_odd - a_odd * even[:n_odd]
+               - c_odd * np.append(even[1:], 0.0)[:n_odd]) / b_odd
+    return s
+
+
+def _spline_system(x: np.ndarray, y: np.ndarray, clamp_lo: bool,
+                   clamp_hi: bool) -> np.ndarray:
+    """Rows (sub, diag, sup, rhs) of the knot slopes' tridiagonal system,
+    row i reading sub[i] s[i-1] + diag[i] s[i] + sup[i] s[i+1] = rhs[i].
+
+    The system is de Boor's, *A Practical Guide to Splines*, ch. IV, with
     h = diff(x) and m = diff(y) / h:
     h_i s_{i-1} + 2 (h_{i-1} + h_i) s_i + h_{i-1} s_{i+1}
-    = 3 (h_i m_{i-1} + h_{i-1} m_i) inside. One forward sweep without row
-    exchanges solves it, since every pivot is positive. Each interval holds
-    a Hermite cubic, evaluated by Horner's rule; the end pieces extrapolate.
+    = 3 (h_i m_{i-1} + h_{i-1} m_i) inside; an end row is clamped (s = 0)
+    or not-a-knot.
     """
-    n = len(x)
     h = np.diff(x)
     m = np.diff(y) / h
-    # row i: sub[i] s[i-1] + diag[i] s[i] + sup[i] s[i+1] = rhs[i]
-    sub, diag, sup, rhs = np.zeros((4, n))
+    sub, diag, sup, rhs = rows = np.zeros((4, len(x)))
     sub[1:-1] = h[1:]
     diag[1:-1] = 2 * (h[:-1] + h[1:])
     sup[1:-1] = h[:-1]
@@ -112,16 +139,23 @@ def _cubic_spline(x: np.ndarray, y: np.ndarray, clamp_lo: bool,
         d = x[-1] - x[-3]
         sub[-1], diag[-1] = d, h[-2]
         rhs[-1] = (h[-1] ** 2 * m[-2] + (2 * d + h[-1]) * h[-2] * m[-1]) / d
-    sub, diag, sup, rhs = sub.tolist(), diag.tolist(), sup.tolist(), rhs.tolist()
-    for i in range(1, n):
-        ratio = sub[i] * (1.0 / diag[i - 1])
-        diag[i] -= ratio * sup[i - 1]
-        rhs[i] -= ratio * rhs[i - 1]
-    s = rhs   # back substitution overwrites the swept right-hand side
-    s[-1] /= diag[-1]
-    for i in range(n - 2, -1, -1):
-        s[i] = (s[i] - sup[i] * s[i + 1]) / diag[i]
-    s = np.asarray(s)
+    return rows
+
+
+def _cubic_spline(x: np.ndarray, y: np.ndarray, clamp_lo: bool,
+                  clamp_hi: bool) -> tuple[Callable, Callable]:
+    """C2 cubic interpolant through (x, y) and its derivative.
+
+    x is strictly increasing with at least 4 knots; each end is clamped
+    (zero slope) or not-a-knot. The knot slopes solve _spline_system by
+    _cyclic_reduction. Each interval holds a Hermite cubic, evaluated by
+    Horner's rule; the end pieces extrapolate. spline(u, with_slope=True)
+    gives the value and the slope from one interval lookup.
+    """
+    n = len(x)
+    h = np.diff(x)
+    m = np.diff(y) / h
+    s = _cyclic_reduction(*_spline_system(x, y, clamp_lo, clamp_hi))
 
     t = (s[:-1] + s[1:] - 2 * m) / h
     c3, c2, c1 = t / h, (m - s[:-1]) / h - t, s[:-1]
@@ -134,18 +168,15 @@ def _cubic_spline(x: np.ndarray, y: np.ndarray, clamp_lo: bool,
             out = out * u + coef[..., j]
         return out
 
-    def locate(u):
+    def spline(u, with_slope=False):
         u = np.asarray(u, dtype=float)
         i = np.clip(np.searchsorted(x, u, side="right") - 1, 0, n - 2)
-        return i, u - x[i]
-
-    def spline(u):
-        i, du = locate(u)
-        return horner(value_coef[i], du)
+        du = u - x[i]
+        value = horner(value_coef[i], du)
+        return (value, horner(slope_coef[i], du)) if with_slope else value
 
     def derivative(u):
-        i, du = locate(u)
-        return horner(slope_coef[i], du)
+        return spline(u, with_slope=True)[1]
 
     return spline, derivative
 
@@ -298,7 +329,7 @@ class LevelSurface:
 
         scale = float(np.max(r))
         on_axis = np.min(np.abs(pts[[0, -1]]), axis=1) <= 1e-12 * scale
-        spline, dspline = _cubic_spline(phi, r, *on_axis.tolist())
+        spline, _ = _cubic_spline(phi, r, *on_axis.tolist())
 
         def point_fn(t):
             t = np.asarray(t, dtype=float)
@@ -307,8 +338,7 @@ class LevelSurface:
 
         def normal_fn(t):
             t = np.asarray(t, dtype=float)
-            rr = spline(t)
-            rp = dspline(t)
+            rr, rp = spline(t, with_slope=True)
             c, s = np.cos(t), np.sin(t)
             # tangent of r(phi)*(cos, sin); outward normal keeps <q, n> > 0
             tx = rp * c - rr * s

@@ -791,6 +791,7 @@ def _assert_one_numerical_failure_line(argv, capsys):
     assert rc == 3
     assert captured.err.startswith("numerical failure:")
     assert captured.err.count("\n") == 1 and captured.out == ""
+    return captured.err
 
 
 @pytest.mark.parametrize("argv", [
@@ -815,6 +816,22 @@ def test_overflowing_spectrum_is_a_numerical_failure(capsys, argv):
         "reconstruct-degree"])
 def test_overflowing_billiard_and_degree_are_numerical_failures(capsys, argv):
     _assert_one_numerical_failure_line(argv, capsys)
+
+
+def test_spline_arc_whose_normal_turns_back_is_a_numerical_failure(tmp_path, capsys):
+    # 57 points of the pnorm:8 curve over the quadrant: the polar cubic
+    # through them turns its normal back near the axes
+    rows = []
+    for i in range(57):
+        t = math.pi / 2 * i / 56
+        r = (math.cos(t) ** 8 + math.sin(t) ** 8) ** -0.125
+        rows.append([i, r * math.cos(t), r * math.sin(t)])
+    spec = tmp_path / "arc.json"
+    spec.write_text(json.dumps({"kind": "custom-table", "params": {"table": rows}}))
+    err = _assert_one_numerical_failure_line(
+        ["spectrum-variational", "--profile", str(spec), "--k-max", "50", "--m-max", "4"],
+        capsys)
+    assert err == "numerical failure: normal angle is not monotone along the arc\n"
 
 
 @pytest.mark.parametrize("argv", [

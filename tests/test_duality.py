@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ebk import (
@@ -27,7 +27,7 @@ from ebk import (
     reconstruct_surface,
     support_function,
 )
-from ebk.duality import CLOUD_DEDUP_TOL, _directed_hausdorff_squared
+from ebk.duality import CLOUD_DEDUP_TOL, _defined_run, _directed_hausdorff_squared
 from ebk.surfaces import DEFAULT_RESOLUTION
 
 
@@ -454,3 +454,37 @@ def test_transform_at_knots_matches_per_knot_curvature(monkeypatch):
     assert np.array_equal(new.knots, old.knots)
     assert np.array_equal(new.point(new.knots), old.point(old.knots))
     assert (new.param_lo, new.param_hi) == (old.param_lo, old.param_hi)
+
+
+def _walked_run(defined, mid):
+    """hypersurface_transform's domain before _defined_run: a step at a
+    time from mid to either end of its run."""
+    lo, hi = mid, mid
+    while lo > 0 and defined[lo - 1]:
+        lo -= 1
+    while hi < len(defined) - 1 and defined[hi + 1]:
+        hi += 1
+    return lo, hi
+
+
+@st.composite
+def _mask_and_index(draw):
+    """Alternating runs of True and False, and an index inside a True run."""
+    lengths = draw(st.lists(st.integers(1, 40), min_size=1, max_size=12))
+    first = draw(st.booleans())
+    defined = np.repeat([(first + j) % 2 == 0 for j in range(len(lengths))], lengths)
+    assume(defined.any())
+    return defined, draw(st.sampled_from(np.flatnonzero(defined).tolist()))
+
+
+@given(case=_mask_and_index())
+@example(case=(np.array([True]), 0))
+@example(case=(np.ones(50, dtype=bool), 17))
+@example(case=(np.array([False, True, False]), 1))
+@example(case=(np.array([True, True, False, True]), 1))
+@example(case=(np.array([False, True, True]), 2))
+@settings(max_examples=200, deadline=None)
+def test_defined_run_equals_the_walk(case):
+    defined, mid = case
+    mid = np.int64(mid)   # an entry of the transform's survivors
+    assert _defined_run(defined, mid) == _walked_run(defined, mid)

@@ -719,6 +719,8 @@ def test_bench_kernels_rows_run(bench_kernels, monkeypatch, capsys):
     assert "action table(pnorm:3" in out and "identical: False" not in out
     assert "action table(ramos" in out and "action table(harmonic:1,2, 1 rows)" in out
     assert "spline fit(" in out and "spline refit(" in out
+    assert "spline solve(" in out and "max rel difference: " in out
+    assert "hypersurface_transform(" in out
     assert "action table(pnorm:3, 257 rows) from_csv" in out
-    assert "hausdorff_distance(4096 x 4096" in out and out.count(" MB") == 25
+    assert "hausdorff_distance(4096 x 4096" in out and out.count(" MB") == 26
     assert "build_parser + parse, cold" in out
