@@ -72,7 +72,9 @@ def solve_momentum(m: int, n: float, tol: float = PHASE_SOLVE_TOL) -> float:
 
     Bracket doubling from [m, m + n pi + 1], then a bisection-safeguarded
     Newton iteration on the phase residual. n = 0 returns F = m without
-    iteration (the gliding limit, where the bracket degenerates).
+    iteration (the gliding limit, where the bracket degenerates). A bracket
+    that leaves the float range (n pi overflows, or a doubling does) is a
+    ConvergenceFailure.
     """
     m = _check_angular(m)
     if not (np.isfinite(n) and n >= 0):
@@ -85,6 +87,8 @@ def solve_momentum(m: int, n: float, tol: float = PHASE_SOLVE_TOL) -> float:
     lo = float(m)
     hi = float(m) + target + 1.0
     for _ in range(200):
+        if not math.isfinite(hi):
+            raise ConvergenceFailure(f"phase bracket leaves the float range at n = {n:g}")
         if radial_phase(m, hi) >= target:
             break
         hi = m + 2.0 * (hi - m)

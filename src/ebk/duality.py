@@ -212,13 +212,13 @@ def hypersurface_transform(surface: LevelSurface,
         raise ConfigError("hypersurface_transform is implemented for n = 2")
     params = (np.linspace(surface.param_lo, surface.param_hi, DEFAULT_RESOLUTION)
               if at_params is None else np.asarray(at_params, dtype=float))
-    pts = surface.point(params)
-    nrm = surface.normal(params)
-    curv = surface.curvature(params)
-
-    support = np.einsum("ij,ij->i", pts, nrm)
-    defined = np.abs(support) > SUPPORT_FLOOR
-    with np.errstate(invalid="ignore"):
+    # samples that leave the float range meet the floors below without a warning
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        pts = surface.point(params)
+        nrm = surface.normal(params)
+        curv = surface.curvature(params)
+        support = np.einsum("ij,ij->i", pts, nrm)
+        defined = np.abs(support) > SUPPORT_FLOOR
         nice = defined & (np.abs(curv) > CURVATURE_FLOOR)
     if nice.sum() < NICE_FRACTION_MIN * len(params):
         raise TooFewNicePoints(

@@ -16,6 +16,9 @@
     rows without building the table: one batched Stern-Brocot descent on
     the sign of p(k) x w finds the Farey neighbours of each row's peak, and
     a walk over the box's consecutive Farey terms covers the tie window;
+  * both walks are _walk_out: each row's two sides step out in lockstep to
+    a kept entry below _past_window of the best, and the lex-first tie is
+    the least lex key in the window (the table index, or k0 (k_max + 1) + k1);
   * chord_gauge bounds the continuous extremum from the other side: the
     chord between two curve points whose cone holds w lies inside a convex
     level set (outside a concave one), so its gauge at w is an upper (lower)
@@ -44,6 +47,7 @@ BISECT_ITERS = 80
 
 RATIO_MIN_ROWS = 32   # fewer weight rows scan: not worth sorting the entries
 TIE_TOL = 1e-12   # entries within TIE_TOL |best| of the extremum tie with it
+FAREY_WALK_CAP = 256   # lockstep steps a side; then a row takes the table, or the scan
 # relative: outweighs a chord's rounding (4 ulps); the shape check keeps the
 # actions within twice it of an exactly convex chain
 SHAPE_SLACK = 8 * 2.0 ** -52
@@ -220,14 +224,46 @@ def _angle_order(K, a, use_max, passes):
     return order, (k0, k1), a
 
 
+def _walk_out(visit, advance, at):
+    """Both 2-D walks. From the places `at` (a tuple of arrays, one entry
+    per side: the first sides of rows 0 to G - 1, then the second ones)
+    every side steps out in lockstep, advance(at) giving the next places
+    and whether there is one, until it meets an entry below _past_window of
+    its row's running best. visit(rows, at) reads the entries: sgn * ratio,
+    nan where the entry is not kept (it neither counts nor stops a side),
+    and a lex key.
+
+    Returns per row the best sgn * ratio (-inf where none is kept), the
+    least lex key in its tie window (the int64 maximum where none), and
+    whether it is still walking after FAREY_WALK_CAP steps (a mask, as
+    np.unique imports numpy.ma: milliseconds on a cold run)."""
+    G = len(at[0]) // 2
+    rows = np.tile(np.arange(G), 2)
+    best, seen = np.full(G, -np.inf), []
+    for _ in range(FAREY_WALK_CAP + 1):
+        s, key = visit(rows, at)
+        np.fmax.at(best, rows, s)
+        seen.append((rows, s, key))
+        on = ~(s < _past_window(best[rows]))
+        at, more = advance(tuple(x[on] for x in at))
+        rows, at = rows[on][more], tuple(x[more] for x in at)
+        if not rows.size:
+            break
+    g, s, key = map(np.concatenate, zip(*seen))
+    first = np.full(G, np.iinfo(np.int64).max)
+    tied = _tied(s, best[g], True)
+    np.minimum.at(first, g[tied], key[tied])
+    return best, first, np.bincount(rows, minlength=G) > 0
+
+
 def _angle_walk(order, cols, a, W, use_max):
     """extremal_ratios on entries in an angle order along which every row's
     s = sgn * ratio is unimodal up to _past_window's margin (_tied(s, best,
     True) is the scan's window: negation is exact). Each row bisects for its
-    peak on the sign of s[m + 1] - s[m], then walks both sides in lockstep
-    until each meets an entry below _past_window of the running best. Also
-    returns the rows still walking after FAREY_WALK_CAP steps, whose values
-    and indices are unset."""
+    peak on the sign of s[m + 1] - s[m], then walks out from it (_walk_out),
+    a side a position at a time, its lex key the entry's table index. Also
+    returns which rows are still walking after FAREY_WALK_CAP steps, whose
+    values and indices are unset."""
     sgn, (G, N) = (1.0 if use_max else -1.0), (len(W), len(a))
 
     def ratios(at, rows):   # s at the positions `at` for the weight rows `rows`
@@ -240,25 +276,16 @@ def _angle_walk(order, cols, a, W, use_max):
         rising = ratios(m + 1, live) > ratios(m, live)
         lo[live[rising]], hi[live[~rising]] = m[rising] + 1, m[~rising]
         live = live[lo[live] < hi[live]]
-    best = ratios(lo, slice(None))
-    seen = [(np.arange(G), lo, best.copy())]
-    g, pos = np.tile(np.arange(G), 2), np.concatenate([lo - 1, lo + 1])
-    step = np.repeat([-1, 1], G)
-    for done in range(FAREY_WALK_CAP + 1):
-        inside = (pos >= 0) & (pos < N)
-        g, pos, step = g[inside], pos[inside], step[inside]
-        if not g.size or done == FAREY_WALK_CAP:
-            break
-        s = ratios(pos, g)
-        np.maximum.at(best, g, s)
-        seen.append((g, pos, s))
-        on = s >= _past_window(best[g])
-        g, pos, step = g[on], pos[on] + step[on], step[on]
-    rows, pos, s = map(np.concatenate, zip(*seen))
-    idx = np.full(G, N)
-    tied = _tied(s, best[rows], True)
-    np.minimum.at(idx, rows[tied], order[pos[tied]])
-    return sgn * best, idx, np.unique(g)
+
+    def visit(rows, at):
+        return ratios(at[0], rows), order[at[0]]
+
+    def advance(at):
+        pos, step = at[0] + at[1], at[1]
+        return (pos, step), (pos >= 0) & (pos < N)
+
+    best, idx, capped = _walk_out(visit, advance, (np.tile(lo, 2), np.repeat([-1, 1], G)))
+    return sgn * best, idx, capped
 
 
 # overflowing products and ratios are left to the caller's finiteness check
@@ -312,7 +339,6 @@ def extremal_ratios(K: np.ndarray, a: np.ndarray, W: np.ndarray, use_max: bool):
 
 # --- the 2-D lattice extremum without the table ---
 
-FAREY_WALK_CAP = 256   # lockstep steps a side; then a row takes the table, or the scan
 DESCENT_ROUNDS = 200   # runs per row; a continued fraction below 2**63 has < 95
 COARSE_BOX = 64        # the descent starts from this box's Farey terms
 
@@ -421,60 +447,27 @@ def _descend(invert, W, L, R, k_max, sgn):
     return lost
 
 
-def _walk(invert, W, L, R, k_max, sgn):
-    """Visit L and R, then the Farey terms beyond them outward, skipping
-    dropped directions, until each side meets a kept entry below the tie
-    window twice over (or runs out of terms).
-
-    Returns the best sgn * ratio per row; the rows, directions and ratios
-    of the kept entries visited; and the rows still walking after
-    FAREY_WALK_CAP terms on a side.
-    """
-    near, far = [L, R], [R.copy(), L.copy()]   # side 0 walks left, side 1 right
-    walking = [np.arange(len(W)), np.arange(len(W))]
-    best = np.full(len(W), -np.inf)
-    rows = [np.empty(0, dtype=np.int64)]
-    dirs = [np.empty((0, 2), dtype=np.int64)]
-    ratios = [np.empty(0)]
-    for step in range(FAREY_WALK_CAP + 1):
-        if step:   # step 0 visits L and R themselves
-            for side in (0, 1):
-                g = walking[side]
-                nxt, has = _farey_next(near[side][g], far[side][g], k_max)
-                g = walking[side] = g[has]
-                far[side][g] = near[side][g]
-                near[side][g] = nxt[has]
-        g = np.concatenate(walking)
-        if not g.size:
-            break
-        K = np.concatenate([near[0][walking[0]], near[1][walking[1]]])
-        _, a, keep = invert(K)
-        g, K = g[keep], K[keep]
-        r = _ratio(K.T, a[keep], W[g].T)
-        np.maximum.at(best, g, sgn * r)
-        rows.append(g)
-        dirs.append(K)
-        ratios.append(r)
-        below = np.zeros(len(keep), dtype=bool)
-        below[keep] = sgn * r < _past_window(best[g])
-        n0 = len(walking[0])
-        walking = [walking[0][~below[:n0]], walking[1][~below[n0:]]]
-    return best, *map(np.concatenate, (rows, dirs, ratios)), np.concatenate(walking)
-
-
 def _settle(invert, W, rows, L, R, k_max, sgn):
-    """Walk the rows from their box terms L, R; return the rows whose walk
-    covered the tie window, their extremum and their first direction in
-    lex order within the window."""
-    best, seen, K, r, capped = _walk(invert, W[rows], L, R, k_max, sgn)
-    best *= sgn
-    window = _tied(r, best[seen], sgn > 0)
-    seen, K = seen[window], K[window]
-    order = np.lexsort((K[:, 1], K[:, 0], seen))
-    hit, first_of_row = np.unique(seen[order], return_index=True)
-    whole = ~np.isin(hit, capped)      # a capped walk may have missed entries
-    hit, first_of_row = hit[whole], first_of_row[whole]
-    return rows[hit], best[hit], K[order[first_of_row]]
+    """Walk the rows out from their box terms L, R (_walk_out), a side a
+    Farey term at a time, its lex key k0 (k_max + 1) + k1; return the rows
+    whose walk covered the tie window, their extremum and their first
+    direction in lex order within the window."""
+    def visit(g, at):
+        K = at[0]
+        _, a, keep = invert(K)
+        s = np.where(keep, sgn * _ratio(K.T, a, W[rows[g]].T), np.nan)
+        return s, K[:, 0] * (k_max + 1) + K[:, 1]
+
+    def advance(at):   # at = (near, far): consecutive terms, far behind
+        beyond, has = _farey_next(*at, k_max)
+        return (beyond, at[0]), has
+
+    best, first, capped = _walk_out(visit, advance, (np.concatenate([L, R]),
+                                                     np.concatenate([R, L])))
+    found = first < np.iinfo(np.int64).max
+    found[capped] = False   # a capped walk may have missed entries
+    hit = np.flatnonzero(found)
+    return rows[hit], sgn * best[hit], np.stack(np.divmod(first[hit], k_max + 1), axis=1)
 
 
 def chord_gauge(P, Q, W):

@@ -113,7 +113,8 @@ def linear_profile(weights: Sequence[float]) -> ToricProfile:
     def gr(p):
         return np.broadcast_to(wt, p.shape).copy()
 
-    u = wt / np.linalg.norm(wt)
+    u = wt / wt.max()   # the largest weight first: the norm cannot overflow
+    u /= np.linalg.norm(u)
     diagonal = np.full(wt.size, 1.0 / wt.sum())
 
     def inverse_gauss(K):

@@ -143,8 +143,8 @@ def _spline_system(x: np.ndarray, y: np.ndarray, clamp_lo: bool,
 
 
 def _cubic_spline(x: np.ndarray, y: np.ndarray, clamp_lo: bool,
-                  clamp_hi: bool) -> tuple[Callable, Callable]:
-    """C2 cubic interpolant through (x, y) and its derivative.
+                  clamp_hi: bool) -> Callable:
+    """C2 cubic interpolant through (x, y).
 
     x is strictly increasing with at least 4 knots; each end is clamped
     (zero slope) or not-a-knot. The knot slopes solve _spline_system by
@@ -175,10 +175,7 @@ def _cubic_spline(x: np.ndarray, y: np.ndarray, clamp_lo: bool,
         value = horner(value_coef[i], du)
         return (value, horner(slope_coef[i], du)) if with_slope else value
 
-    def derivative(u):
-        return spline(u, with_slope=True)[1]
-
-    return spline, derivative
+    return spline
 
 
 def legendre_point(p, n) -> np.ndarray:
@@ -329,7 +326,7 @@ class LevelSurface:
 
         scale = float(np.max(r))
         on_axis = np.min(np.abs(pts[[0, -1]]), axis=1) <= 1e-12 * scale
-        spline, _ = _cubic_spline(phi, r, *on_axis.tolist())
+        spline = _cubic_spline(phi, r, *on_axis.tolist())
 
         def point_fn(t):
             t = np.asarray(t, dtype=float)

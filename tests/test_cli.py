@@ -848,9 +848,27 @@ def test_overflowing_certificate_is_a_numerical_failure(capsys, argv):
 @pytest.mark.parametrize("argv", [
     ["billiard-solve", "--m", "2", "--n", "1e300"],
     ["billiard-crosscheck", "--m1", "0", "--m2", "2", "--k-max", "10", "--shift", "1e300"],
-], ids=["solve", "crosscheck"])
+    # n pi itself overflows, and so does the bracket
+    ["billiard-solve", "--m", "2", "--n", "1e308"],
+    ["billiard-crosscheck", "--m1", "1", "--m2", "2", "--k-max", "20", "--shift", "1e308"],
+], ids=["solve", "crosscheck", "solve-target", "crosscheck-target"])
 def test_overflowing_radial_phase_is_a_numerical_failure(capsys, argv):
     _assert_one_numerical_failure_line(argv, capsys)
+
+
+def test_dual_of_an_overflowing_profile_is_a_numerical_failure(capsys):
+    # |p|^s underflows off the axes, so the samples leave the float range
+    err = _assert_one_numerical_failure_line(
+        ["legendre-dual", "--profile", "pnorm:1e300", "--samples", "3"], capsys)
+    assert err == "numerical failure: only 0 of 4096 samples are nice (curvature floor 1e-08)\n"
+
+
+def test_huge_harmonic_weight_prints_nothing_to_stderr(capsys):
+    # the facet's unit normal is normalized without overflowing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["actions", "--profile", "harmonic:1,1e300", "--k-max", "5"])
+    assert rc == 0 and capsys.readouterr().err == ""
 
 
 def test_crosscheck_residual_failure_is_a_numerical_failure(monkeypatch, capsys):

@@ -381,13 +381,19 @@ def test_extremal_ratios_prunes(monkeypatch):
     assert 0 < seen[0] < 0.1 * len(W) * len(spec)
 
 
+# walk caps that leave every row, some rows and (nearly) no row to the fallback
+WALK_CAPS = [0, 1, 3, kernels.FAREY_WALK_CAP]
+
+
 def _walked_table(kind, s, k_max):
     """An action table the walk takes, and its orientation's extremum."""
     if kind == "disk":
         return marked_action_spectrum(RamosCurve(), k_max), False
     surface = LevelSurface.from_profile(pnorm_profile(s))
     if kind != "pnorm":   # a spline through 57 points of the whole arc or of part
-        curve = LevelSurface.from_profile(pnorm_profile(min(max(s, 1.5), 4.0)))
+        # where the fit keeps its normal angle monotone (test_surfaces.SPLINE_ARCS)
+        top = 3.5 if kind == "full-arc" else 4.0
+        curve = LevelSurface.from_profile(pnorm_profile(min(max(s, 1.5), top)))
         lo, hi = (curve.param_lo, curve.param_hi) if kind == "full-arc" else (0.2, 1.3)
         surface = LevelSurface.from_points(curve.point(np.linspace(lo, hi, 57)))
     return marked_action_spectrum(surface, k_max), True
@@ -400,14 +406,16 @@ def _walked_table(kind, s, k_max):
        m_max=st.integers(5, 12),
        shift=st.tuples(*[st.sampled_from([0.0, 0.25, 0.5, 0.75])] * 2),
        zero_rows=st.integers(0, 2),
-       tie_tol=st.sampled_from([0.0, 1e-12, 1e-6, 0.3]))
-def test_angle_walk_equals_full_scan(kind, s, k_max, m_max, shift, zero_rows, tie_tol):
+       tie_tol=st.sampled_from([0.0, 1e-12, 1e-6, 0.3]),
+       cap=st.sampled_from(WALK_CAPS))
+def test_angle_walk_equals_full_scan(kind, s, k_max, m_max, shift, zero_rows, tie_tol, cap):
     spec, use_max = _walked_table(kind, s, k_max)
     W = lattice_grid(2, m_max) + shift
     W = np.concatenate([np.zeros((zero_rows, 2)), W])
     assert kernels._angle_order(spec.directions, spec.actions, use_max, len(W)) is not None
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kernels, "TIE_TOL", tie_tol)
+        patch.setattr(kernels, "FAREY_WALK_CAP", cap)
         _assert_matches_full_scan(spec.directions, spec.actions, W, use_max)
 
 
@@ -494,12 +502,15 @@ def test_noisy_flat_tables_agree_with_the_scan(k_max, ulps, bend, tilt, use_max,
 
 # --- the lattice search, with the table for the rows it leaves ---
 
-def _assert_matches_table(surface, k_max, W, use_max):
-    """The search then the table (quantize.extremal_levels) against
-    extremal_ratios on the action table: values bitwise, the sign of a zero
-    included, and argmax directions; and the chords against those of the
-    table's points, bitwise."""
-    got = extremal_levels(SurfaceActions(surface, k_max), W, use_max)
+def _assert_matches_table(surface, k_max, W, use_max, cap=kernels.FAREY_WALK_CAP):
+    """The search then the table (quantize.extremal_levels), both walking
+    at most `cap` steps a side, against extremal_ratios on the action table
+    at the default cap: values bitwise, the sign of a zero included, and
+    argmax directions; and the chords against those of the table's points,
+    bitwise."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "FAREY_WALK_CAP", cap)
+        got = extremal_levels(SurfaceActions(surface, k_max), W, use_max)
     spec = marked_action_spectrum(surface, k_max)
     vals, idx = kernels.extremal_ratios(spec.directions, spec.actions, W, use_max)
     assert np.array_equal(got[0].view(np.int64), vals.view(np.int64))
@@ -526,17 +537,24 @@ def _searched_surface(s):
        m_max=st.integers(0, 64),
        rows=st.integers(1, 48),
        zero_rows=st.integers(0, 2),
-       seed=st.integers(0, 2**32 - 1))
-@example(s=1.05, shift=(0.25, 0.5), k_max=3000, m_max=64, rows=48, zero_rows=1, seed=1)
-@example(s="disk", shift=(0.75, 0.0), k_max=3000, m_max=64, rows=48, zero_rows=2, seed=2)
+       seed=st.integers(0, 2**32 - 1),
+       tie_tol=st.sampled_from([0.0, 1e-12, 1e-12, 1e-6, 0.3]),
+       cap=st.sampled_from(WALK_CAPS))
+@example(s=1.05, shift=(0.25, 0.5), k_max=3000, m_max=64, rows=48, zero_rows=1, seed=1,
+         tie_tol=1e-12, cap=kernels.FAREY_WALK_CAP)
+@example(s="disk", shift=(0.75, 0.0), k_max=3000, m_max=64, rows=48, zero_rows=2, seed=2,
+         tie_tol=1e-12, cap=kernels.FAREY_WALK_CAP)
 def test_lattice_extremum_equals_the_table_scan(s, shift, k_max, m_max, rows,
-                                                zero_rows, seed):
+                                                zero_rows, seed, tie_tol, cap):
+    # the search's values are its Farey pair's, so a cap shows in the ties
     rng = np.random.default_rng(seed)
     grid = lattice_grid(2, m_max)
     W = grid[rng.choice(len(grid), size=min(rows, len(grid)), replace=False)] + shift
     W = np.concatenate([W, np.zeros((zero_rows, 2))])[rng.permutation(len(W) + zero_rows)]
     surface, use_max = _searched_surface(s)
-    _assert_matches_table(surface, k_max, W, use_max)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "TIE_TOL", tie_tol)
+        _assert_matches_table(surface, k_max, W, use_max, cap)
 
 
 def test_lattice_extremum_disk_axis_rays_take_the_edge_term():

@@ -274,17 +274,17 @@ def test_cubic_spline_matches_scipy(clamp_lo, clamp_hi, data):
     assert np.all(np.diff(x) > 0)
     bc = tuple((1, 0.0) if clamp else "not-a-knot" for clamp in (clamp_lo, clamp_hi))
     want = interpolate.CubicSpline(x, y, bc_type=bc)
-    spline, derivative = _cubic_spline(x, y, clamp_lo, clamp_hi)
+    spline = _cubic_spline(x, y, clamp_lo, clamp_hi)
     h0, h1 = x[1] - x[0], x[-1] - x[-2]
     u = np.concatenate([x, (x[:-1] + x[1:]) / 2,
                         [x[0] - h0, x[0] - h0 / 3, x[-1] + h1 / 2, x[-1] + h1]])
     scale = np.abs(y).max()
     slope_scale = scale / np.diff(x).min()
     assert np.abs(spline(u) - want(u)).max() <= 1e-12 * scale
-    assert np.abs(derivative(u) - want(u, 1)).max() <= 1e-12 * slope_scale
+    assert np.abs(spline(u, with_slope=True)[1] - want(u, 1)).max() <= 1e-12 * slope_scale
     # interpolation, the clamped ends and a scalar argument
     assert np.abs(spline(x) - y).max() <= 1e-12 * scale
-    ends = np.array([derivative(x[0]), derivative(x[-1])])
+    ends = spline(x[[0, -1]], with_slope=True)[1]
     assert np.all(np.abs(ends[[clamp_lo, clamp_hi]]) <= 1e-12 * slope_scale)
     assert np.ndim(spline(x[0])) == 0 and spline(x[0]) == y[0]
 
@@ -332,9 +332,11 @@ def test_cyclic_reduction_matches_the_dense_solve(bench_kernels, clamp_lo, clamp
 # (polar angles of the 57 samples, exponent s, whether the fit's normal
 # angle is monotone): the polar cubic through samples of the flattest and
 # the sharpest pnorm curves turns its normal back, more so over the whole
-# quadrant than away from the axes
-SPLINE_ARCS = ([(0.0, np.pi / 2, s, True) for s in (1.5, 2.5, 4.0)]
-               + [(0.0, np.pi / 2, s, False) for s in (1.05, 8.0, 20.0, 40.0)]
+# quadrant than away from the axes; over the whole quadrant it does so also
+# in a band of s from about 3.55 to 3.97
+SPLINE_ARCS = ([(0.0, np.pi / 2, s, True) for s in (1.5, 2.5, 3.5, 4.0)]
+               + [(0.0, np.pi / 2, s, False) for s in (1.05, 3.6, 3.75, 3.9, 8.0, 20.0,
+                                                         40.0)]
                + [(0.2, 1.3, s, True) for s in (1.05, 1.5, 2.5, 4.0, 8.0)]
                + [(0.2, 1.3, s, False) for s in (20.0, 40.0)])
 
