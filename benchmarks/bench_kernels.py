@@ -36,7 +36,7 @@ import numpy as np
 import ebk
 from ebk import (ActionSpectrum, ConfigError, LevelSurface, Orientation, PointCloud,
                  RamosCurve, SurfaceActions, crosscheck_disk, direct_spectrum,
-                 harmonic_profile, hausdorff_distance, hypersurface_transform, kernels,
+                 hausdorff_distance, hypersurface_transform, kernels, linear_profile,
                  marked_action_spectrum, pnorm_profile)
 from ebk import actions as actions_module
 from ebk.actions import CHUNK_ROWS, _check_zero_shift, _integer_directions
@@ -253,7 +253,7 @@ def build_row() -> None:
     print(f"{'':52s}" + f" {'time':>10s} {'peak':>10s}" * len(sizes))
     for name, surface, k_max in (
             ("ramos", RamosCurve(), K_MAX_BUILD),
-            ("harmonic:1,2", LevelSurface.from_profile(harmonic_profile((1, 2))),
+            ("harmonic:1,2", LevelSurface.from_profile(linear_profile((1, 2))),
              K_MAX_BUILD),
             ("pnorm:3", LevelSurface.from_profile(pnorm_profile(3.0)), K_MAX_TABLE)):
         run = functools.partial(marked_action_spectrum, surface, k_max)

@@ -20,13 +20,11 @@ from .billiard import (
     RamosCurve,
     boundary_normal,
     boundary_point,
-    boundary_tangent,
     direction_parameter,
     crosscheck_disk,
     disk_profile,
     energy_from_momentum,
     radial_phase,
-    radial_phase_slope,
     ramos_action,
     solve_momentum,
 )
@@ -64,8 +62,6 @@ from .errors import (
 )
 from .profiles import (
     ToricProfile,
-    euclidean_profile,
-    harmonic_profile,
     linear_profile,
     pnorm_profile,
 )

@@ -4,7 +4,8 @@ An entry pairs a primitive nonnegative integer direction k with the action
 a = <p, k> of the orbit class through the surface point p whose outward
 normal is proportional to k. Entries are stored for primitive k only and in
 lexicographic order; integer multiples scale exactly and are generated on
-demand. Zero-action entries (k orthogonal to an axis endpoint) are dropped.
+demand. Zero-action entries (k orthogonal to an axis endpoint) are dropped,
+relative to the surface's size (ZERO_ACTION_TOL).
 Tables are unshifted: the Maslov shift mu enters only the lattice weights
 hbar (m + mu) of the spectrum routes.
 
@@ -45,7 +46,9 @@ from . import kernels
 from .errors import ConfigError, ConvergenceFailure, InvalidOrbitClass
 from .surfaces import LevelSurface, Orientation, NORMAL_RESIDUAL_TOL
 
-ZERO_ACTION_TOL = 1e-12   # |a| <= tol * |k| counts as a dropped zero entry
+# |a| <= tol * |k| * size counts as a dropped zero entry, size the surface's
+# one scale (LevelSurface.end_norm), so the test reads the same at any size
+ZERO_ACTION_TOL = 1e-12
 CHUNK_ROWS = 1 << 14      # directions inverted per step of the action table
 ROW_BLOCK = 4096          # rows per %-operation of the row renderer
 READ_BLOCK = 1 << 20      # characters of JSON entries parsed per step
@@ -485,10 +488,11 @@ def _integer_directions(columns: np.ndarray) -> np.ndarray:
     return columns.astype(np.int64)
 
 
-def _kept_actions(K: np.ndarray, pts: np.ndarray):
+def _kept_actions(K: np.ndarray, pts: np.ndarray, size: float):
     """Actions <p, k> per row and the mask of rows whose action is not a
     dropped zero (rows with nan points are not kept either), from the
-    direction columns K, shape (n, N), and the points, shape (N, n).
+    direction columns K, shape (n, N), the points, shape (N, n), and the
+    surface's size.
 
     In 2-D the sum is taken column by column. In 3-D np.einsum sums the
     three products in an order that depends on the memory layout, so it
@@ -505,7 +509,7 @@ def _kept_actions(K: np.ndarray, pts: np.ndarray):
     for k in K[1:]:
         norm += np.multiply(k, k, out=buf)
     np.sqrt(norm, out=norm)
-    norm *= ZERO_ACTION_TOL
+    norm *= ZERO_ACTION_TOL * size
     return acts, np.abs(acts, out=buf) > norm
 
 
@@ -517,7 +521,7 @@ def _table_rows(surface: LevelSurface, K: np.ndarray):
     surface's normal map gives."""
     pts, res, attained = surface.invert_normal_many(K.T)[1:]
     failed = int(np.count_nonzero(attained & ~(res <= NORMAL_RESIDUAL_TOL)))
-    acts, keep = _kept_actions(K, pts)
+    acts, keep = _kept_actions(K, pts, surface.end_norm)
     keep &= attained
     return pts, acts, keep, failed
 

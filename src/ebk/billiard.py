@@ -1,7 +1,8 @@
 """Quantization of the circular billiard, two ways.
 
 The reference route solves the monotone radial phase equation
-sqrt(F^2 - m^2) - m arccos(m/F) = n pi for F and converts to energy.
+sqrt(F^2 - m^2) - m arccos(m/F) = n pi for F by the package's one bisection
+(kernels.bisect_generic) on a closed-form bracket, and converts to energy.
 The toric route runs the concave inf-variational formula over the marked
 actions of the boundary curve rho(alpha); crosscheck_disk compares both.
 It holds no action table: the primitive directions arrive as a stream of
@@ -29,9 +30,6 @@ from .surfaces import LevelSurface, Orientation
 # surfaced as n -> n + 3/4 in the phase equation.
 RADIAL_SHIFT = 0.75
 
-PHASE_SOLVE_TOL = 1e-12
-MAX_SOLVE_ITERS = 200
-
 
 def _check_angular(m) -> int:
     if not (isinstance(m, (int, np.integer)) and m >= 0):
@@ -56,62 +54,28 @@ def radial_phase(m: int, x):
     return out if isinstance(x, np.ndarray) else float(out)
 
 
-def radial_phase_slope(m: int, x):
-    """d/dx of the radial phase: sqrt(x^2 - m^2)/x."""
-    m = _check_angular(m)
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr < m) or np.any(arr <= 0):
-        raise DomainError("slope needs x >= m and x > 0")
-    with np.errstate(over="ignore"):   # as in radial_phase
-        out = np.sqrt(np.maximum(arr * arr - m * m, 0.0)) / arr
-    return out if isinstance(x, np.ndarray) else float(out)
-
-
-def solve_momentum(m: int, n: float, tol: float = PHASE_SOLVE_TOL) -> float:
+def solve_momentum(m: int, n: float) -> float:
     """The unique F >= m with radial_phase(m, F) = n pi.
 
-    Bracket doubling from [m, m + n pi + 1], then a bisection-safeguarded
-    Newton iteration on the phase residual. n = 0 returns F = m without
-    iteration (the gliding limit, where the bracket degenerates). A bracket
-    that leaves the float range (n pi overflows, or a doubling does) is a
-    ConvergenceFailure.
+    n = 0 returns F = m (the gliding limit, where the bracket degenerates).
+    Otherwise one bisection (kernels.bisect_generic) to its fixed point on
+    [m, n pi + m (1 + pi/2) + 1], which encloses the root: sqrt(x^2 - m^2)
+    >= x - m and arccos <= pi/2 give radial_phase(m, x) >= x - m (1 + pi/2).
+    A bracket that leaves the float range (n pi, its end or the phase there
+    overflows) is a ConvergenceFailure.
     """
     m = _check_angular(m)
     if not (np.isfinite(n) and n >= 0):
         raise ConfigError(f"radial quantum number must be >= 0, got {n!r}")
-    if not tol > 0:
-        raise ConfigError("tol must be > 0")
     if n == 0:
         return float(m)
     target = n * math.pi
-    lo = float(m)
-    hi = float(m) + target + 1.0
-    for _ in range(200):
-        if not math.isfinite(hi):
-            raise ConvergenceFailure(f"phase bracket leaves the float range at n = {n:g}")
-        if radial_phase(m, hi) >= target:
-            break
-        hi = m + 2.0 * (hi - m)
-    else:
-        raise ConvergenceFailure("bracket doubling failed to enclose the root")
-
-    x = 0.5 * (lo + hi)
-    fx = radial_phase(m, x) - target
-    for _ in range(MAX_SOLVE_ITERS):
-        if abs(fx) <= tol:
-            return x
-        if fx > 0:
-            hi = x
-        else:
-            lo = x
-        slope = radial_phase_slope(m, x)
-        cand = x - fx / slope if slope > 0.0 else lo
-        x = cand if lo < cand < hi else 0.5 * (lo + hi)
-        fx = radial_phase(m, x) - target
-    if abs(fx) <= tol:
-        return x
-    raise ConvergenceFailure(
-        f"phase solve stalled at residual {abs(fx):.3e} (tol {tol:g})")
+    hi = target + m * (1.0 + math.pi / 2) + 1.0
+    top = radial_phase(m, hi) if math.isfinite(hi) else math.nan
+    if not (math.isfinite(top) and top >= target):
+        raise ConvergenceFailure(f"phase bracket leaves the float range at n = {n:g}")
+    return float(kernels.bisect_generic(lambda x: radial_phase(m, x), float(m), hi,
+                                        np.array([target]))[0])
 
 
 def energy_from_momentum(momentum: float, radius: float = 1.0,
@@ -145,9 +109,9 @@ class BilliardLevel:
     residual: float
 
     @classmethod
-    def solve(cls, m: int, n: float, radius: float = 1.0, hbar: float = 1.0,
-              tol: float = PHASE_SOLVE_TOL) -> "BilliardLevel":
-        momentum = solve_momentum(m, n, tol=tol)
+    def solve(cls, m: int, n: float, radius: float = 1.0,
+              hbar: float = 1.0) -> "BilliardLevel":
+        momentum = solve_momentum(m, n)
         residual = abs(radial_phase(m, momentum) - n * math.pi)
         return cls(m=int(m), n=float(n), momentum=momentum,
                    energy=energy_from_momentum(momentum, radius, hbar),
@@ -185,12 +149,6 @@ def _nu(a, b):
     np.divide(b, norm, out=nu[0])
     np.divide(a, norm, out=nu[1])
     return nu
-
-
-def boundary_tangent(alpha):
-    """rho'(alpha) = (a sin a, (a - pi) sin a)."""
-    a = np.asarray(alpha, dtype=float)
-    return np.stack([a * np.sin(a), (a - math.pi) * np.sin(a)], axis=-1)
 
 
 def boundary_normal(alpha):

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .actions import ActionSpectrum, SurfaceActions, marked_action_spectrum
-from .billiard import PHASE_SOLVE_TOL, RADIAL_SHIFT, BilliardLevel, crosscheck_disk
+from .billiard import RADIAL_SHIFT, BilliardLevel, crosscheck_disk
 from .catalog import parse_domain_spec
 from .duality import hypersurface_transform
 from .errors import ConfigError, EbkError
@@ -206,8 +206,7 @@ def cmd_legendre_dual(args) -> int:
 
 def cmd_billiard_solve(args) -> int:
     n = args.n + (RADIAL_SHIFT if args.maslov else 0.0)
-    level = BilliardLevel.solve(args.m, n, radius=args.radius, hbar=args.hbar,
-                                tol=args.tol)
+    level = BilliardLevel.solve(args.m, n, radius=args.radius, hbar=args.hbar)
     doc = {"m": level.m, "n": level.n, "F": level.momentum, "E": level.energy,
            "residual": level.residual, "radius": level.radius, "hbar": level.hbar}
     _emit(args, doc, ["m", "n", "F", "E", "residual"])
@@ -313,7 +312,6 @@ def _solve(p) -> None:
     p.add_argument("--maslov", action="store_true",
                    help=f"add the radial shift {RADIAL_SHIFT} to n")
     p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--tol", type=float, default=PHASE_SOLVE_TOL)
     _add_common(p)
     p.set_defaults(fn=cmd_billiard_solve)
 

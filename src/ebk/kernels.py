@@ -24,14 +24,17 @@
     level set (outside a concave one), so its gauge at w is an upper (lower)
     bound on the curve's. lattice_search takes the two points from the
     descent's final Farey pair, table_chords from an angle-sorted table;
-  * bisect_generic is a vectorized monotone bisection.
+  * bisect_generic is the package's one root finder for real 1-D
+    monotone equations, vectorized, each target bisected to its fixed point.
 
 Gauss-map inversion is closed form for the builtin families (pnorm, the
 harmonic facet and the disk's boundary curve, see LevelSurface.normal_map),
 and curves parametrized by polar angle meet each ray at the ray's own angle.
-bisect_generic serves only what has no closed form: the Gauss-map inversion
-of spline and table curves, and the point on a ray of the disk's boundary
-curve and of transform duals (LevelSurface.ray_parameter).
+bisect_generic serves what has no closed form: the Gauss-map inversion of
+spline and table curves, the sign changes of a general arc's sampled normal
+against a direction (LevelSurface.invert_normal), the point on a ray of the
+disk's boundary curve and of transform duals (LevelSurface.ray_parameter),
+and the billiard's radial phase equation (billiard.solve_momentum).
 """
 from __future__ import annotations
 
@@ -103,17 +106,18 @@ def primitive_directions(dimension: int, k_max: int) -> np.ndarray:
     return np.stack(np.nonzero(_sieve(dimension, k_max)), axis=1)
 
 
-def bisect_generic(angle_fn, lo: float, hi: float, targets: np.ndarray,
+def bisect_generic(angle_fn, lo, hi, targets: np.ndarray,
                    increasing: bool = True) -> np.ndarray:
     """Parameters t in [lo, hi] with angle_fn(t) = target, for a vectorized
-    angle_fn monotone in the given sense. Targets outside the attained range
-    clamp to the endpoints; the caller is responsible for the residual
+    angle_fn monotone in the given sense; lo and hi are scalars or one per
+    target (they broadcast against targets). Targets outside the attained
+    range clamp to the endpoints; the caller is responsible for the residual
     check. A decreasing angle_fn is bisected as the increasing -angle_fn
     against -targets (negation is exact)."""
     sign = 1.0 if increasing else -1.0
     targets = sign * np.asarray(targets, dtype=float)
-    a = np.full(targets.size, float(lo))
-    b = np.full(targets.size, float(hi))
+    a = np.array(np.broadcast_to(lo, targets.shape), dtype=float).ravel()
+    b = np.array(np.broadcast_to(hi, targets.shape), dtype=float).ravel()
     at = np.arange(targets.size)   # the live targets' places in a and b
     t, a_l, b_l = targets.ravel(), a.copy(), b.copy()
     for _ in range(BISECT_ITERS):

@@ -134,13 +134,7 @@ def linear_profile(weights: Sequence[float]) -> ToricProfile:
     )
 
 
-def harmonic_profile(weights: Sequence[float]) -> ToricProfile:
-    """Alias for linear_profile; named for the Hamiltonian it represents."""
-    return linear_profile(weights)
-
-
-def pnorm_profile(s: float, dimension: int = 2, degree: float = 1.0,
-                  name: str | None = None) -> ToricProfile:
+def pnorm_profile(s: float, dimension: int = 2, degree: float = 1.0) -> ToricProfile:
     """f(p) = (sum p_j^s)^(d/s). Level set is the superellipse arc for d=1.
 
     s > 1 gives a strictly convex level set; s = 2 is the round sphere.
@@ -172,7 +166,7 @@ def pnorm_profile(s: float, dimension: int = 2, degree: float = 1.0,
         return q
 
     return ToricProfile(
-        name=name or f"pnorm:{s:g}" + (f"^({d:g})" if d != 1.0 else ""),
+        name=f"pnorm:{s:g}" + (f"^({d:g})" if d != 1.0 else ""),
         dimension=dimension,
         degree=d,
         evaluate_fn=ev,
@@ -180,9 +174,3 @@ def pnorm_profile(s: float, dimension: int = 2, degree: float = 1.0,
         inverse_gauss_fn=inverse_gauss,
         orientation=Orientation.CONVEX,
     )
-
-
-def euclidean_profile(dimension: int = 2, degree: float = 1.0) -> ToricProfile:
-    """f(p) = |p|^degree; the quarter-circle (quadrant sphere) level set."""
-    return pnorm_profile(2.0, dimension=dimension, degree=degree,
-                         name="circle" if dimension == 2 and degree == 1.0 else None)

@@ -41,7 +41,6 @@ GRADIENT_FLOOR = 1e-12        # |grad f| below this: Gauss map undefined
 SUPPORT_FLOOR = 1e-10         # |<p, n>| below this: dual point undefined
 NORMAL_RESIDUAL_TOL = 1e-10   # |n x k_hat| accepted by the inversion
 DEFAULT_RESOLUTION = 4096     # points of every dense sampling of a planar arc
-SCAN_REFINE_ITERS = 200       # bisection steps per sign change of the scan
 
 
 def gauss_map(profile: ToricProfile, p) -> np.ndarray:
@@ -358,6 +357,15 @@ class LevelSurface:
     def normal(self, t):
         return self._normal_fn(np.asarray(t, dtype=float))
 
+    @cached_property
+    def end_norm(self) -> float:
+        """The smaller norm of the points at the two ends of the parameter
+        range: the surface's size, which scales its zero-action test
+        (actions.ZERO_ACTION_TOL); 1.0 where that is not finite and > 0."""
+        ends = self.point(np.stack([self.param_lo, self.param_hi]))
+        size = float(_column_norms(ends.T).min())   # hypot: no underflow
+        return size if 0.0 < size < np.inf else 1.0
+
     def normal_angle(self, t):
         n = self.normal(t)
         return np.arctan2(n[..., 1], n[..., 0])
@@ -482,9 +490,13 @@ class LevelSurface:
 
     def _invert_normal_scan(self, k: np.ndarray) -> InversionResult:
         khat = k / np.linalg.norm(k)
+
+        def cross(u):   # n(u) x khat, and n(u)
+            n = self.normal(u)
+            return n[..., 0] * khat[1] - n[..., 1] * khat[0], n
+
         t = np.linspace(self.param_lo, self.param_hi, DEFAULT_RESOLUTION)
-        n = self.normal(t)
-        g = n[:, 0] * khat[1] - n[:, 1] * khat[0]
+        g, n = cross(t)
         dot = n @ khat
         flat = (np.abs(g) <= 1e-12) & (dot > 0)
         params: list[float] = []
@@ -501,21 +513,13 @@ class LevelSurface:
                 for run in splits:
                     params.append(float(t[run[run.size // 2]]))
                 multivalued = multivalued or (runs.size > 1)
-            sign = np.sign(g)
-            for i in np.flatnonzero((sign[:-1] * sign[1:] < 0) & (dot[:-1] > 0)):
-                a, b = t[i], t[i + 1]
-                fa = g[i]
-                for _ in range(SCAN_REFINE_ITERS):
-                    mid = 0.5 * (a + b)
-                    nm = self.normal(mid)
-                    fm = nm[0] * khat[1] - nm[1] * khat[0]
-                    if fa * fm <= 0:
-                        b = mid
-                    else:
-                        a, fa = mid, fm
-                    if b - a <= 1e-15 * (self.param_hi - self.param_lo):
-                        break
-                params.append(0.5 * (a + b))
+            # each sampled sign change, rising or falling, bisected in one call
+            change = (np.sign(g[:-1]) * np.sign(g[1:]) < 0) & (dot[:-1] > 0)
+            for rising in (True, False):
+                i = np.flatnonzero(change & ((g[:-1] < 0) == rising))
+                if i.size:
+                    params.extend(kernels.bisect_generic(lambda u: cross(u)[0], t[i],
+                                                         t[i + 1], np.zeros(i.size), rising))
         if not params:
             raise DirectionNotAttained(f"direction {k.tolist()} not attained")
         params_arr = np.array(sorted(params))
@@ -525,8 +529,7 @@ class LevelSurface:
             params_arr = params_arr[keep]
         multivalued = multivalued or params_arr.size > 1
         pts = self.point(params_arr)
-        nn = self.normal(params_arr)
-        res = np.abs(nn[:, 0] * khat[1] - nn[:, 1] * khat[0])
+        res = np.abs(cross(params_arr)[0])
         if np.any(res > NORMAL_RESIDUAL_TOL):
             raise ConvergenceFailure("scan refinement missed the residual tolerance")
         return InversionResult(points=pts, params=params_arr, residuals=res,

@@ -15,10 +15,10 @@ from ebk import (
     convex_conjugate,
     crosscheck_disk,
     direct_spectrum,
-    harmonic_profile,
     hausdorff_distance,
     hypersurface_transform,
     lattice_grid,
+    linear_profile,
     marked_action_spectrum,
     minmax_certificate,
     pnorm_profile,
@@ -68,7 +68,7 @@ def test_c2_monotone_bijection_suite():
 def test_c3_rational_harmonic_exact():
     t0 = time.perf_counter()
     for omega in ((1.0, 2.0), (3.0, 5.0)):
-        profile = harmonic_profile(omega)
+        profile = linear_profile(omega)
         acts = marked_action_spectrum(LevelSurface.from_profile(profile), 10)
         assert len(acts.entries) == 1
         # a general table of one entry takes the sup, which its inf equals
@@ -157,7 +157,7 @@ def test_c7_reconstruction():
 def test_c8_minmax_certificate():
     t0 = time.perf_counter()
     acts = marked_action_spectrum(
-        LevelSurface.from_profile(harmonic_profile((1.0, 2.0))), 20)
+        LevelSurface.from_profile(linear_profile((1.0, 2.0))), 20)
     level = 3.0  # energy at m = (1, 1)
     for energy in (level + 0.5, level - 0.5):
         cert = minmax_certificate(acts, energy, (1, 1), ells=range(1, 21))
@@ -175,7 +175,7 @@ def test_c9_maslov_shifts():
             lv = BilliardLevel.solve(m, n + RADIAL_SHIFT)
             assert abs(radial_phase(m, lv.momentum)
                        - np.pi * (n + 0.75)) <= 1e-11
-    spec = direct_spectrum(harmonic_profile((1.0, 2.0)), 4, shift=0.5)
+    spec = direct_spectrum(linear_profile((1.0, 2.0)), 4, shift=0.5)
     for m1 in range(5):
         for m2 in range(5):
             assert spec.energy((m1, m2)) == 1.0 * (m1 + 0.5) + 2.0 * (m2 + 0.5)

@@ -22,9 +22,8 @@ from ebk import (
     UnsupportedSurface,
     billiard_orbit_action,
     direct_spectrum,
-    euclidean_profile,
-    harmonic_profile,
     kernels,
+    linear_profile,
     marked_action_spectrum,
     pnorm_profile,
 )
@@ -35,7 +34,7 @@ from ebk.catalog import load_domain_file
 
 @pytest.fixture(scope="module")
 def circle_actions():
-    surf = LevelSurface.from_profile(euclidean_profile(2))
+    surf = LevelSurface.from_profile(pnorm_profile(2.0))
     return marked_action_spectrum(surf, 2)
 
 
@@ -60,7 +59,7 @@ def test_entries_in_lexicographic_order(circle_actions):
 
 
 def test_segment_spectrum_single_direction():
-    surf = LevelSurface.from_profile(harmonic_profile((1.0, 2.0)))
+    surf = LevelSurface.from_profile(linear_profile((1.0, 2.0)))
     acts = marked_action_spectrum(surf, 5)
     assert [tuple(e.k) for e in acts.entries] == [(1, 2)]
     e = acts.entries[0]
@@ -74,7 +73,7 @@ def test_segment_table_never_scans(monkeypatch):
         raise AssertionError("scanned a direction")
 
     monkeypatch.setattr(LevelSurface, "_invert_normal_scan", scan)
-    surf = LevelSurface.from_profile(harmonic_profile((1.0, 2.0)))
+    surf = LevelSurface.from_profile(linear_profile((1.0, 2.0)))
     acts = marked_action_spectrum(surf, 40)
     assert acts.directions.tolist() == [[1, 2]]
     assert acts.points.tolist() == [[1.0 / 3.0, 1.0 / 3.0]]
@@ -120,7 +119,7 @@ def test_entry_invariants_on_quartic():
 
 
 def test_scaling_consistency(circle_actions):
-    surf = LevelSurface.from_profile(euclidean_profile(2))
+    surf = LevelSurface.from_profile(pnorm_profile(2.0))
     for e in circle_actions.entries:
         k = np.asarray(e.k, dtype=float)
         # doubling k doubles the pairing exactly (power-of-two scaling)
@@ -132,7 +131,7 @@ def test_scaling_consistency(circle_actions):
 @given(st.integers(min_value=1, max_value=1000))
 @settings(max_examples=40, deadline=None)
 def test_multiple_scales_entries(ell):
-    surf = LevelSurface.from_profile(euclidean_profile(2))
+    surf = LevelSurface.from_profile(pnorm_profile(2.0))
     acts = marked_action_spectrum(surf, 2)
     e = acts.entries[2]
     m = e.multiple(ell)
@@ -142,7 +141,7 @@ def test_multiple_scales_entries(ell):
 
 
 def test_kmax_validation():
-    surf = LevelSurface.from_profile(euclidean_profile(2))
+    surf = LevelSurface.from_profile(pnorm_profile(2.0))
     with pytest.raises(ConfigError):
         marked_action_spectrum(surf, 0)
 

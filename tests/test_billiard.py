@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ebk import actions as actions_module
@@ -19,7 +19,6 @@ from ebk import (
     billiard_orbit_action,
     boundary_normal,
     boundary_point,
-    boundary_tangent,
     crosscheck_disk,
     direction_parameter,
     disk_profile,
@@ -27,7 +26,6 @@ from ebk import (
     kernels,
     marked_action_spectrum,
     radial_phase,
-    radial_phase_slope,
     ramos_action,
     solve_momentum,
 )
@@ -78,11 +76,6 @@ def test_phase_monotone_with_closed_form_slope(m):
     xs = np.linspace(m + 1e-9, m + 40.0, 2000)
     vals = radial_phase(m, xs)
     assert np.all(np.diff(vals) > 0.0)
-    interior = xs[5:-5]
-    h = 1e-6 * np.maximum(1.0, interior)
-    fd = (radial_phase(m, interior + h) - radial_phase(m, interior - h)) / (2 * h)
-    closed = radial_phase_slope(m, interior)
-    assert np.abs(fd / closed - 1.0).max() <= 1e-6
 
 
 # --- the quantization solve ---
@@ -97,14 +90,29 @@ def test_solve_golden_values():
         assert solve_momentum(m, n) == pytest.approx(F, abs=2e-12)
 
 
+def _root_50_digits(m, n, start):
+    """The phase equation's root in 50-digit arithmetic, from start."""
+    import mpmath as mp
+    with mp.workdps(50):
+        n = mp.mpf(n)
+        phase = lambda x: mp.sqrt(x ** 2 - m ** 2) - m * mp.acos(m / x) - n * mp.pi
+        return mp.findroot(phase, mp.mpf(start))
+
+
 def test_goldens_match_high_precision_oracle():
     # re-derive the frozen table with 50-digit arithmetic
-    import mpmath as mp
-    mp.mp.dps = 50
     for (m, n), F in GOLDEN_F.items():
-        phase = lambda x: mp.sqrt(x ** 2 - m ** 2) - m * mp.acos(m / x) - n * mp.pi
-        root = mp.findroot(phase, mp.mpf(F))
-        assert abs(float(root) - F) <= 1e-13 * F
+        assert abs(float(_root_50_digits(m, n, F)) - F) <= 1e-13 * F
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(0, 5000), n=st.floats(1e-3, 1e6))
+@example(m=3049, n=9220.6).via("a stall of the former Newton step")
+@example(m=4827, n=0.1443).via("a stall of the former Newton step")
+@example(m=200, n=100000.0).via("a stall of the former Newton step")
+def test_solve_matches_the_50_digit_root(m, n):
+    F = solve_momentum(m, n)
+    assert abs(F - float(_root_50_digits(m, n, F))) <= 1e-12 * F
 
 
 def test_solve_degenerate_gliding_orbit():
@@ -152,22 +160,15 @@ def test_boundary_endpoints():
     assert np.abs(boundary_point(math.pi) - [math.pi, 0.0]).max() <= 1e-12
 
 
-def test_boundary_tangent_matches_finite_differences():
-    alphas = np.linspace(0.05, math.pi - 0.05, 200)
-    h = 1e-6
-    fd = (boundary_point(alphas + h) - boundary_point(alphas - h)) / (2 * h)
-    closed = boundary_tangent(alphas)
-    assert np.abs(fd - closed).max() <= 1e-6
-
-
 def test_boundary_normal_direction():
     alphas = np.linspace(0.2, math.pi - 0.2, 50)
     n = boundary_normal(alphas)
     want = np.stack([math.pi - alphas, alphas], axis=-1)
     want /= np.linalg.norm(want, axis=-1, keepdims=True)
     assert np.abs(n - want).max() <= 1e-12
-    # and it is orthogonal to the tangent
-    t = boundary_tangent(alphas)
+    # and it is orthogonal to the tangent, here a central difference
+    h = 1e-6
+    t = (boundary_point(alphas + h) - boundary_point(alphas - h)) / (2 * h)
     assert np.abs((n * t).sum(axis=-1)).max() <= 1e-9
 
 
@@ -320,11 +321,11 @@ def test_crosscheck_streams_the_table_scan_bitwise(k_max, m, shift):
 def test_phase_root_lies_in_the_crosscheck_bracket(k_max, m1, dm, shift):
     # on interior rays the chord lies beyond the concave curve and the finite
     # inf above it, so the phase-equation root lies at or below F_route, by
-    # at most F_error_bound; the slack covers the solve's phase tolerance
+    # at most F_error_bound; the slack covers a few ulps of rounding
     assume(m1 > 0 or shift > 0)
     rep = crosscheck_disk(m1, m1 + dm, k_max=k_max, shift=shift)
     root = rep.momentum_reference
-    slack = 2 * billiard_module.PHASE_SOLVE_TOL / radial_phase_slope(dm, root) + 1e-14 * root
+    slack = 4 * math.ulp(root)
     assert math.isfinite(rep.error_bound)
     assert rep.momentum_toric - rep.error_bound - slack <= root
     assert root <= rep.momentum_toric + slack

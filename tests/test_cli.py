@@ -871,6 +871,29 @@ def test_huge_harmonic_weight_prints_nothing_to_stderr(capsys):
     assert rc == 0 and capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("weights, k, action", [
+    ("1,1e300", ["0", "1"], 1e-300),
+    ("1e12,1e12", ["1", "1"], 1e-12),
+], ids=["1,1e300", "1e12,1e12"])
+def test_facet_action_of_any_size_is_kept(tmp_path, weights, k, action):
+    # the zero-action test scales with the surface, so the facet's one
+    # entry stays however small its action is
+    out = run_to_file(tmp_path, "t.csv", ["actions", "--profile", f"harmonic:{weights}",
+                                          "--k-max", "5"])
+    rows = list(csv.reader(io.StringIO(out.decode())))
+    assert len(rows) == 2 and rows[1][:2] == k and float(rows[1][2]) == action
+
+
+def test_variational_spectrum_of_a_tiny_facet(tmp_path):
+    out = run_to_file(tmp_path, "s.csv", ["spectrum-variational", "--profile",
+                                          "harmonic:1e12,1e12", "--k-max", "5",
+                                          "--m-max", "1"])
+    rows = list(csv.reader(io.StringIO(out.decode())))[1:]
+    assert [(r[0], r[1], float(r[2]), r[3]) for r in rows] == [
+        ("0", "0", 0.0, "1;1"), ("0", "1", 1e12, "1;1"), ("1", "0", 1e12, "1;1"),
+        ("1", "1", 2e12, "1;1")]
+
+
 def test_crosscheck_residual_failure_is_a_numerical_failure(monkeypatch, capsys):
     monkeypatch.setattr(ebk.actions, "NORMAL_RESIDUAL_TOL", -1.0)
     _assert_one_numerical_failure_line(

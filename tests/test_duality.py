@@ -17,11 +17,10 @@ from ebk import (
     conjugate_function,
     convex_conjugate,
     disk_profile,
-    euclidean_profile,
-    harmonic_profile,
     hausdorff_distance,
     hypersurface_transform,
     legendre_point,
+    linear_profile,
     marked_action_spectrum,
     pnorm_profile,
     reconstruct_surface,
@@ -81,7 +80,7 @@ def test_conjugate_function_degree():
     dual = conjugate_function(quartic_bowl())
     assert dual.degree == pytest.approx(4.0 / 3.0)
     with pytest.raises(ConfigError):
-        conjugate_function(harmonic_profile((1.0, 2.0)))  # degree 1 has no
+        conjugate_function(linear_profile((1.0, 2.0)))  # degree 1 has no
         # smooth conjugate
 
 
@@ -112,7 +111,7 @@ def test_conjugate_rejects_q_outside_the_orthant():
 
 
 @pytest.mark.parametrize("profile, q", [
-    (harmonic_profile((1.0, 2.0)), (0.3, 0.4)),
+    (linear_profile((1.0, 2.0)), (0.3, 0.4)),
     (disk_profile(), (0.3, 0.4)),
     (ToricProfile(name="cubic3", dimension=3, degree=3.0,
                   evaluate_fn=lambda p: (p ** 3).sum(axis=-1) / 3.0), (1.0, 1.0, 1.0)),
@@ -156,12 +155,12 @@ def test_fenchel_young_equality_at_the_argmax(s, degree, q, n, p):
 # --- support function ---
 
 def test_support_circle():
-    circle = LevelSurface.from_profile(euclidean_profile(2))
+    circle = LevelSurface.from_profile(pnorm_profile(2.0))
     assert support_function(circle, (3.0, 4.0)) == pytest.approx(5.0, abs=1e-9)
 
 
 def test_support_segment_endpoint():
-    seg = LevelSurface.from_profile(harmonic_profile((1.0, 2.0)))
+    seg = LevelSurface.from_profile(linear_profile((1.0, 2.0)))
     assert support_function(seg, (1.0, 0.0)) == pytest.approx(1.0, abs=1e-6)
 
 
@@ -173,7 +172,7 @@ def test_support_ramos_inf_variant():
 
 
 def test_support_homogeneity():
-    circle = LevelSurface.from_profile(euclidean_profile(2))
+    circle = LevelSurface.from_profile(pnorm_profile(2.0))
     q = np.array([0.3, 1.7])
     base = support_function(circle, q)
     for t in (2.0, 10.0):
@@ -209,9 +208,9 @@ def test_support_matches_sampled_refinement(name):
     surface = {"pnorm:1.5": lambda: LevelSurface.from_profile(pnorm_profile(1.5)),
                "pnorm:4": lambda: LevelSurface.from_profile(pnorm_profile(4.0)),
                "pnorm:12": lambda: LevelSurface.from_profile(pnorm_profile(12.0)),
-               "circle": lambda: LevelSurface.from_profile(euclidean_profile(2)),
+               "circle": lambda: LevelSurface.from_profile(pnorm_profile(2.0)),
                "ramos": RamosCurve,
-               "segment": lambda: LevelSurface.from_profile(harmonic_profile((1.0, 2.0))),
+               "segment": lambda: LevelSurface.from_profile(linear_profile((1.0, 2.0))),
                }[name]()
     # every quadrant, so the endpoints and the -q inversion are exercised
     angles = np.linspace(-np.pi, np.pi, 73)
@@ -235,7 +234,7 @@ def test_support_sees_a_dent_through_the_opposite_normal():
 # --- hypersurface transform ---
 
 def test_transform_circle_self_dual():
-    circle = LevelSurface.from_profile(euclidean_profile(2))
+    circle = LevelSurface.from_profile(pnorm_profile(2.0))
     dual = hypersurface_transform(circle)
     assert hausdorff_distance(circle, dual) <= 1e-9
 
@@ -252,7 +251,7 @@ def test_transform_ellipse_arc_involution():
 
 
 def test_transform_segment_too_flat():
-    seg = LevelSurface.from_profile(harmonic_profile((1.0, 2.0)))
+    seg = LevelSurface.from_profile(linear_profile((1.0, 2.0)))
     with pytest.raises(TooFewNicePoints):
         hypersurface_transform(seg)
 
@@ -284,7 +283,7 @@ def test_dual_supports_primal_at_one(s):
 # --- point clouds and reconstruction ---
 
 def test_point_cloud_from_actions_dedup():
-    surf = LevelSurface.from_profile(euclidean_profile(2))
+    surf = LevelSurface.from_profile(pnorm_profile(2.0))
     acts = marked_action_spectrum(surf, 8)
     cloud = PointCloud.from_actions(acts)
     # k/a on the unit circle is k/|k|: all cloud points at radius 1
@@ -368,7 +367,7 @@ def _hausdorff_pair(name):
     if name == "partial-arc":
         # a fit over part of the quadrant: same-index neighbours are far apart
         return LevelSurface.from_points(quartic.point(np.linspace(0.3, 1.2, 50))), quartic
-    return LevelSurface.from_profile(euclidean_profile(2)), RamosCurve()
+    return LevelSurface.from_profile(pnorm_profile(2.0)), RamosCurve()
 
 
 HAUSDORFF_PAIRS = ["reconstruction", "pnorm:3-4", "partial-arc", "circle-ramos"]
@@ -414,7 +413,7 @@ def test_point_cloud_validation():
 
 
 def test_reconstruct_circle():
-    surf = LevelSurface.from_profile(euclidean_profile(2))
+    surf = LevelSurface.from_profile(pnorm_profile(2.0))
     acts = marked_action_spectrum(surf, 50)
     result = reconstruct_surface(PointCloud.from_actions(acts), reference=surf)
     assert result.report.hausdorff_vs_reference <= 1e-3

@@ -149,6 +149,34 @@ def test_bisection_stops_at_the_fixed_point_of_80_steps(seed, size, increasing, 
                           _bisect_80_steps(angle, 0.0, hi, grid, increasing))
 
 
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 60), increasing=st.booleans())
+def test_bisection_with_a_bracket_per_target_is_each_scalar_bracket(seed, size, increasing):
+    # a target's steps read only its own ends, so a batch of brackets
+    # bisects as the same brackets one call each; some targets lie outside
+    # their bracket and clamp to an end
+    rng = np.random.default_rng(seed)
+    sign = 1.0 if increasing else -1.0
+
+    def angle(t):
+        return sign * np.arctan(t)
+
+    ends = np.sort(rng.uniform(-3.0, 3.0, (size, 2)) * 10.0 ** rng.integers(-8, 4, (size, 1)),
+                   axis=1)
+    lo, hi = ends.T
+    targets = angle(rng.uniform(lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo)))
+    got = kernels.bisect_generic(angle, lo, hi, targets, increasing)
+    want = np.concatenate([kernels.bisect_generic(angle, a, b, np.array([y]), increasing)
+                           for a, b, y in zip(lo, hi, targets)])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # a scalar end broadcasts against the per-target other end
+    got = kernels.bisect_generic(angle, lo.min(), hi, targets, increasing)
+    want = np.concatenate([kernels.bisect_generic(angle, lo.min(), b, np.array([y]),
+                                                  increasing)
+                           for b, y in zip(hi, targets)])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_closed_form_exact_axis_points():
     axes = np.array([[1, 0], [0, 1]])
     for s in (1.5, 3.0, 4.0, 8.0):

@@ -6,26 +6,24 @@ from hypothesis import strategies as st
 from ebk import (
     ConfigError,
     ToricProfile,
-    euclidean_profile,
-    harmonic_profile,
     linear_profile,
     pnorm_profile,
 )
 
 HOM_RTOL = 1e-9
 
-ANALYTIC_PROFILES = [
-    euclidean_profile(2),
-    pnorm_profile(3.0),
-    pnorm_profile(4.0),
-    pnorm_profile(4.0, degree=2.0),
-    harmonic_profile((1.0, 2.0)),
-    harmonic_profile((3.0, 5.0)),
-    linear_profile((2.0, 0.5, 1.0)),
-]
+ANALYTIC_PROFILES = {
+    "circle": pnorm_profile(2.0),
+    "pnorm:3": pnorm_profile(3.0),
+    "pnorm:4": pnorm_profile(4.0),
+    "pnorm:4^(2)": pnorm_profile(4.0, degree=2.0),
+    "harmonic:1,2": linear_profile((1.0, 2.0)),
+    "harmonic:3,5": linear_profile((3.0, 5.0)),
+    "harmonic:2,0.5,1": linear_profile((2.0, 0.5, 1.0)),
+}
 
 
-@pytest.mark.parametrize("profile", ANALYTIC_PROFILES, ids=lambda p: p.name)
+@pytest.mark.parametrize("profile", ANALYTIC_PROFILES.values(), ids=ANALYTIC_PROFILES)
 def test_homogeneity(profile):
     rng = np.random.default_rng(11)
     for _ in range(25):
@@ -42,7 +40,7 @@ def _euler_residual(profile, p):
     return abs(float(np.dot(p, profile.gradient(p))) - d_f) / max(abs(d_f), 1e-300)
 
 
-@pytest.mark.parametrize("profile", ANALYTIC_PROFILES, ids=lambda p: p.name)
+@pytest.mark.parametrize("profile", ANALYTIC_PROFILES.values(), ids=ANALYTIC_PROFILES)
 def test_euler_relation(profile):
     rng = np.random.default_rng(12)
     for _ in range(25):
@@ -64,18 +62,16 @@ def test_pnorm_homogeneity_property(p1, p2, t):
 
 
 def test_harmonic_values():
-    f = harmonic_profile((1.0, 2.0))
+    f = linear_profile((1.0, 2.0))
     assert f.evaluate((1.0, 1.0)) == 3.0
     assert np.allclose(f.gradient((0.7, 0.3)), [1.0, 2.0])
     assert f.degree == 1.0
 
 
 def test_euclidean_is_pnorm_two():
-    f = euclidean_profile(2)
-    g = pnorm_profile(2.0)
-    p = np.array([3.0, 4.0])
-    assert f.evaluate(p) == pytest.approx(5.0, rel=1e-15)
-    assert g.evaluate(p) == pytest.approx(5.0, rel=1e-15)
+    assert pnorm_profile(2.0).evaluate((3.0, 4.0)) == pytest.approx(5.0, rel=1e-15)
+    assert pnorm_profile(2.0, dimension=3).evaluate((1.0, 2.0, 2.0)) == pytest.approx(
+        3.0, rel=1e-15)
 
 
 def test_power_profile_is_pnorm_power():
@@ -100,7 +96,7 @@ def test_profile_validation():
     with pytest.raises(ConfigError):
         pnorm_profile(0.5)  # s < 1 is not convex
     with pytest.raises(ConfigError):
-        harmonic_profile(())
+        linear_profile(())
     with pytest.raises(ConfigError):
         ToricProfile(name="bad", dimension=2, degree=-1.0,
                      evaluate_fn=lambda p: 1.0)

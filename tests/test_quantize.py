@@ -23,9 +23,8 @@ from ebk import (
     UnsupportedSurface,
     direct_spectrum,
     disk_profile,
-    euclidean_profile,
-    harmonic_profile,
     lattice_grid,
+    linear_profile,
     marked_action_spectrum,
     minmax_certificate,
     pnorm_profile,
@@ -39,7 +38,7 @@ from ebk.quantize import EbkSpectrum
 
 @pytest.fixture(scope="module")
 def circle_surface():
-    return LevelSurface.from_profile(euclidean_profile(2))
+    return LevelSurface.from_profile(pnorm_profile(2.0))
 
 
 def test_lattice_grid_order():
@@ -62,37 +61,37 @@ def test_lattice_grid_matches_itertools_order(dimension, m_max):
 # --- direct route ---
 
 def test_direct_harmonic_values():
-    spec = direct_spectrum(harmonic_profile((1.0, 2.0)), 3)
+    spec = direct_spectrum(linear_profile((1.0, 2.0)), 3)
     assert spec.energy((1, 1)) == 3.0
     assert spec.energy((2, 0)) == 2.0
     assert spec.energy((0, 3)) == 6.0
 
 
 def test_direct_harmonic_half_shift():
-    spec = direct_spectrum(harmonic_profile((1.0, 2.0)), 1, shift=0.5)
+    spec = direct_spectrum(linear_profile((1.0, 2.0)), 1, shift=0.5)
     assert spec.energy((0, 0)) == 1.5
 
 
 def test_direct_euclidean_hbar():
-    assert direct_spectrum(euclidean_profile(2), 4).energy((3, 4)) == 5.0
-    assert direct_spectrum(euclidean_profile(2), 4,
+    assert direct_spectrum(pnorm_profile(2.0), 4).energy((3, 4)) == 5.0
+    assert direct_spectrum(pnorm_profile(2.0), 4,
                            hbar=0.5).energy((3, 4)) == 2.5
 
 
 def test_direct_rejects_negative_weights():
     with pytest.raises(ConfigError):
-        direct_spectrum(harmonic_profile((1.0, 2.0)), 1, shift=-1.0)
+        direct_spectrum(linear_profile((1.0, 2.0)), 1, shift=-1.0)
 
 
 # --- variational route ---
 
 @pytest.mark.parametrize("omega", [(1.0, 2.0), (3.0, 5.0)])
 def test_variational_matches_direct_on_rational_harmonic(omega):
-    surf = LevelSurface.from_profile(harmonic_profile(omega))
+    surf = LevelSurface.from_profile(linear_profile(omega))
     acts = marked_action_spectrum(surf, 10)
     assert len(acts) == 1 and acts.orientation is Orientation.GENERAL
     var = variational_spectrum(acts, 4)
-    ref = direct_spectrum(harmonic_profile(omega), 4)
+    ref = direct_spectrum(linear_profile(omega), 4)
     denom = np.maximum(ref.energies, 1e-30)
     assert (np.abs(var.energies - ref.energies) / denom).max() <= 1e-12
 
@@ -102,7 +101,7 @@ def test_variational_circle_truncated(circle_surface):
     spec = variational_spectrum(acts, 4)
     assert spec.energy((3, 4)) == pytest.approx(5.0, abs=1e-3)
     # sup over a finite subset cannot exceed the true support value
-    ref = direct_spectrum(euclidean_profile(2), 4)
+    ref = direct_spectrum(pnorm_profile(2.0), 4)
     assert np.all(spec.energies <= ref.energies + 1e-12)
 
 
@@ -160,7 +159,7 @@ def test_shift_consistency_direct_vs_variational(circle_surface):
         ratios = (acts.directions @ w) / acts.actions
         assert e == pytest.approx(float(ratios.max()), rel=1e-14)
 
-    prof = euclidean_profile(2)
+    prof = pnorm_profile(2.0)
     spec = direct_spectrum(prof, 2, shift=0.25)
     for m, e in zip(spec.m_grid, spec.energies):
         assert e == prof.evaluate(m + 0.25)
@@ -282,7 +281,7 @@ def test_only_declared_convex_or_concave_curves_are_searched():
     undeclared = LevelSurface(2, quartic.point, quartic.param_lo, quartic.param_hi,
                               normal_fn=quartic.normal, normal_map=quartic.normal_map)
     assert undeclared.orientation is Orientation.CONVEX
-    for surface in (LevelSurface.from_profile(harmonic_profile((1, 2))), fitted,
+    for surface in (LevelSurface.from_profile(linear_profile((1, 2))), fitted,
                     undeclared, LevelSurface.from_profile(pnorm_profile(4.0, dimension=3))):
         assert not SurfaceActions(surface, 10).searchable()
 
@@ -348,7 +347,7 @@ def test_error_bound_of_a_single_entry_is_empty():
 
 @pytest.fixture(scope="module")
 def harmonic_actions():
-    surf = LevelSurface.from_profile(harmonic_profile((1.0, 2.0)))
+    surf = LevelSurface.from_profile(linear_profile((1.0, 2.0)))
     return marked_action_spectrum(surf, 10)
 
 
@@ -407,7 +406,7 @@ def test_reconstruction_spectrum_circle(circle_surface):
 
 
 def test_reconstruction_rejects_degenerate_segment():
-    surf = LevelSurface.from_profile(harmonic_profile((1.0, 2.0)))
+    surf = LevelSurface.from_profile(linear_profile((1.0, 2.0)))
     acts = marked_action_spectrum(surf, 30)
     # a one-direction cloud cannot seed a curve fit; either the cloud gate or
     # the nice-point gate may fire depending on dedup

@@ -14,11 +14,10 @@ from ebk import (
     ToricProfile,
     UnsupportedSurface,
     boundary_point,
-    euclidean_profile,
     gauss_map,
-    harmonic_profile,
     kernels,
     legendre_point,
+    linear_profile,
     marked_action_spectrum,
     pnorm_profile,
 )
@@ -38,7 +37,7 @@ QUARTIC_DIAGONAL_CURVATURE = 3.0 * 2.0 ** -0.25
 
 @pytest.fixture(scope="module")
 def circle():
-    return LevelSurface.from_profile(euclidean_profile(2))
+    return LevelSurface.from_profile(pnorm_profile(2.0))
 
 
 @pytest.fixture(scope="module")
@@ -48,18 +47,18 @@ def quartic():
 
 @pytest.fixture(scope="module")
 def segment():
-    return LevelSurface.from_profile(harmonic_profile((1.0, 2.0)))
+    return LevelSurface.from_profile(linear_profile((1.0, 2.0)))
 
 
 # --- gauss_map ---
 
 def test_gauss_map_circle_normal_is_position():
-    n = gauss_map(euclidean_profile(2), (0.6, 0.8))
+    n = gauss_map(pnorm_profile(2.0), (0.6, 0.8))
     assert np.allclose(n, [0.6, 0.8], atol=1e-12)
 
 
 def test_gauss_map_linear_profile_constant():
-    n = gauss_map(harmonic_profile((1.0, 2.0)), (0.25, 0.125))
+    n = gauss_map(linear_profile((1.0, 2.0)), (0.25, 0.125))
     assert np.allclose(n, np.array([1.0, 2.0]) / np.sqrt(5.0), atol=1e-12)
 
 
@@ -126,7 +125,7 @@ def test_three_dimensional_pnorm_spec_reads_convex(tmp_path):
 
 
 def test_three_dimensional_surface_needs_an_orientation():
-    sphere = LevelSurface.from_profile(euclidean_profile(3))
+    sphere = LevelSurface.from_profile(pnorm_profile(2.0, dimension=3))
     with pytest.raises(ConfigError):
         LevelSurface(3, sphere.point, sphere.param_lo, sphere.param_hi,
                      normal_fn=sphere.normal, normal_map=sphere.normal_map)
@@ -175,7 +174,7 @@ def test_invert_segment_flat_run_is_multivalued(segment):
     res = segment.invert_normal((1.0, 2.0))
     assert res.multivalued
     # every representative sits on the level set
-    f = harmonic_profile((1.0, 2.0))
+    f = linear_profile((1.0, 2.0))
     for p in res.points:
         assert abs(f.evaluate(p) - 1.0) <= 1e-9
 
@@ -186,7 +185,7 @@ def test_invert_segment_flat_run_is_multivalued(segment):
 def test_facet_closed_form_matches_scan(weights):
     # the closed form attains exactly the directions the scan finds normal
     # somewhere on the facet, at points of {f = 1}
-    f = harmonic_profile(weights)
+    f = linear_profile(weights)
     facet = LevelSurface.from_profile(f)
     assert facet.orientation is Orientation.GENERAL
     K = kernels.primitive_directions(2, 40)
@@ -216,12 +215,12 @@ def test_invert_roundtrip_convex(circle, quartic):
 
 
 def test_invert_dimension_three():
-    sphere = LevelSurface.from_profile(euclidean_profile(3))
+    sphere = LevelSurface.from_profile(pnorm_profile(2.0, dimension=3))
     p = sphere.invert_normal((1.0, 1.0, 1.0)).point
     assert np.allclose(p, np.full(3, 1.0 / np.sqrt(3.0)), atol=1e-9)
     # a general facet inverts through its closed form too: the sample scan
     # is planar
-    facet = LevelSurface.from_profile(harmonic_profile((1.0, 2.0, 3.0)))
+    facet = LevelSurface.from_profile(linear_profile((1.0, 2.0, 3.0)))
     assert facet.orientation is Orientation.GENERAL
     assert np.array_equal(facet.invert_normal((2.0, 4.0, 6.0)).point, np.full(3, 1.0 / 6.0))
     with pytest.raises(DirectionNotAttained):
@@ -230,9 +229,9 @@ def test_invert_dimension_three():
 
 # --- construction invariants ---
 
-@pytest.mark.parametrize("profile", [euclidean_profile(2), pnorm_profile(3.0),
+@pytest.mark.parametrize("profile", [pnorm_profile(2.0), pnorm_profile(3.0),
                                      pnorm_profile(4.0, degree=2.0)],
-                         ids=lambda p: p.name)
+                         ids=["circle", "pnorm:3", "pnorm:4^(2)"])
 def test_samples_sit_on_level_set(profile):
     surf = LevelSurface.from_profile(profile)
     vals = np.array([profile.evaluate(p) for p in surf.point(_dense_params(surf))])

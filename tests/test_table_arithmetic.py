@@ -3,7 +3,8 @@ row-wise formulas it replaced.
 
 The frozen functions below are the table's arithmetic as it was written on
 (N, n) rows: the closed-form inversion, its residual, the disk's normal map
-and the kept actions. The column code must give the same points, actions,
+and the kept actions (with the zero-action test scaled by the surface's
+size, LevelSurface.end_norm, as the table now scales it). The column code must give the same points, actions,
 kept mask and residuals, bit for bit, for directions in either memory
 layout the table hands it (the stream's contiguous columns and the
 search's transposed rows).
@@ -15,7 +16,7 @@ import math
 import numpy as np
 import pytest
 
-from ebk import LevelSurface, RamosCurve, harmonic_profile, pnorm_profile
+from ebk import LevelSurface, RamosCurve, linear_profile, pnorm_profile
 from ebk.actions import NORMAL_RESIDUAL_TOL, ZERO_ACTION_TOL, _table_rows
 
 
@@ -69,7 +70,7 @@ def frozen_table_rows(surface, normal_map, K):
     Kf = K.astype(float)
     # the table's zero shift, which the rows once added to the points
     acts = np.einsum("ij,ij->i", pts + 0.0, Kf)
-    keep = np.abs(acts) > ZERO_ACTION_TOL * np.linalg.norm(Kf, axis=1)
+    keep = np.abs(acts) > ZERO_ACTION_TOL * surface.end_norm * np.linalg.norm(Kf, axis=1)
     return pts, acts, keep & attained, res, attained
 
 
@@ -88,7 +89,7 @@ CASES = {
     "pnorm:3": _profile_case(pnorm_profile(3.0)),
     "pnorm:40": _profile_case(pnorm_profile(40.0)),
     "circle": _profile_case(pnorm_profile(2.0)),
-    "harmonic:1,2": _profile_case(harmonic_profile((1.0, 2.0))),
+    "harmonic:1,2": _profile_case(linear_profile((1.0, 2.0))),
     "ramos": lambda: (RamosCurve(), frozen_ramos_map),
     "pnorm:3-3d": _profile_case(pnorm_profile(3.0, dimension=3)),
     "pnorm:1.5-3d": _profile_case(pnorm_profile(1.5, dimension=3)),
