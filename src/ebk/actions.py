@@ -492,33 +492,19 @@ def _kept_actions(K: np.ndarray, pts: np.ndarray, size: float):
     """Actions <p, k> per row and the mask of rows whose action is not a
     dropped zero (rows with nan points are not kept either), from the
     direction columns K, shape (n, N), the points, shape (N, n), and the
-    surface's size.
-
-    In 2-D the sum is taken column by column. In 3-D np.einsum sums the
-    three products in an order that depends on the memory layout, so it
-    takes C-contiguous rows (the inversion's points already are)."""
-    buf = np.empty(K.shape[1])
-    if len(K) == 3:
-        acts = np.einsum("ij,ij->i", pts, np.ascontiguousarray(K.T))
-    else:
-        p0, p1 = pts.T
-        acts = np.multiply(p0, K[0])
-        acts += np.multiply(p1, K[1], out=buf)
+    surface's size."""
+    acts = kernels._dot(pts.T, K)
     # |k|: the sum of squares is exact for integer directions
-    norm = np.multiply(K[0], K[0])
-    for k in K[1:]:
-        norm += np.multiply(k, k, out=buf)
-    np.sqrt(norm, out=norm)
+    norm = np.sqrt(kernels._dot(K, K))
     norm *= ZERO_ACTION_TOL * size
-    return acts, np.abs(acts, out=buf) > norm
+    return acts, np.abs(acts) > norm
 
 
 def _table_rows(surface: LevelSurface, K: np.ndarray):
     """Points, actions and kept mask of the directions whose float columns
     are the rows of K, shape (n, N), and how many attained rows fail the
     inversion residual: the action table's own arithmetic, for any set of
-    directions. The points come as an (N, n) array in the layout the
-    surface's normal map gives."""
+    directions. The points come as an (N, n) array."""
     pts, res, attained = surface.invert_normal_many(K.T)[1:]
     failed = int(np.count_nonzero(attained & ~(res <= NORMAL_RESIDUAL_TOL)))
     acts, keep = _kept_actions(K, pts, surface.end_norm)

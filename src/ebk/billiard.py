@@ -46,10 +46,12 @@ def radial_phase(m: int, x):
     if m == 0:
         out = arr.copy()
     else:
-        # x == m makes both terms vanish; the clip only absorbs roundoff. An
-        # overflow is left to the caller's finiteness check.
+        # x == m makes both terms vanish; the clip only absorbs roundoff.
+        # Where x^2 overflows, x sqrt((1 - m/x)(1 + m/x)) takes the root.
         with np.errstate(over="ignore"):
-            root = np.sqrt(np.maximum(arr * arr - m * m, 0.0))
+            square = arr * arr - m * m
+            root = np.where(np.isfinite(square), np.sqrt(np.maximum(square, 0.0)),
+                            arr * np.sqrt((1.0 - m / arr) * (1.0 + m / arr)))
             out = root - m * np.arccos(np.clip(m / arr, -1.0, 1.0))
     return out if isinstance(x, np.ndarray) else float(out)
 
@@ -61,8 +63,8 @@ def solve_momentum(m: int, n: float) -> float:
     Otherwise one bisection (kernels.bisect_generic) to its fixed point on
     [m, n pi + m (1 + pi/2) + 1], which encloses the root: sqrt(x^2 - m^2)
     >= x - m and arccos <= pi/2 give radial_phase(m, x) >= x - m (1 + pi/2).
-    A bracket that leaves the float range (n pi, its end or the phase there
-    overflows) is a ConvergenceFailure.
+    A bracket that leaves the float range (n pi or its end overflows) is a
+    ConvergenceFailure.
     """
     m = _check_angular(m)
     if not (np.isfinite(n) and n >= 0):
@@ -81,7 +83,8 @@ def solve_momentum(m: int, n: float) -> float:
 def energy_from_momentum(momentum: float, radius: float = 1.0,
                          hbar: float = 1.0) -> float:
     """E = (hbar F)^2 / (2 R^2); NonFiniteEnergy when it leaves the float
-    range."""
+    range. Where that expression overflows, E is taken as (hbar F / R)^2 / 2
+    with the powers of two kept apart, which overflows only where E does."""
     if not (0 < radius < math.inf and 0 < hbar < math.inf):
         raise ConfigError("radius and hbar must be finite and > 0")
     if momentum < 0:
@@ -90,6 +93,12 @@ def energy_from_momentum(momentum: float, radius: float = 1.0,
         energy = (hbar * momentum) ** 2 / (2.0 * radius * radius)
     except (OverflowError, ZeroDivisionError):
         energy = math.inf
+    if not math.isfinite(energy):
+        (a, i), (b, j), (c, k) = map(math.frexp, (hbar, momentum, radius))
+        try:
+            energy = math.ldexp((a * b / c) ** 2 / 2.0, 2 * (i + j - k))
+        except OverflowError:
+            pass
     if not math.isfinite(energy):
         raise NonFiniteEnergy(f"billiard energy is not finite at hbar {hbar:g}, "
                               f"radius {radius:g}")

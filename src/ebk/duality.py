@@ -9,6 +9,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import kernels
 from .errors import (
     ConfigError,
     DirectionNotAttained,
@@ -92,7 +93,8 @@ def _support_point_map(profile: ToricProfile) -> Callable[[np.ndarray], np.ndarr
 
     def support_point(Q):
         _, x, _, attained = surface.invert_normal_many(Q)
-        return np.where(attained[:, None], x, ends[np.argmax(Q @ ends.T, axis=1)])
+        better = np.argmax([kernels._dot(Q.T, end) for end in ends], axis=0)
+        return np.where(attained[:, None], x, ends[better])
 
     return support_point
 
@@ -107,7 +109,7 @@ def _conjugate_rows(profile: ToricProfile, support_point, Q: np.ndarray):
     zero = ~Q.any(axis=1)
     # a zero row may take any x: its support value is 0 all the same
     x = support_point(np.where(zero[:, None], 1.0, Q))
-    h = np.einsum("ij,ij->i", x, Q)
+    h = kernels._dot(x.T, Q.T)
     d = profile.degree
     if d == 1.0:
         if np.any(h > 1.0):
@@ -151,7 +153,7 @@ def conjugate_function(profile: ToricProfile) -> ToricProfile:
     def inverse_gauss(K):
         X = K / profile.evaluate_fn(K)[:, None] ** (1.0 / d)
         G = profile.gradient(X)
-        return scale * G / np.einsum("ij,ij->i", X, G)[:, None]
+        return scale * G / kernels._dot(X.T, G.T)[:, None]
 
     return ToricProfile(name=f"conjugate({profile.name})",
                         dimension=profile.dimension, degree=d / (d - 1.0),
@@ -184,7 +186,7 @@ def support_function(surface: LevelSurface, q) -> float:
             candidates.append(surface.invert_normal(direction).points)
         except DirectionNotAttained:
             pass
-    dots = np.concatenate(candidates) @ u
+    dots = kernels._dot(np.concatenate(candidates).T, u)
     use_min = surface.orientation is Orientation.CONCAVE
     return qnorm * float(dots.min() if use_min else dots.max())
 
@@ -217,7 +219,7 @@ def hypersurface_transform(surface: LevelSurface,
         pts = surface.point(params)
         nrm = surface.normal(params)
         curv = surface.curvature(params)
-        support = np.einsum("ij,ij->i", pts, nrm)
+        support = kernels._dot(pts.T, nrm.T)
         defined = np.abs(support) > SUPPORT_FLOOR
         nice = defined & (np.abs(curv) > CURVATURE_FLOOR)
     if nice.sum() < NICE_FRACTION_MIN * len(params):
@@ -249,7 +251,7 @@ def hypersurface_transform(surface: LevelSurface,
         t = np.asarray(t, dtype=float)
         P = surface.point(t)
         N = surface.normal(t)
-        s = np.einsum("...j,...j->...", P, N)
+        s = kernels._dot(np.moveaxis(P, -1, 0), np.moveaxis(N, -1, 0))
         return N / s[..., None]
 
     def normal_fn(t):

@@ -25,7 +25,9 @@
     bound on the curve's. lattice_search takes the two points from the
     descent's final Farey pair, table_chords from an angle-sorted table;
   * bisect_generic is the package's one root finder for real 1-D
-    monotone equations, vectorized, each target bisected to its fixed point.
+    monotone equations, vectorized, each target bisected to its fixed point;
+  * _dot is the package's one row inner product <x, y>, summed in
+    coordinate order over columns, so no result depends on memory layout.
 
 Gauss-map inversion is closed form for the builtin families (pnorm, the
 harmonic facet and the disk's boundary curve, see LevelSurface.normal_map),
@@ -138,13 +140,20 @@ def bisect_generic(angle_fn, lo, hi, targets: np.ndarray,
 
 # --- extremal ratio reduction ---
 
-def _ratio(cols, a, w):
-    """(k . w) / a from the direction columns cols and one weight per column
-    (a row's scalars, or arrays that broadcast against the columns): the
-    products summed in coordinate order, then one division in place."""
+def _dot(cols, w):
+    """The package's one row inner product: sum_j cols[j] * w[j] in
+    coordinate order, from the coordinate columns cols (or a row's scalars)
+    and one weight per column (a row's scalars, or arrays that broadcast
+    against the columns). The bits do not depend on the memory layout."""
     num = cols[0] * w[0]
     for j in range(1, len(cols)):
         num += cols[j] * w[j]
+    return num
+
+
+def _ratio(cols, a, w):
+    """(k . w) / a: the _dot of the direction columns, divided in place."""
+    num = _dot(cols, w)
     return np.divide(num, a, out=num)
 
 

@@ -15,6 +15,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from . import kernels
 from .errors import ConfigError
 
 FLAT_TOL = 1e-12   # |k x w| <= tol |k| |w|: k is the facet's normal
@@ -41,8 +42,7 @@ def _as_points(p, dimension: int) -> tuple[np.ndarray, bool]:
 class ToricProfile:
     """A positively d-homogeneous function of the action variables.
 
-    gradient_fn may be None, in which case gradients come from central
-    finite differences with step h = max(1e-6, 1e-8 * |p|).
+    gradient_fn is the closed-form gradient, vectorized like evaluate_fn.
 
     inverse_gauss_fn, when given, is the closed-form inverse of the Gauss
     map: it sends each nonzero row k >= 0 of an (N, n) array to the point
@@ -55,7 +55,7 @@ class ToricProfile:
     dimension: int
     degree: float
     evaluate_fn: Callable[[np.ndarray], np.ndarray]
-    gradient_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    gradient_fn: Callable[[np.ndarray], np.ndarray]
     inverse_gauss_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     orientation: Optional[Orientation] = None
 
@@ -72,22 +72,7 @@ class ToricProfile:
 
     def gradient(self, p):
         arr, _ = _as_points(p, self.dimension)
-        if self.gradient_fn is not None:
-            out = np.asarray(self.gradient_fn(arr), dtype=float)
-        else:
-            out = self._fd_gradient(arr)
-        return out
-
-    def _fd_gradient(self, arr: np.ndarray) -> np.ndarray:
-        h = np.maximum(1e-6, 1e-8 * np.linalg.norm(arr, axis=-1, keepdims=True))
-        out = np.empty_like(arr)
-        for j in range(self.dimension):
-            step = np.zeros(self.dimension)
-            step[j] = 1.0
-            hp = arr + h * step
-            hm = arr - h * step
-            out[..., j] = (self.evaluate_fn(hp) - self.evaluate_fn(hm)) / (2.0 * h[..., 0])
-        return out
+        return np.asarray(self.gradient_fn(arr), dtype=float)
 
 
 # --- builtin families ---
@@ -108,7 +93,7 @@ def linear_profile(weights: Sequence[float]) -> ToricProfile:
     wt = w.copy()
 
     def ev(p):
-        return p @ wt
+        return kernels._dot(np.moveaxis(p, -1, 0), wt)
 
     def gr(p):
         return np.broadcast_to(wt, p.shape).copy()
@@ -119,7 +104,7 @@ def linear_profile(weights: Sequence[float]) -> ToricProfile:
 
     def inverse_gauss(K):
         # |k - <k, u> u| = |k x u| for the unit normal u of the facet
-        off = np.linalg.norm(K - (K @ u)[:, None] * u, axis=1)
+        off = np.linalg.norm(K - kernels._dot(K.T, u)[:, None] * u, axis=1)
         flat = off <= FLAT_TOL * np.linalg.norm(K, axis=1)
         return np.where(flat[:, None], diagonal, np.nan)
 

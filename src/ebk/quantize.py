@@ -75,12 +75,15 @@ class EbkSpectrum:
         # the argmax cell is its components joined by ";", each as %d
         arg, args = (("%s", [[""] * count]) if self.argext is None
                      else (";".join(["%d"] * n), list(self.argext.astype(np.int64).T)))
-        bounds = ([""] * count if self.error_bound is None
-                  else ["%.17g" % t if math.isfinite(t) else ""
-                        for t in self.error_bound.tolist()])
-        row = ",".join(["%d"] * n + ["%.17g", arg, "%s"]) + "\n"
-        return render_rows(header + "\n", row, "",
+        bound, bounds = (("%s", [""] * count) if self.error_bound is None
+                         else ("%.17g", self.error_bound))
+        row = ",".join(["%d"] * n + ["%.17g", arg, bound]) + "\n"
+        text = render_rows(header + "\n", row, "",
                            [*self.m_grid.T, self.energies, *args, bounds])
+        # a bound that is not finite ends its row as an empty cell
+        for cell in (",inf\n", ",-inf\n", ",nan\n"):
+            text = text.replace(cell, ",\n")
+        return text
 
     def to_json(self) -> str:
         entries = []
@@ -301,7 +304,7 @@ def minmax_certificate(actions, energy: float, m: Sequence[int], shift=None,
     K = spec.directions[interior]
     A = spec.actions[interior]
     P = spec.points[interior]
-    base = energy * A - K.astype(float) @ w
+    base = energy * A - kernels._dot(K.T, w)
     kmin = K.min(axis=1)
 
     records = []

@@ -181,7 +181,7 @@ def legendre_point(p, n) -> np.ndarray:
     """Pointwise dual map q = n / <p, n> for a point p with unit normal n."""
     p = np.asarray(p, dtype=float)
     n = np.asarray(n, dtype=float)
-    pn = (p * n).sum(axis=-1, keepdims=True)
+    pn = kernels._dot(np.moveaxis(p, -1, 0), np.moveaxis(n, -1, 0))[..., None]
     if np.any(np.abs(pn) < SUPPORT_FLOOR):
         raise TangentThroughOrigin(f"|<p, n>| < {SUPPORT_FLOOR:g}")
     return n / pn
@@ -207,9 +207,8 @@ class LevelSurface:
 
     normal_map, when given, is the closed-form inverse of the Gauss map in
     this parametrization: it sends each nonzero row k >= 0 of an (N, n)
-    array, in any memory layout (the action table passes its direction
-    columns transposed), to (params, points, normals) with the normal
-    parallel to k, and a row that no point has its normal along to nan.
+    array to (params, points, normals) with the normal parallel to k, and
+    a row that no point has its normal along to nan.
     Surfaces in n = 3 need one and a declared orientation; planar arcs
     without an orientation detect it from their sampled curvature
     (orientation_declared tells which). A surface holds no sampling density:
@@ -276,10 +275,8 @@ class LevelSurface:
         if profile.inverse_gauss_fn is not None:
             def normal_map(K):
                 # the points come from k directly, so the axis rows
-                # land exactly on the axis endpoints; the closed form
-                # reads C-contiguous rows, as the profile's own callers
-                # pass them
-                p = profile.inverse_gauss_fn(np.ascontiguousarray(K))
+                # land exactly on the axis endpoints
+                p = profile.inverse_gauss_fn(K)
                 t = np.arctan2(p[:, 1], p[:, 0])
                 if n == 3:
                     t = np.stack([t, np.arctan2(np.hypot(p[:, 0], p[:, 1]),
@@ -382,7 +379,7 @@ class LevelSurface:
         speed2 = (dp ** 2).sum(axis=-1)
         if np.any(speed2 < 1e-30):
             raise InsufficientResolution("parametrization speed vanished")
-        return (dn * dp).sum(axis=-1) / speed2
+        return kernels._dot(np.moveaxis(dn, -1, 0), np.moveaxis(dp, -1, 0)) / speed2
 
     def _detect_orientation(self) -> Orientation:
         # interior samples only: strictly convex arcs may have K -> 0 at the
@@ -497,7 +494,7 @@ class LevelSurface:
 
         t = np.linspace(self.param_lo, self.param_hi, DEFAULT_RESOLUTION)
         g, n = cross(t)
-        dot = n @ khat
+        dot = kernels._dot(n.T, khat)
         flat = (np.abs(g) <= 1e-12) & (dot > 0)
         params: list[float] = []
         multivalued = False

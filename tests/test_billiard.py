@@ -14,6 +14,7 @@ from ebk import (
     ConfigError,
     ConvergenceFailure,
     DomainError,
+    NonFiniteEnergy,
     RADIAL_SHIFT,
     RamosCurve,
     billiard_orbit_action,
@@ -113,6 +114,31 @@ def test_goldens_match_high_precision_oracle():
 def test_solve_matches_the_50_digit_root(m, n):
     F = solve_momentum(m, n)
     assert abs(F - float(_root_50_digits(m, n, F))) <= 1e-12 * F
+
+
+def _log_uniform(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.integers(0, 5000), n=_log_uniform(-3, 308), radius=_log_uniform(-300, 300),
+       hbar=_log_uniform(-300, 300))
+@example(m=2, n=1e154, radius=1e100, hbar=1.0).via("billiard-solve --m 2 --n 1e154 "
+                                                   "--radius 1e100")
+@example(m=0, n=1e154, radius=1e100, hbar=1.0).via("billiard-solve --m 0 --n 1e154 "
+                                                   "--radius 1e100")
+def test_solve_is_finite_wherever_the_bracket_and_its_energy_are(m, n, radius, hbar):
+    # the bracket end bounds F, so (hbar end / R)^2 / 2 bounds E; its log10
+    # is taken apart, as no float holds it for every draw
+    end = n * math.pi + m * (1.0 + math.pi / 2) + 1.0
+    log_energy = 2.0 * (math.log10(hbar) + math.log10(end) - math.log10(radius)) \
+        - math.log10(2.0)
+    try:
+        level = BilliardLevel.solve(m, n, radius=radius, hbar=hbar)
+    except (ConvergenceFailure, NonFiniteEnergy):
+        assert not (end < 1e307 and log_energy < 307.0)
+        return
+    assert math.isfinite(level.momentum) and math.isfinite(level.energy)
 
 
 def test_solve_degenerate_gliding_orbit():

@@ -114,7 +114,8 @@ def test_conjugate_rejects_q_outside_the_orthant():
     (linear_profile((1.0, 2.0)), (0.3, 0.4)),
     (disk_profile(), (0.3, 0.4)),
     (ToricProfile(name="cubic3", dimension=3, degree=3.0,
-                  evaluate_fn=lambda p: (p ** 3).sum(axis=-1) / 3.0), (1.0, 1.0, 1.0)),
+                  evaluate_fn=lambda p: (p ** 3).sum(axis=-1) / 3.0,
+                  gradient_fn=lambda p: p ** 2), (1.0, 1.0, 1.0)),
     (pnorm_profile(2.0, degree=0.5), (0.3, 0.4)),
 ], ids=["harmonic-facet", "concave-disk", "custom-3d", "degree-below-one"])
 def test_conjugate_outside_the_closed_form_is_a_config_error(profile, q):
@@ -127,7 +128,9 @@ def test_conjugate_takes_the_endpoint_outside_the_normal_cone():
     # is no normal of the arc; over p >= 0 the sup is max_t t - t^2 = 1/4
     f = ToricProfile(name="oblique", dimension=2, degree=2.0,
                      evaluate_fn=lambda p: p[..., 0] ** 2 + p[..., 0] * p[..., 1]
-                     + p[..., 1] ** 2)
+                     + p[..., 1] ** 2,
+                     gradient_fn=lambda p: np.stack([2 * p[..., 0] + p[..., 1],
+                                                     p[..., 0] + 2 * p[..., 1]], axis=-1))
     value, argmax = convex_conjugate(f, (1.0, 0.0))
     assert value == pytest.approx(0.25, rel=1e-12)
     assert np.allclose(argmax, [0.5, 0.0], rtol=0, atol=1e-12)

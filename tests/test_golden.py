@@ -3,13 +3,14 @@ ebk.cli.main in process, and the sha256 and length of its stdout, its
 stderr and every file it writes, with its exit status, must equal those
 recorded in golden_cli.json.
 
-A change that moves any of these bytes on purpose rewrites the file with
+A change that moves any of these bytes on purpose reruns the cases it
+moves and rewrites their records, keeping every other case's, with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py NAME...
 
-and names each changed case, and why it changed, in CHANGES.md. The
-digests hold for the numpy recorded in the file; under another numpy,
-whose last bits may differ (the 3-D np.einsum, say), the test is skipped.
+(every case when none is named), and names each changed case, and why it
+changed, in CHANGES.md. The digests hold for the numpy recorded in the
+file; under another numpy, whose last bits may differ, the test is skipped.
 """
 import contextlib
 import hashlib
@@ -199,13 +200,27 @@ def test_corpus_holds_every_case():
     assert list(_golden()["cases"]) == list(CASES)
 
 
-def regenerate() -> None:
+def regenerate(names=()) -> None:
+    """Rerun the named cases, every case when none is named, and write the
+    corpus; the other cases keep their records."""
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        sys.exit(f"no such case: {', '.join(unknown)}")
+    kept = {}
+    if names:
+        golden = _golden()
+        if golden["numpy"] != np.__version__:
+            sys.exit(f"the corpus holds numpy {golden['numpy']}: rerun every case")
+        kept = golden["cases"]
     with tempfile.TemporaryDirectory() as tmp:
         inputs = Path(tmp) / "inputs"
         inputs.mkdir()
         make_inputs(inputs)
         cases = {}
         for name, (argv, _) in CASES.items():
+            if name in kept and name not in names:
+                cases[name] = kept[name]
+                continue
             work = Path(tmp) / name
             work.mkdir()
             cases[name] = run_case(argv, inputs, work)
@@ -215,4 +230,4 @@ def regenerate() -> None:
 
 
 if __name__ == "__main__":
-    regenerate()
+    regenerate(sys.argv[1:])

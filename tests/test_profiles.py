@@ -82,16 +82,6 @@ def test_power_profile_is_pnorm_power():
     assert powered.degree == 2.0
 
 
-def test_finite_difference_gradient_fallback():
-    # profile given without an analytic gradient: quartic bowl, d = 4
-    f = ToricProfile(name="quartic", dimension=2, degree=4.0,
-                     evaluate_fn=lambda p: float(p[0] ** 4 + p[1] ** 4))
-    p = np.array([1.2, 0.7])
-    got = f.gradient(p)
-    assert np.allclose(got, [4 * 1.2 ** 3, 4 * 0.7 ** 3], rtol=1e-6)
-    assert _euler_residual(f, p) <= 1e-6
-
-
 def test_profile_validation():
     with pytest.raises(ConfigError):
         pnorm_profile(0.5)  # s < 1 is not convex
@@ -99,4 +89,4 @@ def test_profile_validation():
         linear_profile(())
     with pytest.raises(ConfigError):
         ToricProfile(name="bad", dimension=2, degree=-1.0,
-                     evaluate_fn=lambda p: 1.0)
+                     evaluate_fn=lambda p: 1.0, gradient_fn=np.zeros_like)

@@ -452,7 +452,7 @@ def _spectra_to_render():
     m_grid = lattice_grid(3, 2)
     rng = np.random.default_rng(5)
     bound = rng.random(len(m_grid)) * 1e-7
-    bound[[0, 4, 9]] = [np.nan, np.inf, 0.0]
+    bound[[0, 4, 9, 11]] = [np.nan, np.inf, 0.0, -np.inf]
     yield EbkSpectrum(route="variational", dimension=3, degree=2.0, hbar=1.0,
                       shift=MaslovShift.zero(3), m_grid=m_grid,
                       energies=rng.random(len(m_grid)) * 1e5,

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from ebk import LevelSurface, RamosCurve, linear_profile, pnorm_profile
-from ebk.actions import NORMAL_RESIDUAL_TOL, ZERO_ACTION_TOL, _table_rows
+from ebk.actions import NORMAL_RESIDUAL_TOL, ZERO_ACTION_TOL, _kept_actions, _table_rows
 
 
 def frozen_normal_residuals(normals, K):
@@ -68,8 +68,10 @@ def frozen_table_rows(surface, normal_map, K):
     """(points, actions, keep, residuals) of the C-contiguous int64 rows K."""
     _, pts, res, attained = frozen_invert_normal_many(surface, normal_map, K)
     Kf = K.astype(float)
-    # the table's zero shift, which the rows once added to the points
-    acts = np.einsum("ij,ij->i", pts + 0.0, Kf)
+    # the table's zero shift, which the rows once added to the points; the
+    # products summed in coordinate order
+    P = pts + 0.0
+    acts = functools.reduce(np.add, (P[:, j] * Kf[:, j] for j in range(Kf.shape[1])))
     keep = np.abs(acts) > ZERO_ACTION_TOL * surface.end_norm * np.linalg.norm(Kf, axis=1)
     return pts, acts, keep & attained, res, attained
 
@@ -126,6 +128,19 @@ def test_column_arithmetic_is_the_row_arithmetic_bitwise(name, seed):
         assert failed == np.count_nonzero(attained & ~(want_res <= NORMAL_RESIDUAL_TOL))
         _, _, res, ok = surface.invert_normal_many(cols.T)
         assert _same(res, want_res) and np.array_equal(ok, attained), name
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_3d_actions_are_the_coordinate_order_sum_in_any_layout(seed):
+    # p0 k0 + p1 k1 + p2 k2, left to right, whatever the layout of either
+    rng = np.random.default_rng(seed)
+    K = rng.integers(0, 10 ** 6, size=(3, 5000)).astype(float)
+    P = rng.uniform(0.0, 2.0, size=(5000, 3))
+    want = P[:, 0] * K[0] + P[:, 1] * K[1] + P[:, 2] * K[2]
+    for cols in (K, np.asfortranarray(K)):
+        for pts in (P, np.asfortranarray(P)):
+            acts = _kept_actions(cols, pts, 1.0)[0]
+            assert np.array_equal(acts.view(np.int64), want.view(np.int64))
 
 
 @pytest.mark.parametrize("name", CASES)
